@@ -21,13 +21,7 @@ import click
 from . import __version__
 from .config import PipelineConfig, load_config
 from .corpus import Corpus, corpus_stats, ingest_corpus, serialize_corpus
-from .errors import (
-    AttemptsExhausted,
-    GatewayError,
-    MissingUpstreamArtifact,
-    TomtraceError,
-    UnparseableResponse,
-)
+from .errors import GatewayError, MissingUpstreamArtifact, TomtraceError
 from .evalharness import (
     ContextMode,
     EvalCondition,
@@ -41,17 +35,15 @@ from .ftemit import SplitSpec, emit_example, split_ood, write_split_manifest, wr
 from .llmgate import BackendConfig, Gateway, ReplayScript, ResponseCache, RetryPolicy
 from .qagen import (
     QuestionState,
-    build_question_prompt,
     dataset_stats,
     export_review,
     first_pass_stats,
+    generate_questions,
     import_review,
-    llm_verify,
     load_questions,
-    parse_question_response,
-    regenerate,
     save_questions,
-    shuffle_options,
+    save_verdicts,
+    verify_questions,
 )
 from .tkg import (
     ContradictionRules,
@@ -61,20 +53,9 @@ from .tkg import (
     insert_batch,
     load_kg,
     save_kg,
-    state_at,
 )
-from .triples import (
-    Dimension,
-    MentalStateTriple,
-    TripleBatch,
-    TripleStatus,
-    build_extraction_prompt,
-    parse_triple_response,
-    validate_triple,
-)
-from .util import normalize_name, sha256_file, sha256_text
-
-logger = logging.getLogger(__name__)
+from .triples import MentalStateTriple, TripleBatch, extract_triples, triple_from_record
+from .util import sha256_file
 
 
 def _guarded(fn):
@@ -261,46 +242,6 @@ def ingest(ctx: RunContext):
 
 # --- extract ----------------------------------------------------------------
 
-def _plot_conversations_for(plot, character: str):
-    wanted = normalize_name(character)
-    return [
-        conv
-        for conv in plot.conversations
-        if any(normalize_name(t.speaker) == wanted for t in conv.turns)
-    ]
-
-
-def _book_speakers(book) -> list[str]:
-    names = {t.speaker for plot in book.plots for conv in plot.conversations for t in conv.turns}
-    return sorted(names)
-
-
-def _triple_record(book_id: str, character: str, triple: MentalStateTriple) -> dict:
-    return {
-        "book_id": book_id,
-        "character": character,
-        "plot_index": triple.plot_index,
-        "id": triple.id,
-        "subject": triple.subject,
-        "predicate": triple.predicate_raw,
-        "dimension": triple.dimension.value,
-        "target": triple.target,
-        "object": triple.object,
-    }
-
-
-def _triple_from_record(rec: dict) -> MentalStateTriple:
-    return MentalStateTriple(
-        id=rec["id"],
-        subject=rec["subject"],
-        predicate_raw=rec["predicate"],
-        dimension=Dimension(rec["dimension"]),
-        target=rec.get("target"),
-        object=rec["object"],
-        plot_index=rec["plot_index"],
-    )
-
-
 @main.command()
 @click.option("--replay", "replay_override", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
@@ -309,100 +250,28 @@ def _triple_from_record(rec: dict) -> MentalStateTriple:
 def extract(ctx: RunContext, replay_override: str | None, cache_override: str | None):
     """Extract mental-state triples per character and plot."""
     corpus = ctx.load_corpus()
-    gateway = ctx.gateway(replay_override=replay_override, cache_override=cache_override)
-    model = ctx.model_id()
-    strict = ctx.config.triples.strict_perspective
+    books = sorted(corpus.books, key=lambda b: b.id)
+    extractions = extract_triples(
+        books,
+        corpus.registries,
+        ctx.gateway(replay_override=replay_override, cache_override=cache_override),
+        model_id=ctx.model_id(),
+        strict=ctx.config.triples.strict_perspective,
+        template_override=ctx.config.triples.template,
+    )
     ctx.triples_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
-    total = rejected = 0
-    for book in sorted(corpus.books, key=lambda b: b.id):
-        registry = corpus.registries.get(book.id)
-        triples_path = ctx.triples_dir / f"{book.id}.jsonl"
-        rejects_path = ctx.triples_dir / f"{book.id}.rejects.jsonl"
-        with open(triples_path, "w", encoding="utf-8") as tfh, open(
-            rejects_path, "w", encoding="utf-8"
-        ) as rfh:
-            for character in _book_speakers(book):
-                rolling: list[MentalStateTriple] = []
-                for plot in book.plots:
-                    convs = _plot_conversations_for(plot, character)
-                    if not convs:
-                        continue
-                    request = build_extraction_prompt(
-                        plot,
-                        convs,
-                        character,
-                        rolling,
-                        model_id=model,
-                        template_override=ctx.config.triples.template,
-                    )
-                    response = gateway.complete(request)
-                    try:
-                        batch = parse_triple_response(
-                            response.text, character, plot.index, book_id=book.id
-                        )
-                    except UnparseableResponse as exc:
-                        logger.warning("%s/%s/p%d: %s", book.id, character, plot.index, exc)
-                        rfh.write(
-                            json.dumps(
-                                {
-                                    "book_id": book.id,
-                                    "character": character,
-                                    "plot_index": plot.index,
-                                    "raw": response.text,
-                                    "reason": str(exc),
-                                },
-                                ensure_ascii=False,
-                            )
-                            + "\n"
-                        )
-                        continue
-                    visible_cast = sorted({name for conv in convs for name in conv.cast})
-                    known = registry.known_names() if registry else set()
-                    kept: list[MentalStateTriple] = []
-                    for triple in batch.triples:
-                        violations = validate_triple(triple, character, visible_cast, known)
-                        if violations and strict:
-                            batch.rejects.append(_rejected(triple, violations))
-                            continue
-                        if violations:
-                            logger.info(
-                                "%s/%s/p%d: kept triple with violations: %s",
-                                book.id,
-                                character,
-                                plot.index,
-                                [v.kind.value for v in violations],
-                            )
-                        kept.append(triple)
-                    for triple in kept:
-                        tfh.write(json.dumps(_triple_record(book.id, character, triple), ensure_ascii=False) + "\n")
-                    for reject in batch.rejects:
-                        rejected += 1
-                        rfh.write(
-                            json.dumps(
-                                {
-                                    "book_id": book.id,
-                                    "character": character,
-                                    "plot_index": plot.index,
-                                    "raw": reject.raw,
-                                    "reason": reject.reason,
-                                },
-                                ensure_ascii=False,
-                            )
-                            + "\n"
-                        )
-                    total += len(kept)
-                    rolling = kept
+    for book_id, extraction in extractions.items():
+        triples_path = ctx.triples_dir / f"{book_id}.jsonl"
+        rejects_path = ctx.triples_dir / f"{book_id}.rejects.jsonl"
+        triples_path.write_text("".join(extraction.triple_lines), encoding="utf-8")
+        rejects_path.write_text("".join(extraction.reject_lines), encoding="utf-8")
         outputs += [triples_path, rejects_path]
+    total = sum(len(e.triple_lines) for e in extractions.values())
+    rejected = sum(e.rejected for e in extractions.values())
     click.echo(f"extracted {total} triples ({rejected} rejected)")
     inputs = sorted(ctx.corpus_dir.glob("*.jsonl"))
     ctx.write_manifest("extract", inputs, outputs)
-
-
-def _rejected(triple: MentalStateTriple, violations):
-    from .triples import RejectedEntry, render_triple
-
-    return RejectedEntry(raw=render_triple(triple), reason="; ".join(v.detail for v in violations))
 
 
 # --- build-kg -----------------------------------------------------------------
@@ -435,7 +304,7 @@ def build_kg(ctx: RunContext):
             if key not in batches:
                 batches[key] = []
                 order.append(key)
-            batches[key].append(_triple_from_record(rec))
+            batches[key].append(triple_from_record(rec))
         kg = TemporalKG(book_id=book.id, plot_count=len(book.plots))
         changelog_path = ctx.kg_dir / f"{book.id}.changelog.jsonl"
         ctx.kg_dir.mkdir(parents=True, exist_ok=True)
@@ -481,44 +350,15 @@ def build_kg(ctx: RunContext):
 @_guarded
 def genqa(ctx: RunContext, replay_override: str | None, cache_override: str | None):
     """Generate one question per dimension per speaking character per plot."""
-    corpus = ctx.load_corpus()
-    kgs = ctx.load_kgs()
-    gateway = ctx.gateway(replay_override=replay_override, cache_override=cache_override)
-    model = ctx.model_id()
-    questions = []
-    for book in sorted(corpus.books, key=lambda b: b.id):
-        kg = kgs.get(book.id)
-        for plot in book.plots:
-            speakers = sorted({t.speaker for conv in plot.conversations for t in conv.turns})
-            for character in speakers:
-                convs = _plot_conversations_for(plot, character)
-                previous: list[MentalStateTriple] = []
-                if kg is not None and plot.index > 1:
-                    try:
-                        previous = state_at(kg, character, plot.index - 1)
-                    except TomtraceError:
-                        previous = []
-                request = build_question_prompt(
-                    plot,
-                    convs,
-                    character,
-                    previous,
-                    model_id=model,
-                    template_override=ctx.config.qagen.template,
-                )
-                response = gateway.complete(request)
-                four = parse_question_response(
-                    response.text,
-                    book_id=book.id,
-                    plot_index=plot.index,
-                    character=character,
-                )
-                if ctx.config.qagen.shuffle_options:
-                    four = [
-                        shuffle_options(q, random.Random(f"{ctx.config.seed}:{q.id}"))
-                        for q in four
-                    ]
-                questions.extend(four)
+    questions = generate_questions(
+        ctx.load_corpus(),
+        ctx.load_kgs(),
+        ctx.gateway(replay_override=replay_override, cache_override=cache_override),
+        model_id=ctx.model_id(),
+        template_override=ctx.config.qagen.template,
+        shuffle=ctx.config.qagen.shuffle_options,
+        seed=ctx.config.seed,
+    )
     path = save_questions(questions, ctx.questions_path)
     click.echo(f"generated {len(questions)} questions")
     ctx.write_manifest(
@@ -537,58 +377,17 @@ def genqa(ctx: RunContext, replay_override: str | None, cache_override: str | No
 @_guarded
 def verify(ctx: RunContext, replay_override: str | None, cache_override: str | None):
     """Model-verify generated questions, regenerating rejects up to the budget."""
-    questions = ctx.load_question_file()
-    gateway = ctx.gateway(replay_override=replay_override, cache_override=cache_override)
-    model = ctx.model_id()
-    max_attempts = ctx.config.verification.max_attempts
-    verdicts = []
-    final = []
-    for question in questions:
-        if question.state is not QuestionState.GENERATED:
-            final.append(question)
-            continue
-        current = question
-        while True:
-            verdict = llm_verify(
-                current,
-                gateway,
-                model_id=model,
-                template_override=ctx.config.verification.template,
-            )
-            verdicts.append(verdict)
-            if current.state is QuestionState.LLM_VERIFIED:
-                break
-            try:
-                current = regenerate(
-                    current,
-                    gateway,
-                    max_attempts,
-                    model_id=model,
-                    notes=verdict.notes,
-                )
-                if ctx.config.qagen.shuffle_options:
-                    current = shuffle_options(
-                        current, random.Random(f"{ctx.config.seed}:{current.id}:{current.attempt}")
-                    )
-            except AttemptsExhausted:
-                logger.warning("%s: attempts exhausted, left rejected", current.id)
-                break
-        final.append(current)
+    final, verdicts = verify_questions(
+        ctx.load_question_file(),
+        ctx.gateway(replay_override=replay_override, cache_override=cache_override),
+        model_id=ctx.model_id(),
+        max_attempts=ctx.config.verification.max_attempts,
+        template_override=ctx.config.verification.template,
+        shuffle=ctx.config.qagen.shuffle_options,
+        seed=ctx.config.seed,
+    )
     save_questions(final, ctx.questions_path)
-    with open(ctx.verdicts_path, "w", encoding="utf-8") as fh:
-        for v in verdicts:
-            fh.write(
-                json.dumps(
-                    {
-                        "question_id": v.question_id,
-                        "stage": v.stage.value,
-                        "passed": v.passed,
-                        "notes": v.notes,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    save_verdicts(verdicts, ctx.verdicts_path)
     attempts = {q.id: q.attempt for q in final}
     report = first_pass_stats(verdicts, attempts)
     verified = sum(1 for q in final if q.state is QuestionState.LLM_VERIFIED)

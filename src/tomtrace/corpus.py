@@ -64,12 +64,27 @@ class Plot:
     scenario: str
     conversations: list[Conversation]
 
+    def speakers(self) -> list[str]:
+        return sorted({t.speaker for conv in self.conversations for t in conv.turns})
+
+    def conversations_of(self, character: str) -> list[Conversation]:
+        """The conversations in which the character speaks."""
+        wanted = normalize_name(character)
+        return [
+            conv
+            for conv in self.conversations
+            if any(normalize_name(t.speaker) == wanted for t in conv.turns)
+        ]
+
 
 @dataclass
 class Book:
     id: str
     title: str
     plots: list[Plot]
+
+    def speakers(self) -> list[str]:
+        return sorted({name for plot in self.plots for name in plot.speakers()})
 
 
 @dataclass

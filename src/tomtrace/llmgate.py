@@ -16,11 +16,9 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
-
-import requests
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import (
     AuthMissing,
@@ -32,6 +30,9 @@ from .errors import (
 from .util import canonical_json, sha256_text
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 _ROLES = ("system", "user", "assistant")
 
@@ -198,18 +199,13 @@ class ResponseCache:
     """Content-addressed response store under cache/<aa>/<key>.json.
 
     The key covers the request digest and the backend name, so the same
-    prompt against two backends never collides. Corrupt entries are treated
-    as misses with a warning.
+    prompt against two backends never collides. Entries are written to a
+    temporary file and renamed into place, so a reader sees a whole entry or
+    none. Corrupt entries are treated as misses with a warning.
     """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        self._locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-
-    def _lock(self, key: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks.setdefault(key, threading.Lock())
 
     @staticmethod
     def key_for(request: ChatRequest, backend: BackendConfig) -> str:
@@ -219,31 +215,28 @@ class ResponseCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, request: ChatRequest, backend: BackendConfig) -> ChatResponse | None:
-        key = self.key_for(request, backend)
-        path = self._path(key)
-        with self._lock(key):
-            if not path.is_file():
-                return None
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-                body = entry["response"]
-                if entry["integrity"] != sha256_text(canonical_json(body)):
-                    raise ValueError("integrity hash mismatch")
-                return ChatResponse(
-                    text=body["text"],
-                    prompt_tokens=body["prompt_tokens"],
-                    output_tokens=body["output_tokens"],
-                    backend_id=body["backend_id"],
-                    cached=True,
-                    error=body.get("error"),
-                )
-            except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-                logger.warning("corrupt cache entry %s treated as miss: %s", path, exc)
-                return None
+        path = self._path(self.key_for(request, backend))
+        if not path.is_file():
+            return None
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            body = entry["response"]
+            if entry["integrity"] != sha256_text(canonical_json(body)):
+                raise ValueError("integrity hash mismatch")
+            return ChatResponse(
+                text=body["text"],
+                prompt_tokens=body["prompt_tokens"],
+                output_tokens=body["output_tokens"],
+                backend_id=body["backend_id"],
+                cached=True,
+                error=body.get("error"),
+            )
+        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            logger.warning("corrupt cache entry %s treated as miss: %s", path, exc)
+            return None
 
     def put(self, request: ChatRequest, backend: BackendConfig, response: ChatResponse) -> None:
-        key = self.key_for(request, backend)
-        path = self._path(key)
+        path = self._path(self.key_for(request, backend))
         body = {
             "text": response.text,
             "prompt_tokens": response.prompt_tokens,
@@ -256,9 +249,10 @@ class ResponseCache:
             "response": body,
             "integrity": sha256_text(canonical_json(body)),
         }
-        with self._lock(key):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(entry, ensure_ascii=False, indent=1), encoding="utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        partial = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        partial.write_text(json.dumps(entry, ensure_ascii=False, indent=1), encoding="utf-8")
+        os.replace(partial, path)
 
 
 # --- rate limiting -------------------------------------------------------------
@@ -295,6 +289,8 @@ class RateLimiter:
 # --- transport and completion ---------------------------------------------------
 
 def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object]:
+    import requests  # imported here: replayed and cache-served runs never need it
+
     try:
         resp = requests.post(url, json=payload, headers=headers, timeout=120)
     except requests.RequestException as exc:
@@ -393,26 +389,12 @@ def complete(
     raise TransportError(f"retries exhausted: {last_failure}")
 
 
-def complete_cached(
-    request: ChatRequest,
-    backend: BackendConfig,
-    cache: ResponseCache,
-    **kwargs,
-) -> ChatResponse:
-    """complete() with a read-through content-addressed cache."""
-    hit = cache.get(request, backend)
-    if hit is not None:
-        return hit
-    response = complete(request, backend, **kwargs)
-    cache.put(request, backend, response)
-    return response
-
-
 class Gateway:
     """Bounded-parallel, rate-limited front end over one backend.
 
-    Wraps complete()/complete_cached() with shared limiter state so batch
-    callers cannot exceed `max_in_flight` or `requests_per_minute`.
+    Wraps complete() with the replay script or a read-through response cache,
+    and shares limiter state so that callers running on `run` cannot exceed
+    `max_in_flight` or `requests_per_minute`.
     """
 
     def __init__(
@@ -431,33 +413,62 @@ class Gateway:
         self._transport = transport
         self._sleep = sleep_fn
         self._limiter = RateLimiter(backend.requests_per_minute, time_fn, sleep_fn)
+        self._in_flight: dict[ChatRequest, threading.Lock] = {}
+        self._in_flight_guard = threading.Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        if self.cache is not None:
-            hit = self.cache.get(request, self.backend)
-            if hit is not None:
-                return hit
-        response = complete(
+        # A replay script is already in memory and deterministic; its answers
+        # must neither come from nor go to the cache a live backend reads.
+        if self.replay is not None:
+            return complete(request, self.backend, replay=self.replay)
+        if self.cache is None:
+            return self._request(request)
+        # Single flight: a call for a request already in flight waits for its
+        # cache entry instead of sending it again.
+        with self._in_flight_guard:
+            lock = self._in_flight.setdefault(request, threading.Lock())
+        with lock:
+            try:
+                response = self.cache.get(request, self.backend)
+                if response is None:
+                    response = self._request(request)
+                    self.cache.put(request, self.backend, response)
+                return response
+            finally:
+                with self._in_flight_guard:
+                    if self._in_flight.get(request) is lock:
+                        del self._in_flight[request]
+
+    def _request(self, request: ChatRequest) -> ChatResponse:
+        return complete(
             request,
             self.backend,
-            replay=self.replay,
             transport=self._transport,
-            limiter=None if self.replay is not None else self._limiter,
+            limiter=self._limiter,
             sleep_fn=self._sleep,
         )
-        if self.cache is not None:
-            self.cache.put(request, self.backend, response)
-        return response
+
+    def run(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """fn over items on `max_in_flight` threads; results in input order.
+
+        Results are read in input order, so a failure raises the exception of
+        the first failing item, as a serial loop would; items not yet started
+        are then cancelled.
+        """
+        pool = ThreadPoolExecutor(max_workers=max(1, self.backend.max_in_flight))
+        try:
+            futures = [pool.submit(fn, item) for item in items]
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     def submit_batch(self, requests_by_key: Mapping[object, ChatRequest]) -> dict:
         """Run independent requests concurrently; failures come back per key."""
-        results: dict = {}
-        workers = max(1, self.backend.max_in_flight)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {key: pool.submit(self.complete, req) for key, req in requests_by_key.items()}
-            for key, future in futures.items():
-                try:
-                    results[key] = future.result()
-                except GatewayError as exc:
-                    results[key] = exc
-        return results
+
+        def attempt(request: ChatRequest):
+            try:
+                return self.complete(request)
+            except GatewayError as exc:
+                return exc
+
+        return dict(zip(requests_by_key, self.run(attempt, requests_by_key.values())))

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .corpus import Conversation, Plot
+from .corpus import Conversation, Corpus, Plot
 from .errors import (
     AmbiguousCorrect,
     AttemptsExhausted,
@@ -30,10 +30,12 @@ from .errors import (
     InvalidState,
     MalformedVerdictRow,
     MissingDimension,
+    TomtraceError,
     UnknownQuestionId,
     UnparseableResponse,
 )
-from .llmgate import ChatRequest
+from .llmgate import ChatRequest, Gateway
+from .tkg import TemporalKG, state_at
 from .triples import (
     DIMENSIONS,
     Dimension,
@@ -393,6 +395,103 @@ def regenerate(
     )
 
 
+# --- the generation and verification stages -------------------------------------------
+
+def generate_questions(
+    corpus: Corpus,
+    kgs: dict[str, TemporalKG],
+    gateway: Gateway,
+    *,
+    model_id: str,
+    template_override: str | None = None,
+    shuffle: bool = False,
+    seed: int | None = None,
+) -> list[TomQuestion]:
+    """Four questions for every speaking character of every plot, in book -> plot -> speaker order.
+
+    Prompts, with their graph lookups, are built on the calling thread; the
+    requests run on the gateway's runner.
+    """
+    jobs: list[tuple[str, int, str, ChatRequest]] = []
+    for book in sorted(corpus.books, key=lambda b: b.id):
+        kg = kgs.get(book.id)
+        for plot in book.plots:
+            for character in plot.speakers():
+                previous: list[MentalStateTriple] = []
+                if kg is not None and plot.index > 1:
+                    try:
+                        previous = state_at(kg, character, plot.index - 1)
+                    except TomtraceError:
+                        previous = []
+                request = build_question_prompt(
+                    plot,
+                    plot.conversations_of(character),
+                    character,
+                    previous,
+                    model_id=model_id,
+                    template_override=template_override,
+                )
+                jobs.append((book.id, plot.index, character, request))
+
+    def ask(job: tuple[str, int, str, ChatRequest]) -> list[TomQuestion]:
+        book_id, plot_index, character, request = job
+        response = gateway.complete(request)
+        four = parse_question_response(
+            response.text, book_id=book_id, plot_index=plot_index, character=character
+        )
+        if shuffle:
+            four = [shuffle_options(q, random.Random(f"{seed}:{q.id}")) for q in four]
+        return four
+
+    return [q for four in gateway.run(ask, jobs) for q in four]
+
+
+def verify_questions(
+    questions: list[TomQuestion],
+    gateway: Gateway,
+    *,
+    model_id: str,
+    max_attempts: int,
+    template_override: str | None = None,
+    shuffle: bool = False,
+    seed: int | None = None,
+) -> tuple[list[TomQuestion], list[VerificationVerdict]]:
+    """Model-verify Generated questions, regenerating rejects up to the budget.
+
+    Each question is one verify -> regenerate -> verify chain; chains run on
+    the gateway's runner. Returns the final questions and every verdict, both
+    in question order.
+    """
+
+    def chain(question: TomQuestion) -> tuple[TomQuestion, list[VerificationVerdict]]:
+        if question.state is not QuestionState.GENERATED:
+            return question, []
+        verdicts = []
+        current = question
+        while True:
+            verdict = llm_verify(
+                current, gateway, model_id=model_id, template_override=template_override
+            )
+            verdicts.append(verdict)
+            if current.state is QuestionState.LLM_VERIFIED:
+                break
+            try:
+                current = regenerate(
+                    current, gateway, max_attempts, model_id=model_id, notes=verdict.notes
+                )
+                if shuffle:
+                    current = shuffle_options(
+                        current, random.Random(f"{seed}:{current.id}:{current.attempt}")
+                    )
+            except AttemptsExhausted:
+                logger.warning("%s: attempts exhausted, left rejected", current.id)
+                break
+        return current, verdicts
+
+    results = gateway.run(chain, questions)
+    return [q for q, _ in results], [v for _, verdicts in results for v in verdicts]
+
+
 # --- human review round-trip ---------------------------------------------------------
 
 REVIEW_COLUMNS = (
@@ -579,6 +678,16 @@ def save_questions(questions: list[TomQuestion], path: Path | str) -> Path:
         for q in questions:
             fh.write(json.dumps(question_to_record(q), ensure_ascii=False))
             fh.write("\n")
+    return path
+
+
+def save_verdicts(verdicts: list[VerificationVerdict], path: Path | str) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in verdicts:
+            record = {"question_id": v.question_id, "stage": v.stage.value, "passed": v.passed, "notes": v.notes}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     return path
 
 

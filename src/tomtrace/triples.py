@@ -16,9 +16,9 @@ from enum import Enum
 from importlib import resources
 from string import Template
 
-from .corpus import Conversation, Plot, render_turn
+from .corpus import Book, CharacterRegistry, Conversation, Plot, render_turn
 from .errors import CharacterAbsent, ForeignSubject, UnknownPredicate, UnparseableResponse
-from .llmgate import ChatRequest
+from .llmgate import ChatRequest, Gateway
 from .util import normalize_name, stable_hash
 
 logger = logging.getLogger(__name__)
@@ -422,3 +422,144 @@ def build_extraction_prompt(
         temperature=temperature,
         max_output_tokens=max_output_tokens,
     )
+
+
+# --- records and the extraction stage ----------------------------------------------
+
+def triple_to_record(book_id: str, character: str, triple: MentalStateTriple) -> dict:
+    return {
+        "book_id": book_id,
+        "character": character,
+        "plot_index": triple.plot_index,
+        "id": triple.id,
+        "subject": triple.subject,
+        "predicate": triple.predicate_raw,
+        "dimension": triple.dimension.value,
+        "target": triple.target,
+        "object": triple.object,
+    }
+
+
+def triple_from_record(rec: dict) -> MentalStateTriple:
+    return MentalStateTriple(
+        id=rec["id"],
+        subject=rec["subject"],
+        predicate_raw=rec["predicate"],
+        dimension=Dimension(rec["dimension"]),
+        target=rec.get("target"),
+        object=rec["object"],
+        plot_index=rec["plot_index"],
+    )
+
+
+def _json_line(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def _reject_line(book_id: str, character: str, plot_index: int, raw: str, reason: str) -> str:
+    return _json_line(
+        {"book_id": book_id, "character": character, "plot_index": plot_index, "raw": raw, "reason": reason}
+    )
+
+
+@dataclass
+class Extraction:
+    """Extraction output as JSONL lines, in character -> plot order."""
+
+    triple_lines: list[str] = field(default_factory=list)
+    reject_lines: list[str] = field(default_factory=list)
+    rejected: int = 0  # entries rejected from parsed responses; unparseable responses are not counted
+
+    def extend(self, other: "Extraction") -> None:
+        self.triple_lines += other.triple_lines
+        self.reject_lines += other.reject_lines
+        self.rejected += other.rejected
+
+
+def _extract_chain(
+    book: Book,
+    character: str,
+    known_names: set[str],
+    gateway: Gateway,
+    *,
+    model_id: str,
+    strict: bool,
+    template_override: str | None,
+) -> Extraction:
+    """One character through one book; each prompt carries the previous plot's kept triples."""
+    out = Extraction()
+    rolling: list[MentalStateTriple] = []
+    for plot in book.plots:
+        convs = plot.conversations_of(character)
+        if not convs:
+            continue
+        request = build_extraction_prompt(
+            plot, convs, character, rolling, model_id=model_id, template_override=template_override
+        )
+        response = gateway.complete(request)
+        try:
+            batch = parse_triple_response(response.text, character, plot.index, book_id=book.id)
+        except UnparseableResponse as exc:
+            logger.warning("%s/%s/p%d: %s", book.id, character, plot.index, exc)
+            out.reject_lines.append(_reject_line(book.id, character, plot.index, response.text, str(exc)))
+            continue
+        visible_cast = sorted({name for conv in convs for name in conv.cast})
+        kept: list[MentalStateTriple] = []
+        for triple in batch.triples:
+            violations = validate_triple(triple, character, visible_cast, known_names)
+            if violations and strict:
+                reason = "; ".join(v.detail for v in violations)
+                batch.rejects.append(RejectedEntry(raw=render_triple(triple), reason=reason))
+                continue
+            if violations:
+                logger.info(
+                    "%s/%s/p%d: kept triple with violations: %s",
+                    book.id,
+                    character,
+                    plot.index,
+                    [v.kind.value for v in violations],
+                )
+            kept.append(triple)
+        out.triple_lines += [_json_line(triple_to_record(book.id, character, t)) for t in kept]
+        out.reject_lines += [
+            _reject_line(book.id, character, plot.index, r.raw, r.reason) for r in batch.rejects
+        ]
+        out.rejected += len(batch.rejects)
+        rolling = kept
+    return out
+
+
+def extract_triples(
+    books: list[Book],
+    registries: dict[str, CharacterRegistry],
+    gateway: Gateway,
+    *,
+    model_id: str,
+    strict: bool = False,
+    template_override: str | None = None,
+) -> dict[str, Extraction]:
+    """Extract every speaker's triples through every book, keyed by book id.
+
+    Each (book, character) chain is sequential; chains run concurrently on
+    the gateway's runner and are merged back in book -> character order.
+    """
+    chains = [(book, character) for book in books for character in book.speakers()]
+
+    def run_chain(chain: tuple[Book, str]) -> Extraction:
+        book, character = chain
+        registry = registries.get(book.id)
+        known = registry.known_names() if registry else set()
+        return _extract_chain(
+            book,
+            character,
+            known,
+            gateway,
+            model_id=model_id,
+            strict=strict,
+            template_override=template_override,
+        )
+
+    results = {book.id: Extraction() for book in books}
+    for (book, _), extraction in zip(chains, gateway.run(run_chain, chains)):
+        results[book.id].extend(extraction)
+    return results

@@ -15,12 +15,12 @@ CONFIG = DATA / "pipeline.yaml"
 PIPELINE = ("ingest", "extract", "build-kg", "genqa", "verify", "eval", "report")
 
 
-def run_cli(out_dir: Path, *commands: str, expect: int = 0) -> list:
-    """Run CLI subcommands against the fixture config into out_dir."""
+def run_cli(out_dir: Path, *commands: str, expect: int = 0, config: Path = CONFIG) -> list:
+    """Run CLI subcommands against the fixture config (or `config`) into out_dir."""
     runner = CliRunner()
     results = []
     for command in commands:
-        args = ["-c", str(CONFIG), "--out", str(out_dir)] + command.split()
+        args = ["-c", str(config), "--out", str(out_dir)] + command.split()
         result = runner.invoke(main, args)
         if result.exit_code != expect:
             raise AssertionError(

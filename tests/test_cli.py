@@ -301,6 +301,17 @@ def test_replay_miss_exits_two(tmp_path):
     assert result.stderr.startswith("backend error:")
 
 
+def test_replay_miss_after_a_full_run_exits_two(tmp_path):
+    """Replayed answers are never cached, so an earlier run cannot answer for the script."""
+    out = tmp_path / "out"
+    run_cli(out, "ingest", "extract")
+    empty_script = tmp_path / "empty.jsonl"
+    empty_script.write_text("", encoding="utf-8")
+    result = run_cli(out, f"extract --replay {empty_script}", expect=2)[0]
+    assert result.stderr.startswith("backend error: no replay entry for digest")
+    assert not (out / "cache").exists()
+
+
 def test_version_flag():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0

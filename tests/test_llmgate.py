@@ -3,9 +3,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from tomtrace import llmgate
 from tomtrace.errors import (
     AuthMissing,
     RateLimitedExhausted,
@@ -15,6 +22,7 @@ from tomtrace.errors import (
 from tomtrace.llmgate import (
     BackendConfig,
     ChatRequest,
+    ChatResponse,
     Gateway,
     RateLimiter,
     ReplayScript,
@@ -255,3 +263,121 @@ def test_gateway_batch_collects_errors(tmp_path):
     })
     assert results["a"].text == "fine"
     assert isinstance(results["b"], ScriptMiss)
+
+
+def _live_transport(answer, delay_s=0.0):
+    calls = {"n": 0}
+    lock = threading.Lock()
+
+    def transport(url, payload, headers):
+        with lock:
+            calls["n"] += 1
+        time.sleep(delay_s)
+        return 200, {"choices": [{"message": {"content": answer}}]}
+
+    return transport, calls
+
+
+def test_gateway_run_returns_results_in_input_order():
+    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=4))
+
+    def slow_square(n):
+        time.sleep(0.001 * (5 - n))
+        return n * n
+
+    assert gw.run(slow_square, range(5)) == [0, 1, 4, 9, 16]
+    assert gw.run(slow_square, []) == []
+
+
+def test_gateway_run_bounds_concurrency_by_max_in_flight():
+    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=3))
+    lock = threading.Lock()
+    barrier = threading.Barrier(3)  # breaks unless three items run at once
+    state = {"now": 0, "peak": 0}
+
+    def work(_):
+        with lock:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        barrier.wait(timeout=10)
+        with lock:
+            state["now"] -= 1
+
+    gw.run(work, range(6))
+    assert state["peak"] == 3
+
+
+def test_gateway_run_raises_the_first_failing_item_in_input_order():
+    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=8))
+
+    def work(n):
+        if n == 2:
+            time.sleep(0.02)  # fails last in time, first in input order
+            raise TransportError("item 2")
+        if n == 4:
+            raise ScriptMiss("item 4")
+        return n
+
+    with pytest.raises(TransportError, match="item 2"):
+        gw.run(work, range(5))
+
+
+def test_gateway_cache_single_flight_per_key(tmp_path, monkeypatch):
+    """Stress: 16 workers, 20 prompts asked 10 times each, one backend call per prompt."""
+    monkeypatch.setenv("TT_TOKEN", "t")
+    transport, calls = _live_transport("shared", delay_s=0.001)
+    gw = Gateway(
+        dataclasses.replace(BACKEND, max_in_flight=16),
+        cache=ResponseCache(tmp_path),
+        transport=transport,
+    )
+    prompts = [user_request("m", f"prompt {n % 20}") for n in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        responses = gw.run(gw.complete, prompts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls["n"] == 20
+    assert [r.text for r in responses] == ["shared"] * 200
+    assert sum(not r.cached for r in responses) == 20
+    assert gw._in_flight == {}
+
+
+def test_replay_neither_reads_nor_writes_the_cache(tmp_path):
+    script = ReplayScript.load(
+        _write_script(tmp_path / "s.jsonl", [{"prompt_pattern": "prompt", "response_text": "scripted"}])
+    )
+    cache = ResponseCache(tmp_path / "cache")
+    req = user_request("m", "a prompt")
+    cache.put(req, BACKEND, ChatResponse(text="stale", prompt_tokens=1, output_tokens=1, backend_id="x"))
+    before = sorted(p.name for p in (tmp_path / "cache").rglob("*"))
+    gw = Gateway(BACKEND, replay=script, cache=cache)
+    assert gw.complete(req).text == "scripted"
+    assert gw.complete(user_request("m", "another prompt")).text == "scripted"
+    assert sorted(p.name for p in (tmp_path / "cache").rglob("*")) == before
+
+
+def test_cache_put_never_leaves_a_partial_entry(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path)
+    req = user_request("m", "x")
+    resp = ChatResponse(text="answer", prompt_tokens=1, output_tokens=1, backend_id="b")
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(llmgate.os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        cache.put(req, BACKEND, resp)
+    assert cache.get(req, BACKEND) is None
+    monkeypatch.undo()
+    cache.put(req, BACKEND, resp)
+    assert cache.get(req, BACKEND).text == "answer"
+    assert [p.suffix for p in tmp_path.rglob("*") if p.is_file()].count(".json") == 1
+
+
+def test_importing_the_cli_does_not_import_requests():
+    code = "import sys, tomtrace.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(llmgate.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
