@@ -49,6 +49,7 @@ from .tkg import (
     ContradictionRules,
     MergeMode,
     TemporalKG,
+    changelog_to_record,
     check_invariants,
     insert_batch,
     load_kg,
@@ -79,6 +80,8 @@ class RunContext:
     def __init__(self, config: PipelineConfig, out_override: str | None):
         self.config = config
         self.out_dir = Path(out_override or config.out_dir)
+        # Set by gateway(): a loaded replay script is an input of the stage.
+        self.replay_script: Path | None = None
 
     # --- artifact layout ---
     @property
@@ -146,6 +149,7 @@ class RunContext:
         replay = None
         script = replay_override or self.config.replay.script
         if script:
+            self.replay_script = Path(script)
             replay = ReplayScript.load(
                 script,
                 default_policy=self.config.replay.default_policy,
@@ -165,6 +169,8 @@ class RunContext:
 
     def write_manifest(self, command: str, inputs: list[Path], outputs: list[Path]) -> Path:
         config_path = Path(self.config.source_path)
+        if self.replay_script is not None:
+            inputs = [*inputs, self.replay_script]
 
         def key_for(path: Path, base: Path) -> str:
             try:
@@ -316,21 +322,7 @@ def build_kg(ctx: RunContext):
                     triples=batches[(character, plot_index)],
                 )
                 log = insert_batch(kg, batch, mode, rules=rules, jaccard_threshold=threshold)
-                cfh.write(
-                    json.dumps(
-                        {
-                            "character": log.character,
-                            "plot_index": log.plot_index,
-                            "unchanged": log.unchanged,
-                            "added": log.added,
-                            "refined": [[l.old_id, l.new_id] for l in log.refined],
-                            "contradicted": [[l.old_id, l.new_id] for l in log.contradicted],
-                            "retired": log.retired,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                cfh.write(json.dumps(changelog_to_record(log), ensure_ascii=False) + "\n")
         check_invariants(kg)
         kg_path = save_kg(kg, ctx.kg_dir / f"{book.id}.kg.jsonl")
         outputs += [kg_path, changelog_path]

@@ -37,10 +37,6 @@ class EvalCondition:
     context_mode: ContextMode
     triples_enabled: bool
 
-    @property
-    def row_label(self) -> str:
-        return "w Triple" if self.triples_enabled else "base"
-
 
 ALL_CONDITIONS = tuple(
     EvalCondition(mode, triples)

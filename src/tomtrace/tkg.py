@@ -1,9 +1,14 @@
 """Perspective-aware temporal knowledge graph over mental-state triples.
 
-Edges are plot-indexed; a later triple can supersede an earlier one with a
-recorded link (Refined or Contradicted). Supersede links always run from an
-earlier plot to a strictly later one and never form cycles. Batches for one
-character must arrive in non-decreasing plot order.
+Each edge holds over one validity interval [plot_index, valid_to): it is
+believed from its own plot until the plot of the batch that superseded or
+retired it (valid_to is None while it is active). `state_at(character, t)`
+is one filter over that character's edges. The supersede links (Refined or
+Contradicted) and the retirement records are the history that explains why
+an interval closed; `load_kg` rebuilds valid_to from them, so it is never
+written to disk. Supersede links always run from an earlier plot to a
+strictly later one and never form cycles. Batches for one character must
+arrive in non-decreasing plot order.
 
 Merge semantics, pinned here because they drive every historical query:
 
@@ -39,7 +44,7 @@ from .errors import (
     NonMonotoneInsert,
     UnknownCharacter,
 )
-from .triples import Dimension, MentalStateTriple, TripleBatch, TripleStatus
+from .triples import Dimension, MentalStateTriple, TripleBatch
 from .util import normalize_name, sha256_text
 
 logger = logging.getLogger(__name__)
@@ -71,7 +76,6 @@ class RetireRecord:
 @dataclass
 class CharacterNode:
     canonical_name: str
-    plots_seen: list[int] = field(default_factory=list)
     last_insert_plot: int = 0
 
 
@@ -133,6 +137,19 @@ class ChangeLog:
     retired: list[str] = field(default_factory=list)
 
 
+def changelog_to_record(log: ChangeLog) -> dict:
+    """One changelog line: edge ids per outcome, links as [old, new] pairs."""
+    return {
+        "character": log.character,
+        "plot_index": log.plot_index,
+        "unchanged": log.unchanged,
+        "added": log.added,
+        "refined": [[l.old_id, l.new_id] for l in log.refined],
+        "contradicted": [[l.old_id, l.new_id] for l in log.contradicted],
+        "retired": log.retired,
+    }
+
+
 @dataclass
 class TemporalKG:
     book_id: str
@@ -162,11 +179,7 @@ def _group_key(triple: MentalStateTriple) -> tuple[Dimension, str | None]:
 
 
 def _active_edges(kg: TemporalKG, character: str) -> list[MentalStateTriple]:
-    return [
-        kg.edges[i]
-        for i in kg.index.get(character, [])
-        if kg.edges[i].status is TripleStatus.ACTIVE
-    ]
+    return [kg.edges[i] for i in kg.index.get(character, []) if kg.edges[i].valid_to is None]
 
 
 def _register_edge(kg: TemporalKG, node: CharacterNode, triple: MentalStateTriple) -> str:
@@ -176,8 +189,6 @@ def _register_edge(kg: TemporalKG, node: CharacterNode, triple: MentalStateTripl
     triple.id = edge_id
     kg.edges[edge_id] = triple
     kg.index.setdefault(node.canonical_name, []).append(edge_id)
-    if triple.plot_index not in node.plots_seen:
-        node.plots_seen.append(triple.plot_index)
     return edge_id
 
 
@@ -274,13 +285,13 @@ def _insert_trust_llm_diff(
             )
             link = SupersedeLink(old_id=edge.id, new_id=successor.id, reason=reason)
             kg.supersede_links.append(link)
-            edge.status = TripleStatus.SUPERSEDED
+            edge.valid_to = plot_index
             successor.supersedes = edge.id
             (log.contradicted if reason is SupersedeReason.CONTRADICTED else log.refined).append(link)
         else:
             # No strictly-later same-key successor: the batch dropped it.
             kg.retirements.append(RetireRecord(triple_id=edge.id, plot_index=plot_index))
-            edge.status = TripleStatus.SUPERSEDED
+            edge.valid_to = plot_index
             log.retired.append(edge.id)
 
 
@@ -319,7 +330,7 @@ def _insert_deterministic(
         for edge in to_supersede:
             link = SupersedeLink(old_id=edge.id, new_id=triple.id, reason=SupersedeReason.REFINED)
             kg.supersede_links.append(link)
-            edge.status = TripleStatus.SUPERSEDED
+            edge.valid_to = plot_index
             triple.supersedes = edge.id
             log.refined.append(link)
 
@@ -333,18 +344,8 @@ def state_at(kg: TemporalKG, character: str, plot_t: int) -> list[MentalStateTri
         raise ValueError(f"plot_t must be >= 1, got {plot_t}")
     if kg.plot_count is not None and plot_t > kg.plot_count:
         raise ValueError(f"plot_t {plot_t} beyond book plot count {kg.plot_count}")
-    superseded = {
-        link.old_id
-        for link in kg.supersede_links
-        if link.new_id in kg.edges and kg.edges[link.new_id].plot_index <= plot_t
-    }
-    retired = {r.triple_id for r in kg.retirements if r.plot_index <= plot_t}
-    ids = kg.index.get(node.canonical_name, [])
-    chosen = [
-        kg.edges[i]
-        for i in ids
-        if kg.edges[i].plot_index <= plot_t and i not in superseded and i not in retired
-    ]
+    edges = (kg.edges[i] for i in kg.index.get(node.canonical_name, []))
+    chosen = [e for e in edges if e.plot_index <= plot_t and (e.valid_to is None or plot_t < e.valid_to)]
     return sorted(chosen, key=lambda t: t.plot_index)  # stable: keeps insertion order
 
 
@@ -431,7 +432,6 @@ def _edge_record(kg: TemporalKG, edge_id: str) -> dict:
         "target": edge.target,
         "object": edge.object,
         "plot_index": edge.plot_index,
-        "status": edge.status.value,
         "supersedes": edge.supersedes,
     }
 
@@ -446,7 +446,6 @@ def save_kg(kg: TemporalKG, path: Path | str) -> Path:
                 {
                     "record": "node",
                     "name": name,
-                    "plots_seen": list(node.plots_seen),
                     "last_insert_plot": node.last_insert_plot,
                 },
                 ensure_ascii=False,
@@ -519,9 +518,7 @@ def load_kg(path: Path | str) -> TemporalKG:
         kind = rec.get("record")
         if kind == "node":
             kg.nodes[rec["name"]] = CharacterNode(
-                canonical_name=rec["name"],
-                plots_seen=list(rec["plots_seen"]),
-                last_insert_plot=rec["last_insert_plot"],
+                canonical_name=rec["name"], last_insert_plot=rec["last_insert_plot"]
             )
         elif kind == "edge":
             triple = MentalStateTriple(
@@ -532,7 +529,6 @@ def load_kg(path: Path | str) -> TemporalKG:
                 target=rec["target"],
                 object=rec["object"],
                 plot_index=rec["plot_index"],
-                status=TripleStatus(rec["status"]),
                 supersedes=rec.get("supersedes"),
             )
             kg.edges[triple.id] = triple
@@ -555,6 +551,13 @@ def load_kg(path: Path | str) -> TemporalKG:
         raise CorruptGraphFile(
             f"{path}: edge count {len(kg.edges)} does not match header {header.get('edge_count')}"
         )
+    try:
+        for link in kg.supersede_links:
+            kg.edges[link.old_id].valid_to = kg.edges[link.new_id].plot_index
+        for retire in kg.retirements:
+            kg.edges[retire.triple_id].valid_to = retire.plot_index
+    except KeyError as exc:
+        raise CorruptGraphFile(f"{path}: link or retirement names unknown edge {exc}") from exc
     return kg
 
 

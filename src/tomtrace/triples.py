@@ -57,11 +57,6 @@ PRONOUN_TOKENS = ("he", "she", "his", "her", "him", "they", "them", "their")
 _PRONOUN_RE = re.compile(r"\b(?:%s)\b" % "|".join(PRONOUN_TOKENS), re.IGNORECASE)
 
 
-class TripleStatus(Enum):
-    ACTIVE = "active"
-    SUPERSEDED = "superseded"
-
-
 @dataclass
 class MentalStateTriple:
     id: str
@@ -71,7 +66,9 @@ class MentalStateTriple:
     target: str | None
     object: str
     plot_index: int
-    status: TripleStatus = TripleStatus.ACTIVE
+    # First plot at which a later batch superseded or retired this edge; the
+    # edge holds over [plot_index, valid_to). None while it is still active.
+    valid_to: int | None = None
     supersedes: str | None = None
 
 

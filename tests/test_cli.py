@@ -8,6 +8,7 @@ Error-path tests use their own scratch directories.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -253,6 +254,18 @@ def test_every_command_writes_a_manifest(chain):
         assert manifest["command"] == name
         for digest in list(manifest["inputs"].values()) + list(manifest["outputs"].values()):
             assert len(digest) == 64 and set(digest) <= HEX64
+
+
+def test_model_stage_manifests_list_the_replay_script(chain):
+    out, _ = chain
+    script = CONFIG.parent / "replay.jsonl"
+    digest = hashlib.sha256(script.read_bytes()).hexdigest()
+    for name in ("extract", "genqa", "verify", "eval"):
+        manifest = json.loads((out / "manifests" / f"{name}.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"]["replay.jsonl"] == digest, name
+    for name in ("build-kg", "report"):
+        manifest = json.loads((out / "manifests" / f"{name}.json").read_text(encoding="utf-8"))
+        assert "replay.jsonl" not in manifest["inputs"], name
 
 
 def test_manifests_carry_no_absolute_paths(chain):

@@ -445,7 +445,8 @@ def test_import_review_unknown_id(tmp_path):
     text = path.read_text().replace(questions[0].id, "qdoesnotexist")
     path.write_text(text.replace('"",""', '"pass",""'))  # no-op if quoting differs
 
-    rows = list(csv.DictReader(open(path, newline="")))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     for row in rows:
         row["verdict"] = "pass"
     with open(path, "w", newline="") as fh:
@@ -462,7 +463,8 @@ def test_import_review_double_apply_collected_as_error(tmp_path):
     questions = verified_set()
     path = tmp_path / "review.csv"
     export_review(questions, path)
-    rows = list(csv.DictReader(open(path, newline="")))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     for row in rows:
         row["verdict"] = "pass"
     rows.append(dict(rows[0]))  # duplicate row: second apply is illegal
