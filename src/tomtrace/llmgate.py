@@ -208,14 +208,17 @@ class ResponseCache:
         self.root = Path(root)
 
     @staticmethod
-    def key_for(request: ChatRequest, backend: BackendConfig) -> str:
-        return sha256_text(f"{request.digest}:{backend.name}")
+    def key_for(request: ChatRequest, backend: BackendConfig, digest: str | None = None) -> str:
+        """The entry key; pass `digest` when the caller already has `request.digest`."""
+        return sha256_text(f"{digest or request.digest}:{backend.name}")
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, request: ChatRequest, backend: BackendConfig) -> ChatResponse | None:
-        path = self._path(self.key_for(request, backend))
+    def get(
+        self, request: ChatRequest, backend: BackendConfig, digest: str | None = None
+    ) -> ChatResponse | None:
+        path = self._path(self.key_for(request, backend, digest))
         if not path.is_file():
             return None
         try:
@@ -235,8 +238,15 @@ class ResponseCache:
             logger.warning("corrupt cache entry %s treated as miss: %s", path, exc)
             return None
 
-    def put(self, request: ChatRequest, backend: BackendConfig, response: ChatResponse) -> None:
-        path = self._path(self.key_for(request, backend))
+    def put(
+        self,
+        request: ChatRequest,
+        backend: BackendConfig,
+        response: ChatResponse,
+        digest: str | None = None,
+    ) -> None:
+        digest = digest or request.digest
+        path = self._path(self.key_for(request, backend, digest))
         body = {
             "text": response.text,
             "prompt_tokens": response.prompt_tokens,
@@ -245,7 +255,7 @@ class ResponseCache:
             "error": response.error,
         }
         entry = {
-            "request": {"digest": request.digest, "model_id": request.model_id},
+            "request": {"digest": digest, "model_id": request.model_id},
             "response": body,
             "integrity": sha256_text(canonical_json(body)),
         }
@@ -288,18 +298,43 @@ class RateLimiter:
 
 # --- transport and completion ---------------------------------------------------
 
+# Seconds a backend request may wait to connect or between received bytes.
+HTTP_TIMEOUT_S = 120
+
+
 def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object]:
-    import requests  # imported here: replayed and cache-served runs never need it
+    """POST `payload` as JSON; returns (status, parsed JSON body or its text).
+
+    An HTTP error status is returned like a success, so retries stay in
+    complete(). A request that gets no whole response (refused, timed out,
+    cut short, malformed endpoint) raises ConnectionError. Proxies come from
+    HTTP(S)_PROXY/NO_PROXY and TLS is verified against the system store.
+    """
+    # Imported here, not at module level: replayed and cache-served runs
+    # send no request, and these imports would add to every stage's start-up.
+    import http.client
+    import urllib.error
+    import urllib.request
 
     try:
-        resp = requests.post(url, json=payload, headers=headers, timeout=120)
-    except requests.RequestException as exc:
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={**headers, "Content-Type": "application/json"},
+            method="POST",
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
+                status, raw = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                status, raw = exc.code, exc.read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise ConnectionError(str(exc)) from exc
     try:
-        body = resp.json()
+        return status, json.loads(raw)
     except ValueError:
-        body = resp.text
-    return resp.status_code, body
+        return status, raw.decode("utf-8", errors="replace")
 
 
 def _dig(body: object, dotted: str):
@@ -429,10 +464,11 @@ class Gateway:
             lock = self._in_flight.setdefault(request, threading.Lock())
         with lock:
             try:
-                response = self.cache.get(request, self.backend)
+                digest = request.digest  # once per call: it hashes the whole prompt
+                response = self.cache.get(request, self.backend, digest)
                 if response is None:
                     response = self._request(request)
-                    self.cache.put(request, self.backend, response)
+                    self.cache.put(request, self.backend, response, digest)
                 return response
             finally:
                 with self._in_flight_guard:

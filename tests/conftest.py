@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,59 @@ def pipeline_out(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("pipeline") / "out"
     run_cli(out, *PIPELINE)
     return out
+
+
+def send_reply(handler: BaseHTTPRequestHandler, status: int, body, *, length: int | None = None) -> None:
+    """Write one HTTP reply; `body` is bytes or JSON, `length` overrides Content-Length."""
+    data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(data) if length is None else length))
+    handler.end_headers()
+    handler.wfile.write(data)
+
+
+@contextmanager
+def http_backend(answer):
+    """A chat backend on 127.0.0.1 for the real HTTP transport; skips if it cannot bind.
+
+    `answer(handler, n, payload)` writes the reply to the n-th POST (from 0).
+    Yields the server: `url`, `requests` as (headers, payload) in arrival
+    order, and `release`, set on exit to free answers that stall on it.
+    """
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):  # noqa: N802 (http.server naming)
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with server.lock:
+                n = len(server.requests)
+                server.requests.append((self.headers, payload))
+            answer(self, n, payload)
+
+        def log_message(self, format, *args):
+            pass
+
+    class Server(ThreadingHTTPServer):
+        daemon_threads = True
+
+        def handle_error(self, request, client_address):
+            pass  # a client that gave up (timeout, truncated reply) is expected
+
+    try:
+        server = Server(("127.0.0.1", 0), Handler)
+    except OSError as exc:
+        pytest.skip(f"cannot bind a local HTTP server: {exc}")
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    server.requests = []
+    server.lock = threading.Lock()
+    server.release = threading.Event()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

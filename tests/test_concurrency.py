@@ -1,8 +1,10 @@
-"""Outputs and request counts do not depend on `backend.max_in_flight`.
+"""Outputs and request counts do not depend on how requests reach the backend.
 
 The fixture pipeline runs through the live gateway path (cache, retries,
 limiter) against a transport that answers from the fixture replay script
-after a random 0-5 ms delay, so concurrent requests finish out of order.
+after a random 0-5 ms delay, so concurrent requests finish out of order, and
+through the real HTTP transport against a local server that answers from the
+same script.
 """
 
 from __future__ import annotations
@@ -15,19 +17,19 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import CONFIG, DATA, run_cli
+from conftest import CONFIG, DATA, http_backend, run_cli, send_reply
 from tomtrace import cli, llmgate
 from tomtrace.llmgate import ChatRequest, ReplayScript
 
 STAGES = ("ingest", "extract", "build-kg", "genqa", "verify", "eval", "report")
 
 
-@pytest.fixture()
-def live_config(tmp_path) -> Path:
+def _write_config(tmp_path: Path, endpoint: str = "") -> Path:
     raw = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
     raw["corpus"]["input"] = str(DATA / "books")
     raw["corpus"]["alias_tables"] = {"king-lear": str(DATA / "king-lear-aliases.txt")}
     raw["replay"] = {}
+    raw["backend"]["endpoint"] = endpoint
     raw["backend"]["retry_base_backoff_s"] = 0.0
     path = tmp_path / "config" / "live.yaml"  # apart from the out trees, so manifests name inputs alike
     path.parent.mkdir()
@@ -35,23 +37,32 @@ def live_config(tmp_path) -> Path:
     return path
 
 
-def _run_pipeline(monkeypatch, config: Path, out: Path, max_in_flight: int) -> int:
-    """Run every stage with the given pool size; returns the transport call count."""
+@pytest.fixture()
+def live_config(tmp_path) -> Path:
+    return _write_config(tmp_path)
+
+
+def _scripted_answer(script: ReplayScript, payload: dict) -> dict:
+    request = ChatRequest(
+        model_id=payload["model"],
+        messages=tuple((m["role"], m["content"]) for m in payload["messages"]),
+    )
+    return {"choices": [{"message": {"content": script.lookup(request)}}]}
+
+
+def _run_pipeline(monkeypatch, config: Path, out: Path, max_in_flight: int | None = None) -> int:
+    """Run every stage in memory, at `max_in_flight` if given; returns the transport call count."""
     script = ReplayScript.load(DATA / "replay.jsonl")
     rng = random.Random(max_in_flight)
     lock = threading.Lock()
     calls = {"n": 0}
 
     def transport(url, payload, headers):
-        request = ChatRequest(
-            model_id=payload["model"],
-            messages=tuple((m["role"], m["content"]) for m in payload["messages"]),
-        )
         with lock:
             calls["n"] += 1
             delay = rng.uniform(0.0, 0.005)
         time.sleep(delay)
-        return 200, {"choices": [{"message": {"content": script.lookup(request)}}]}
+        return 200, _scripted_answer(script, payload)
 
     load_config = cli.load_config
 
@@ -61,7 +72,8 @@ def _run_pipeline(monkeypatch, config: Path, out: Path, max_in_flight: int) -> i
         return config
 
     monkeypatch.setattr(llmgate, "_http_transport", transport)
-    monkeypatch.setattr(cli, "load_config", sized_config)
+    if max_in_flight is not None:
+        monkeypatch.setattr(cli, "load_config", sized_config)
     monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
     for stage in STAGES:
         run_cli(out, stage, config=config)
@@ -80,3 +92,39 @@ def test_outputs_and_request_counts_identical_at_one_and_eight_in_flight(monkeyp
     assert [name for name in serial if serial[name] != parallel[name]] == []
     assert any(name.startswith("cache/") for name in serial)  # the live path was taken
     assert serial_calls == parallel_calls > 0
+
+
+def test_pipeline_over_http_matches_in_memory_and_resumes_after_an_abort(monkeypatch, tmp_path):
+    """The real transport writes the in-memory run's bytes, also after a 503 burst aborts extract."""
+    script = ReplayScript.load(DATA / "replay.jsonl")
+    fail_from = {"n": None}
+
+    def answer(handler, n, payload):
+        if fail_from["n"] is not None and n >= fail_from["n"]:
+            send_reply(handler, 503, {"error": {"message": "overloaded"}})
+        else:
+            send_reply(handler, 200, _scripted_answer(script, payload))
+
+    with http_backend(answer) as server:
+        config = _write_config(tmp_path, endpoint=server.url)
+        monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
+        run_cli(tmp_path / "http", *STAGES, config=config)
+        http_requests = len(server.requests)
+
+        resumed_out = tmp_path / "resumed"
+        run_cli(resumed_out, "ingest", config=config)
+        fail_from["n"] = len(server.requests) + 2  # two extraction answers, then 503s
+        [aborted] = run_cli(resumed_out, "extract", config=config, expect=2)
+        assert "HTTP 503" in aborted.output
+        assert len(server.requests) > fail_from["n"]
+        assert not (resumed_out / "triples").exists()
+        fail_from["n"] = None
+        run_cli(resumed_out, *STAGES[1:], config=config)
+
+    in_memory_requests = _run_pipeline(monkeypatch, config, tmp_path / "memory")
+    http, memory, resumed = (_tree_bytes(tmp_path / name) for name in ("http", "memory", "resumed"))
+    assert http.keys() == memory.keys() == resumed.keys()
+    assert any(name.startswith("cache/") for name in http)
+    assert [name for name in http if http[name] != memory[name]] == []
+    assert [name for name in http if http[name] != resumed[name]] == []
+    assert http_requests == in_memory_requests

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import os
 import subprocess
 import sys
+import socket
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
+from conftest import http_backend, send_reply
 from tomtrace import llmgate
 from tomtrace.errors import (
     AuthMissing,
@@ -344,6 +348,25 @@ def test_gateway_cache_single_flight_per_key(tmp_path, monkeypatch):
     assert gw._in_flight == {}
 
 
+def test_gateway_computes_the_request_digest_once_per_call(tmp_path, monkeypatch):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    transport, calls = _live_transport("answer")
+    gw = Gateway(BACKEND, cache=ResponseCache(tmp_path / "gateway"), transport=transport)
+    req = user_request("m", "digest me")
+    digest = ChatRequest.digest
+    evaluations = []
+    counted = property(lambda self: evaluations.append(1) or digest.fget(self))
+    with monkeypatch.context() as patch:
+        patch.setattr(ChatRequest, "digest", counted)
+        fresh = gw.complete(req)  # miss: cache read, request, cache write
+        assert gw.complete(req).cached and not fresh.cached
+    assert len(evaluations) == 2 and calls["n"] == 1
+    # The entry has the layout and bytes a put without a known digest writes.
+    ResponseCache(tmp_path / "plain").put(req, BACKEND, fresh)
+    [written] = [p.relative_to(tmp_path / "gateway") for p in (tmp_path / "gateway").rglob("*.json")]
+    assert (tmp_path / "gateway" / written).read_bytes() == (tmp_path / "plain" / written).read_bytes()
+
+
 def test_replay_neither_reads_nor_writes_the_cache(tmp_path):
     script = ReplayScript.load(
         _write_script(tmp_path / "s.jsonl", [{"prompt_pattern": "prompt", "response_text": "scripted"}])
@@ -381,3 +404,147 @@ def test_importing_the_cli_does_not_import_requests():
     env = {**os.environ, "PYTHONPATH": str(Path(llmgate.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_importing_the_cli_imports_no_http_client():
+    code = "import sys, tomtrace.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(llmgate.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+# --- HTTP transport over a real socket -------------------------------------------------
+
+ANSWER = {"choices": [{"message": {"role": "assistant", "content": "live answer"}}],
+          "usage": {"prompt_tokens": 7, "completion_tokens": 3}}
+
+
+@pytest.fixture()
+def no_resource_warnings():
+    """Fails the test if a socket or response was left for the collector to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _live(url: str, attempts: int = 3) -> BackendConfig:
+    return dataclasses.replace(BACKEND, endpoint=url, retry=RetryPolicy(max_attempts=attempts, base_backoff_s=0))
+
+
+def _call(url: str, request: ChatRequest | None = None, attempts: int = 3) -> ChatResponse:
+    return complete(request or user_request("m", "hello"), _live(url, attempts), sleep_fn=lambda s: None)
+
+
+def _replies(*replies):
+    """Answer the n-th request with replies[n]; the last one repeats."""
+
+    def answer(handler, n, payload):
+        send_reply(handler, *replies[min(n, len(replies) - 1)])
+
+    return answer
+
+
+def test_http_request_carries_headers_and_payload(monkeypatch, no_resource_warnings):
+    monkeypatch.setenv("TT_TOKEN", "tok-http")
+    request = ChatRequest(model_id="m", messages=(("system", "be brief"), ("user", "héllo")), seed=5)
+    with http_backend(_replies((200, ANSWER))) as server:
+        response = _call(server.url, request)
+    assert (response.text, response.prompt_tokens, response.output_tokens) == ("live answer", 7, 3)
+    [(headers, payload)] = server.requests
+    assert headers["Authorization"] == "Bearer tok-http"
+    assert headers["Content-Type"] == "application/json"
+    assert payload == {
+        "model": "m",
+        "messages": [{"role": "system", "content": "be brief"}, {"role": "user", "content": "héllo"}],
+        "temperature": 0.0,
+        "max_tokens": 2048,
+        "seed": 5,
+    }
+
+
+def test_http_answer_without_usage_falls_back_to_estimates(monkeypatch, no_resource_warnings):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    request = user_request("m", "a prompt of some length")
+    with http_backend(_replies((200, {"choices": [{"message": {"content": "five!"}}]}))) as server:
+        response = _call(server.url, request)
+    assert response.text == "five!"
+    assert response.prompt_tokens == estimate_tokens(request.prompt_text())
+    assert response.output_tokens == estimate_tokens("five!")
+
+
+@pytest.mark.parametrize("status, exhausted", [(429, RateLimitedExhausted), (503, TransportError)])
+def test_http_transient_status_is_retried_then_exhausted(monkeypatch, no_resource_warnings, status, exhausted):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    error = (status, {"error": {"message": "try later"}})
+    with http_backend(_replies(error, (200, ANSWER))) as server:
+        assert _call(server.url).text == "live answer"
+    assert len(server.requests) == 2
+    with http_backend(_replies(error)) as server:
+        with pytest.raises(exhausted, match=f"HTTP {status}"):
+            _call(server.url)
+    assert len(server.requests) == 3
+
+
+def test_http_non_json_answer_cannot_be_extracted(monkeypatch, no_resource_warnings):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    with http_backend(_replies((200, b"<html>gateway page</html>"))) as server:
+        with pytest.raises(TransportError, match="cannot extract"):
+            _call(server.url)
+    assert len(server.requests) == 1
+
+
+def test_http_transport_returns_error_status_and_text_body(no_resource_warnings):
+    with http_backend(_replies((400, b"bad request"))) as server:
+        assert llmgate._http_transport(server.url, {"x": 1}, {}) == (400, "bad request")
+
+
+def test_http_client_error_fails_fast(monkeypatch, no_resource_warnings):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    with http_backend(_replies((400, {"error": {"message": "bad request"}}))) as server:
+        with pytest.raises(TransportError, match="HTTP 400"):
+            _call(server.url)
+    assert len(server.requests) == 1
+
+
+def _refused_url() -> str:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/chat"
+
+
+@pytest.mark.parametrize("url", [_refused_url, lambda: "", lambda: "http://"], ids=["refused", "empty", "no-host"])
+def test_http_unreachable_endpoint_is_a_transport_error(monkeypatch, no_resource_warnings, url):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    with pytest.raises(TransportError, match="retries exhausted: transport"):
+        _call(url())
+
+
+def test_http_truncated_body_is_retried_then_a_transport_error(monkeypatch, no_resource_warnings):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    data = json.dumps(ANSWER).encode("utf-8")
+
+    def cut_short(handler, n, payload):
+        send_reply(handler, 200, data[:-10], length=len(data))
+
+    with http_backend(cut_short) as server:
+        with pytest.raises(TransportError, match="retries exhausted: transport"):
+            _call(server.url)
+    assert len(server.requests) == 3
+
+
+def test_http_read_timeout_is_retried_then_a_transport_error(monkeypatch, no_resource_warnings):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    monkeypatch.setattr(llmgate, "HTTP_TIMEOUT_S", 0.2)
+
+    def stall(handler, n, payload):
+        handler.server.release.wait(timeout=10)
+
+    start = time.monotonic()
+    with http_backend(stall) as server:
+        with pytest.raises(TransportError, match="retries exhausted: transport.*timed out"):
+            _call(server.url, attempts=2)
+    assert len(server.requests) == 2
+    assert time.monotonic() - start < 5
