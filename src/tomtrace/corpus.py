@@ -117,12 +117,6 @@ class CharacterRegistry:
         for alias in aliases:
             bucket.add(clean_name(alias))
 
-    def canonical_names(self) -> list[str]:
-        return list(self._aliases)
-
-    def aliases_of(self, canonical: str) -> set[str]:
-        return set(self._aliases.get(canonical, set()))
-
     def known_names(self) -> set[str]:
         out: set[str] = set()
         for aliases in self._aliases.values():
@@ -145,11 +139,6 @@ class CharacterRegistry:
         canonical = clean_name(name)
         self.add(canonical)
         return canonical
-
-
-def resolve_character(name: str, registry: CharacterRegistry) -> str:
-    """Canonical name for `name`, registering it when unknown."""
-    return registry.resolve(name)
 
 
 def load_alias_table(path: Path | str) -> CharacterRegistry:

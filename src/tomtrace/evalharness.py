@@ -158,7 +158,6 @@ class Prediction:
     letter: str | None
     raw_text: str
     prompt_tokens_est: int = 0
-    latency: float = 0.0
     error: str | None = None
 
 

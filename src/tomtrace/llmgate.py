@@ -18,7 +18,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import BinaryIO, Callable, Iterable, Mapping, TypeVar
 
 from .errors import (
     AuthMissing,
@@ -196,33 +196,39 @@ class ReplayScript:
 # --- cache --------------------------------------------------------------------
 
 class ResponseCache:
-    """Content-addressed response store under cache/<aa>/<key>.json.
+    """Content-addressed response log, `responses.jsonl` under the cache directory.
 
-    The key covers the request digest and the backend name, so the same
-    prompt against two backends never collides. Entries are written to a
-    temporary file and renamed into place, so a reader sees a whole entry or
-    none. Corrupt entries are treated as misses with a warning.
+    Each line is `<key> <entry JSON>`. The key covers the request digest and
+    the backend name, so the same prompt against two backends never collides.
+    `put` appends a line; `get` reads the line that an index of key -> byte
+    offset names (built by one scan on first use; the last line for a key
+    wins). `seal` rewrites the log sorted by key, one line per key, so its
+    bytes do not depend on the order of the puts. Corrupt lines, such as the
+    torn last line of a killed writer, are misses with a warning.
     """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
+        self.path = self.root / "responses.jsonl"
+        self._lock = threading.Lock()
+        self._index: dict[str, int] | None = None
+        self._unsealed = False
 
     @staticmethod
     def key_for(request: ChatRequest, backend: BackendConfig, digest: str | None = None) -> str:
         """The entry key; pass `digest` when the caller already has `request.digest`."""
         return sha256_text(f"{digest or request.digest}:{backend.name}")
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
     def get(
         self, request: ChatRequest, backend: BackendConfig, digest: str | None = None
     ) -> ChatResponse | None:
-        path = self._path(self.key_for(request, backend, digest))
-        if not path.is_file():
-            return None
+        digest = digest or request.digest
+        key = self.key_for(request, backend, digest)
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            with self._lock:
+                entry = self._entry(key, digest)
+            if entry is None:
+                return None
             body = entry["response"]
             if entry["integrity"] != sha256_text(canonical_json(body)):
                 raise ValueError("integrity hash mismatch")
@@ -234,9 +240,52 @@ class ResponseCache:
                 cached=True,
                 error=body.get("error"),
             )
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            logger.warning("corrupt cache entry %s treated as miss: %s", path, exc)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            logger.warning("corrupt cache entry %s in %s treated as miss: %s", key, self.path, exc)
             return None
+
+    def _entry(self, key: str, digest: str) -> dict | None:
+        """The entry logged under `key`, or None. Call with the lock held.
+
+        When the line at the indexed offset belongs to another request,
+        another process has sealed the log since the index was built: the
+        log is scanned once more, and a second mismatch is a miss.
+        """
+        prefix = f"{key} ".encode()
+        for rescan in (False, True):
+            if rescan or self._index is None:
+                self._index = self._scan()
+            offset = self._index.get(key)
+            if offset is None:
+                return None
+            try:
+                with open(self.path, "rb") as fh:
+                    fh.seek(offset)
+                    line = fh.readline()
+            except FileNotFoundError:
+                line = b""
+            if line.startswith(prefix):
+                entry = json.loads(line[len(prefix):])
+                if entry["request"]["digest"] == digest:
+                    return entry
+        return None
+
+    def _scan(self) -> dict[str, int]:
+        try:
+            with open(self.path, "rb") as log:
+                return self._offsets(log)
+        except FileNotFoundError:
+            return {}
+
+    @staticmethod
+    def _offsets(log: BinaryIO) -> dict[str, int]:
+        """Key -> byte offset of its last line in `log`; offsets only, never the lines."""
+        index: dict[str, int] = {}
+        offset = 0
+        for line in log:
+            index[line.split(b" ", 1)[0].decode("ascii", "replace")] = offset
+            offset += len(line)
+        return index
 
     def put(
         self,
@@ -246,7 +295,7 @@ class ResponseCache:
         digest: str | None = None,
     ) -> None:
         digest = digest or request.digest
-        path = self._path(self.key_for(request, backend, digest))
+        key = self.key_for(request, backend, digest)
         body = {
             "text": response.text,
             "prompt_tokens": response.prompt_tokens,
@@ -259,10 +308,52 @@ class ResponseCache:
             "response": body,
             "integrity": sha256_text(canonical_json(body)),
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        partial = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        partial.write_text(json.dumps(entry, ensure_ascii=False, indent=1), encoding="utf-8")
-        os.replace(partial, path)
+        line = f"{key} {json.dumps(entry, ensure_ascii=False, separators=(',', ':'))}\n".encode("utf-8")
+        with self._lock:
+            try:
+                log = open(self.path, "a+b")
+            except FileNotFoundError:
+                self.root.mkdir(parents=True, exist_ok=True)
+                log = open(self.path, "a+b")
+            with log:
+                end = log.seek(0, os.SEEK_END)
+                if end:
+                    log.seek(end - 1)
+                    if log.read(1) != b"\n":
+                        log.write(b"\n")  # a killed writer's torn line stays a line of its own
+                log.write(line)
+                log.flush()
+                offset = log.tell() - len(line)
+            if self._index is not None:
+                self._index[key] = offset
+            self._unsealed = True
+
+    def seal(self) -> None:
+        """Rewrite the log sorted by key, one line per key; the last line for a key wins.
+
+        Runs only if this cache appended since its last seal. The rewrite goes
+        through a temporary file and a rename, so a reader sees the old log
+        or the new one.
+        """
+        with self._lock:
+            if not self._unsealed:
+                return
+            self._index = None  # the old offsets die here, so one index is alive at a time
+            partial = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+            offset = 0
+            with open(self.path, "rb") as log, open(partial, "wb") as out:
+                index = self._offsets(log)
+                for key in sorted(index):
+                    log.seek(index[key])
+                    line = log.readline()
+                    if not line.endswith(b"\n"):
+                        line += b"\n"
+                    out.write(line)
+                    index[key] = offset
+                    offset += len(line)
+            os.replace(partial, self.path)
+            self._index = index
+            self._unsealed = False
 
 
 # --- rate limiting -------------------------------------------------------------
@@ -489,7 +580,8 @@ class Gateway:
 
         Results are read in input order, so a failure raises the exception of
         the first failing item, as a serial loop would; items not yet started
-        are then cancelled.
+        are then cancelled. The cache is sealed at the end, also after a
+        failure, so its bytes do not depend on the order the items finished.
         """
         pool = ThreadPoolExecutor(max_workers=max(1, self.backend.max_in_flight))
         try:
@@ -497,6 +589,8 @@ class Gateway:
             return [future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)
+            if self.cache is not None:
+                self.cache.seal()
 
     def submit_batch(self, requests_by_key: Mapping[object, ChatRequest]) -> dict:
         """Run independent requests concurrently; failures come back per key."""

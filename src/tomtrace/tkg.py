@@ -560,16 +560,3 @@ def load_kg(path: Path | str) -> TemporalKG:
         raise CorruptGraphFile(f"{path}: link or retirement names unknown edge {exc}") from exc
     return kg
 
-
-def export_edge_list(kg: TemporalKG, path: Path | str) -> Path:
-    """Write a TSV edge list (source, relation, target, plot tag) for viewers."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for character, ids in kg.index.items():
-            for edge_id in ids:
-                edge = kg.edges[edge_id]
-                fh.write(
-                    f"{edge.subject}\t{edge.predicate_raw}\t{edge.object}\tp{edge.plot_index}\n"
-                )
-    return path

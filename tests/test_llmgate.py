@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import io
 import json
 import logging
 import os
@@ -130,8 +131,8 @@ def test_cache_round_trip_and_no_token_leak(tmp_path, monkeypatch):
     hit = cache.get(req, BACKEND)
     assert hit is not None and hit.text == "live answer" and hit.cached
     # the stored entry must never contain the auth token
-    files = list(tmp_path.rglob("*.json"))
-    assert files and "secret-token-value" not in files[0].read_text()
+    log = tmp_path / "responses.jsonl"
+    assert log.is_file() and "secret-token-value" not in log.read_text()
 
 
 def test_cache_corrupt_entry_is_miss(tmp_path, caplog):
@@ -139,9 +140,7 @@ def test_cache_corrupt_entry_is_miss(tmp_path, caplog):
     req = user_request("m", "x")
 
     key = cache.key_for(req, BACKEND)
-    path = tmp_path / key[:2] / f"{key}.json"
-    path.parent.mkdir(parents=True)
-    path.write_text("{not json", encoding="utf-8")
+    (tmp_path / "responses.jsonl").write_text(f"{key} {{not json\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         assert cache.get(req, BACKEND) is None
     assert any("corrupt" in r.message for r in caplog.records)
@@ -153,11 +152,11 @@ def test_cache_integrity_check(tmp_path):
     script = ReplayScript.load(_write_script(tmp_path / "s.jsonl", [{"prompt_pattern": ".", "response_text": "ok"}]))
     resp = complete(req, BACKEND, replay=script)
     cache.put(req, BACKEND, resp)
-    key = cache.key_for(req, BACKEND)
-    path = tmp_path / key[:2] / f"{key}.json"
-    entry = json.loads(path.read_text())
+    log = tmp_path / "responses.jsonl"
+    key, raw = log.read_text().rstrip("\n").split(" ", 1)
+    entry = json.loads(raw)
     entry["response"]["text"] = "tampered"
-    path.write_text(json.dumps(entry))
+    log.write_text(f"{key} {json.dumps(entry)}\n")
     assert cache.get(req, BACKEND) is None
 
 
@@ -363,8 +362,8 @@ def test_gateway_computes_the_request_digest_once_per_call(tmp_path, monkeypatch
     assert len(evaluations) == 2 and calls["n"] == 1
     # The entry has the layout and bytes a put without a known digest writes.
     ResponseCache(tmp_path / "plain").put(req, BACKEND, fresh)
-    [written] = [p.relative_to(tmp_path / "gateway") for p in (tmp_path / "gateway").rglob("*.json")]
-    assert (tmp_path / "gateway" / written).read_bytes() == (tmp_path / "plain" / written).read_bytes()
+    assert [p.name for p in (tmp_path / "gateway").iterdir()] == ["responses.jsonl"]
+    assert (tmp_path / "gateway" / "responses.jsonl").read_bytes() == (tmp_path / "plain" / "responses.jsonl").read_bytes()
 
 
 def test_replay_neither_reads_nor_writes_the_cache(tmp_path):
@@ -386,17 +385,105 @@ def test_cache_put_never_leaves_a_partial_entry(tmp_path, monkeypatch):
     req = user_request("m", "x")
     resp = ChatResponse(text="answer", prompt_tokens=1, output_tokens=1, backend_id="b")
 
-    def killed(src, dst):
-        raise KeyboardInterrupt
+    class Killed(io.FileIO):
+        """A log whose writer dies halfway through its first line."""
 
-    monkeypatch.setattr(llmgate.os, "replace", killed)
+        def write(self, data):
+            super().write(data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(llmgate, "open", lambda path, mode: Killed(path, mode), raising=False)
     with pytest.raises(KeyboardInterrupt):
         cache.put(req, BACKEND, resp)
-    assert cache.get(req, BACKEND) is None
     monkeypatch.undo()
+    assert cache.get(req, BACKEND) is None
     cache.put(req, BACKEND, resp)
     assert cache.get(req, BACKEND).text == "answer"
-    assert [p.suffix for p in tmp_path.rglob("*") if p.is_file()].count(".json") == 1
+    cache.seal()
+    assert [p.name for p in tmp_path.iterdir()] == ["responses.jsonl"]
+    assert len((tmp_path / "responses.jsonl").read_bytes().splitlines()) == 1
+
+
+def _answer(text: str) -> ChatResponse:
+    return ChatResponse(text=text, prompt_tokens=1, output_tokens=1, backend_id="b")
+
+
+def test_cache_torn_last_line_is_a_miss_and_the_next_put_starts_a_line(tmp_path, caplog):
+    before, torn, after = (user_request("m", name) for name in ("before", "torn", "after"))
+    ResponseCache(tmp_path / "other").put(torn, BACKEND, _answer("lost"))
+    torn_line = (tmp_path / "other" / "responses.jsonl").read_bytes()
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put(before, BACKEND, _answer("kept"))
+    with open(cache.path, "ab") as log:  # a writer killed mid-append
+        log.write(torn_line[: len(torn_line) // 2])
+    cache.put(after, BACKEND, _answer("appended"))
+
+    fresh = ResponseCache(tmp_path / "cache")
+    assert fresh.get(before, BACKEND).text == "kept"
+    assert fresh.get(after, BACKEND).text == "appended"
+    with caplog.at_level(logging.WARNING):
+        assert fresh.get(torn, BACKEND) is None
+    assert any("corrupt" in r.message for r in caplog.records)
+
+
+def test_cache_never_answers_for_another_key(tmp_path):
+    """A reader whose offsets went stale, because another instance sealed, rescans."""
+    requests = [user_request("m", f"prompt {n}") for n in range(8)]
+    writer = ResponseCache(tmp_path)
+    for n, req in enumerate(requests):
+        writer.put(req, BACKEND, _answer(f"answer {n}"))
+    reader = ResponseCache(tmp_path)
+    assert reader.get(requests[0], BACKEND).text == "answer 0"  # builds the reader's index
+    unsealed = writer.path.read_bytes()
+    writer.seal()
+    assert writer.path.read_bytes() != unsealed  # the lines moved
+    for n, req in enumerate(requests):
+        assert reader.get(req, BACKEND).text == f"answer {n}"
+
+    # A line under the right key whose entry answers another request is a miss.
+    key = ResponseCache.key_for(requests[0], BACKEND)
+    other = next(line for line in writer.path.read_text().splitlines() if not line.startswith(key))
+    forged = ResponseCache(tmp_path / "forged")
+    forged.root.mkdir()
+    forged.path.write_text(f"{key} {other.split(' ', 1)[1]}\n")
+    assert forged.get(requests[0], BACKEND) is None
+
+
+def test_sealed_cache_bytes_do_not_depend_on_put_order_or_repeats(tmp_path):
+    one, two, three = (user_request("m", name) for name in ("one", "two", "three"))
+    in_order = ResponseCache(tmp_path / "in-order")
+    for req, text in ((one, "new"), (two, "2"), (three, "3")):
+        in_order.put(req, BACKEND, _answer(text))
+    shuffled = ResponseCache(tmp_path / "shuffled")
+    for req, text in ((three, "3"), (one, "old"), (two, "2"), (one, "new")):
+        shuffled.put(req, BACKEND, _answer(text))
+    in_order.seal()
+    shuffled.seal()
+    assert shuffled.path.read_bytes() == in_order.path.read_bytes()
+    keys = [line.split(b" ", 1)[0] for line in shuffled.path.read_bytes().splitlines()]
+    assert keys == sorted(set(keys)) and len(keys) == 3
+    assert shuffled.get(one, BACKEND).text == "new"  # the last line for a key wins
+    assert ResponseCache(tmp_path / "shuffled").get(one, BACKEND).text == "new"
+
+
+def test_gateway_run_seals_the_cache_when_an_item_raises(tmp_path, monkeypatch):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    transport, _ = _live_transport("answer")
+    cache = ResponseCache(tmp_path)
+    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=1), cache=cache, transport=transport)
+    prompts = sorted((user_request("m", f"prompt {n}") for n in range(6)),
+                     key=lambda req: cache.key_for(req, BACKEND), reverse=True)
+
+    def ask(req):
+        if req is prompts[-1]:
+            raise TransportError("backend gone")
+        return gw.complete(req)
+
+    with pytest.raises(TransportError):
+        gw.run(ask, prompts)
+    keys = [line.split(b" ", 1)[0].decode() for line in cache.path.read_bytes().splitlines()]
+    assert keys == sorted(cache.key_for(req, BACKEND) for req in prompts[:-1])
+    assert [p.name for p in tmp_path.iterdir()] == ["responses.jsonl"]
 
 
 def test_importing_the_cli_does_not_import_requests():

@@ -17,7 +17,6 @@ from tomtrace.tkg import (
     SupersedeReason,
     TemporalKG,
     check_invariants,
-    export_edge_list,
     insert_batch,
     is_contradiction,
     jaccard,
@@ -385,14 +384,6 @@ def test_load_rejects_empty_and_headerless(tmp_path):
         load_kg(headerless)
     with pytest.raises(CorruptGraphFile):
         load_kg(tmp_path / "missing.kg.jsonl")
-
-
-def test_export_edge_list(tmp_path):
-    kg = _sample_graph()
-    path = export_edge_list(kg, tmp_path / "edges.tsv")
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(kg.edges)
-    assert all(line.count("\t") == 3 for line in lines)
 
 
 # --- randomized comparison against the oracle ----------------------------------------
