@@ -5,22 +5,4 @@ the temporal knowledge graph, question generation and verification, the
 evaluation harness, and fine-tune data emission.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
-
-from .triples import DIMENSIONS, Dimension, MentalStateTriple, TripleBatch, parse_triple_response
-from .tkg import MergeMode, TemporalKG, insert_batch, state_at
-
-__all__ = [
-    "__version__",
-    "DIMENSIONS",
-    "Dimension",
-    "MentalStateTriple",
-    "TripleBatch",
-    "parse_triple_response",
-    "MergeMode",
-    "TemporalKG",
-    "insert_batch",
-    "state_at",
-]

@@ -8,11 +8,8 @@ codes: 0 success, 1 user or config error, 2 backend failure.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import logging
-import random
 import sys
 from pathlib import Path
 
@@ -20,22 +17,15 @@ import click
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .corpus import Corpus, corpus_stats, ingest_corpus, serialize_corpus
+from .corpus import Corpus, corpus_stats, corpus_stats_to_record, ingest_corpus, serialize_corpus
 from .errors import GatewayError, MissingUpstreamArtifact, TomtraceError
-from .evalharness import (
-    ContextMode,
-    EvalCondition,
-    ReportLayout,
-    load_predictions,
-    render_report,
-    run_eval,
-    score,
-)
-from .ftemit import SplitSpec, emit_example, split_ood, write_split_manifest, write_training_file
+from .evalharness import ReportLayout, conditions, load_predictions, render_report, run_eval, score
+from .ftemit import SplitSpec, emit_training_files, write_split_manifest
 from .llmgate import BackendConfig, Gateway, ReplayScript, ResponseCache, RetryPolicy
 from .qagen import (
     QuestionState,
     dataset_stats,
+    dataset_stats_to_record,
     export_review,
     first_pass_stats,
     generate_questions,
@@ -45,18 +35,9 @@ from .qagen import (
     save_verdicts,
     verify_questions,
 )
-from .tkg import (
-    ContradictionRules,
-    MergeMode,
-    TemporalKG,
-    changelog_to_record,
-    check_invariants,
-    insert_batch,
-    load_kg,
-    save_kg,
-)
-from .triples import MentalStateTriple, TripleBatch, extract_triples, triple_from_record
-from .util import sha256_file
+from .tkg import ContradictionRules, MergeMode, TemporalKG, build_graph, load_kg, save_kg
+from .triples import export_triple_review, extract_triples, load_kept_triples, write_extractions
+from .util import read_jsonl, sample, sha256_file, write_json, write_jsonl
 
 
 def _guarded(fn):
@@ -82,49 +63,23 @@ class RunContext:
         self.out_dir = Path(out_override or config.out_dir)
         # Set by gateway(): a loaded replay script is an input of the stage.
         self.replay_script: Path | None = None
-
-    # --- artifact layout ---
-    @property
-    def corpus_dir(self) -> Path:
-        return self.out_dir / "corpus"
-
-    @property
-    def triples_dir(self) -> Path:
-        return self.out_dir / "triples"
-
-    @property
-    def kg_dir(self) -> Path:
-        return self.out_dir / "kg"
-
-    @property
-    def questions_path(self) -> Path:
-        return self.out_dir / "questions.jsonl"
-
-    @property
-    def verdicts_path(self) -> Path:
-        return self.out_dir / "verdicts.jsonl"
-
-    @property
-    def predictions_path(self) -> Path:
-        return self.out_dir / "predictions.jsonl"
-
-    @property
-    def cache_dir(self) -> Path:
-        return Path(self.config.cache_dir) if self.config.cache_dir else self.out_dir / "cache"
+        # artifact layout
+        self.corpus_dir = self.out_dir / "corpus"
+        self.triples_dir = self.out_dir / "triples"
+        self.kg_dir = self.out_dir / "kg"
+        self.questions_path = self.out_dir / "questions.jsonl"
+        self.verdicts_path = self.out_dir / "verdicts.jsonl"
+        self.predictions_path = self.out_dir / "predictions.jsonl"
+        self.cache_dir = Path(config.cache_dir) if config.cache_dir else self.out_dir / "cache"
+        self.alias_tables = {k: Path(v) for k, v in config.corpus.alias_tables.items() if v}
 
     def load_corpus(self) -> Corpus:
         if not self.corpus_dir.is_dir() or not any(self.corpus_dir.glob("*.jsonl")):
             raise MissingUpstreamArtifact(f"no normalized corpus under {self.corpus_dir}; run ingest")
-        alias = {k: Path(v) for k, v in self.config.corpus.alias_tables.items() if v}
-        return ingest_corpus(self.corpus_dir, format="jsonl", alias_tables=alias)
+        return ingest_corpus(self.corpus_dir, format="jsonl", alias_tables=self.alias_tables)
 
     def load_kgs(self) -> dict[str, TemporalKG]:
-        if not self.kg_dir.is_dir():
-            raise MissingUpstreamArtifact(f"no graphs under {self.kg_dir}; run build-kg")
-        kgs = {}
-        for path in sorted(self.kg_dir.glob("*.kg.jsonl")):
-            kg = load_kg(path)
-            kgs[kg.book_id] = kg
+        kgs = {kg.book_id: kg for kg in map(load_kg, sorted(self.kg_dir.glob("*.kg.jsonl")))}
         if not kgs:
             raise MissingUpstreamArtifact(f"no graphs under {self.kg_dir}; run build-kg")
         return kgs
@@ -161,12 +116,6 @@ class RunContext:
     def model_id(self) -> str:
         return self.config.backend.model or "default-model"
 
-    def merge_rules(self) -> ContradictionRules:
-        return ContradictionRules(
-            antonym_pairs=[tuple(p) for p in self.config.merge.antonym_pairs],
-            negation_cues=tuple(self.config.merge.negation_cues),
-        )
-
     def write_manifest(self, command: str, inputs: list[Path], outputs: list[Path]) -> Path:
         config_path = Path(self.config.source_path)
         if self.replay_script is not None:
@@ -194,13 +143,15 @@ class RunContext:
             "package_version": __version__,
             "python_version": "%d.%d.%d" % sys.version_info[:3],
         }
-        target = self.out_dir / "manifests" / f"{command}.json"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return target
+        return write_json(self.out_dir / "manifests" / f"{command}.json", manifest)
 
 
 pass_ctx = click.make_pass_decorator(RunContext)
+
+
+def _command(name: str | None = None):
+    """Register a subcommand that takes the RunContext and maps library errors to exit codes."""
+    return lambda fn: main.command(name)(pass_ctx(_guarded(fn)))
 
 
 @click.group()
@@ -209,32 +160,23 @@ pass_ctx = click.make_pass_decorator(RunContext)
 @click.option("--verbose", "-v", is_flag=True, help="Chatty logging.")
 @click.version_option(version=__version__)
 @click.pass_context
+@_guarded
 def main(ctx: click.Context, config_path: str, out_override: str | None, verbose: bool):
     """Mental-state pipeline over plot-segmented narrative corpora."""
     logging.basicConfig(
         level=logging.INFO if verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    try:
-        config = load_config(config_path)
-    except TomtraceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    ctx.obj = RunContext(config, out_override)
+    ctx.obj = RunContext(load_config(config_path), out_override)
 
 
-# --- ingest -----------------------------------------------------------------
-
-@main.command()
-@pass_ctx
-@_guarded
+@_command()
 def ingest(ctx: RunContext):
     """Parse source books into the normalized plot-per-line corpus."""
     cfg = ctx.config.corpus
     if not cfg.input:
         raise MissingUpstreamArtifact("corpus.input is not configured")
-    alias = {k: Path(v) for k, v in cfg.alias_tables.items() if v}
-    corpus = ingest_corpus(cfg.input, format=cfg.format, alias_tables=alias)
+    corpus = ingest_corpus(cfg.input, format=cfg.format, alias_tables=ctx.alias_tables)
     written = serialize_corpus(corpus, ctx.corpus_dir)
     stats = corpus_stats(corpus)
     click.echo(
@@ -242,57 +184,41 @@ def ingest(ctx: RunContext):
         f"{stats.total_conversations} conversations"
     )
     inputs = [Path(cfg.input)] if Path(cfg.input).is_file() else sorted(Path(cfg.input).glob("*"))
-    inputs += [Path(v) for v in cfg.alias_tables.values() if v]
+    inputs += ctx.alias_tables.values()
     ctx.write_manifest("ingest", inputs, written)
 
 
-# --- extract ----------------------------------------------------------------
-
-@main.command()
+@_command()
 @click.option("--replay", "replay_override", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
-@pass_ctx
-@_guarded
 def extract(ctx: RunContext, replay_override: str | None, cache_override: str | None):
     """Extract mental-state triples per character and plot."""
     corpus = ctx.load_corpus()
-    books = sorted(corpus.books, key=lambda b: b.id)
     extractions = extract_triples(
-        books,
+        sorted(corpus.books, key=lambda b: b.id),
         corpus.registries,
         ctx.gateway(replay_override=replay_override, cache_override=cache_override),
         model_id=ctx.model_id(),
         strict=ctx.config.triples.strict_perspective,
         template_override=ctx.config.triples.template,
     )
-    ctx.triples_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
-    for book_id, extraction in extractions.items():
-        triples_path = ctx.triples_dir / f"{book_id}.jsonl"
-        rejects_path = ctx.triples_dir / f"{book_id}.rejects.jsonl"
-        triples_path.write_text("".join(extraction.triple_lines), encoding="utf-8")
-        rejects_path.write_text("".join(extraction.reject_lines), encoding="utf-8")
-        outputs += [triples_path, rejects_path]
-    total = sum(len(e.triple_lines) for e in extractions.values())
+    outputs = write_extractions(extractions, ctx.triples_dir)
+    total = sum(len(e.triples) for e in extractions.values())
     rejected = sum(e.rejected for e in extractions.values())
     click.echo(f"extracted {total} triples ({rejected} rejected)")
-    inputs = sorted(ctx.corpus_dir.glob("*.jsonl"))
-    ctx.write_manifest("extract", inputs, outputs)
+    ctx.write_manifest("extract", sorted(ctx.corpus_dir.glob("*.jsonl")), outputs)
 
 
-# --- build-kg -----------------------------------------------------------------
-
-@main.command("build-kg")
-@pass_ctx
-@_guarded
+@_command("build-kg")
 def build_kg(ctx: RunContext):
     """Fold extracted triple batches into per-book temporal graphs."""
     corpus = ctx.load_corpus()
     if not ctx.triples_dir.is_dir():
         raise MissingUpstreamArtifact(f"no triples under {ctx.triples_dir}; run extract")
-    mode = MergeMode(ctx.config.merge.mode)
-    rules = ctx.merge_rules()
-    threshold = ctx.config.merge.jaccard_threshold
+    merge = ctx.config.merge
+    rules = ContradictionRules(
+        antonym_pairs=[tuple(p) for p in merge.antonym_pairs], negation_cues=tuple(merge.negation_cues)
+    )
     outputs: list[Path] = []
     inputs: list[Path] = []
     for book in sorted(corpus.books, key=lambda b: b.id):
@@ -300,32 +226,18 @@ def build_kg(ctx: RunContext):
         if not triples_path.is_file():
             raise MissingUpstreamArtifact(f"{triples_path} missing; run extract")
         inputs.append(triples_path)
-        batches: dict[tuple[str, int], list[MentalStateTriple]] = {}
-        order: list[tuple[str, int]] = []
-        for line in triples_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            key = (rec["character"], rec["plot_index"])
-            if key not in batches:
-                batches[key] = []
-                order.append(key)
-            batches[key].append(triple_from_record(rec))
-        kg = TemporalKG(book_id=book.id, plot_count=len(book.plots))
-        changelog_path = ctx.kg_dir / f"{book.id}.changelog.jsonl"
-        ctx.kg_dir.mkdir(parents=True, exist_ok=True)
-        with open(changelog_path, "w", encoding="utf-8") as cfh:
-            for character, plot_index in order:
-                batch = TripleBatch(
-                    character=character,
-                    plot_index=plot_index,
-                    triples=batches[(character, plot_index)],
-                )
-                log = insert_batch(kg, batch, mode, rules=rules, jaccard_threshold=threshold)
-                cfh.write(json.dumps(changelog_to_record(log), ensure_ascii=False) + "\n")
-        check_invariants(kg)
-        kg_path = save_kg(kg, ctx.kg_dir / f"{book.id}.kg.jsonl")
-        outputs += [kg_path, changelog_path]
+        kg, changelog = build_graph(
+            book.id,
+            len(book.plots),
+            read_jsonl(triples_path),
+            MergeMode(merge.mode),
+            rules=rules,
+            jaccard_threshold=merge.jaccard_threshold,
+        )
+        outputs += [
+            save_kg(kg, ctx.kg_dir / f"{book.id}.kg.jsonl"),
+            write_jsonl(ctx.kg_dir / f"{book.id}.changelog.jsonl", changelog),
+        ]
         click.echo(
             f"{book.id}: {len(kg.edges)} edges, {len(kg.supersede_links)} supersede links, "
             f"{len(kg.retirements)} retirements"
@@ -333,13 +245,9 @@ def build_kg(ctx: RunContext):
     ctx.write_manifest("build-kg", inputs, outputs)
 
 
-# --- genqa ---------------------------------------------------------------------
-
-@main.command()
+@_command()
 @click.option("--replay", "replay_override", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
-@pass_ctx
-@_guarded
 def genqa(ctx: RunContext, replay_override: str | None, cache_override: str | None):
     """Generate one question per dimension per speaking character per plot."""
     questions = generate_questions(
@@ -360,13 +268,9 @@ def genqa(ctx: RunContext, replay_override: str | None, cache_override: str | No
     )
 
 
-# --- verify ----------------------------------------------------------------------
-
-@main.command()
+@_command()
 @click.option("--replay", "replay_override", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
-@pass_ctx
-@_guarded
 def verify(ctx: RunContext, replay_override: str | None, cache_override: str | None):
     """Model-verify generated questions, regenerating rejects up to the budget."""
     final, verdicts = verify_questions(
@@ -390,82 +294,35 @@ def verify(ctx: RunContext, replay_override: str | None, cache_override: str | N
     ctx.write_manifest("verify", [ctx.questions_path], [ctx.questions_path, ctx.verdicts_path])
 
 
-# --- human review -------------------------------------------------------------------
-
-@main.command("review-export")
+@_command("review-export")
 @click.option("--kind", type=click.Choice(["questions", "triples"]), default="questions")
 @click.option("--output", "output_path", default=None, type=click.Path(dir_okay=False))
-@pass_ctx
-@_guarded
 def review_export(ctx: RunContext, kind: str, output_path: str | None):
     """Export a review CSV (sampled per config) for human verdicts."""
+    seed = ctx.config.seed
     if kind == "questions":
-        questions = [
-            q for q in ctx.load_question_file() if q.state is QuestionState.LLM_VERIFIED
-        ]
-        rate = ctx.config.verification.question_sample_rate
-        chosen = _sample(questions, rate, ctx.config.seed, key=lambda q: q.id)
-        target = Path(output_path) if output_path else ctx.out_dir / "review.csv"
+        verified = [q for q in ctx.load_question_file() if q.state is QuestionState.LLM_VERIFIED]
+        chosen = sample(verified, ctx.config.verification.question_sample_rate, seed, key=lambda q: q.id)
+        target = Path(output_path or ctx.out_dir / "review.csv")
         count = export_review(chosen, target)
-        click.echo(f"exported {count} question(s) to {target}")
-        ctx.write_manifest("review-export", [ctx.questions_path], [target])
-        return
-    # triples audit sample: export-only, verdicts feed no importer
-    if not ctx.triples_dir.is_dir():
-        raise MissingUpstreamArtifact(f"no triples under {ctx.triples_dir}; run extract")
-    records = []
-    for path in sorted(ctx.triples_dir.glob("*.jsonl")):
-        if path.name.endswith(".rejects.jsonl"):
-            continue
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                records.append(json.loads(line))
-    rate = ctx.config.verification.triple_sample_rate
-    chosen = _sample(records, rate, ctx.config.seed, key=lambda r: r["id"])
-    target = Path(output_path) if output_path else ctx.out_dir / "triples_review.csv"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["triple_id", "book_id", "character", "plot_index", "subject", "predicate", "object", "verdict", "notes"]
-        )
-        for rec in chosen:
-            writer.writerow(
-                [
-                    rec["id"],
-                    rec["book_id"],
-                    rec["character"],
-                    rec["plot_index"],
-                    rec["subject"],
-                    rec["predicate"],
-                    rec["object"],
-                    "",
-                    "",
-                ]
-            )
-    click.echo(f"exported {len(chosen)} triple(s) to {target}")
-    ctx.write_manifest("review-export", sorted(ctx.triples_dir.glob("*.jsonl")), [target])
+        inputs = [ctx.questions_path]
+    else:
+        records = load_kept_triples(ctx.triples_dir)
+        chosen = sample(records, ctx.config.verification.triple_sample_rate, seed, key=lambda r: r["id"])
+        target = Path(output_path or ctx.out_dir / "triples_review.csv")
+        count = export_triple_review(chosen, target)
+        inputs = sorted(ctx.triples_dir.glob("*.jsonl"))
+    noun = "question" if kind == "questions" else "triple"
+    click.echo(f"exported {count} {noun}(s) to {target}")
+    ctx.write_manifest("review-export", inputs, [target])
 
 
-def _sample(items: list, rate: float, seed: int | None, *, key):
-    ordered = sorted(items, key=key)
-    if rate >= 1.0:
-        return ordered
-    count = round(len(ordered) * rate)
-    rng = random.Random(seed)
-    picked = rng.sample(range(len(ordered)), count)
-    return [ordered[i] for i in sorted(picked)]
-
-
-@main.command("review-import")
+@_command("review-import")
 @click.argument("csv_path", type=click.Path(exists=True, dir_okay=False))
-@pass_ctx
-@_guarded
 def review_import(ctx: RunContext, csv_path: str):
     """Apply human pass/fail verdicts from a review CSV."""
     questions = ctx.load_question_file()
-    by_id = {q.id: q for q in questions}
-    report = import_review(csv_path, by_id)
+    report = import_review(csv_path, {q.id: q for q in questions})
     save_questions(questions, ctx.questions_path)
     click.echo(
         f"applied {len(report.applied)} verdict(s), skipped {report.skipped_blank} blank row(s)"
@@ -477,26 +334,12 @@ def review_import(ctx: RunContext, csv_path: str):
         sys.exit(1)
 
 
-# --- eval and report ------------------------------------------------------------------
-
-def _conditions_from(context: str, triples: str) -> list[EvalCondition]:
-    modes = {
-        "current": [ContextMode.CURRENT_PLOT],
-        "extended": [ContextMode.CURRENT_PLUS_PREV],
-        "both": list(ContextMode),
-    }[context]
-    flags = {"on": [True], "off": [False], "both": [False, True]}[triples]
-    return [EvalCondition(m, t) for m in modes for t in flags]
-
-
-@main.command("eval")
+@_command("eval")
 @click.option("--models", "models_override", default=None, help="Comma-separated model ids.")
 @click.option("--context", "context_override", type=click.Choice(["current", "extended", "both"]), default=None)
 @click.option("--triples", "triples_override", type=click.Choice(["on", "off", "both"]), default=None)
 @click.option("--replay", "replay_override", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
-@pass_ctx
-@_guarded
 def eval_cmd(
     ctx: RunContext,
     models_override: str | None,
@@ -508,12 +351,8 @@ def eval_cmd(
     """Answer every question under each model and condition, then score."""
     corpus = ctx.load_corpus()
     questions = ctx.load_question_file()
-    context = context_override or ctx.config.eval.context
-    triples = triples_override or ctx.config.eval.triples
-    conditions = _conditions_from(context, triples)
-    kgs: dict[str, TemporalKG] = {}
-    if any(c.triples_enabled for c in conditions):
-        kgs = ctx.load_kgs()
+    chosen = conditions(context_override or ctx.config.eval.context, triples_override or ctx.config.eval.triples)
+    kgs = ctx.load_kgs() if any(c.triples_enabled for c in chosen) else {}
     models = (
         [m.strip() for m in models_override.split(",") if m.strip()]
         if models_override
@@ -525,7 +364,7 @@ def eval_cmd(
         kgs,
         questions,
         models,
-        conditions,
+        chosen,
         gateway,
         ctx.predictions_path,
         answer_style=ctx.config.eval.answer_style,
@@ -540,10 +379,8 @@ def eval_cmd(
     ctx.write_manifest("eval", inputs, [predictions_path, report_path])
 
 
-@main.command()
+@_command()
 @click.option("--layout", type=click.Choice([l.value for l in ReportLayout]), default="plain")
-@pass_ctx
-@_guarded
 def report(ctx: RunContext, layout: str):
     """Re-render the score table from stored predictions."""
     if not ctx.predictions_path.is_file():
@@ -551,8 +388,7 @@ def report(ctx: RunContext, layout: str):
     questions = {q.id: q for q in ctx.load_question_file()}
     predictions = load_predictions(ctx.predictions_path)
     table = score(predictions, questions)
-    chosen = ReportLayout(layout)
-    rendered = render_report(table, chosen)
+    rendered = render_report(table, ReportLayout(layout))
     suffix = {"plain": "txt", "markdown": "md", "csv": "csv"}[layout]
     target = ctx.out_dir / f"report.{suffix}"
     target.write_text(rendered, encoding="utf-8")
@@ -560,47 +396,28 @@ def report(ctx: RunContext, layout: str):
     ctx.write_manifest("report", [ctx.predictions_path, ctx.questions_path], [target])
 
 
-# --- fine-tune emission -----------------------------------------------------------------
-
-@main.command("emit-ft")
+@_command("emit-ft")
 @click.option("--allow-unverified", is_flag=True, help="Waive the human-verification gate.")
-@pass_ctx
-@_guarded
 def emit_ft(ctx: RunContext, allow_unverified: bool):
     """Emit supervised fine-tune JSONL files with the book-level OOD split."""
     corpus = ctx.load_corpus()
     kgs = ctx.load_kgs()
     questions = ctx.load_question_file()
-    waive = allow_unverified or not ctx.config.ft.require_human_verified
-    if not waive:
-        questions = [q for q in questions if q.state is QuestionState.HUMAN_VERIFIED]
     spec = SplitSpec(ood_book_titles=frozenset(ctx.config.ft.ood_books))
-    result = split_ood(corpus, questions, spec)
-    variants = {"on": [True], "off": [False], "both": [True, False]}[ctx.config.ft.with_triples]
     ft_dir = ctx.out_dir / "ft"
-    outputs = []
-    from .ftemit import Split
-
-    for split, bucket in ((Split.TRAIN, result.train), (Split.OOD_TEST, result.ood)):
-        for with_triples in variants:
-            examples = [
-                emit_example(
-                    q,
-                    kgs.get(q.book_id),
-                    with_triples,
-                    corpus=corpus,
-                    waive_verification=waive,
-                    split=split,
-                )
-                for q in bucket
-            ]
-            name = f"{split.value}_{'with' if with_triples else 'without'}_triples.jsonl"
-            target = ft_dir / name
-            count = write_training_file(examples, target)
-            outputs.append(target)
-            click.echo(f"{target}: {count} example(s)")
-    manifest_path = write_split_manifest(corpus, spec, ft_dir / "split_manifest.json")
-    outputs.append(manifest_path)
+    written = emit_training_files(
+        corpus,
+        kgs,
+        questions,
+        spec,
+        ctx.config.ft.with_triples,
+        ft_dir,
+        waive_verification=allow_unverified or not ctx.config.ft.require_human_verified,
+    )
+    for target, count in written:
+        click.echo(f"{target}: {count} example(s)")
+    outputs = [target for target, _ in written]
+    outputs.append(write_split_manifest(corpus, spec, ft_dir / "split_manifest.json"))
     ctx.write_manifest(
         "emit-ft",
         [ctx.questions_path] + sorted(ctx.kg_dir.glob("*.kg.jsonl")),
@@ -608,32 +425,11 @@ def emit_ft(ctx: RunContext, allow_unverified: bool):
     )
 
 
-# --- stats ---------------------------------------------------------------------------------
-
-@main.command()
-@pass_ctx
-@_guarded
+@_command()
 def stats(ctx: RunContext):
     """Corpus and question-set statistics."""
-    corpus = ctx.load_corpus()
-    report = corpus_stats(corpus)
-    payload: dict = {
-        "corpus": {
-            "books": [
-                {
-                    "book_id": b.book_id,
-                    "title": b.title,
-                    "plots": b.plot_count,
-                    "conversations": b.conversation_count,
-                    "avg_speakers": b.avg_speakers,
-                }
-                for b in report.per_book
-            ],
-            "total_plots": report.total_plots,
-            "total_conversations": report.total_conversations,
-            "avg_speakers": report.avg_speakers,
-        }
-    }
+    report = corpus_stats(ctx.load_corpus())
+    payload = {"corpus": corpus_stats_to_record(report)}
     click.echo(f"{'book':30} {'plots':>6} {'convs':>6} {'avg speakers':>13}")
     for b in report.per_book:
         click.echo(f"{b.title[:30]:30} {b.plot_count:>6} {b.conversation_count:>6} {b.avg_speakers:>13}")
@@ -641,22 +437,13 @@ def stats(ctx: RunContext):
     inputs = sorted(ctx.corpus_dir.glob("*.jsonl"))
     if ctx.questions_path.is_file():
         qstats = dataset_stats(ctx.load_question_file())
-        payload["questions"] = {
-            "questions": qstats.questions,
-            "correct_answers": qstats.correct_answers,
-            "distractors": qstats.distractors,
-            "per_dimension": qstats.per_dimension,
-            "per_book": qstats.per_book,
-        }
+        payload["questions"] = dataset_stats_to_record(qstats)
         click.echo(
             f"questions: {qstats.questions} (correct {qstats.correct_answers}, "
             f"distractors {qstats.distractors})"
         )
         inputs.append(ctx.questions_path)
-    target = ctx.out_dir / "stats.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    ctx.write_manifest("stats", inputs, [target])
+    ctx.write_manifest("stats", inputs, [write_json(ctx.out_dir / "stats.json", payload)])
 
 
 if __name__ == "__main__":

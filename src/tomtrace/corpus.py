@@ -22,7 +22,7 @@ from .errors import (
     NoSpeaker,
     UnreadableSource,
 )
-from .util import clean_name, format_half_up, normalize_name, slugify
+from .util import clean_name, format_half_up, normalize_name, slugify, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -530,16 +530,10 @@ def plot_to_record(plot: Plot, title: str) -> dict:
 def serialize_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:
     """Write one JSONL file per book, one plot per line."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for book in corpus.books:
-        target = out_dir / f"{book.id}.jsonl"
-        with open(target, "w", encoding="utf-8") as fh:
-            for plot in book.plots:
-                fh.write(json.dumps(plot_to_record(plot, book.title), ensure_ascii=False))
-                fh.write("\n")
-        written.append(target)
-    return written
+    return [
+        write_jsonl(out_dir / f"{book.id}.jsonl", (plot_to_record(plot, book.title) for plot in book.plots))
+        for book in corpus.books
+    ]
 
 
 # --- statistics --------------------------------------------------------------
@@ -605,3 +599,21 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
         avg_speakers=avg_total,
         undefined_mean=undefined,
     )
+
+
+def corpus_stats_to_record(report: StatsReport) -> dict:
+    return {
+        "books": [
+            {
+                "book_id": b.book_id,
+                "title": b.title,
+                "plots": b.plot_count,
+                "conversations": b.conversation_count,
+                "avg_speakers": b.avg_speakers,
+            }
+            for b in report.per_book
+        ],
+        "total_plots": report.total_plots,
+        "total_conversations": report.total_conversations,
+        "avg_speakers": report.avg_speakers,
+    }

@@ -8,7 +8,6 @@ rounded (half up, two decimals) at display time.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from .llmgate import ChatRequest, estimate_tokens
 from .qagen import TomQuestion
 from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, load_template, render_triple
-from .util import format_half_up
+from .util import format_half_up, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -38,11 +37,18 @@ class EvalCondition:
     triples_enabled: bool
 
 
-ALL_CONDITIONS = tuple(
-    EvalCondition(mode, triples)
-    for mode in ContextMode
-    for triples in (False, True)
-)
+def conditions(context: str, triples: str) -> list[EvalCondition]:
+    """Conditions for a context choice (current/extended/both) and a triples choice (on/off/both)."""
+    modes = {
+        "current": [ContextMode.CURRENT_PLOT],
+        "extended": [ContextMode.CURRENT_PLUS_PREV],
+        "both": list(ContextMode),
+    }[context]
+    flags = {"on": [True], "off": [False], "both": [False, True]}[triples]
+    return [EvalCondition(m, t) for m in modes for t in flags]
+
+
+ALL_CONDITIONS = tuple(conditions("both", "both"))
 
 ANSWER_STYLES = ("triples_then_answer", "answer_only")
 
@@ -431,19 +437,10 @@ def run_eval(
             )
         )
 
-    predictions_path = Path(predictions_path)
-    predictions_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(predictions_path, "w", encoding="utf-8") as fh:
-        for pred in predictions:
-            fh.write(json.dumps(prediction_to_record(pred), ensure_ascii=False))
-            fh.write("\n")
+    predictions_path = write_jsonl(predictions_path, (prediction_to_record(p) for p in predictions))
     table = score(predictions, {q.id: q for q in questions})
     return table, predictions_path
 
 
 def load_predictions(path: Path | str) -> list[Prediction]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(prediction_from_record(json.loads(line)))
-    return out
+    return [prediction_from_record(rec) for rec in read_jsonl(path)]

@@ -7,7 +7,6 @@ the answer object, or answers directly.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,7 +23,7 @@ from .evalharness import (
 from .qagen import QuestionState, TomQuestion
 from .tkg import TemporalKG, state_at
 from .triples import render_triple
-from .util import normalize_name
+from .util import normalize_name, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -115,16 +114,49 @@ def split_ood(corpus: Corpus, questions: list[TomQuestion], spec: SplitSpec) -> 
 def write_training_file(examples: list[TrainingExample], path: Path | str) -> int:
     """Write {input, output} JSONL sorted by question id; returns the count."""
     ordered = sorted(examples, key=lambda e: e.question_id)
-    path = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            for example in ordered:
-                fh.write(json.dumps({"input": example.input, "output": example.output}, ensure_ascii=False))
-                fh.write("\n")
+        write_jsonl(path, ({"input": e.input, "output": e.output} for e in ordered))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return len(ordered)
+
+
+def emit_training_files(
+    corpus: Corpus,
+    kgs: dict[str, TemporalKG],
+    questions: list[TomQuestion],
+    spec: SplitSpec,
+    with_triples: str,
+    out_dir: Path,
+    *,
+    waive_verification: bool = False,
+) -> list[tuple[Path, int]]:
+    """Write one file per split and triple variant ("on", "off" or "both").
+
+    Without the waiver only human-verified questions are emitted. Returns
+    (path, example count) in write order.
+    """
+    if not waive_verification:
+        questions = [q for q in questions if q.state is QuestionState.HUMAN_VERIFIED]
+    result = split_ood(corpus, questions, spec)
+    variants = {"on": [True], "off": [False], "both": [True, False]}[with_triples]
+    written = []
+    for split, bucket in ((Split.TRAIN, result.train), (Split.OOD_TEST, result.ood)):
+        for triples in variants:
+            examples = [
+                emit_example(
+                    q,
+                    kgs.get(q.book_id),
+                    triples,
+                    corpus=corpus,
+                    waive_verification=waive_verification,
+                    split=split,
+                )
+                for q in bucket
+            ]
+            target = out_dir / f"{split.value}_{'with' if triples else 'without'}_triples.jsonl"
+            written.append((target, write_training_file(examples, target)))
+    return written
 
 
 def write_split_manifest(corpus: Corpus, spec: SplitSpec, path: Path | str) -> Path:
@@ -134,7 +166,4 @@ def write_split_manifest(corpus: Corpus, spec: SplitSpec, path: Path | str) -> P
         book.id: ("ood_test" if normalize_name(book.title) in ood_titles else "train")
         for book in sorted(corpus.books, key=lambda b: b.id)
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return write_json(path, manifest)

@@ -27,7 +27,7 @@ from .errors import (
     ScriptMiss,
     TransportError,
 )
-from .util import canonical_json, sha256_text
+from .util import canonical_json, read_jsonl, sha256_text
 
 logger = logging.getLogger(__name__)
 
@@ -114,10 +114,6 @@ class BackendConfig:
     max_in_flight: int = 4
     requests_per_minute: int = 60
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    # Dotted paths into the provider response body.
-    text_path: str = "choices.0.message.content"
-    prompt_tokens_path: str = "usage.prompt_tokens"
-    output_tokens_path: str = "usage.completion_tokens"
 
 
 # --- replay -----------------------------------------------------------------
@@ -166,18 +162,14 @@ class ReplayScript:
         default_policy: str = "error",
         default_text: str = "",
     ) -> "ReplayScript":
-        entries = []
-        for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            entries.append(
-                ReplayEntry(
-                    response_text=rec["response_text"],
-                    digest=rec.get("digest"),
-                    prompt_pattern=rec.get("prompt_pattern"),
-                )
+        entries = [
+            ReplayEntry(
+                response_text=rec["response_text"],
+                digest=rec.get("digest"),
+                prompt_pattern=rec.get("prompt_pattern"),
             )
+            for rec in read_jsonl(path)
+        ]
         return cls(entries, default_policy=default_policy, default_text=default_text)
 
     def lookup(self, request: ChatRequest) -> str:
@@ -392,6 +384,11 @@ class RateLimiter:
 # Seconds a backend request may wait to connect or between received bytes.
 HTTP_TIMEOUT_S = 120
 
+# Dotted paths into the provider response body.
+TEXT_PATH = "choices.0.message.content"
+PROMPT_TOKENS_PATH = "usage.prompt_tokens"
+OUTPUT_TOKENS_PATH = "usage.completion_tokens"
+
 
 def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object]:
     """POST `payload` as JSON; returns (status, parsed JSON body or its text).
@@ -493,15 +490,15 @@ def complete(
         if status != 200:
             raise TransportError(f"HTTP {status}: {str(body)[:200]}")
         try:
-            text = str(_dig(body, backend.text_path))
+            text = str(_dig(body, TEXT_PATH))
         except (KeyError, IndexError, ValueError) as exc:
             raise TransportError(f"cannot extract response text: {exc}") from exc
         try:
-            prompt_tokens = int(_dig(body, backend.prompt_tokens_path))
+            prompt_tokens = int(_dig(body, PROMPT_TOKENS_PATH))
         except (KeyError, IndexError, ValueError, TypeError):
             prompt_tokens = estimate_tokens(request.prompt_text())
         try:
-            output_tokens = int(_dig(body, backend.output_tokens_path))
+            output_tokens = int(_dig(body, OUTPUT_TOKENS_PATH))
         except (KeyError, IndexError, ValueError, TypeError):
             output_tokens = estimate_tokens(text)
         return ChatResponse(

@@ -16,7 +16,7 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -45,7 +45,7 @@ from .triples import (
     render_dialogues,
     render_triple,
 )
-from .util import format_half_up, normalize_name, stable_hash, strip_code_fences
+from .util import format_half_up, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -610,6 +610,10 @@ def dataset_stats(questions: list[TomQuestion]) -> QuestionSetStats:
     )
 
 
+def dataset_stats_to_record(stats: QuestionSetStats) -> dict:
+    return asdict(stats)
+
+
 @dataclass
 class FirstPassReport:
     verified_questions: int
@@ -672,28 +676,18 @@ def question_from_record(rec: dict) -> TomQuestion:
 
 
 def save_questions(questions: list[TomQuestion], path: Path | str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in questions:
-            fh.write(json.dumps(question_to_record(q), ensure_ascii=False))
-            fh.write("\n")
-    return path
+    return write_jsonl(path, (question_to_record(q) for q in questions))
 
 
 def save_verdicts(verdicts: list[VerificationVerdict], path: Path | str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in verdicts:
-            record = {"question_id": v.question_id, "stage": v.stage.value, "passed": v.passed, "notes": v.notes}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    return path
+    return write_jsonl(
+        path,
+        (
+            {"question_id": v.question_id, "stage": v.stage.value, "passed": v.passed, "notes": v.notes}
+            for v in verdicts
+        ),
+    )
 
 
 def load_questions(path: Path | str) -> list[TomQuestion]:
-    questions = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            questions.append(question_from_record(json.loads(line)))
-    return questions
+    return [question_from_record(rec) for rec in read_jsonl(path)]

@@ -44,7 +44,7 @@ from .errors import (
     NonMonotoneInsert,
     UnknownCharacter,
 )
-from .triples import Dimension, MentalStateTriple, TripleBatch
+from .triples import Dimension, MentalStateTriple, TripleBatch, triple_from_record
 from .util import normalize_name, sha256_text
 
 logger = logging.getLogger(__name__)
@@ -417,6 +417,40 @@ def check_invariants(kg: TemporalKG) -> None:
             assert normalize_name(edge.subject) == normalize_name(character)
             if kg.plot_count is not None:
                 assert 1 <= edge.plot_index <= kg.plot_count
+
+
+def build_graph(
+    book_id: str,
+    plot_count: int,
+    records: list[dict],
+    mode: MergeMode,
+    *,
+    rules: ContradictionRules | None = None,
+    jaccard_threshold: float = 0.5,
+) -> tuple[TemporalKG, list[dict]]:
+    """Fold a book's triple records into a graph, one batch per (character, plot).
+
+    Batches are inserted in the order their first record appears. Returns the
+    checked graph and one changelog record per batch.
+    """
+    batches: dict[tuple[str, int], list[MentalStateTriple]] = {}
+    for rec in records:
+        batches.setdefault((rec["character"], rec["plot_index"]), []).append(triple_from_record(rec))
+    kg = TemporalKG(book_id=book_id, plot_count=plot_count)
+    changelog = [
+        changelog_to_record(
+            insert_batch(
+                kg,
+                TripleBatch(character=character, plot_index=plot_index, triples=triples),
+                mode,
+                rules=rules,
+                jaccard_threshold=jaccard_threshold,
+            )
+        )
+        for (character, plot_index), triples in batches.items()
+    ]
+    check_invariants(kg)
+    return kg, changelog
 
 
 # --- persistence ------------------------------------------------------------------

@@ -8,18 +8,26 @@ BelievesAboutCordelia. Objects carry the mental-state content as free text.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from pathlib import Path
 from string import Template
 
 from .corpus import Book, CharacterRegistry, Conversation, Plot, render_turn
-from .errors import CharacterAbsent, ForeignSubject, UnknownPredicate, UnparseableResponse
+from .errors import (
+    CharacterAbsent,
+    ForeignSubject,
+    MissingUpstreamArtifact,
+    UnknownPredicate,
+    UnparseableResponse,
+)
 from .llmgate import ChatRequest, Gateway
-from .util import normalize_name, stable_hash
+from .util import normalize_name, read_jsonl, stable_hash, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -364,8 +372,6 @@ def validate_triple(
 def load_template(name: str, override: str | None = None) -> Template:
     """Load a prompt template asset, or a caller-supplied override file."""
     if override:
-        from pathlib import Path
-
         return Template(Path(override).read_text(encoding="utf-8"))
     text = resources.files("tomtrace.templates").joinpath(name).read_text(encoding="utf-8")
     return Template(text)
@@ -449,27 +455,21 @@ def triple_from_record(rec: dict) -> MentalStateTriple:
     )
 
 
-def _json_line(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False) + "\n"
-
-
-def _reject_line(book_id: str, character: str, plot_index: int, raw: str, reason: str) -> str:
-    return _json_line(
-        {"book_id": book_id, "character": character, "plot_index": plot_index, "raw": raw, "reason": reason}
-    )
+def _reject_record(book_id: str, character: str, plot_index: int, raw: str, reason: str) -> dict:
+    return {"book_id": book_id, "character": character, "plot_index": plot_index, "raw": raw, "reason": reason}
 
 
 @dataclass
 class Extraction:
-    """Extraction output as JSONL lines, in character -> plot order."""
+    """Extraction output records, in character -> plot order."""
 
-    triple_lines: list[str] = field(default_factory=list)
-    reject_lines: list[str] = field(default_factory=list)
+    triples: list[dict] = field(default_factory=list)
+    rejects: list[dict] = field(default_factory=list)
     rejected: int = 0  # entries rejected from parsed responses; unparseable responses are not counted
 
     def extend(self, other: "Extraction") -> None:
-        self.triple_lines += other.triple_lines
-        self.reject_lines += other.reject_lines
+        self.triples += other.triples
+        self.rejects += other.rejects
         self.rejected += other.rejected
 
 
@@ -498,7 +498,7 @@ def _extract_chain(
             batch = parse_triple_response(response.text, character, plot.index, book_id=book.id)
         except UnparseableResponse as exc:
             logger.warning("%s/%s/p%d: %s", book.id, character, plot.index, exc)
-            out.reject_lines.append(_reject_line(book.id, character, plot.index, response.text, str(exc)))
+            out.rejects.append(_reject_record(book.id, character, plot.index, response.text, str(exc)))
             continue
         visible_cast = sorted({name for conv in convs for name in conv.cast})
         kept: list[MentalStateTriple] = []
@@ -517,10 +517,8 @@ def _extract_chain(
                     [v.kind.value for v in violations],
                 )
             kept.append(triple)
-        out.triple_lines += [_json_line(triple_to_record(book.id, character, t)) for t in kept]
-        out.reject_lines += [
-            _reject_line(book.id, character, plot.index, r.raw, r.reason) for r in batch.rejects
-        ]
+        out.triples += [triple_to_record(book.id, character, t) for t in kept]
+        out.rejects += [_reject_record(book.id, character, plot.index, r.raw, r.reason) for r in batch.rejects]
         out.rejected += len(batch.rejects)
         rolling = kept
     return out
@@ -560,3 +558,57 @@ def extract_triples(
     for (book, _), extraction in zip(chains, gateway.run(run_chain, chains)):
         results[book.id].extend(extraction)
     return results
+
+
+def write_extractions(extractions: dict[str, Extraction], triples_dir: Path) -> list[Path]:
+    """Write `<book>.jsonl` and `<book>.rejects.jsonl` per book; returns the paths written."""
+    written: list[Path] = []
+    for book_id, extraction in extractions.items():
+        written.append(write_jsonl(triples_dir / f"{book_id}.jsonl", extraction.triples))
+        written.append(write_jsonl(triples_dir / f"{book_id}.rejects.jsonl", extraction.rejects))
+    return written
+
+
+# --- triple audit export -------------------------------------------------------------
+
+TRIPLE_REVIEW_COLUMNS = (
+    "triple_id", "book_id", "character", "plot_index", "subject", "predicate", "object", "verdict", "notes"
+)
+
+
+def load_kept_triples(triples_dir: Path) -> list[dict]:
+    """Every book's kept triple records; reject files are skipped."""
+    if not triples_dir.is_dir():
+        raise MissingUpstreamArtifact(f"no triples under {triples_dir}; run extract")
+    return [
+        rec
+        for path in sorted(triples_dir.glob("*.jsonl"))
+        if not path.name.endswith(".rejects.jsonl")
+        for rec in read_jsonl(path)
+    ]
+
+
+def export_triple_review(records: list[dict], path: Path) -> int:
+    """Write an audit CSV with blank verdict columns; returns the row count.
+
+    Export only: no importer reads the verdicts back.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIPLE_REVIEW_COLUMNS)
+        for rec in records:
+            writer.writerow(
+                [
+                    rec["id"],
+                    rec["book_id"],
+                    rec["character"],
+                    rec["plot_index"],
+                    rec["subject"],
+                    rec["predicate"],
+                    rec["object"],
+                    "",
+                    "",
+                ]
+            )
+    return len(records)

@@ -17,6 +17,7 @@ from tomtrace.evalharness import (
     ScoreRow,
     ScoreTable,
     assemble_context,
+    conditions,
     load_predictions,
     parse_answer,
     prediction_from_record,
@@ -33,6 +34,7 @@ from tomtrace.triples import Dimension, TripleBatch, make_triple
 CURRENT = EvalCondition(ContextMode.CURRENT_PLOT, False)
 CURRENT_T = EvalCondition(ContextMode.CURRENT_PLOT, True)
 EXTENDED = EvalCondition(ContextMode.CURRENT_PLUS_PREV, False)
+EXTENDED_T = EvalCondition(ContextMode.CURRENT_PLUS_PREV, True)
 
 
 def question_at(plot_index=1, character="Cordelia", dimension=Dimension.BELIEF,
@@ -363,3 +365,21 @@ def test_run_eval_orders_items_deterministically(fixture_corpus, tmp_path):
         [questions[1].id] * 2 + [questions[0].id] * 2
     )
     assert [r["context"] for r in records] == ["current", "current+prev"] * 2
+
+
+@pytest.mark.parametrize(
+    "context, triples, expected",
+    [
+        ("current", "off", [CURRENT]),
+        ("current", "on", [CURRENT_T]),
+        ("current", "both", [CURRENT, CURRENT_T]),
+        ("extended", "off", [EXTENDED]),
+        ("extended", "on", [EXTENDED_T]),
+        ("extended", "both", [EXTENDED, EXTENDED_T]),
+        ("both", "off", [CURRENT, EXTENDED]),
+        ("both", "on", [CURRENT_T, EXTENDED_T]),
+        ("both", "both", [CURRENT, CURRENT_T, EXTENDED, EXTENDED_T]),
+    ],
+)
+def test_conditions_for_each_context_and_triples_choice(context, triples, expected):
+    assert conditions(context, triples) == expected

@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import CONFIG
 from kg_oracle import run_random_case
+
+from tomtrace.config import load_config
 
 from tomtrace.errors import (
     CorruptGraphFile,
@@ -16,6 +19,7 @@ from tomtrace.tkg import (
     MergeMode,
     SupersedeReason,
     TemporalKG,
+    build_graph,
     check_invariants,
     insert_batch,
     is_contradiction,
@@ -26,6 +30,7 @@ from tomtrace.tkg import (
     timeline,
 )
 from tomtrace.triples import Dimension, TripleBatch, make_triple
+from tomtrace.util import read_jsonl, write_jsonl
 
 
 def batch_for(character, plot, *pairs):
@@ -403,3 +408,30 @@ def test_oracle_cases_round_trip_through_disk(tmp_path):
         for character in loaded.index:
             for t in range(1, (kg.plot_count or 1) + 1):
                 assert real_state(loaded, character, t) == real_state(kg, character, t)
+
+
+def test_build_graph_writes_the_same_bytes_as_the_build_kg_command(pipeline_out, fixture_corpus, tmp_path):
+    (book,) = fixture_corpus.books
+    merge = load_config(CONFIG).merge
+    rules = ContradictionRules(
+        antonym_pairs=[tuple(p) for p in merge.antonym_pairs], negation_cues=tuple(merge.negation_cues)
+    )
+
+    def build(records):
+        return build_graph(
+            book.id, len(book.plots), records, MergeMode(merge.mode), rules=rules,
+            jaccard_threshold=merge.jaccard_threshold,
+        )
+
+    records = read_jsonl(pipeline_out / "triples" / f"{book.id}.jsonl")
+    kg, changelog = build(records)
+    kg_dir = pipeline_out / "kg"
+    assert save_kg(kg, tmp_path / "g.kg.jsonl").read_bytes() == (kg_dir / f"{book.id}.kg.jsonl").read_bytes()
+    assert write_jsonl(tmp_path / "c.jsonl", changelog).read_bytes() == (
+        kg_dir / f"{book.id}.changelog.jsonl"
+    ).read_bytes()
+    # batches fold in first-seen order, not sorted order
+    by_character = sorted(records, key=lambda r: r["character"], reverse=True)
+    _, reordered = build(by_character)
+    first_seen = list(dict.fromkeys((r["character"], r["plot_index"]) for r in by_character))
+    assert [(c["character"], c["plot_index"]) for c in reordered] == first_seen != sorted(first_seen)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from tomtrace.util import (
@@ -7,10 +8,13 @@ from tomtrace.util import (
     clean_name,
     format_half_up,
     normalize_name,
+    read_jsonl,
     round_half_up,
+    sample,
     slugify,
     stable_hash,
     strip_code_fences,
+    write_jsonl,
 )
 
 
@@ -52,3 +56,20 @@ def test_half_up_rounding():
 def test_strip_code_fences():
     assert strip_code_fences('```json\n{"a":1}\n```').strip() == '{"a":1}'
     assert strip_code_fences("plain") == "plain"
+
+
+def test_jsonl_round_trip_keeps_text_and_skips_blank_lines(tmp_path):
+    records = [{"text": "Gloucester’s “eyes” — ça"}, {"text": "one\u2028two\nthree", "n": 1}, {}]
+    path = write_jsonl(tmp_path / "sub" / "records.jsonl", iter(records))
+    lines = [json.dumps(r, ensure_ascii=False) + "\n" for r in records]
+    assert path.read_bytes() == "".join(lines).encode("utf-8")
+    path.write_text("\n" + lines[0] + "  \n" + "".join(lines[1:]) + "\n", encoding="utf-8")
+    assert read_jsonl(path) == records
+
+
+def test_sample_full_rate_sorts_and_a_seed_fixes_the_pick():
+    items = [5, 3, 9, 1, 7, 2, 8]
+    assert sample(items, 1.0, None, key=lambda x: x) == [1, 2, 3, 5, 7, 8, 9]
+    for _ in range(3):
+        assert sample(items, 0.4, 13, key=lambda x: x) == [2, 3, 9]
+        assert sample(items[::-1], 0.4, 13, key=lambda x: x) == [2, 3, 9]
