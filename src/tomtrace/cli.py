@@ -21,7 +21,7 @@ from .corpus import Corpus, corpus_stats, corpus_stats_to_record, ingest_corpus,
 from .errors import GatewayError, MissingUpstreamArtifact, TomtraceError
 from .evalharness import ReportLayout, conditions, load_predictions, render_report, run_eval, score
 from .ftemit import SplitSpec, emit_training_files, write_split_manifest
-from .llmgate import BackendConfig, Gateway, ReplayScript, ResponseCache, RetryPolicy
+from .llmgate import Gateway, ReplayScript, ResponseCache
 from .qagen import (
     QuestionState,
     dataset_stats,
@@ -90,17 +90,6 @@ class RunContext:
         return load_questions(self.questions_path)
 
     def gateway(self, *, replay_override: str | None = None, cache_override: str | None = None) -> Gateway:
-        backend = BackendConfig(
-            name=self.config.backend.name,
-            endpoint=self.config.backend.endpoint,
-            auth_env_var=self.config.backend.auth_env_var,
-            max_in_flight=self.config.backend.max_in_flight,
-            requests_per_minute=self.config.backend.requests_per_minute,
-            retry=RetryPolicy(
-                max_attempts=self.config.backend.retry_max_attempts,
-                base_backoff_s=self.config.backend.retry_base_backoff_s,
-            ),
-        )
         replay = None
         script = replay_override or self.config.replay.script
         if script:
@@ -111,7 +100,7 @@ class RunContext:
                 default_text=self.config.replay.default_text,
             )
         cache_dir = Path(cache_override) if cache_override else self.cache_dir
-        return Gateway(backend, replay=replay, cache=ResponseCache(cache_dir))
+        return Gateway(self.config.backend, replay=replay, cache=ResponseCache(cache_dir))
 
     def model_id(self) -> str:
         return self.config.backend.model or "default-model"

@@ -190,6 +190,8 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigInvalid(f"corpus.format must be coser or jsonl, got {config.corpus.format!r}")
     if config.replay.default_policy not in ("error", "fixed"):
         raise ConfigInvalid("replay.default_policy must be error or fixed")
+    if config.replay.default_policy == "fixed" and not config.replay.default_text:
+        raise ConfigInvalid("replay.default_text must be non-empty when default_policy is fixed")
     if config.merge.mode not in ("trust_llm_diff", "deterministic_merge"):
         raise ConfigInvalid("merge.mode must be trust_llm_diff or deterministic_merge")
     if not 0.0 <= config.merge.jaccard_threshold <= 1.0:

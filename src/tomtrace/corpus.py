@@ -433,7 +433,8 @@ def _parse_normalized_book(file: Path) -> Book:
     title = ""
     book_id = ""
     try:
-        lines = file.read_text(encoding="utf-8").splitlines()
+        # "\n" only: splitlines() would also split at U+2028 and the like, which records keep raw.
+        lines = file.read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise UnreadableSource(f"cannot read {file}: {exc}") from exc
     for n, line in enumerate(lines, start=1):

@@ -148,8 +148,8 @@ class IoError(TomtraceError):
 
 # --- cli ------------------------------------------------------------------
 
-class ConfigInvalid(TomtraceError):
-    """Config file failed validation."""
+class ConfigInvalid(TomtraceError, ValueError):
+    """Config file or replay script failed validation."""
 
 
 class MissingUpstreamArtifact(TomtraceError):

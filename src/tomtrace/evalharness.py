@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import MissingKg, MissingPlot, UnknownQuestionId
-from .llmgate import ChatRequest, estimate_tokens
+from .llmgate import ChatRequest, ChatResponse, estimate_tokens, user_request
 from .qagen import TomQuestion
 from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, load_template, render_triple
@@ -379,8 +379,8 @@ def run_eval(
         for condition in conditions
     ]
     requests: dict[int, ChatRequest] = {}
-    prompts: dict[int, EvalPrompt] = {}
-    failures: dict[int, str] = {}
+    prompts: list[EvalPrompt | None] = []  # None where assembly failed
+    results: dict[int, object] = {}  # a response, or the error that stands in for it
     for idx, (question, model, condition) in enumerate(items):
         try:
             prompt = assemble_context(
@@ -391,49 +391,26 @@ def run_eval(
                 answer_style=answer_style,
                 template_override=template_override,
             )
-            prompts[idx] = prompt
-            requests[idx] = ChatRequest(model_id=model, messages=(("user", prompt.text),))
+            requests[idx] = user_request(model, prompt.text)
         except Exception as exc:  # degraded item, run continues
             logger.warning("item %s/%s/%s failed assembly: %s", question.id, model, condition, exc)
-            failures[idx] = str(exc)
+            prompt, results[idx] = None, exc
+        prompts.append(prompt)
 
-    responses = gateway.submit_batch(requests)
+    results.update(gateway.submit_batch(requests))
     predictions: list[Prediction] = []
-    for idx, (question, model, condition) in enumerate(items):
-        if idx in failures:
-            predictions.append(
-                Prediction(
-                    question_id=question.id,
-                    model_id=model,
-                    condition=condition,
-                    letter=None,
-                    raw_text="",
-                    error=failures[idx],
-                )
-            )
-            continue
-        result = responses[idx]
-        if isinstance(result, Exception):
-            predictions.append(
-                Prediction(
-                    question_id=question.id,
-                    model_id=model,
-                    condition=condition,
-                    letter=None,
-                    raw_text="",
-                    prompt_tokens_est=prompts[idx].token_estimate,
-                    error=str(result),
-                )
-            )
-            continue
+    for idx, ((question, model, condition), prompt) in enumerate(zip(items, prompts)):
+        result = results[idx]
+        answered = isinstance(result, ChatResponse)
         predictions.append(
             Prediction(
                 question_id=question.id,
                 model_id=model,
                 condition=condition,
-                letter=parse_answer(result.text),
-                raw_text=result.text,
-                prompt_tokens_est=prompts[idx].token_estimate,
+                letter=parse_answer(result.text) if answered else None,
+                raw_text=result.text if answered else "",
+                prompt_tokens_est=prompt.token_estimate if prompt is not None else 0,
+                error=None if answered else str(result),
             )
         )
 

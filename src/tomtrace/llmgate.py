@@ -1,8 +1,14 @@
-"""Chat-backend gateway: digested requests, replay scripts, caching, limits.
+"""Chat-backend gateway: the one way a model request reaches a backend.
 
-Every request has a stable content digest, which keys both the replay script
-used in tests and the on-disk response cache. Auth material is read from the
-environment at call time and never serialized into logs or cache entries.
+Stages build requests with `user_request` and send them through a `Gateway`,
+which holds the config's `backend:` settings (`config.BackendSection`).
+`Gateway.complete` answers from a replay script when one is loaded, else from
+a read-through response cache in front of `Gateway._request`, which sends the
+request with retries, backoff and the rate limiter. Every request has a
+stable content digest, which keys both the replay script and the cache. Auth
+material is read from the environment at call time and never serialized into
+logs or cache entries. An empty completion is a backend failure and is never
+cached.
 """
 
 from __future__ import annotations
@@ -16,18 +22,22 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Mapping, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping, TypeVar
 
 from .errors import (
     AuthMissing,
+    ConfigInvalid,
     GatewayError,
     RateLimitedExhausted,
     ScriptMiss,
     TransportError,
 )
-from .util import canonical_json, read_jsonl, sha256_text
+from .util import canonical_json, sha256_text
+
+if TYPE_CHECKING:  # the config module loads yaml, which no gateway user needs
+    from .config import BackendSection
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +91,7 @@ class ChatRequest:
 
 
 def user_request(model_id: str, text: str, **kwargs) -> ChatRequest:
-    """Convenience builder for a single-user-message request."""
+    """A single-user-message request, the form every pipeline stage sends."""
     return ChatRequest(model_id=model_id, messages=(("user", text),), **kwargs)
 
 
@@ -98,22 +108,6 @@ class ChatResponse:
         # Empty text is only legal when an error record explains it.
         if not self.text and self.error is None:
             raise ValueError("empty response text without an error record")
-
-
-@dataclass
-class RetryPolicy:
-    max_attempts: int = 3
-    base_backoff_s: float = 0.5
-
-
-@dataclass
-class BackendConfig:
-    name: str
-    endpoint: str
-    auth_env_var: str
-    max_in_flight: int = 4
-    requests_per_minute: int = 60
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
 
 # --- replay -----------------------------------------------------------------
@@ -146,14 +140,19 @@ class ReplayScript:
         self._by_digest: dict[str, str] = {}
         self._patterns: list[tuple[re.Pattern, str]] = []
         for entry in entries:
-            if entry.digest:
-                if entry.digest in self._by_digest:
-                    raise ValueError(f"duplicate digest in replay script: {entry.digest}")
-                self._by_digest[entry.digest] = entry.response_text
-            elif entry.prompt_pattern:
-                self._patterns.append((re.compile(entry.prompt_pattern), entry.response_text))
-            else:
-                raise ValueError("replay entry needs a digest or a prompt_pattern")
+            self._add(entry)
+
+    def _add(self, entry: ReplayEntry) -> None:
+        if not isinstance(entry.response_text, str) or not entry.response_text:
+            raise ValueError("response_text must be a non-empty string")
+        if entry.digest:
+            if entry.digest in self._by_digest:
+                raise ValueError(f"duplicate digest in replay script: {entry.digest}")
+            self._by_digest[entry.digest] = entry.response_text
+        elif entry.prompt_pattern:
+            self._patterns.append((re.compile(entry.prompt_pattern), entry.response_text))
+        else:
+            raise ValueError("replay entry needs a digest or a prompt_pattern")
 
     @classmethod
     def load(
@@ -162,15 +161,27 @@ class ReplayScript:
         default_policy: str = "error",
         default_text: str = "",
     ) -> "ReplayScript":
-        entries = [
-            ReplayEntry(
-                response_text=rec["response_text"],
-                digest=rec.get("digest"),
-                prompt_pattern=rec.get("prompt_pattern"),
-            )
-            for rec in read_jsonl(path)
-        ]
-        return cls(entries, default_policy=default_policy, default_text=default_text)
+        """Read a JSONL script; a malformed one raises ConfigInvalid naming the file and line."""
+        script = cls([], default_policy=default_policy, default_text=default_text)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for number, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        rec = json.loads(line)
+                        script._add(ReplayEntry(
+                            response_text=rec["response_text"],
+                            digest=rec.get("digest"),
+                            prompt_pattern=rec.get("prompt_pattern"),
+                        ))
+                    except KeyError as exc:
+                        raise ConfigInvalid(f"replay script {path}:{number}: missing field {exc}") from exc
+                    except (ValueError, TypeError, re.error) as exc:
+                        raise ConfigInvalid(f"replay script {path}:{number}: {exc}") from exc
+        except (OSError, UnicodeError) as exc:
+            raise ConfigInvalid(f"cannot read replay script {path}: {exc}") from exc
+        return script
 
     def lookup(self, request: ChatRequest) -> str:
         hit = self._by_digest.get(request.digest)
@@ -207,12 +218,12 @@ class ResponseCache:
         self._unsealed = False
 
     @staticmethod
-    def key_for(request: ChatRequest, backend: BackendConfig, digest: str | None = None) -> str:
+    def key_for(request: ChatRequest, backend: BackendSection, digest: str | None = None) -> str:
         """The entry key; pass `digest` when the caller already has `request.digest`."""
         return sha256_text(f"{digest or request.digest}:{backend.name}")
 
     def get(
-        self, request: ChatRequest, backend: BackendConfig, digest: str | None = None
+        self, request: ChatRequest, backend: BackendSection, digest: str | None = None
     ) -> ChatResponse | None:
         digest = digest or request.digest
         key = self.key_for(request, backend, digest)
@@ -282,7 +293,7 @@ class ResponseCache:
     def put(
         self,
         request: ChatRequest,
-        backend: BackendConfig,
+        backend: BackendSection,
         response: ChatResponse,
         digest: str | None = None,
     ) -> None:
@@ -379,24 +390,19 @@ class RateLimiter:
             self._sleep(max(wait, 0.001))
 
 
-# --- transport and completion ---------------------------------------------------
+# --- transport and gateway -------------------------------------------------------
 
 # Seconds a backend request may wait to connect or between received bytes.
 HTTP_TIMEOUT_S = 120
-
-# Dotted paths into the provider response body.
-TEXT_PATH = "choices.0.message.content"
-PROMPT_TOKENS_PATH = "usage.prompt_tokens"
-OUTPUT_TOKENS_PATH = "usage.completion_tokens"
 
 
 def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object]:
     """POST `payload` as JSON; returns (status, parsed JSON body or its text).
 
     An HTTP error status is returned like a success, so retries stay in
-    complete(). A request that gets no whole response (refused, timed out,
-    cut short, malformed endpoint) raises ConnectionError. Proxies come from
-    HTTP(S)_PROXY/NO_PROXY and TLS is verified against the system store.
+    Gateway._request. A request that gets no whole response (refused, timed
+    out, cut short, malformed endpoint) raises ConnectionError. Proxies come
+    from HTTP(S)_PROXY/NO_PROXY and TLS is verified against the system store.
     """
     # Imported here, not at module level: replayed and cache-served runs
     # send no request, and these imports would add to every stage's start-up.
@@ -425,104 +431,25 @@ def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object
         return status, raw.decode("utf-8", errors="replace")
 
 
-def _dig(body: object, dotted: str):
-    cur = body
-    for part in dotted.split("."):
-        if isinstance(cur, list):
-            cur = cur[int(part)]
-        elif isinstance(cur, dict):
-            cur = cur[part]
-        else:
-            raise KeyError(dotted)
-    return cur
-
-
-def complete(
-    request: ChatRequest,
-    backend: BackendConfig,
-    *,
-    replay: ReplayScript | None = None,
-    transport: Callable | None = None,
-    limiter: RateLimiter | None = None,
-    sleep_fn: Callable[[float], None] = time.sleep,
-) -> ChatResponse:
-    """Run one request against the replay script or the live backend."""
-    if replay is not None:
-        text = replay.lookup(request)
-        return ChatResponse(
-            text=text,
-            prompt_tokens=estimate_tokens(request.prompt_text()),
-            output_tokens=estimate_tokens(text),
-            backend_id=backend.name,
-        )
-
-    token = os.environ.get(backend.auth_env_var, "")
-    if not token:
-        raise AuthMissing(f"environment variable {backend.auth_env_var} not set")
-    transport = transport or _http_transport
-    payload = {
-        "model": request.model_id,
-        "messages": [{"role": role, "content": text} for role, text in request.messages],
-        "temperature": request.temperature,
-        "max_tokens": request.max_output_tokens,
-    }
-    if request.seed is not None:
-        payload["seed"] = request.seed
-    headers = {"Authorization": f"Bearer {token}"}
-
-    attempts = max(1, backend.retry.max_attempts)
-    last_failure = ""
-    rate_limited = False
-    for attempt in range(attempts):
-        if attempt:
-            sleep_fn(backend.retry.base_backoff_s * (2 ** (attempt - 1)))
-        if limiter is not None:
-            limiter.acquire()
-        try:
-            status, body = transport(backend.endpoint, payload, headers)
-        except ConnectionError as exc:
-            last_failure = f"transport: {exc}"
-            continue
-        if status == 429 or status >= 500:
-            rate_limited = status == 429
-            last_failure = f"HTTP {status}"
-            continue
-        if status != 200:
-            raise TransportError(f"HTTP {status}: {str(body)[:200]}")
-        try:
-            text = str(_dig(body, TEXT_PATH))
-        except (KeyError, IndexError, ValueError) as exc:
-            raise TransportError(f"cannot extract response text: {exc}") from exc
-        try:
-            prompt_tokens = int(_dig(body, PROMPT_TOKENS_PATH))
-        except (KeyError, IndexError, ValueError, TypeError):
-            prompt_tokens = estimate_tokens(request.prompt_text())
-        try:
-            output_tokens = int(_dig(body, OUTPUT_TOKENS_PATH))
-        except (KeyError, IndexError, ValueError, TypeError):
-            output_tokens = estimate_tokens(text)
-        return ChatResponse(
-            text=text,
-            prompt_tokens=prompt_tokens,
-            output_tokens=output_tokens,
-            backend_id=backend.name,
-        )
-    if rate_limited:
-        raise RateLimitedExhausted(f"retries exhausted: {last_failure}")
-    raise TransportError(f"retries exhausted: {last_failure}")
+def _usage(body: dict, key: str, text: str) -> int:
+    """The token count `usage[key]` reports, else the estimate for `text`."""
+    try:
+        return int(body["usage"][key])
+    except (KeyError, TypeError, ValueError):
+        return estimate_tokens(text)
 
 
 class Gateway:
     """Bounded-parallel, rate-limited front end over one backend.
 
-    Wraps complete() with the replay script or a read-through response cache,
-    and shares limiter state so that callers running on `run` cannot exceed
-    `max_in_flight` or `requests_per_minute`.
+    `complete` answers from the replay script or a read-through response
+    cache; `_request` sends the request. Callers running on `run` share the
+    limiter, so they cannot exceed `max_in_flight` or `requests_per_minute`.
     """
 
     def __init__(
         self,
-        backend: BackendConfig,
+        backend: BackendSection,
         *,
         replay: ReplayScript | None = None,
         cache: ResponseCache | None = None,
@@ -543,7 +470,13 @@ class Gateway:
         # A replay script is already in memory and deterministic; its answers
         # must neither come from nor go to the cache a live backend reads.
         if self.replay is not None:
-            return complete(request, self.backend, replay=self.replay)
+            text = self.replay.lookup(request)
+            return ChatResponse(
+                text=text,
+                prompt_tokens=estimate_tokens(request.prompt_text()),
+                output_tokens=estimate_tokens(text),
+                backend_id=self.backend.name,
+            )
         if self.cache is None:
             return self._request(request)
         # Single flight: a call for a request already in flight waits for its
@@ -564,13 +497,54 @@ class Gateway:
                         del self._in_flight[request]
 
     def _request(self, request: ChatRequest) -> ChatResponse:
-        return complete(
-            request,
-            self.backend,
-            transport=self._transport,
-            limiter=self._limiter,
-            sleep_fn=self._sleep,
-        )
+        """Send `request`; 429s, 5xx and lost connections are retried with exponential backoff."""
+        backend = self.backend
+        token = os.environ.get(backend.auth_env_var, "")
+        if not token:
+            raise AuthMissing(f"environment variable {backend.auth_env_var} not set")
+        transport = self._transport or _http_transport  # read per call, so tests can patch it
+        payload = {
+            "model": request.model_id,
+            "messages": [{"role": role, "content": text} for role, text in request.messages],
+            "temperature": request.temperature,
+            "max_tokens": request.max_output_tokens,
+        }
+        if request.seed is not None:
+            payload["seed"] = request.seed
+        headers = {"Authorization": f"Bearer {token}"}
+
+        last_failure = ""
+        rate_limited = False
+        for attempt in range(max(1, backend.retry_max_attempts)):
+            if attempt:
+                self._sleep(backend.retry_base_backoff_s * (2 ** (attempt - 1)))
+            self._limiter.acquire()
+            try:
+                status, body = transport(backend.endpoint, payload, headers)
+            except ConnectionError as exc:
+                last_failure = f"transport: {exc}"
+                continue
+            if status == 429 or status >= 500:
+                rate_limited = status == 429
+                last_failure = f"HTTP {status}"
+                continue
+            if status != 200:
+                raise TransportError(f"HTTP {status}: {str(body)[:200]}")
+            try:
+                text = body["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError) as exc:
+                raise TransportError(f"cannot extract response text: {exc}") from exc
+            if not isinstance(text, str) or not text:
+                raise TransportError(f"completion is empty or not text: {text!r:.80}")
+            return ChatResponse(
+                text=text,
+                prompt_tokens=_usage(body, "prompt_tokens", request.prompt_text()),
+                output_tokens=_usage(body, "completion_tokens", text),
+                backend_id=backend.name,
+            )
+        if rate_limited:
+            raise RateLimitedExhausted(f"retries exhausted: {last_failure}")
+        raise TransportError(f"retries exhausted: {last_failure}")
 
     def run(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """fn over items on `max_in_flight` threads; results in input order.

@@ -26,7 +26,6 @@ from .errors import (
     AmbiguousCorrect,
     AttemptsExhausted,
     BadOptionCount,
-    CharacterAbsent,
     InvalidState,
     MalformedVerdictRow,
     MissingDimension,
@@ -34,17 +33,9 @@ from .errors import (
     UnknownQuestionId,
     UnparseableResponse,
 )
-from .llmgate import ChatRequest, Gateway
+from .llmgate import ChatRequest, Gateway, user_request
 from .tkg import TemporalKG, state_at
-from .triples import (
-    DIMENSIONS,
-    Dimension,
-    MentalStateTriple,
-    character_speaks,
-    load_template,
-    render_dialogues,
-    render_triple,
-)
+from .triples import DIMENSIONS, Dimension, MentalStateTriple, load_template, plot_prompt
 from .util import format_half_up, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -140,19 +131,14 @@ def build_question_prompt(
     max_output_tokens: int = 3072,
 ) -> ChatRequest:
     """Instantiate the generation template: one question per dimension."""
-    if not character_speaks(character, conversations):
-        raise CharacterAbsent(f"{character!r} speaks in no conversation of plot {plot.index}")
-    ordered = sorted(previous_triples, key=lambda t: t.plot_index)
-    prompt = load_template("question_generation.txt", template_override).substitute(
-        plot_summary=plot.summary,
-        scenario=plot.scenario,
-        dialogues=render_dialogues(conversations),
-        character=character,
-        previous_triples="\n".join(render_triple(t) for t in ordered),
-    )
-    return ChatRequest(
+    return plot_prompt(
+        "question_generation.txt",
+        plot,
+        conversations,
+        character,
+        previous_triples,
         model_id=model_id,
-        messages=(("user", prompt),),
+        template_override=template_override,
         temperature=temperature,
         max_output_tokens=max_output_tokens,
     )
@@ -318,12 +304,7 @@ def build_verification_prompt(
         options="\n".join(question.option_lines()),
         correct=question.correct,
     )
-    return ChatRequest(
-        model_id=model_id,
-        messages=(("user", prompt),),
-        temperature=temperature,
-        max_output_tokens=512,
-    )
+    return user_request(model_id, prompt, temperature=temperature, max_output_tokens=512)
 
 
 def llm_verify(question, gateway, *, model_id: str, template_override: str | None = None):
@@ -368,13 +349,7 @@ def regenerate(
         correct=question.correct,
         notes=notes or "(none)",
     )
-    request = ChatRequest(
-        model_id=model_id,
-        messages=(("user", prompt),),
-        temperature=0.0,
-        max_output_tokens=1024,
-    )
-    response = gateway.complete(request)
+    response = gateway.complete(user_request(model_id, prompt, max_output_tokens=1024))
     data = _load_response_json(response.text)
     if not isinstance(data, dict):
         raise UnparseableResponse("regeneration response is not an object")

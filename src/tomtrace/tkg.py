@@ -529,9 +529,11 @@ def save_kg(kg: TemporalKG, path: Path | str) -> Path:
 def load_kg(path: Path | str) -> TemporalKG:
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CorruptGraphFile(f"cannot read {path}: {exc}") from exc
+    # "\n" only: splitlines() would also split at U+2028 and the like, which records keep raw.
+    lines = text.removesuffix("\n").split("\n") if text else []
     if not lines:
         raise CorruptGraphFile(f"{path} is empty")
     try:

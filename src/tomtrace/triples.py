@@ -26,7 +26,7 @@ from .errors import (
     UnknownPredicate,
     UnparseableResponse,
 )
-from .llmgate import ChatRequest, Gateway
+from .llmgate import ChatRequest, Gateway, user_request
 from .util import normalize_name, read_jsonl, stable_hash, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -163,7 +163,6 @@ class TripleBatch:
     character: str
     plot_index: int
     triples: list[MentalStateTriple]
-    raw_response: str = ""
     rejects: list[RejectedEntry] = field(default_factory=list)
 
     def __post_init__(self):
@@ -303,7 +302,6 @@ def parse_triple_response(
         character=batch_character,
         plot_index=plot_index,
         triples=triples,
-        raw_response=text,
         rejects=rejects,
     )
 
@@ -397,6 +395,32 @@ def render_dialogues(conversations: list[Conversation]) -> str:
     return "\n\n".join(blocks)
 
 
+def plot_prompt(
+    template_name: str,
+    plot: Plot,
+    conversations: list[Conversation],
+    character: str,
+    previous_triples: list[MentalStateTriple],
+    *,
+    model_id: str,
+    template_override: str | None,
+    temperature: float,
+    max_output_tokens: int,
+) -> ChatRequest:
+    """Instantiate a per-character plot template: extraction and question generation share it."""
+    if not character_speaks(character, conversations):
+        raise CharacterAbsent(f"{character!r} speaks in no conversation of plot {plot.index}")
+    ordered = sorted(previous_triples, key=lambda t: t.plot_index)
+    prompt = load_template(template_name, template_override).substitute(
+        plot_summary=plot.summary,
+        scenario=plot.scenario,
+        dialogues=render_dialogues(conversations),
+        character=character,
+        previous_triples="\n".join(render_triple(t) for t in ordered),
+    )
+    return user_request(model_id, prompt, temperature=temperature, max_output_tokens=max_output_tokens)
+
+
 def build_extraction_prompt(
     plot: Plot,
     conversations: list[Conversation],
@@ -409,19 +433,14 @@ def build_extraction_prompt(
     max_output_tokens: int = 2048,
 ) -> ChatRequest:
     """Instantiate the extraction template for one character and plot."""
-    if not character_speaks(character, conversations):
-        raise CharacterAbsent(f"{character!r} speaks in no conversation of plot {plot.index}")
-    ordered = sorted(previous_triples, key=lambda t: t.plot_index)
-    prompt = load_template("triple_extraction.txt", template_override).substitute(
-        plot_summary=plot.summary,
-        scenario=plot.scenario,
-        dialogues=render_dialogues(conversations),
-        character=character,
-        previous_triples="\n".join(render_triple(t) for t in ordered),
-    )
-    return ChatRequest(
+    return plot_prompt(
+        "triple_extraction.txt",
+        plot,
+        conversations,
+        character,
+        previous_triples,
         model_id=model_id,
-        messages=(("user", prompt),),
+        template_override=template_override,
         temperature=temperature,
         max_output_tokens=max_output_tokens,
     )

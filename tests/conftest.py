@@ -10,8 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from tomtrace.cli import main
+from tomtrace.config import BackendSection
 from tomtrace.corpus import ingest_corpus
-from tomtrace.llmgate import BackendConfig, Gateway, ReplayScript
+from tomtrace.llmgate import Gateway, ReplayScript
 
 DATA = Path(__file__).parent / "data"
 CONFIG = DATA / "pipeline.yaml"
@@ -48,7 +49,7 @@ def fixture_corpus():
 def replay_gateway(tmp_path):
     from tomtrace.llmgate import ResponseCache
 
-    backend = BackendConfig(name="replay-gpt", endpoint="", auth_env_var="TOMTRACE_API_TOKEN")
+    backend = BackendSection(name="replay-gpt", endpoint="", auth_env_var="TOMTRACE_API_TOKEN")
     script = ReplayScript.load(DATA / "replay.jsonl")
     return Gateway(backend, replay=script, cache=ResponseCache(tmp_path / "cache"))
 

@@ -14,9 +14,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
-from conftest import CONFIG, PIPELINE, run_cli
+from conftest import CONFIG, PIPELINE, http_backend, run_cli, send_reply
 from tomtrace.cli import main
 from tomtrace.qagen import REVIEW_COLUMNS, QuestionState, load_questions
 from tomtrace.tkg import check_invariants, load_kg
@@ -323,6 +324,63 @@ def test_replay_miss_after_a_full_run_exits_two(tmp_path):
     result = run_cli(out, f"extract --replay {empty_script}", expect=2)[0]
     assert result.stderr.startswith("backend error: no replay entry for digest")
     assert not (out / "cache").exists()
+
+
+@pytest.mark.parametrize("lines, line_number", [
+    (['{"prompt_pattern": "x", "respo'], 1),
+    (['{"prompt_pattern": "x", "response_text": "ok"}', '{"prompt_pattern": "x"}'], 2),
+    (['{"prompt_pattern": "(", "response_text": "ok"}'], 1),
+    (['{"digest": "d", "response_text": "a"}', "", '{"digest": "d", "response_text": "b"}'], 3),
+    (['{"prompt_pattern": "x", "response_text": ""}'], 1),
+], ids=["truncated", "no-response-text", "bad-pattern", "duplicate-digest", "empty-response-text"])
+def test_malformed_replay_script_exits_one_without_a_traceback(tmp_path, lines, line_number):
+    out = tmp_path / "out"
+    run_cli(out, "ingest")
+    script = tmp_path / "bad.jsonl"
+    script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = run_cli(out, f"extract --replay {script}", expect=1)[0]
+    assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
+    assert result.stderr.startswith("error: replay script")
+    assert f"bad.jsonl:{line_number}:" in result.stderr
+
+
+def test_config_backend_keys_reach_the_gateway(tmp_path, monkeypatch):
+    book = {"title": "Storm", "plots": [{
+        "summary": "Kent waits out the storm.",
+        "scenario": "A hovel on the heath.",
+        "conversations": [{"environment": "The heath.", "key_characters": ["Kent"],
+                           "dialogues": [{"character": "Kent", "message": "Here is better than the open air."}]}],
+    }]}
+    (tmp_path / "books").mkdir()
+    (tmp_path / "books" / "storm.json").write_text(json.dumps(book), encoding="utf-8")
+
+    def overloaded(handler, n, payload):
+        send_reply(handler, 503, {"error": {"message": "overloaded"}})
+
+    monkeypatch.delenv("TOMTRACE_API_TOKEN", raising=False)
+    monkeypatch.delenv("LLM_API_KEY", raising=False)
+    monkeypatch.setenv("STORM_TOKEN", "storm-secret")
+    with http_backend(overloaded) as server:
+        config = tmp_path / "live.yaml"
+        config.write_text(yaml.safe_dump({
+            "seed": 1,
+            "corpus": {"input": "books", "format": "coser"},
+            "backend": {
+                "name": "live",
+                "endpoint": server.url,
+                "auth_env_var": "STORM_TOKEN",
+                "model": "m",
+                "max_in_flight": 1,
+                "retry_max_attempts": 2,
+                "retry_base_backoff_s": 0,
+            },
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        run_cli(out, "ingest", config=config)
+        [result] = run_cli(out, "extract", config=config, expect=2)
+    assert result.stderr.startswith("backend error: retries exhausted: HTTP 503")
+    assert len(server.requests) == 2
+    assert [headers["Authorization"] for headers, _ in server.requests] == ["Bearer storm-secret"] * 2
 
 
 def test_version_flag():

@@ -75,6 +75,13 @@ def test_enumerated_values_rejected(tmp_path, text):
         load_config(write(tmp_path, text))
 
 
+def test_fixed_replay_policy_needs_a_default_text(tmp_path):
+    with pytest.raises(ConfigInvalid, match="default_text"):
+        load_config(write(tmp_path, "replay:\n  default_policy: fixed\n"))
+    fixed = MINIMAL + "replay:\n  default_policy: fixed\n  default_text: B\n"
+    assert load_config(write(tmp_path, fixed)).replay.default_text == "B"
+
+
 def test_section_must_be_mapping(tmp_path):
     with pytest.raises(ConfigInvalid):
         load_config(write(tmp_path, "corpus: [1, 2]\n"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import logging
 
@@ -141,6 +142,14 @@ def test_serialize_round_trip(fixture_corpus, tmp_path):
         assert p_load.scenario == p_orig.scenario
         for c_orig, c_load in zip(p_orig.conversations, p_load.conversations):
             assert [render_turn(t) for t in c_load.turns] == [render_turn(t) for t in c_orig.turns]
+
+
+def test_serialize_round_trip_keeps_unicode_line_separators(fixture_corpus, tmp_path):
+    corpus = copy.deepcopy(fixture_corpus)
+    plot = corpus.book("king-lear").plots[0]
+    plot.summary = "one\u2028two\u2029three\x85four"
+    serialize_corpus(corpus, tmp_path)
+    assert ingest_corpus(tmp_path, format="jsonl").book("king-lear").plots[0].summary == plot.summary
 
 
 def test_noncontiguous_indices_rejected(tmp_path):

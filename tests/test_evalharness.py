@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tomtrace.config import BackendSection
 from tomtrace.errors import MissingKg, MissingPlot, UnknownQuestionId
 from tomtrace.evalharness import (
     ALL_CONDITIONS,
@@ -26,7 +27,7 @@ from tomtrace.evalharness import (
     run_eval,
     score,
 )
-from tomtrace.llmgate import BackendConfig, Gateway, ReplayEntry, ReplayScript, estimate_tokens
+from tomtrace.llmgate import Gateway, ReplayEntry, ReplayScript, estimate_tokens
 from tomtrace.qagen import QuestionState, TomQuestion, question_id
 from tomtrace.tkg import TemporalKG, insert_batch
 from tomtrace.triples import Dimension, TripleBatch, make_triple
@@ -315,7 +316,7 @@ def test_rows_ordered_mode_then_model_then_triples():
 def catch_all_gateway(answer="A"):
     script = ReplayScript([ReplayEntry(prompt_pattern="CANDIDATE CHOICES",
                                        response_text=f"{{answer: {answer}}}")])
-    return Gateway(BackendConfig(name="replay-gpt", endpoint="", auth_env_var="X"), replay=script)
+    return Gateway(BackendSection(name="replay-gpt", endpoint="", auth_env_var="X"), replay=script)
 
 
 def test_run_eval_end_to_end(fixture_corpus, tmp_path):

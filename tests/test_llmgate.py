@@ -18,6 +18,7 @@ import pytest
 
 from conftest import http_backend, send_reply
 from tomtrace import llmgate
+from tomtrace.config import BackendSection
 from tomtrace.errors import (
     AuthMissing,
     RateLimitedExhausted,
@@ -25,20 +26,17 @@ from tomtrace.errors import (
     TransportError,
 )
 from tomtrace.llmgate import (
-    BackendConfig,
     ChatRequest,
     ChatResponse,
     Gateway,
     RateLimiter,
     ReplayScript,
     ResponseCache,
-    RetryPolicy,
-    complete,
     estimate_tokens,
     user_request,
 )
 
-BACKEND = BackendConfig(name="test-backend", endpoint="https://example.invalid/v1", auth_env_var="TT_TOKEN")
+BACKEND = BackendSection(name="test-backend", endpoint="https://example.invalid/v1", auth_env_var="TT_TOKEN")
 
 
 def test_estimate_tokens_ceil():
@@ -126,7 +124,7 @@ def test_cache_round_trip_and_no_token_leak(tmp_path, monkeypatch):
         return 200, {"choices": [{"message": {"content": "live answer"}}],
                      "usage": {"prompt_tokens": 3, "completion_tokens": 2}}
 
-    first = complete(req, BACKEND, transport=transport)
+    first = Gateway(BACKEND, transport=transport).complete(req)
     cache.put(req, BACKEND, first)
     hit = cache.get(req, BACKEND)
     assert hit is not None and hit.text == "live answer" and hit.cached
@@ -150,7 +148,7 @@ def test_cache_integrity_check(tmp_path):
     cache = ResponseCache(tmp_path)
     req = user_request("m", "x")
     script = ReplayScript.load(_write_script(tmp_path / "s.jsonl", [{"prompt_pattern": ".", "response_text": "ok"}]))
-    resp = complete(req, BACKEND, replay=script)
+    resp = Gateway(BACKEND, replay=script).complete(req)
     cache.put(req, BACKEND, resp)
     log = tmp_path / "responses.jsonl"
     key, raw = log.read_text().rstrip("\n").split(" ", 1)
@@ -199,8 +197,8 @@ def test_retry_then_success(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, calls = _flaky_transport(2)
     sleeps = []
-    backend = dataclasses.replace(BACKEND, retry=RetryPolicy(max_attempts=3, base_backoff_s=0.5))
-    resp = complete(user_request("m", "x"), backend, transport=transport, sleep_fn=sleeps.append)
+    backend = dataclasses.replace(BACKEND, retry_max_attempts=3, retry_base_backoff_s=0.5)
+    resp = Gateway(backend, transport=transport, sleep_fn=sleeps.append).complete(user_request("m", "x"))
     assert resp.text == "ok" and calls["n"] == 3
     assert sleeps == [0.5, 1.0]  # exponential backoff
 
@@ -208,17 +206,17 @@ def test_retry_then_success(monkeypatch):
 def test_rate_limit_exhaustion(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, _ = _flaky_transport(99, status=429)
-    backend = dataclasses.replace(BACKEND, retry=RetryPolicy(max_attempts=2, base_backoff_s=0))
+    backend = dataclasses.replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0)
     with pytest.raises(RateLimitedExhausted):
-        complete(user_request("m", "x"), backend, transport=transport, sleep_fn=lambda s: None)
+        Gateway(backend, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
 
 
 def test_server_error_exhaustion_is_transport_error(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, _ = _flaky_transport(99, status=503)
-    backend = dataclasses.replace(BACKEND, retry=RetryPolicy(max_attempts=2, base_backoff_s=0))
+    backend = dataclasses.replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0)
     with pytest.raises(TransportError):
-        complete(user_request("m", "x"), backend, transport=transport, sleep_fn=lambda s: None)
+        Gateway(backend, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
 
 
 def test_client_error_fails_fast(monkeypatch):
@@ -230,14 +228,29 @@ def test_client_error_fails_fast(monkeypatch):
         return 400, {"error": "bad request"}
 
     with pytest.raises(TransportError):
-        complete(user_request("m", "x"), BACKEND, transport=transport, sleep_fn=lambda s: None)
+        Gateway(BACKEND, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
     assert calls["n"] == 1
+
+
+@pytest.mark.parametrize("content", ["", None, 42], ids=["empty", "null", "number"])
+def test_empty_or_non_text_completion_is_a_transport_error_and_not_cached(tmp_path, monkeypatch, content):
+    monkeypatch.setenv("TT_TOKEN", "t")
+
+    def transport(url, payload, headers):
+        return 200, {"choices": [{"message": {"content": content}}]}
+
+    gw = Gateway(BACKEND, cache=ResponseCache(tmp_path), transport=transport)
+    with pytest.raises(TransportError, match="empty or not text"):
+        gw.complete(user_request("m", "x"))
+    results = gw.submit_batch({"a": user_request("m", "a"), "b": user_request("m", "b")})
+    assert all(isinstance(result, TransportError) for result in results.values())
+    assert not (tmp_path / "responses.jsonl").exists()
 
 
 def test_auth_missing(monkeypatch):
     monkeypatch.delenv("TT_TOKEN", raising=False)
     with pytest.raises(AuthMissing):
-        complete(user_request("m", "x"), BACKEND)
+        Gateway(BACKEND).complete(user_request("m", "x"))
 
 
 def test_auth_read_at_call_time(monkeypatch):
@@ -249,7 +262,7 @@ def test_auth_read_at_call_time(monkeypatch):
         seen["auth"] = headers["Authorization"]
         return 200, {"choices": [{"message": {"content": "ok"}}]}
 
-    complete(user_request("m", "x"), BACKEND, transport=transport)
+    Gateway(BACKEND, transport=transport).complete(user_request("m", "x"))
     assert seen["auth"] == "Bearer tok-123"
 
 
@@ -516,12 +529,12 @@ def no_resource_warnings():
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def _live(url: str, attempts: int = 3) -> BackendConfig:
-    return dataclasses.replace(BACKEND, endpoint=url, retry=RetryPolicy(max_attempts=attempts, base_backoff_s=0))
+def _live(url: str, attempts: int = 3) -> BackendSection:
+    return dataclasses.replace(BACKEND, endpoint=url, retry_max_attempts=attempts, retry_base_backoff_s=0)
 
 
 def _call(url: str, request: ChatRequest | None = None, attempts: int = 3) -> ChatResponse:
-    return complete(request or user_request("m", "hello"), _live(url, attempts), sleep_fn=lambda s: None)
+    return Gateway(_live(url, attempts), sleep_fn=lambda s: None).complete(request or user_request("m", "hello"))
 
 
 def _replies(*replies):

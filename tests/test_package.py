@@ -13,3 +13,10 @@ def test_importing_the_package_loads_no_pipeline_module():
     env = {**os.environ, "PYTHONPATH": str(Path(tomtrace.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_gateway_loads_neither_the_config_module_nor_yaml():
+    code = "import sys, tomtrace.llmgate; print(sorted({'tomtrace.config', 'yaml'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(tomtrace.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from tomtrace.config import BackendSection
 from tomtrace.errors import (
     AmbiguousCorrect,
     AttemptsExhausted,
@@ -15,7 +16,7 @@ from tomtrace.errors import (
     MissingDimension,
     UnparseableResponse,
 )
-from tomtrace.llmgate import BackendConfig, Gateway, ReplayEntry, ReplayScript
+from tomtrace.llmgate import Gateway, ReplayEntry, ReplayScript
 from tomtrace.qagen import (
     LETTERS,
     QuestionState,
@@ -316,7 +317,7 @@ def test_unparseable_verdict_fails_closed():
 
 # --- model verification and regeneration ----------------------------------------------
 
-BACKEND = BackendConfig(name="replay-gpt", endpoint="", auth_env_var="X")
+BACKEND = BackendSection(name="replay-gpt", endpoint="", auth_env_var="X")
 
 
 def gateway_with(entries):

@@ -359,6 +359,13 @@ def test_save_load_round_trip(tmp_path):
     check_invariants(loaded)
 
 
+def test_save_load_round_trip_keeps_unicode_line_separators(tmp_path):
+    kg = fresh_kg()
+    insert_batch(kg, batch_for("Kent", 1, ("Believes", "one\u2028two\u2029three\x85four")))
+    loaded = load_kg(save_kg(kg, tmp_path / "g.kg.jsonl"))
+    assert [e.object for e in state_at(loaded, "Kent", 1)] == ["one\u2028two\u2029three\x85four"]
+
+
 def test_load_rejects_tampered_body(tmp_path):
     path = save_kg(_sample_graph(), tmp_path / "g.kg.jsonl")
     lines = path.read_text().splitlines()
