@@ -37,7 +37,7 @@ from .qagen import (
 )
 from .tkg import ContradictionRules, MergeMode, TemporalKG, build_graph, load_kg, save_kg
 from .triples import export_triple_review, extract_triples, load_kept_triples, write_extractions
-from .util import read_jsonl, sample, sha256_file, write_json, write_jsonl
+from .util import read_jsonl, sample, sha256_file, write_atomic, write_json, write_jsonl
 
 
 def _guarded(fn):
@@ -361,7 +361,7 @@ def eval_cmd(
     )
     rendered = render_report(table, ReportLayout.PLAIN)
     report_path = ctx.out_dir / "report.txt"
-    report_path.write_text(rendered, encoding="utf-8")
+    write_atomic(report_path, [rendered.encode("utf-8")])
     click.echo(rendered, nl=False)
     inputs = [ctx.questions_path] + sorted(ctx.corpus_dir.glob("*.jsonl"))
     inputs += sorted(ctx.kg_dir.glob("*.kg.jsonl")) if kgs else []
@@ -380,7 +380,7 @@ def report(ctx: RunContext, layout: str):
     rendered = render_report(table, ReportLayout(layout))
     suffix = {"plain": "txt", "markdown": "md", "csv": "csv"}[layout]
     target = ctx.out_dir / f"report.{suffix}"
-    target.write_text(rendered, encoding="utf-8")
+    write_atomic(target, [rendered.encode("utf-8")])
     click.echo(rendered, nl=False)
     ctx.write_manifest("report", [ctx.predictions_path, ctx.questions_path], [target])
 

@@ -246,9 +246,7 @@ def render_turn(turn: Turn) -> str:
 
 # --- ingestion ---------------------------------------------------------------
 
-# Logical field -> candidate source keys, tried in order. Sources disagree on
-# naming, so the adapter table is part of the public surface and can be
-# overridden per run.
+# Logical field -> candidate source keys, tried in order; sources disagree on naming.
 DEFAULT_ADAPTER: dict[str, list[str]] = {
     "title": ["title", "book_title", "book"],
     "plots": ["plots", "chapters"],
@@ -263,8 +261,8 @@ DEFAULT_ADAPTER: dict[str, list[str]] = {
 }
 
 
-def _pick(record: dict, logical: str, adapter: dict[str, list[str]], default=None):
-    for key in adapter.get(logical, ()):
+def _pick(record: dict, logical: str, default=None):
+    for key in DEFAULT_ADAPTER[logical]:
         if key in record:
             return record[key]
     return default
@@ -274,7 +272,6 @@ def ingest_corpus(
     path: Path | str,
     format: str = "coser",
     *,
-    adapter: dict[str, list[str]] | None = None,
     alias_tables: dict[str, Path | str] | None = None,
 ) -> Corpus:
     """Load one book file or a directory of book files.
@@ -293,12 +290,11 @@ def ingest_corpus(
     else:
         files = [path]
 
-    adapter = adapter or DEFAULT_ADAPTER
     books: list[Book] = []
     registries: dict[str, CharacterRegistry] = {}
     for file in files:
         if format == "coser":
-            book = _parse_coser_book(file, adapter)
+            book = _parse_coser_book(file)
         elif format == "jsonl":
             book = _parse_normalized_book(file)
         else:
@@ -326,18 +322,18 @@ def _canonicalize_book(book: Book, registry: CharacterRegistry) -> None:
             conv.cast = resolved
 
 
-def _parse_coser_book(file: Path, adapter: dict[str, list[str]]) -> Book:
+def _parse_coser_book(file: Path) -> Book:
     try:
         data = json.loads(file.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedRecord(str(file), f"unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedRecord(str(file), "top-level value is not an object")
-    title = _pick(data, "title", adapter)
+    title = _pick(data, "title")
     if not title:
         raise MalformedRecord(str(file), "missing book title")
     book_id = slugify(str(title))
-    raw_plots = _pick(data, "plots", adapter)
+    raw_plots = _pick(data, "plots")
     if not isinstance(raw_plots, list) or not raw_plots:
         raise MalformedRecord(str(file), "book has no plots")
 
@@ -346,13 +342,13 @@ def _parse_coser_book(file: Path, adapter: dict[str, list[str]]) -> Book:
         record_id = f"{book_id}:plot[{pos}]"
         if not isinstance(raw_plot, dict):
             raise MalformedRecord(record_id, "plot record is not an object")
-        summary = str(_pick(raw_plot, "summary", adapter, "") or "").strip()
+        summary = str(_pick(raw_plot, "summary", "") or "").strip()
         if not summary:
             raise MalformedRecord(record_id, "empty plot summary")
-        scenario = str(_pick(raw_plot, "scenario", adapter, "") or "").strip()
-        raw_convs = _pick(raw_plot, "conversations", adapter, []) or []
+        scenario = str(_pick(raw_plot, "scenario", "") or "").strip()
+        raw_convs = _pick(raw_plot, "conversations", []) or []
         conversations = [
-            _parse_conversation(book_id, pos, c, f"{record_id}:conv[{n}]", adapter)
+            _parse_conversation(book_id, pos, c, f"{record_id}:conv[{n}]")
             for n, c in enumerate(raw_convs, start=1)
         ]
         if not scenario and conversations:
@@ -369,23 +365,17 @@ def _parse_coser_book(file: Path, adapter: dict[str, list[str]]) -> Book:
     return Book(id=book_id, title=str(title), plots=plots)
 
 
-def _parse_conversation(
-    book_id: str,
-    plot_index: int,
-    raw: dict,
-    record_id: str,
-    adapter: dict[str, list[str]],
-) -> Conversation:
+def _parse_conversation(book_id: str, plot_index: int, raw: dict, record_id: str) -> Conversation:
     if not isinstance(raw, dict):
         raise MalformedRecord(record_id, "conversation record is not an object")
-    environment = str(_pick(raw, "environment", adapter, "") or "").strip()
-    cast_raw = _pick(raw, "cast", adapter, []) or []
+    environment = str(_pick(raw, "environment", "") or "").strip()
+    cast_raw = _pick(raw, "cast", []) or []
     cast = [clean_name(str(c)) for c in cast_raw if clean_name(str(c))]
-    lines = _pick(raw, "dialogues", adapter, []) or []
+    lines = _pick(raw, "dialogues", []) or []
     turns: list[Turn] = []
     env_extra: list[str] = []
     for line in lines:
-        turn = _parse_dialogue_entry(line, record_id, adapter)
+        turn = _parse_dialogue_entry(line, record_id)
         if turn is None:
             continue
         if normalize_name(turn.speaker) == ENVIRONMENT_SPEAKER:
@@ -404,10 +394,10 @@ def _parse_conversation(
     )
 
 
-def _parse_dialogue_entry(line, record_id: str, adapter: dict[str, list[str]]) -> Turn | None:
+def _parse_dialogue_entry(line, record_id: str) -> Turn | None:
     if isinstance(line, dict):
-        speaker = _pick(line, "dialogue_speaker", adapter)
-        text = _pick(line, "dialogue_text", adapter)
+        speaker = _pick(line, "dialogue_speaker")
+        text = _pick(line, "dialogue_text")
         if speaker is None or text is None:
             raise MalformedRecord(record_id, f"dialogue object missing speaker or text: {line!r}")
         speaker = clean_name(str(speaker))
@@ -445,44 +435,46 @@ def _parse_normalized_book(file: Path) -> Book:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(record_id, f"invalid JSON: {exc}") from exc
-        for key in ("book_id", "index", "summary"):
-            if key not in rec:
-                raise MalformedRecord(record_id, f"missing field {key!r}")
-        book_id = book_id or rec["book_id"]
-        title = title or rec.get("title", rec["book_id"])
-        if rec["book_id"] != book_id:
-            raise MalformedRecord(record_id, "mixed book ids in one file")
-        conversations = []
-        for cn, conv in enumerate(rec.get("conversations", []), start=1):
-            turns = [
-                Turn(
-                    speaker=t["speaker"],
-                    segments=[
-                        UtteranceSegment(SegmentKind(s["kind"]), s["text"])
-                        for s in t["segments"]
-                    ],
+        if not isinstance(rec, dict):
+            raise MalformedRecord(record_id, "not a JSON object")
+        try:
+            book_id = book_id or rec["book_id"]
+            title = title or rec.get("title", rec["book_id"])
+            if rec["book_id"] != book_id:
+                raise MalformedRecord(record_id, "mixed book ids in one file")
+            index = int(rec["index"])
+            conversations = []
+            for cn, conv in enumerate(rec.get("conversations", []), start=1):
+                turns = [
+                    Turn(
+                        speaker=t["speaker"],
+                        segments=[UtteranceSegment(SegmentKind(s["kind"]), s["text"]) for s in t["segments"]],
+                    )
+                    for t in conv.get("turns", [])
+                ]
+                if not turns:
+                    raise MalformedRecord(f"{record_id}:conv[{cn}]", "conversation has no turns")
+                conversations.append(
+                    Conversation(
+                        plot_ref=(book_id, index),
+                        environment=conv.get("environment", ""),
+                        cast=list(conv.get("cast", [])),
+                        turns=turns,
+                    )
                 )
-                for t in conv.get("turns", [])
-            ]
-            if not turns:
-                raise MalformedRecord(f"{record_id}:conv[{cn}]", "conversation has no turns")
-            conversations.append(
-                Conversation(
-                    plot_ref=(book_id, rec["index"]),
-                    environment=conv.get("environment", ""),
-                    cast=list(conv.get("cast", [])),
-                    turns=turns,
+            plots.append(
+                Plot(
+                    book_id=book_id,
+                    index=index,
+                    summary=rec["summary"],
+                    scenario=rec.get("scenario", ""),
+                    conversations=conversations,
                 )
             )
-        plots.append(
-            Plot(
-                book_id=book_id,
-                index=int(rec["index"]),
-                summary=rec["summary"],
-                scenario=rec.get("scenario", ""),
-                conversations=conversations,
-            )
-        )
+        except KeyError as exc:
+            raise MalformedRecord(record_id, f"missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise MalformedRecord(record_id, str(exc)) from exc
     if not plots:
         raise UnreadableSource(f"no records in {file}")
     _validate_plot_indices(book_id, plots)

@@ -13,7 +13,7 @@ from enum import Enum
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import IoError, MissingKg, UnknownBook, UnverifiedQuestion
+from .errors import MissingKg, UnknownBook, UnverifiedQuestion
 from .evalharness import (
     ContextMode,
     EvalCondition,
@@ -114,10 +114,7 @@ def split_ood(corpus: Corpus, questions: list[TomQuestion], spec: SplitSpec) -> 
 def write_training_file(examples: list[TrainingExample], path: Path | str) -> int:
     """Write {input, output} JSONL sorted by question id; returns the count."""
     ordered = sorted(examples, key=lambda e: e.question_id)
-    try:
-        write_jsonl(path, ({"input": e.input, "output": e.output} for e in ordered))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_jsonl(path, ({"input": e.input, "output": e.output} for e in ordered))
     return len(ordered)
 
 

@@ -24,7 +24,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
     AuthMissing,
@@ -34,7 +34,7 @@ from .errors import (
     ScriptMiss,
     TransportError,
 )
-from .util import canonical_json, sha256_text
+from .util import canonical_json, sha256_text, write_atomic
 
 if TYPE_CHECKING:  # the config module loads yaml, which no gateway user needs
     from .config import BackendSection
@@ -335,28 +335,30 @@ class ResponseCache:
         """Rewrite the log sorted by key, one line per key; the last line for a key wins.
 
         Runs only if this cache appended since its last seal. The rewrite goes
-        through a temporary file and a rename, so a reader sees the old log
-        or the new one.
+        through `write_atomic`, so a reader sees the old log or the new one.
         """
         with self._lock:
             if not self._unsealed:
                 return
             self._index = None  # the old offsets die here, so one index is alive at a time
-            partial = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-            offset = 0
-            with open(self.path, "rb") as log, open(partial, "wb") as out:
+            with open(self.path, "rb") as log:
                 index = self._offsets(log)
-                for key in sorted(index):
-                    log.seek(index[key])
-                    line = log.readline()
-                    if not line.endswith(b"\n"):
-                        line += b"\n"
-                    out.write(line)
-                    index[key] = offset
-                    offset += len(line)
-            os.replace(partial, self.path)
+                write_atomic(self.path, self._sorted_lines(log, index))
             self._index = index
             self._unsealed = False
+
+    @staticmethod
+    def _sorted_lines(log: BinaryIO, index: dict[str, int]) -> Iterator[bytes]:
+        """The lines `index` names, sorted by key; rewrites `index` to their new offsets."""
+        offset = 0
+        for key in sorted(index):
+            log.seek(index[key])
+            line = log.readline()
+            if not line.endswith(b"\n"):
+                line += b"\n"
+            yield line
+            index[key] = offset
+            offset += len(line)
 
 
 # --- rate limiting -------------------------------------------------------------
@@ -550,13 +552,25 @@ class Gateway:
         """fn over items on `max_in_flight` threads; results in input order.
 
         Results are read in input order, so a failure raises the exception of
-        the first failing item, as a serial loop would; items not yet started
-        are then cancelled. The cache is sealed at the end, also after a
-        failure, so its bytes do not depend on the order the items finished.
+        the first failing item, as a serial loop would; items that start after
+        a failure (hence after the failed item) skip `fn`. The cache is sealed
+        at the end, also after a failure, so its bytes do not depend on the
+        order the items finished.
         """
+        failed = threading.Event()
+
+        def guarded(item: T) -> R | None:
+            if not failed.is_set():
+                try:
+                    return fn(item)
+                except BaseException:
+                    failed.set()
+                    raise
+            return None
+
         pool = ThreadPoolExecutor(max_workers=max(1, self.backend.max_in_flight))
         try:
-            futures = [pool.submit(fn, item) for item in items]
+            futures = [pool.submit(guarded, item) for item in items]
             return [future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)

@@ -36,7 +36,7 @@ from .errors import (
 from .llmgate import ChatRequest, Gateway, user_request
 from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, MentalStateTriple, load_template, plot_prompt
-from .util import format_half_up, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_jsonl
+from .util import format_half_up, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -147,13 +147,6 @@ def build_question_prompt(
 _OPTION_PREFIX_RE = re.compile(r"^\s*\(?([A-Da-d])[\.\):\-]?\s*")
 _DIM_KEY_RE = re.compile(r"^(Belief|Emotion|Intention|Desire)\s+Multiple\s+Choice\s+Question$", re.IGNORECASE)
 
-_DIM_BY_NAME = {
-    "belief": Dimension.BELIEF,
-    "emotion": Dimension.EMOTION,
-    "intention": Dimension.INTENTION,
-    "desire": Dimension.DESIRE,
-}
-
 
 def dimension_key(dimension: Dimension) -> str:
     return f"{dimension.label} Multiple Choice Question"
@@ -244,7 +237,7 @@ def parse_question_response(
         for key, block in item.items():
             m = _DIM_KEY_RE.match(key.strip())
             if m and isinstance(block, dict):
-                by_dimension[_DIM_BY_NAME[m.group(1).casefold()]] = block
+                by_dimension[Dimension(m.group(1).casefold())] = block
     questions = []
     for dimension in DIMENSIONS:
         if dimension not in by_dimension:
@@ -493,30 +486,26 @@ def export_review(questions: list[TomQuestion], path: Path | str) -> int:
             raise InvalidState(
                 f"{question.id}: only llm_verified questions are exportable, got {question.state.value}"
             )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REVIEW_COLUMNS)
-        for q in questions:
-            writer.writerow(
-                [
-                    q.id,
-                    q.book_id,
-                    q.plot_index,
-                    q.character,
-                    q.dimension.label,
-                    q.stem,
-                    q.options[0],
-                    q.options[1],
-                    q.options[2],
-                    q.options[3],
-                    q.correct,
-                    "",
-                    "",
-                ]
-            )
-    return len(questions)
+    rows = [
+        [
+            q.id,
+            q.book_id,
+            q.plot_index,
+            q.character,
+            q.dimension.label,
+            q.stem,
+            q.options[0],
+            q.options[1],
+            q.options[2],
+            q.options[3],
+            q.correct,
+            "",
+            "",
+        ]
+        for q in questions
+    ]
+    write_csv(path, [REVIEW_COLUMNS, *rows])
+    return len(rows)
 
 
 @dataclass

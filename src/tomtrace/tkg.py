@@ -44,8 +44,8 @@ from .errors import (
     NonMonotoneInsert,
     UnknownCharacter,
 )
-from .triples import Dimension, MentalStateTriple, TripleBatch, triple_from_record
-from .util import normalize_name, sha256_text
+from .triples import Dimension, MentalStateTriple, TripleBatch, triple_fields, triple_from_record
+from .util import normalize_name, sha256_text, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -455,60 +455,33 @@ def build_graph(
 
 # --- persistence ------------------------------------------------------------------
 
-def _edge_record(kg: TemporalKG, edge_id: str) -> dict:
-    edge = kg.edges[edge_id]
-    return {
-        "record": "edge",
-        "id": edge.id,
-        "subject": edge.subject,
-        "predicate": edge.predicate_raw,
-        "dimension": edge.dimension.value,
-        "target": edge.target,
-        "object": edge.object,
-        "plot_index": edge.plot_index,
-        "supersedes": edge.supersedes,
-    }
-
-
 def save_kg(kg: TemporalKG, path: Path | str) -> Path:
     """Write the graph as JSONL with an integrity-hashed header."""
-    path = Path(path)
-    body: list[str] = []
-    for name, node in kg.nodes.items():
-        body.append(
-            json.dumps(
-                {
-                    "record": "node",
-                    "name": name,
-                    "last_insert_plot": node.last_insert_plot,
-                },
-                ensure_ascii=False,
-            )
-        )
+    records = [
+        {"record": "node", "name": name, "last_insert_plot": node.last_insert_plot}
+        for name, node in kg.nodes.items()
+    ]
     for character, ids in kg.index.items():
         for edge_id in ids:
-            rec = _edge_record(kg, edge_id)
-            rec["character"] = character
-            body.append(json.dumps(rec, ensure_ascii=False))
-    for link in kg.supersede_links:
-        body.append(
-            json.dumps(
+            edge = kg.edges[edge_id]
+            records.append(
                 {
-                    "record": "link",
-                    "old_id": link.old_id,
-                    "new_id": link.new_id,
-                    "reason": link.reason.value,
-                },
-                ensure_ascii=False,
+                    "record": "edge",
+                    **triple_fields(edge),
+                    "plot_index": edge.plot_index,
+                    "supersedes": edge.supersedes,
+                    "character": character,
+                }
             )
-        )
-    for retire in kg.retirements:
-        body.append(
-            json.dumps(
-                {"record": "retire", "triple_id": retire.triple_id, "plot_index": retire.plot_index},
-                ensure_ascii=False,
-            )
-        )
+    records += [
+        {"record": "link", "old_id": link.old_id, "new_id": link.new_id, "reason": link.reason.value}
+        for link in kg.supersede_links
+    ]
+    records += [
+        {"record": "retire", "triple_id": retire.triple_id, "plot_index": retire.plot_index}
+        for retire in kg.retirements
+    ]
+    body = [json.dumps(rec, ensure_ascii=False) for rec in records]
     header = {
         "record": "header",
         "book_id": kg.book_id,
@@ -516,14 +489,8 @@ def save_kg(kg: TemporalKG, path: Path | str) -> Path:
         "edge_count": len(kg.edges),
         "integrity": sha256_text("\n".join(body)),
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False))
-        fh.write("\n")
-        for line in body:
-            fh.write(line)
-            fh.write("\n")
-    return path
+    lines = [json.dumps(header, ensure_ascii=False), *body]
+    return write_atomic(path, ((line + "\n").encode("utf-8") for line in lines))
 
 
 def load_kg(path: Path | str) -> TemporalKG:
@@ -551,38 +518,34 @@ def load_kg(path: Path | str) -> TemporalKG:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorruptGraphFile(f"{path}:{n}: bad record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise CorruptGraphFile(f"{path}:{n}: record is not a JSON object")
         kind = rec.get("record")
-        if kind == "node":
-            kg.nodes[rec["name"]] = CharacterNode(
-                canonical_name=rec["name"], last_insert_plot=rec["last_insert_plot"]
-            )
-        elif kind == "edge":
-            triple = MentalStateTriple(
-                id=rec["id"],
-                subject=rec["subject"],
-                predicate_raw=rec["predicate"],
-                dimension=Dimension(rec["dimension"]),
-                target=rec["target"],
-                object=rec["object"],
-                plot_index=rec["plot_index"],
-                supersedes=rec.get("supersedes"),
-            )
-            kg.edges[triple.id] = triple
-            kg.index.setdefault(rec["character"], []).append(triple.id)
-        elif kind == "link":
-            kg.supersede_links.append(
-                SupersedeLink(
-                    old_id=rec["old_id"],
-                    new_id=rec["new_id"],
-                    reason=SupersedeReason(rec["reason"]),
+        try:
+            if kind == "node":
+                kg.nodes[rec["name"]] = CharacterNode(
+                    canonical_name=rec["name"], last_insert_plot=rec["last_insert_plot"]
                 )
-            )
-        elif kind == "retire":
-            kg.retirements.append(
-                RetireRecord(triple_id=rec["triple_id"], plot_index=rec["plot_index"])
-            )
-        else:
-            raise CorruptGraphFile(f"{path}:{n}: unknown record kind {kind!r}")
+            elif kind == "edge":
+                triple = triple_from_record(rec)
+                kg.edges[triple.id] = triple
+                kg.index.setdefault(rec["character"], []).append(triple.id)
+            elif kind == "link":
+                kg.supersede_links.append(
+                    SupersedeLink(
+                        old_id=rec["old_id"],
+                        new_id=rec["new_id"],
+                        reason=SupersedeReason(rec["reason"]),
+                    )
+                )
+            elif kind == "retire":
+                kg.retirements.append(RetireRecord(triple_id=rec["triple_id"], plot_index=rec["plot_index"]))
+            else:
+                raise CorruptGraphFile(f"{path}:{n}: unknown record kind {kind!r}")
+        except KeyError as exc:
+            raise CorruptGraphFile(f"{path}:{n}: {kind} record lacks field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CorruptGraphFile(f"{path}:{n}: bad {kind} record: {exc}") from exc
     if len(kg.edges) != header.get("edge_count"):
         raise CorruptGraphFile(
             f"{path}: edge count {len(kg.edges)} does not match header {header.get('edge_count')}"

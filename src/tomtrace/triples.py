@@ -8,7 +8,6 @@ BelievesAboutCordelia. Objects carry the mental-state content as free text.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
@@ -27,7 +26,7 @@ from .errors import (
     UnparseableResponse,
 )
 from .llmgate import ChatRequest, Gateway, user_request
-from .util import normalize_name, read_jsonl, stable_hash, write_jsonl
+from .util import normalize_name, read_jsonl, stable_hash, write_csv, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -448,11 +447,9 @@ def build_extraction_prompt(
 
 # --- records and the extraction stage ----------------------------------------------
 
-def triple_to_record(book_id: str, character: str, triple: MentalStateTriple) -> dict:
+def triple_fields(triple: MentalStateTriple) -> dict:
+    """The fields a triple record and a graph edge record share, in file order."""
     return {
-        "book_id": book_id,
-        "character": character,
-        "plot_index": triple.plot_index,
         "id": triple.id,
         "subject": triple.subject,
         "predicate": triple.predicate_raw,
@@ -462,7 +459,12 @@ def triple_to_record(book_id: str, character: str, triple: MentalStateTriple) ->
     }
 
 
+def triple_to_record(book_id: str, character: str, triple: MentalStateTriple) -> dict:
+    return {"book_id": book_id, "character": character, "plot_index": triple.plot_index, **triple_fields(triple)}
+
+
 def triple_from_record(rec: dict) -> MentalStateTriple:
+    """A triple from a triple record or a graph edge record (which adds `supersedes`)."""
     return MentalStateTriple(
         id=rec["id"],
         subject=rec["subject"],
@@ -471,6 +473,7 @@ def triple_from_record(rec: dict) -> MentalStateTriple:
         target=rec.get("target"),
         object=rec["object"],
         plot_index=rec["plot_index"],
+        supersedes=rec.get("supersedes"),
     )
 
 
@@ -612,22 +615,19 @@ def export_triple_review(records: list[dict], path: Path) -> int:
 
     Export only: no importer reads the verdicts back.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIPLE_REVIEW_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec["id"],
-                    rec["book_id"],
-                    rec["character"],
-                    rec["plot_index"],
-                    rec["subject"],
-                    rec["predicate"],
-                    rec["object"],
-                    "",
-                    "",
-                ]
-            )
-    return len(records)
+    rows = [
+        [
+            rec["id"],
+            rec["book_id"],
+            rec["character"],
+            rec["plot_index"],
+            rec["subject"],
+            rec["predicate"],
+            rec["object"],
+            "",
+            "",
+        ]
+        for rec in records
+    ]
+    write_csv(path, [TRIPLE_REVIEW_COLUMNS, *rows])
+    return len(rows)

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
+import os
 import random
 import re
+import threading
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
+
+from .errors import IoError, MalformedRecord
 
 
 def normalize_name(name: str) -> str:
@@ -50,29 +56,64 @@ def canonical_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def write_jsonl(path: Path | str, records: Iterable[dict]) -> Path:
-    """Write one JSON object per line, non-ASCII kept as is; creates the parent directory."""
+def write_atomic(path: Path | str, chunks: Iterable[bytes]) -> Path:
+    """Replace `path` whole with the chunks; creates the parent directory.
+
+    The chunks go to `.NAME.PID.TID.tmp` beside `path`, which `os.replace` then moves
+    over it, so a killed writer leaves the old file or the new one, never a truncated
+    one (no fsync: a power loss is not covered). A filesystem failure raises `IoError`.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False))
-            fh.write("\n")
+    partial = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(partial, "wb") as fh:
+                fh.writelines(chunks)
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 
 
+def write_jsonl(path: Path | str, records: Iterable[dict]) -> Path:
+    """Write one JSON object per line, non-ASCII kept as is."""
+    return write_atomic(path, ((json.dumps(r, ensure_ascii=False) + "\n").encode("utf-8") for r in records))
+
+
 def read_jsonl(path: Path | str) -> list[dict]:
-    """Records of a file written by `write_jsonl`; blank lines are skipped."""
+    """Records of a file written by `write_jsonl`; blank lines are skipped.
+
+    A line that is not one JSON object raises `MalformedRecord` naming `file:line`.
+    """
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(f"{path}:{n}", f"invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise MalformedRecord(f"{path}:{n}", "not a JSON object")
+            records.append(record)
+    return records
 
 
 def write_json(path: Path | str, obj: object) -> Path:
     """Write one indented, key-sorted JSON document (manifests, statistics)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
+
+
+def write_csv(path: Path | str, rows: Iterable[Iterable]) -> Path:
+    """Write rows, the header first, in the `csv` module's default dialect (review exports)."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
 def sample(items: list, rate: float, seed: int | None, *, key: Callable) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -381,6 +382,29 @@ def test_config_backend_keys_reach_the_gateway(tmp_path, monkeypatch):
     assert result.stderr.startswith("backend error: retries exhausted: HTTP 503")
     assert len(server.requests) == 2
     assert [headers["Authorization"] for headers, _ in server.requests] == ["Bearer storm-secret"] * 2
+
+
+def test_truncated_question_file_exits_one_without_a_traceback(pipeline_out, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    questions = out / "questions.jsonl"
+    questions.write_bytes(questions.read_bytes()[:-40])
+    [result] = run_cli(out, "verify", expect=1)
+    assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
+    assert result.stderr.startswith("error: ")
+    assert f"questions.jsonl:{len(questions.read_bytes().splitlines())}: invalid JSON" in result.stderr
+
+
+def test_unwritable_output_exits_one_without_a_traceback(pipeline_out, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    (out / "predictions.jsonl").unlink()
+    (out / "predictions.jsonl").mkdir()
+    [result] = run_cli(out, "eval", expect=1)
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: cannot write ")
+    assert "predictions.jsonl" in result.stderr
+    assert not list(out.glob(".*.tmp"))
 
 
 def test_version_flag():

@@ -176,6 +176,26 @@ def test_duplicate_indices_rejected(tmp_path):
         ingest_corpus(target, format="jsonl")
 
 
+@pytest.mark.parametrize("change, reason", [
+    ({"segments": [{"kind": "speech"}]}, "missing field 'text'"),
+    ({"segments": [{"kind": "narration", "text": "hi"}]}, "'narration' is not a valid SegmentKind"),
+    ({"index": "second"}, "invalid literal for int"),
+], ids=["segment-without-text", "unknown-segment-kind", "non-integer-index"])
+def test_normalized_reader_names_the_line_of_a_malformed_plot(tmp_path, change, reason):
+    turn = {"speaker": "A", "segments": [{"kind": "speech", "text": "hi"}]}
+    rec = {"book_id": "bad", "title": "Bad", "summary": "s", "index": 1,
+           "conversations": [{"environment": "", "cast": [], "turns": [turn]}]}
+    second = {**rec, "index": 2}
+    if "segments" in change:
+        second["conversations"] = [{"environment": "", "cast": [], "turns": [{**turn, **change}]}]
+    else:
+        second.update(change)
+    target = tmp_path / "bad.jsonl"
+    target.write_text(json.dumps(rec) + "\n" + json.dumps(second) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=f"bad.jsonl:2: {reason}"):
+        ingest_corpus(target, format="jsonl")
+
+
 # --- statistics -----------------------------------------------------------------
 
 def test_stats_golden(fixture_corpus):

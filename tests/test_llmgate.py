@@ -338,6 +338,27 @@ def test_gateway_run_raises_the_first_failing_item_in_input_order():
         gw.run(work, range(5))
 
 
+def test_gateway_run_starts_no_item_after_one_has_failed():
+    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=1))
+    calls, raised = [], threading.Event()
+
+    def work(n):
+        calls.append(n)
+        raised.set()
+        raise TransportError(f"item {n}")
+
+    def items():  # later items reach the pool's one worker while it is idle, before any result is read
+        yield 0
+        raised.wait(timeout=10)
+        yield 1
+        time.sleep(0.05)
+        yield 2
+
+    with pytest.raises(TransportError, match="item 0"):
+        gw.run(work, items())
+    assert calls == [0]
+
+
 def test_gateway_cache_single_flight_per_key(tmp_path, monkeypatch):
     """Stress: 16 workers, 20 prompts asked 10 times each, one backend call per prompt."""
     monkeypatch.setenv("TT_TOKEN", "t")

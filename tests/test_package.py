@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -20,3 +21,53 @@ def test_importing_the_gateway_loads_neither_the_config_module_nor_yaml():
     env = {**os.environ, "PYTHONPATH": str(Path(tomtrace.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+class _FileWrites(ast.NodeVisitor):
+    """Each call that writes or replaces a file, as (enclosing qualified name, call)."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.found: list[tuple[str, str]] = []
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else ""
+        call = None
+        if name == "open" and owner != "os":
+            # open(path, mode) or path.open(mode); a mode that is not a literal counts as a write
+            position = 0 if isinstance(func, ast.Attribute) else 1
+            mode = node.args[position] if len(node.args) > position else None
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+            if mode is not None and not (isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+")):
+                call = f"open {ast.unparse(mode)}"
+        elif (name, owner) in {("open", "os"), ("replace", "os"), ("rename", "os"), ("move", "shutil")}:
+            call = f"{owner}.{name}"
+        elif name in {"write_text", "write_bytes", "rename"}:
+            call = f".{name}"
+        if call:
+            self.found.append((".".join(self.scope), call))
+        self.generic_visit(node)
+
+
+def test_write_atomic_is_the_only_code_that_writes_a_file():
+    """Every artifact is replaced whole through util.write_atomic; the cache log append is the one other write."""
+    found = []
+    for path in sorted(Path(tomtrace.__file__).parent.glob("*.py")):
+        visitor = _FileWrites()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += [(path.name, scope, call) for scope, call in visitor.found]
+    assert found == [
+        ("llmgate.py", "ResponseCache.put", "open 'a+b'"),
+        ("llmgate.py", "ResponseCache.put", "open 'a+b'"),
+        ("util.py", "write_atomic", "open 'wb'"),
+        ("util.py", "write_atomic", "os.replace"),
+    ]

@@ -30,7 +30,7 @@ from tomtrace.tkg import (
     timeline,
 )
 from tomtrace.triples import Dimension, TripleBatch, make_triple
-from tomtrace.util import read_jsonl, write_jsonl
+from tomtrace.util import read_jsonl, sha256_text, write_jsonl
 
 
 def batch_for(character, plot, *pairs):
@@ -396,6 +396,33 @@ def test_load_rejects_empty_and_headerless(tmp_path):
         load_kg(headerless)
     with pytest.raises(CorruptGraphFile):
         load_kg(tmp_path / "missing.kg.jsonl")
+
+
+def test_load_keeps_every_edge_field(tmp_path):
+    kg = _sample_graph()
+    assert any(edge.supersedes for edge in kg.edges.values())
+    assert load_kg(save_kg(kg, tmp_path / "g.kg.jsonl")).edges == kg.edges
+
+
+def _edge_dimension(line: str) -> str:
+    rec = json.loads(line)
+    return json.dumps({**rec, "dimension": "envy"}) if rec["record"] == "edge" else line
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edge_dimension, "bad edge record: 'envy' is not a valid Dimension"),
+    (lambda line: "[1, 2]", "record is not a JSON object"),
+    (lambda line: json.dumps({**json.loads(line), "record": "link"}), "link record lacks field 'old_id'"),
+], ids=["unknown-dimension", "not-an-object", "missing-field"])
+def test_load_rejects_a_malformed_record_naming_its_line(tmp_path, edit, message):
+    path = save_kg(_sample_graph(), tmp_path / "g.kg.jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edge_line = next(n for n, line in enumerate(lines) if json.loads(line)["record"] == "edge")
+    lines[edge_line] = edit(lines[edge_line])
+    header = {**json.loads(lines[0]), "integrity": sha256_text("\n".join(lines[1:]))}
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n", encoding="utf-8")
+    with pytest.raises(CorruptGraphFile, match=f"g.kg.jsonl:{edge_line + 1}: {message}"):
+        load_kg(path)
 
 
 # --- randomized comparison against the oracle ----------------------------------------

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 from fractions import Fraction
 
+import pytest
+
+from tomtrace.errors import IoError, MalformedRecord
 from tomtrace.util import (
     canonical_json,
     clean_name,
@@ -14,6 +19,7 @@ from tomtrace.util import (
     slugify,
     stable_hash,
     strip_code_fences,
+    write_atomic,
     write_jsonl,
 )
 
@@ -73,3 +79,58 @@ def test_sample_full_rate_sorts_and_a_seed_fixes_the_pick():
     for _ in range(3):
         assert sample(items, 0.4, 13, key=lambda x: x) == [2, 3, 9]
         assert sample(items[::-1], 0.4, 13, key=lambda x: x) == [2, 3, 9]
+
+
+@pytest.mark.parametrize("text, line", [
+    ('{"a": 1}\n{"a": \n', 2),
+    ('{"a": 1}\n\n[1, 2]\n', 3),
+], ids=["truncated", "not-an-object"])
+def test_read_jsonl_names_the_file_and_line_of_a_malformed_record(tmp_path, text, line):
+    path = tmp_path / "questions.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=f"questions.jsonl:{line}: "):
+        read_jsonl(path)
+
+
+def test_write_atomic_replaces_the_file_through_a_hidden_temporary(tmp_path):
+    target = tmp_path / "deep" / "book.jsonl"
+    write_atomic(target, [b"old\n"])
+    during = []
+
+    def chunks():
+        during.extend(sorted(p.name for p in target.parent.iterdir()))
+        during.extend(p.name for p in target.parent.glob("*.jsonl"))
+        yield b"new "
+        yield b"text\n"
+
+    assert write_atomic(target, chunks()) == target
+    temporary = f".book.jsonl.{os.getpid()}.{threading.get_ident()}.tmp"
+    assert during == [temporary, "book.jsonl", "book.jsonl"]
+    assert target.read_bytes() == b"new text\n"
+    assert [p.name for p in target.parent.iterdir()] == ["book.jsonl"]
+
+
+def test_write_atomic_keeps_the_old_file_when_the_chunks_fail(tmp_path):
+    target = tmp_path / "questions.jsonl"
+    target.write_bytes(b"old\n")
+
+    def chunks():
+        yield b"partial"
+        raise RuntimeError("serializer failed")
+
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        write_atomic(target, chunks())
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["questions.jsonl"]
+
+
+def test_write_atomic_failure_is_an_io_error_and_leaves_no_temporary(tmp_path):
+    taken = tmp_path / "predictions.jsonl"
+    taken.mkdir()
+    with pytest.raises(IoError, match="cannot write .*predictions.jsonl: "):
+        write_atomic(taken, [b"{}\n"])
+    assert [p.name for p in tmp_path.iterdir()] == ["predictions.jsonl"]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    with pytest.raises(IoError, match="cannot write "):
+        write_atomic(blocker / "out.json", [b"{}"])
