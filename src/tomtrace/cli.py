@@ -36,7 +36,7 @@ from .qagen import (
     verify_questions,
 )
 from .tkg import ContradictionRules, MergeMode, TemporalKG, build_graph, load_kg, save_kg
-from .triples import export_triple_review, extract_triples, load_kept_triples, write_extractions
+from .triples import checked_triple_record, export_triple_review, extract_triples, load_kept_triples, write_extractions
 from .util import read_jsonl, sample, sha256_file, write_atomic, write_json, write_jsonl
 
 
@@ -218,7 +218,7 @@ def build_kg(ctx: RunContext):
         kg, changelog = build_graph(
             book.id,
             len(book.plots),
-            read_jsonl(triples_path),
+            read_jsonl(triples_path, checked_triple_record),
             MergeMode(merge.mode),
             rules=rules,
             jaccard_threshold=merge.jaccard_threshold,

@@ -158,7 +158,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"config {path} is not valid YAML: {exc}") from exc

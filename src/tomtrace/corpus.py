@@ -22,7 +22,7 @@ from .errors import (
     NoSpeaker,
     UnreadableSource,
 )
-from .util import clean_name, format_half_up, normalize_name, slugify, write_jsonl
+from .util import clean_name, format_half_up, normalize_name, read_jsonl, slugify, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -148,11 +148,13 @@ def load_alias_table(path: Path | str) -> CharacterRegistry:
     are aliases. Stanzas are separated by blank lines.
     """
     path = Path(path)
-    if not path.is_file():
-        raise UnreadableSource(f"alias table not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise UnreadableSource(f"cannot read alias table {path}: {exc}") from exc
     registry = CharacterRegistry()
     stanza: list[str] = []
-    for raw in path.read_text(encoding="utf-8").splitlines() + [""]:
+    for raw in text.splitlines() + [""]:
         line = raw.strip()
         if line:
             stanza.append(line)
@@ -325,7 +327,7 @@ def _canonicalize_book(book: Book, registry: CharacterRegistry) -> None:
 def _parse_coser_book(file: Path) -> Book:
     try:
         data = json.loads(file.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeError, json.JSONDecodeError) as exc:
         raise MalformedRecord(str(file), f"unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedRecord(str(file), "top-level value is not an object")
@@ -419,67 +421,16 @@ def _parse_dialogue_entry(line, record_id: str) -> Turn | None:
 
 
 def _parse_normalized_book(file: Path) -> Book:
-    plots: list[Plot] = []
-    title = ""
-    book_id = ""
-    try:
-        # "\n" only: splitlines() would also split at U+2028 and the like, which records keep raw.
-        lines = file.read_text(encoding="utf-8").split("\n")
-    except OSError as exc:
-        raise UnreadableSource(f"cannot read {file}: {exc}") from exc
-    for n, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        record_id = f"{file.name}:{n}"
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(record_id, f"invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise MalformedRecord(record_id, "not a JSON object")
-        try:
-            book_id = book_id or rec["book_id"]
-            title = title or rec.get("title", rec["book_id"])
-            if rec["book_id"] != book_id:
-                raise MalformedRecord(record_id, "mixed book ids in one file")
-            index = int(rec["index"])
-            conversations = []
-            for cn, conv in enumerate(rec.get("conversations", []), start=1):
-                turns = [
-                    Turn(
-                        speaker=t["speaker"],
-                        segments=[UtteranceSegment(SegmentKind(s["kind"]), s["text"]) for s in t["segments"]],
-                    )
-                    for t in conv.get("turns", [])
-                ]
-                if not turns:
-                    raise MalformedRecord(f"{record_id}:conv[{cn}]", "conversation has no turns")
-                conversations.append(
-                    Conversation(
-                        plot_ref=(book_id, index),
-                        environment=conv.get("environment", ""),
-                        cast=list(conv.get("cast", [])),
-                        turns=turns,
-                    )
-                )
-            plots.append(
-                Plot(
-                    book_id=book_id,
-                    index=index,
-                    summary=rec["summary"],
-                    scenario=rec.get("scenario", ""),
-                    conversations=conversations,
-                )
-            )
-        except KeyError as exc:
-            raise MalformedRecord(record_id, f"missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise MalformedRecord(record_id, str(exc)) from exc
-    if not plots:
+    records = read_jsonl(file, plot_from_record)
+    if not records:
         raise UnreadableSource(f"no records in {file}")
+    plots = [plot for plot, _ in records]
+    book_id = plots[0].book_id
+    if any(plot.book_id != book_id for plot in plots):
+        raise MalformedRecord(str(file), "mixed book ids in one file")
     _validate_plot_indices(book_id, plots)
     plots.sort(key=lambda p: p.index)
-    return Book(id=book_id, title=title, plots=plots)
+    return Book(id=book_id, title=next((title for _, title in records if title), ""), plots=plots)
 
 
 def _validate_plot_indices(book_id: str, plots: list[Plot]) -> None:
@@ -518,6 +469,27 @@ def plot_to_record(plot: Plot, title: str) -> dict:
             for c in plot.conversations
         ],
     }
+
+
+def plot_from_record(rec: dict) -> tuple[Plot, str]:
+    """The inverse of `plot_to_record`: the plot and the book title it carries."""
+    book_id, index = rec["book_id"], int(rec["index"])
+    conversations = []
+    for n, conv in enumerate(rec.get("conversations", []), start=1):
+        turns = [
+            Turn(
+                speaker=t["speaker"],
+                segments=[UtteranceSegment(SegmentKind(s["kind"]), s["text"]) for s in t["segments"]],
+            )
+            for t in conv.get("turns", [])
+        ]
+        if not turns:
+            raise ValueError(f"conversation {n} has no turns")
+        conversations.append(
+            Conversation((book_id, index), conv.get("environment", ""), list(conv.get("cast", [])), turns)
+        )
+    plot = Plot(book_id, index, rec["summary"], rec.get("scenario", ""), conversations)
+    return plot, rec.get("title", book_id)
 
 
 def serialize_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:

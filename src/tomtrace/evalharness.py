@@ -420,4 +420,4 @@ def run_eval(
 
 
 def load_predictions(path: Path | str) -> list[Prediction]:
-    return [prediction_from_record(rec) for rec in read_jsonl(path)]
+    return read_jsonl(path, prediction_from_record)

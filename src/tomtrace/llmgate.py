@@ -30,11 +30,13 @@ from .errors import (
     AuthMissing,
     ConfigInvalid,
     GatewayError,
+    MalformedRecord,
     RateLimitedExhausted,
     ScriptMiss,
     TransportError,
+    UnreadableSource,
 )
-from .util import canonical_json, sha256_text, write_atomic
+from .util import canonical_json, read_jsonl, sha256_text, write_atomic
 
 if TYPE_CHECKING:  # the config module loads yaml, which no gateway user needs
     from .config import BackendSection
@@ -140,17 +142,22 @@ class ReplayScript:
         self._by_digest: dict[str, str] = {}
         self._patterns: list[tuple[re.Pattern, str]] = []
         for entry in entries:
-            self._add(entry)
+            self._add(vars(entry))
 
-    def _add(self, entry: ReplayEntry) -> None:
-        if not isinstance(entry.response_text, str) or not entry.response_text:
+    def _add(self, rec: Mapping) -> None:
+        """Add one entry from its record (`response_text` and a `digest` or a `prompt_pattern`)."""
+        text, digest, pattern = rec["response_text"], rec.get("digest"), rec.get("prompt_pattern")
+        if not isinstance(text, str) or not text:
             raise ValueError("response_text must be a non-empty string")
-        if entry.digest:
-            if entry.digest in self._by_digest:
-                raise ValueError(f"duplicate digest in replay script: {entry.digest}")
-            self._by_digest[entry.digest] = entry.response_text
-        elif entry.prompt_pattern:
-            self._patterns.append((re.compile(entry.prompt_pattern), entry.response_text))
+        if digest:
+            if digest in self._by_digest:
+                raise ValueError(f"duplicate digest in replay script: {digest}")
+            self._by_digest[digest] = text
+        elif pattern:
+            try:
+                self._patterns.append((re.compile(pattern), text))
+            except re.error as exc:
+                raise ValueError(f"bad prompt_pattern: {exc}") from exc
         else:
             raise ValueError("replay entry needs a digest or a prompt_pattern")
 
@@ -164,23 +171,9 @@ class ReplayScript:
         """Read a JSONL script; a malformed one raises ConfigInvalid naming the file and line."""
         script = cls([], default_policy=default_policy, default_text=default_text)
         try:
-            with open(path, encoding="utf-8") as fh:
-                for number, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        rec = json.loads(line)
-                        script._add(ReplayEntry(
-                            response_text=rec["response_text"],
-                            digest=rec.get("digest"),
-                            prompt_pattern=rec.get("prompt_pattern"),
-                        ))
-                    except KeyError as exc:
-                        raise ConfigInvalid(f"replay script {path}:{number}: missing field {exc}") from exc
-                    except (ValueError, TypeError, re.error) as exc:
-                        raise ConfigInvalid(f"replay script {path}:{number}: {exc}") from exc
-        except (OSError, UnicodeError) as exc:
-            raise ConfigInvalid(f"cannot read replay script {path}: {exc}") from exc
+            read_jsonl(path, script._add)
+        except (MalformedRecord, UnreadableSource) as exc:
+            raise ConfigInvalid(f"replay script {exc}") from exc
         return script
 
     def lookup(self, request: ChatRequest) -> str:

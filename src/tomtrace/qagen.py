@@ -32,6 +32,7 @@ from .errors import (
     TomtraceError,
     UnknownQuestionId,
     UnparseableResponse,
+    UnreadableSource,
 )
 from .llmgate import ChatRequest, Gateway, user_request
 from .tkg import TemporalKG, state_at
@@ -521,29 +522,33 @@ def import_review(path: Path | str, questions: dict[str, TomQuestion]) -> Review
     Rows with problems are reported, not fatal: remaining rows still apply.
     """
     report = ReviewImportReport()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row_num, row in enumerate(reader, start=2):
-            raw_verdict = (row.get("verdict") or "").strip().casefold()
-            qid = (row.get("question_id") or "").strip()
-            if not raw_verdict:
-                report.skipped_blank += 1
-                continue
-            try:
-                if raw_verdict not in ("pass", "fail"):
-                    raise MalformedVerdictRow(f"row {row_num}: verdict {raw_verdict!r}")
-                if qid not in questions:
-                    raise UnknownQuestionId(f"row {row_num}: unknown question id {qid!r}")
-                verdict = VerificationVerdict(
-                    question_id=qid,
-                    stage=VerificationStage.HUMAN,
-                    passed=raw_verdict == "pass",
-                    notes=(row.get("notes") or "").strip(),
-                )
-                apply_verdict(questions[qid], verdict)
-                report.applied.append(verdict)
-            except (MalformedVerdictRow, UnknownQuestionId, InvalidState) as exc:
-                report.errors.append(str(exc))
+    try:
+        # utf-8-sig: spreadsheet tools save "CSV UTF-8" with a byte order mark.
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise UnreadableSource(f"cannot read review CSV {path}: {exc}") from exc
+    for row_num, row in enumerate(rows, start=2):
+        raw_verdict = (row.get("verdict") or "").strip().casefold()
+        qid = (row.get("question_id") or "").strip()
+        if not raw_verdict:
+            report.skipped_blank += 1
+            continue
+        try:
+            if raw_verdict not in ("pass", "fail"):
+                raise MalformedVerdictRow(f"row {row_num}: verdict {raw_verdict!r}")
+            if qid not in questions:
+                raise UnknownQuestionId(f"row {row_num}: unknown question id {qid!r}")
+            verdict = VerificationVerdict(
+                question_id=qid,
+                stage=VerificationStage.HUMAN,
+                passed=raw_verdict == "pass",
+                notes=(row.get("notes") or "").strip(),
+            )
+            apply_verdict(questions[qid], verdict)
+            report.applied.append(verdict)
+        except (MalformedVerdictRow, UnknownQuestionId, InvalidState) as exc:
+            report.errors.append(str(exc))
     return report
 
 
@@ -654,4 +659,4 @@ def save_verdicts(verdicts: list[VerificationVerdict], path: Path | str) -> Path
 
 
 def load_questions(path: Path | str) -> list[TomQuestion]:
-    return [question_from_record(rec) for rec in read_jsonl(path)]
+    return read_jsonl(path, question_from_record)

@@ -497,7 +497,7 @@ def load_kg(path: Path | str) -> TemporalKG:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise CorruptGraphFile(f"cannot read {path}: {exc}") from exc
     # "\n" only: splitlines() would also split at U+2028 and the like, which records keep raw.
     lines = text.removesuffix("\n").split("\n") if text else []

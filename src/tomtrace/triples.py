@@ -598,6 +598,14 @@ TRIPLE_REVIEW_COLUMNS = (
 )
 
 
+def checked_triple_record(rec: dict) -> dict:
+    """A kept-triple record as is, once it decodes as a triple and names its book and character."""
+    triple_from_record(rec)
+    if not all(isinstance(rec[key], str) for key in ("book_id", "character")):
+        raise TypeError("book_id and character must be strings")
+    return rec
+
+
 def load_kept_triples(triples_dir: Path) -> list[dict]:
     """Every book's kept triple records; reject files are skipped."""
     if not triples_dir.is_dir():
@@ -606,7 +614,7 @@ def load_kept_triples(triples_dir: Path) -> list[dict]:
         rec
         for path in sorted(triples_dir.glob("*.jsonl"))
         if not path.name.endswith(".rejects.jsonl")
-        for rec in read_jsonl(path)
+        for rec in read_jsonl(path, checked_triple_record)
     ]
 
 

@@ -13,9 +13,11 @@ import threading
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
-from .errors import IoError, MalformedRecord
+from .errors import IoError, MalformedRecord, UnreadableSource
+
+T = TypeVar("T")
 
 
 def normalize_name(name: str) -> str:
@@ -84,23 +86,33 @@ def write_jsonl(path: Path | str, records: Iterable[dict]) -> Path:
     return write_atomic(path, ((json.dumps(r, ensure_ascii=False) + "\n").encode("utf-8") for r in records))
 
 
-def read_jsonl(path: Path | str) -> list[dict]:
-    """Records of a file written by `write_jsonl`; blank lines are skipped.
+def read_jsonl(path: Path | str, decode: Callable[[dict], T] = dict) -> list[T]:
+    """`decode` of each record of a file written by `write_jsonl`; blank lines are skipped.
 
-    A line that is not one JSON object raises `MalformedRecord` naming `file:line`.
+    Lines end at b"\\n" only, so a record keeps a raw U+2028 and the like. A line
+    that is not UTF-8, not one JSON object, or that `decode` rejects (`KeyError`,
+    `TypeError`, `ValueError`, `AttributeError`) raises `MalformedRecord` naming
+    `file:line`; a file that cannot be read raises `UnreadableSource`.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"{path}:{n}", f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise MalformedRecord(f"{path}:{n}", "not a JSON object")
-            records.append(record)
+    try:
+        with open(path, "rb") as fh:
+            for n, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                    if not isinstance(record, dict):
+                        raise MalformedRecord(f"{path}:{n}", "not a JSON object")
+                    records.append(decode(record))
+                except KeyError as exc:
+                    raise MalformedRecord(f"{path}:{n}", f"missing field {exc}") from exc
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(f"{path}:{n}", f"invalid JSON: {exc}") from exc
+                except (TypeError, ValueError, AttributeError) as exc:
+                    raise MalformedRecord(f"{path}:{n}", str(exc)) from exc
+    except OSError as exc:
+        raise UnreadableSource(f"cannot read {path}: {exc}") from exc
     return records
 
 

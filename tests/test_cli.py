@@ -395,6 +395,53 @@ def test_truncated_question_file_exits_one_without_a_traceback(pipeline_out, tmp
     assert f"questions.jsonl:{len(questions.read_bytes().splitlines())}: invalid JSON" in result.stderr
 
 
+@pytest.mark.parametrize("damage", ["missing-field", "not-utf8"])
+@pytest.mark.parametrize("artifact, command, field", [
+    ("questions.jsonl", "verify", "stem"),
+    ("questions.jsonl", "report", "dimension"),
+    ("predictions.jsonl", "report", "model"),
+    ("triples/king-lear.jsonl", "build-kg", "character"),
+    ("triples/king-lear.jsonl", "review-export --kind triples", "id"),
+], ids=["questions-verify", "questions-report", "predictions-report", "triples-build-kg", "triples-review-export"])
+def test_bad_first_record_exits_one_naming_file_and_line(pipeline_out, tmp_path, artifact, command, field, damage):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    target = out / artifact
+    first, rest = target.read_bytes().split(b"\n", 1)
+    if damage == "missing-field":
+        record = json.loads(first)
+        del record[field]
+        first = json.dumps(record, ensure_ascii=False).encode("utf-8")
+        reason = f"missing field '{field}'"
+    else:
+        first = first[:1] + b"\xff" + first[1:]
+        reason = "'utf-8' codec can't decode byte 0xff"
+    target.write_bytes(first + b"\n" + rest)
+    [result] = run_cli(out, command, expect=1)
+    assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
+    assert result.stderr.startswith(f"error: {target}:1: {reason}")
+
+
+@pytest.mark.parametrize("target, command", [
+    ("data/pipeline.yaml", "stats"),
+    ("data/books/king-lear.json", "ingest"),
+    ("data/king-lear-aliases.txt", "ingest"),
+    ("out/review.csv", "review-import {target}"),
+    ("out/kg/king-lear.kg.jsonl", "emit-ft"),
+], ids=["config", "coser-book", "alias-table", "review-csv", "graph"])
+def test_user_input_that_is_not_utf8_exits_one_naming_the_file(pipeline_out, tmp_path, target, command):
+    shutil.copytree(CONFIG.parent, tmp_path / "data")
+    shutil.copytree(pipeline_out, tmp_path / "out")
+    target = tmp_path / target
+    if target.name == "review.csv":
+        target.write_text(",".join(REVIEW_COLUMNS) + "\n", encoding="utf-8")
+    target.write_bytes(b"\xff" + target.read_bytes())
+    [result] = run_cli(tmp_path / "out", command.format(target=target), expect=1, config=tmp_path / "data/pipeline.yaml")
+    assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
+    assert result.stderr.startswith("error: ")
+    assert str(target) in result.stderr
+
+
 def test_unwritable_output_exits_one_without_a_traceback(pipeline_out, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(pipeline_out, out)

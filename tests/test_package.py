@@ -71,3 +71,44 @@ def test_write_atomic_is_the_only_code_that_writes_a_file():
         ("util.py", "write_atomic", "open 'wb'"),
         ("util.py", "write_atomic", "os.replace"),
     ]
+
+
+class _JsonParses(ast.NodeVisitor):
+    """The enclosing qualified name of each `json.loads` or `json.load` call."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.found: list[str] = []
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in {"load", "loads"}:
+            if getattr(func.value, "id", "") == "json":
+                self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_read_jsonl_is_the_only_code_that_decodes_record_lines():
+    """Record files go through util.read_jsonl; the graph file and the cache log keep their own loops."""
+    found = []
+    for path in sorted(Path(tomtrace.__file__).parent.glob("*.py")):
+        visitor = _JsonParses()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += [(path.name, scope) for scope in visitor.found]
+    assert found == [
+        ("corpus.py", "_parse_coser_book"),  # one whole JSON document per source book
+        ("llmgate.py", "ResponseCache._entry"),  # one cache log line, read at an indexed byte offset
+        ("llmgate.py", "_http_transport"),  # a backend's response body
+        ("qagen.py", "_load_response_json"),  # a model's response text
+        ("tkg.py", "load_kg"),  # the graph file's integrity-hashed header ...
+        ("tkg.py", "load_kg"),  # ... and the records it covers
+        ("triples.py", "_json_entries"),  # a model's response text
+        ("util.py", "read_jsonl"),
+    ]

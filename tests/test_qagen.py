@@ -15,6 +15,7 @@ from tomtrace.errors import (
     InvalidState,
     MissingDimension,
     UnparseableResponse,
+    UnreadableSource,
 )
 from tomtrace.llmgate import Gateway, ReplayEntry, ReplayScript
 from tomtrace.qagen import (
@@ -458,6 +459,32 @@ def test_import_review_unknown_id(tmp_path):
     report = import_review(path, {q.id: q for q in questions})
     assert len(report.applied) == 3
     assert len(report.errors) == 1 and "qdoesnotexist" in report.errors[0]
+
+
+def test_import_review_applies_every_verdict_of_a_csv_saved_with_a_byte_order_mark(tmp_path):
+    """Spreadsheet tools save "CSV UTF-8" with a BOM before the first header."""
+    questions = verified_set()
+    path = tmp_path / "review.csv"
+    export_review(questions, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["verdict"] = "pass"
+    with open(path, "w", encoding="utf-8-sig", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=rows[0].keys())
+        writer.writeheader()
+        writer.writerows(rows)
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfquestion_id,")
+    report = import_review(path, {q.id: q for q in questions})
+    assert (len(report.applied), report.errors) == (4, [])
+    assert all(q.state is QuestionState.HUMAN_VERIFIED for q in questions)
+
+
+def test_import_review_of_an_unparseable_csv_is_an_unreadable_source(tmp_path):
+    path = tmp_path / "review.csv"
+    path.write_text('question_id,verdict\n"' + "x" * (csv.field_size_limit() + 1) + '",pass\n', encoding="utf-8")
+    with pytest.raises(UnreadableSource, match="field larger than field limit"):
+        import_review(path, {})
 
 
 def test_import_review_double_apply_collected_as_error(tmp_path):
