@@ -61,8 +61,9 @@ class RunContext:
     def __init__(self, config: PipelineConfig, out_override: str | None):
         self.config = config
         self.out_dir = Path(out_override or config.out_dir)
-        # Set by gateway(): a loaded replay script is an input of the stage.
-        self.replay_script: Path | None = None
+        # Manifest key -> SHA-256 of each file the stage has read, filled by read().
+        self.inputs: dict[str, str] = {}
+        self._key_bases = (self.out_dir.resolve(), Path(config.source_path).parent.resolve())
         # artifact layout
         self.corpus_dir = self.out_dir / "corpus"
         self.triples_dir = self.out_dir / "triples"
@@ -73,29 +74,58 @@ class RunContext:
         self.cache_dir = Path(config.cache_dir) if config.cache_dir else self.out_dir / "cache"
         self.alias_tables = {k: Path(v) for k, v in config.corpus.alias_tables.items() if v}
 
+    def _key(self, path: Path) -> str:
+        """A file's manifest key: relative to out_dir, else to the config's directory, else its name."""
+        resolved = path.resolve()
+        for base in self._key_bases:
+            if resolved.is_relative_to(base):
+                return resolved.relative_to(base).as_posix()
+        return path.name
+
+    def read(self, path: Path | str) -> Path:
+        """`path`, recorded as an input of the stage with the digest of its bytes now.
+
+        Call it just before the file is opened, so a stage that later replaces
+        its own input still records what it read. A file that cannot be read
+        is not recorded: its reader reports the failure.
+        """
+        path = Path(path)
+        key = self._key(path)
+        if key not in self.inputs:
+            try:
+                self.inputs[key] = sha256_file(path)
+            except OSError:
+                pass
+        return path
+
+    def template(self, override: str | None) -> str | None:
+        """A configured prompt-template override, recorded as an input; None keeps the packaged one."""
+        if override:
+            self.read(override)
+        return override
+
     def load_corpus(self) -> Corpus:
         if not self.corpus_dir.is_dir() or not any(self.corpus_dir.glob("*.jsonl")):
             raise MissingUpstreamArtifact(f"no normalized corpus under {self.corpus_dir}; run ingest")
-        return ingest_corpus(self.corpus_dir, format="jsonl", alias_tables=self.alias_tables)
+        return ingest_corpus(self.corpus_dir, format="jsonl", alias_tables=self.alias_tables, read=self.read)
 
     def load_kgs(self) -> dict[str, TemporalKG]:
-        kgs = {kg.book_id: kg for kg in map(load_kg, sorted(self.kg_dir.glob("*.kg.jsonl")))}
-        if not kgs:
+        paths = sorted(self.kg_dir.glob("*.kg.jsonl"))
+        if not paths:
             raise MissingUpstreamArtifact(f"no graphs under {self.kg_dir}; run build-kg")
-        return kgs
+        return {kg.book_id: kg for kg in (load_kg(self.read(p)) for p in paths)}
 
     def load_question_file(self) -> list:
         if not self.questions_path.is_file():
             raise MissingUpstreamArtifact(f"{self.questions_path} missing; run genqa")
-        return load_questions(self.questions_path)
+        return load_questions(self.read(self.questions_path))
 
     def gateway(self, *, replay_override: str | None = None, cache_override: str | None = None) -> Gateway:
         replay = None
         script = replay_override or self.config.replay.script
         if script:
-            self.replay_script = Path(script)
             replay = ReplayScript.load(
-                script,
+                self.read(script),
                 default_policy=self.config.replay.default_policy,
                 default_text=self.config.replay.default_text,
             )
@@ -105,30 +135,14 @@ class RunContext:
     def model_id(self) -> str:
         return self.config.backend.model or "default-model"
 
-    def write_manifest(self, command: str, inputs: list[Path], outputs: list[Path]) -> Path:
+    def write_manifest(self, command: str, outputs: list[Path]) -> Path:
+        """Record the config, the files read through read() and the `outputs`, each by digest."""
         config_path = Path(self.config.source_path)
-        if self.replay_script is not None:
-            inputs = [*inputs, self.replay_script]
-
-        def key_for(path: Path, base: Path) -> str:
-            try:
-                return path.resolve().relative_to(base.resolve()).as_posix()
-            except ValueError:
-                return path.name
-
         manifest = {
             "command": command,
             "config_sha256": sha256_file(config_path) if config_path.is_file() else None,
-            "inputs": {
-                key_for(p, config_path.parent): sha256_file(p)
-                for p in sorted(set(inputs))
-                if p.is_file()
-            },
-            "outputs": {
-                key_for(p, self.out_dir): sha256_file(p)
-                for p in sorted(set(outputs))
-                if p.is_file()
-            },
+            "inputs": self.inputs,
+            "outputs": {self._key(p): sha256_file(p) for p in outputs if p.is_file()},
             "package_version": __version__,
             "python_version": "%d.%d.%d" % sys.version_info[:3],
         }
@@ -165,16 +179,14 @@ def ingest(ctx: RunContext):
     cfg = ctx.config.corpus
     if not cfg.input:
         raise MissingUpstreamArtifact("corpus.input is not configured")
-    corpus = ingest_corpus(cfg.input, format=cfg.format, alias_tables=ctx.alias_tables)
+    corpus = ingest_corpus(cfg.input, format=cfg.format, alias_tables=ctx.alias_tables, read=ctx.read)
     written = serialize_corpus(corpus, ctx.corpus_dir)
     stats = corpus_stats(corpus)
     click.echo(
         f"ingested {len(corpus.books)} book(s): {stats.total_plots} plots, "
         f"{stats.total_conversations} conversations"
     )
-    inputs = [Path(cfg.input)] if Path(cfg.input).is_file() else sorted(Path(cfg.input).glob("*"))
-    inputs += ctx.alias_tables.values()
-    ctx.write_manifest("ingest", inputs, written)
+    ctx.write_manifest("ingest", written)
 
 
 @_command()
@@ -189,13 +201,13 @@ def extract(ctx: RunContext, replay_override: str | None, cache_override: str | 
         ctx.gateway(replay_override=replay_override, cache_override=cache_override),
         model_id=ctx.model_id(),
         strict=ctx.config.triples.strict_perspective,
-        template_override=ctx.config.triples.template,
+        template_override=ctx.template(ctx.config.triples.template),
     )
     outputs = write_extractions(extractions, ctx.triples_dir)
     total = sum(len(e.triples) for e in extractions.values())
     rejected = sum(e.rejected for e in extractions.values())
     click.echo(f"extracted {total} triples ({rejected} rejected)")
-    ctx.write_manifest("extract", sorted(ctx.corpus_dir.glob("*.jsonl")), outputs)
+    ctx.write_manifest("extract", outputs)
 
 
 @_command("build-kg")
@@ -209,16 +221,14 @@ def build_kg(ctx: RunContext):
         antonym_pairs=[tuple(p) for p in merge.antonym_pairs], negation_cues=tuple(merge.negation_cues)
     )
     outputs: list[Path] = []
-    inputs: list[Path] = []
     for book in sorted(corpus.books, key=lambda b: b.id):
         triples_path = ctx.triples_dir / f"{book.id}.jsonl"
         if not triples_path.is_file():
             raise MissingUpstreamArtifact(f"{triples_path} missing; run extract")
-        inputs.append(triples_path)
         kg, changelog = build_graph(
             book.id,
             len(book.plots),
-            read_jsonl(triples_path, checked_triple_record),
+            read_jsonl(ctx.read(triples_path), checked_triple_record),
             MergeMode(merge.mode),
             rules=rules,
             jaccard_threshold=merge.jaccard_threshold,
@@ -231,7 +241,7 @@ def build_kg(ctx: RunContext):
             f"{book.id}: {len(kg.edges)} edges, {len(kg.supersede_links)} supersede links, "
             f"{len(kg.retirements)} retirements"
         )
-    ctx.write_manifest("build-kg", inputs, outputs)
+    ctx.write_manifest("build-kg", outputs)
 
 
 @_command()
@@ -244,17 +254,13 @@ def genqa(ctx: RunContext, replay_override: str | None, cache_override: str | No
         ctx.load_kgs(),
         ctx.gateway(replay_override=replay_override, cache_override=cache_override),
         model_id=ctx.model_id(),
-        template_override=ctx.config.qagen.template,
+        template_override=ctx.template(ctx.config.qagen.template),
         shuffle=ctx.config.qagen.shuffle_options,
         seed=ctx.config.seed,
     )
     path = save_questions(questions, ctx.questions_path)
     click.echo(f"generated {len(questions)} questions")
-    ctx.write_manifest(
-        "genqa",
-        sorted(ctx.corpus_dir.glob("*.jsonl")) + sorted(ctx.kg_dir.glob("*.kg.jsonl")),
-        [path],
-    )
+    ctx.write_manifest("genqa", [path])
 
 
 @_command()
@@ -267,7 +273,7 @@ def verify(ctx: RunContext, replay_override: str | None, cache_override: str | N
         ctx.gateway(replay_override=replay_override, cache_override=cache_override),
         model_id=ctx.model_id(),
         max_attempts=ctx.config.verification.max_attempts,
-        template_override=ctx.config.verification.template,
+        template_override=ctx.template(ctx.config.verification.template),
         shuffle=ctx.config.qagen.shuffle_options,
         seed=ctx.config.seed,
     )
@@ -280,7 +286,7 @@ def verify(ctx: RunContext, replay_override: str | None, cache_override: str | N
         f"verified {verified}/{len(final)} questions; first-pass rate {report.rate} "
         f"({report.first_attempt_passes}/{report.verified_questions})"
     )
-    ctx.write_manifest("verify", [ctx.questions_path], [ctx.questions_path, ctx.verdicts_path])
+    ctx.write_manifest("verify", [ctx.questions_path, ctx.verdicts_path])
 
 
 @_command("review-export")
@@ -294,16 +300,14 @@ def review_export(ctx: RunContext, kind: str, output_path: str | None):
         chosen = sample(verified, ctx.config.verification.question_sample_rate, seed, key=lambda q: q.id)
         target = Path(output_path or ctx.out_dir / "review.csv")
         count = export_review(chosen, target)
-        inputs = [ctx.questions_path]
     else:
-        records = load_kept_triples(ctx.triples_dir)
+        records = load_kept_triples(ctx.triples_dir, read=ctx.read)
         chosen = sample(records, ctx.config.verification.triple_sample_rate, seed, key=lambda r: r["id"])
         target = Path(output_path or ctx.out_dir / "triples_review.csv")
         count = export_triple_review(chosen, target)
-        inputs = sorted(ctx.triples_dir.glob("*.jsonl"))
     noun = "question" if kind == "questions" else "triple"
     click.echo(f"exported {count} {noun}(s) to {target}")
-    ctx.write_manifest("review-export", inputs, [target])
+    ctx.write_manifest("review-export", [target])
 
 
 @_command("review-import")
@@ -311,14 +315,14 @@ def review_export(ctx: RunContext, kind: str, output_path: str | None):
 def review_import(ctx: RunContext, csv_path: str):
     """Apply human pass/fail verdicts from a review CSV."""
     questions = ctx.load_question_file()
-    report = import_review(csv_path, {q.id: q for q in questions})
+    report = import_review(ctx.read(csv_path), {q.id: q for q in questions})
     save_questions(questions, ctx.questions_path)
     click.echo(
         f"applied {len(report.applied)} verdict(s), skipped {report.skipped_blank} blank row(s)"
     )
     for err in report.errors:
         click.echo(f"row error: {err}", err=True)
-    ctx.write_manifest("review-import", [Path(csv_path)], [ctx.questions_path])
+    ctx.write_manifest("review-import", [ctx.questions_path])
     if report.errors:
         sys.exit(1)
 
@@ -357,15 +361,13 @@ def eval_cmd(
         gateway,
         ctx.predictions_path,
         answer_style=ctx.config.eval.answer_style,
-        template_override=ctx.config.eval.template,
+        template_override=ctx.template(ctx.config.eval.template),
     )
     rendered = render_report(table, ReportLayout.PLAIN)
     report_path = ctx.out_dir / "report.txt"
     write_atomic(report_path, [rendered.encode("utf-8")])
     click.echo(rendered, nl=False)
-    inputs = [ctx.questions_path] + sorted(ctx.corpus_dir.glob("*.jsonl"))
-    inputs += sorted(ctx.kg_dir.glob("*.kg.jsonl")) if kgs else []
-    ctx.write_manifest("eval", inputs, [predictions_path, report_path])
+    ctx.write_manifest("eval", [predictions_path, report_path])
 
 
 @_command()
@@ -375,14 +377,14 @@ def report(ctx: RunContext, layout: str):
     if not ctx.predictions_path.is_file():
         raise MissingUpstreamArtifact(f"{ctx.predictions_path} missing; run eval")
     questions = {q.id: q for q in ctx.load_question_file()}
-    predictions = load_predictions(ctx.predictions_path)
+    predictions = load_predictions(ctx.read(ctx.predictions_path))
     table = score(predictions, questions)
     rendered = render_report(table, ReportLayout(layout))
     suffix = {"plain": "txt", "markdown": "md", "csv": "csv"}[layout]
     target = ctx.out_dir / f"report.{suffix}"
     write_atomic(target, [rendered.encode("utf-8")])
     click.echo(rendered, nl=False)
-    ctx.write_manifest("report", [ctx.predictions_path, ctx.questions_path], [target])
+    ctx.write_manifest("report", [target])
 
 
 @_command("emit-ft")
@@ -407,11 +409,7 @@ def emit_ft(ctx: RunContext, allow_unverified: bool):
         click.echo(f"{target}: {count} example(s)")
     outputs = [target for target, _ in written]
     outputs.append(write_split_manifest(corpus, spec, ft_dir / "split_manifest.json"))
-    ctx.write_manifest(
-        "emit-ft",
-        [ctx.questions_path] + sorted(ctx.kg_dir.glob("*.kg.jsonl")),
-        outputs,
-    )
+    ctx.write_manifest("emit-ft", outputs)
 
 
 @_command()
@@ -423,7 +421,6 @@ def stats(ctx: RunContext):
     for b in report.per_book:
         click.echo(f"{b.title[:30]:30} {b.plot_count:>6} {b.conversation_count:>6} {b.avg_speakers:>13}")
     click.echo(f"{'TOTAL':30} {report.total_plots:>6} {report.total_conversations:>6} {report.avg_speakers:>13}")
-    inputs = sorted(ctx.corpus_dir.glob("*.jsonl"))
     if ctx.questions_path.is_file():
         qstats = dataset_stats(ctx.load_question_file())
         payload["questions"] = dataset_stats_to_record(qstats)
@@ -431,8 +428,7 @@ def stats(ctx: RunContext):
             f"questions: {qstats.questions} (correct {qstats.correct_answers}, "
             f"distractors {qstats.distractors})"
         )
-        inputs.append(ctx.questions_path)
-    ctx.write_manifest("stats", inputs, [write_json(ctx.out_dir / "stats.json", payload)])
+    ctx.write_manifest("stats", [write_json(ctx.out_dir / "stats.json", payload)])
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .errors import (
     AmbiguousAlias,
@@ -275,11 +276,14 @@ def ingest_corpus(
     format: str = "coser",
     *,
     alias_tables: dict[str, Path | str] | None = None,
+    read: Callable[[Path], Path] = Path,
 ) -> Corpus:
     """Load one book file or a directory of book files.
 
     `format` is either "coser" (nested per-book JSON) or "jsonl" (the
-    normalized plot-per-line layout this package writes).
+    normalized plot-per-line layout this package writes). Each book file and
+    alias table goes through `read` before it is opened; the CLI passes one
+    that records the file as an input of the stage.
     """
     path = Path(path)
     if not path.exists():
@@ -296,14 +300,14 @@ def ingest_corpus(
     registries: dict[str, CharacterRegistry] = {}
     for file in files:
         if format == "coser":
-            book = _parse_coser_book(file)
+            book = _parse_coser_book(read(file))
         elif format == "jsonl":
-            book = _parse_normalized_book(file)
+            book = _parse_normalized_book(read(file))
         else:
             raise UnreadableSource(f"unknown corpus format: {format!r}")
         registry = CharacterRegistry()
         if alias_tables and book.id in alias_tables:
-            registry = load_alias_table(alias_tables[book.id])
+            registry = load_alias_table(read(alias_tables[book.id]))
         _canonicalize_book(book, registry)
         books.append(book)
         registries[book.id] = registry

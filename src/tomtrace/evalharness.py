@@ -16,11 +16,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import MissingKg, MissingPlot, UnknownQuestionId
+from .errors import ConfigInvalid, MissingKg, MissingPlot, UnknownQuestionId
 from .llmgate import ChatRequest, ChatResponse, estimate_tokens, user_request
 from .qagen import TomQuestion
 from .tkg import TemporalKG, state_at
-from .triples import DIMENSIONS, Dimension, load_template, render_triple
+from .triples import DIMENSIONS, Dimension, render_template, render_triple
 from .util import format_half_up, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -117,7 +117,9 @@ def assemble_context(
         _INSTRUCTIONS_TRIPLES_FIRST if answer_style == "triples_then_answer" else _INSTRUCTIONS_ANSWER_ONLY
     )
     instructions = instructions_tpl.format(character=question.character).replace("{{", "{").replace("}}", "}")
-    text = load_template("eval_question.txt", template_override).substitute(
+    text = render_template(
+        "eval_question.txt",
+        template_override,
         character=question.character,
         book_title=book.title,
         story_plot=story_plot,
@@ -368,8 +370,9 @@ def run_eval(
     """Evaluate every question under every model and condition.
 
     Iteration order is deterministic: (book, plot, question id, model,
-    condition). Per-item failures degrade to unparseable predictions; the
-    run itself completes.
+    condition). An item whose prompt cannot be assembled degrades to an
+    unparseable prediction; a backend failure or a bad template fails the
+    run before any prediction is written.
     """
     ordered_questions = sorted(questions, key=lambda q: (q.book_id, q.plot_index, q.id))
     items: list[tuple[TomQuestion, str, EvalCondition]] = [
@@ -380,7 +383,7 @@ def run_eval(
     ]
     requests: dict[int, ChatRequest] = {}
     prompts: list[EvalPrompt | None] = []  # None where assembly failed
-    results: dict[int, object] = {}  # a response, or the error that stands in for it
+    results: dict[int, object] = {}  # a response, or the assembly error that stands in for it
     for idx, (question, model, condition) in enumerate(items):
         try:
             prompt = assemble_context(
@@ -392,6 +395,8 @@ def run_eval(
                 template_override=template_override,
             )
             requests[idx] = user_request(model, prompt.text)
+        except ConfigInvalid:
+            raise
         except Exception as exc:  # degraded item, run continues
             logger.warning("item %s/%s/%s failed assembly: %s", question.id, model, condition, exc)
             prompt, results[idx] = None, exc

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mappin
 from .errors import (
     AuthMissing,
     ConfigInvalid,
-    GatewayError,
     MalformedRecord,
     RateLimitedExhausted,
     ScriptMiss,
@@ -104,12 +103,10 @@ class ChatResponse:
     output_tokens: int
     backend_id: str
     cached: bool = False
-    error: str | None = None
 
     def __post_init__(self):
-        # Empty text is only legal when an error record explains it.
-        if not self.text and self.error is None:
-            raise ValueError("empty response text without an error record")
+        if not self.text:
+            raise ValueError("empty response text")
 
 
 # --- replay -----------------------------------------------------------------
@@ -234,7 +231,6 @@ class ResponseCache:
                 output_tokens=body["output_tokens"],
                 backend_id=body["backend_id"],
                 cached=True,
-                error=body.get("error"),
             )
         except (OSError, ValueError, KeyError, TypeError) as exc:
             logger.warning("corrupt cache entry %s in %s treated as miss: %s", key, self.path, exc)
@@ -297,7 +293,6 @@ class ResponseCache:
             "prompt_tokens": response.prompt_tokens,
             "output_tokens": response.output_tokens,
             "backend_id": response.backend_id,
-            "error": response.error,
         }
         entry = {
             "request": {"digest": digest, "model_id": request.model_id},
@@ -570,13 +565,6 @@ class Gateway:
             if self.cache is not None:
                 self.cache.seal()
 
-    def submit_batch(self, requests_by_key: Mapping[object, ChatRequest]) -> dict:
-        """Run independent requests concurrently; failures come back per key."""
-
-        def attempt(request: ChatRequest):
-            try:
-                return self.complete(request)
-            except GatewayError as exc:
-                return exc
-
-        return dict(zip(requests_by_key, self.run(attempt, requests_by_key.values())))
+    def submit_batch(self, requests_by_key: Mapping[object, ChatRequest]) -> dict[object, ChatResponse]:
+        """`complete` over the requests on `run`, keyed as given; the first failure raises."""
+        return dict(zip(requests_by_key, self.run(self.complete, requests_by_key.values())))

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .llmgate import ChatRequest, Gateway, user_request
 from .tkg import TemporalKG, state_at
-from .triples import DIMENSIONS, Dimension, MentalStateTriple, load_template, plot_prompt
+from .triples import DIMENSIONS, Dimension, MentalStateTriple, plot_prompt, render_template
 from .util import format_half_up, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -291,7 +291,9 @@ def build_verification_prompt(
     template_override: str | None = None,
     temperature: float = 0.0,
 ) -> ChatRequest:
-    prompt = load_template("question_verification.txt", template_override).substitute(
+    prompt = render_template(
+        "question_verification.txt",
+        template_override,
         dimension=question.dimension.label,
         scenario=question.scenario,
         stem=question.stem,
@@ -334,7 +336,9 @@ def regenerate(
         raise InvalidState(f"{question.id}: regenerate needs state rejected")
     if question.attempt >= max_attempts:
         raise AttemptsExhausted(f"{question.id}: attempt {question.attempt} hit budget {max_attempts}")
-    prompt = load_template("question_regeneration.txt", template_override).substitute(
+    prompt = render_template(
+        "question_regeneration.txt",
+        template_override,
         dimension=question.dimension.label,
         dimension_key=dimension_key(question.dimension),
         scenario=question.scenario,

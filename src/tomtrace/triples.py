@@ -8,6 +8,7 @@ BelievesAboutCordelia. Objects carry the mental-state content as free text.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -16,10 +17,12 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 from string import Template
+from typing import Callable
 
 from .corpus import Book, CharacterRegistry, Conversation, Plot, render_turn
 from .errors import (
     CharacterAbsent,
+    ConfigInvalid,
     ForeignSubject,
     MissingUpstreamArtifact,
     UnknownPredicate,
@@ -366,12 +369,28 @@ def validate_triple(
 
 # --- prompt building -------------------------------------------------------------
 
-def load_template(name: str, override: str | None = None) -> Template:
-    """Load a prompt template asset, or a caller-supplied override file."""
-    if override:
-        return Template(Path(override).read_text(encoding="utf-8"))
-    text = resources.files("tomtrace.templates").joinpath(name).read_text(encoding="utf-8")
-    return Template(text)
+@functools.cache
+def _packaged_template(name: str) -> Template:
+    return Template(resources.files("tomtrace.templates").joinpath(name).read_text(encoding="utf-8"))
+
+
+def render_template(name: str, override: Path | str | None = None, **fields: str) -> str:
+    """The packaged prompt template `name`, or the `override` file in its place, filled with `fields`.
+
+    A packaged template is read once per process, an override on every call.
+    An override that cannot be read as UTF-8, or that holds a placeholder
+    `fields` does not fill, raises ConfigInvalid naming the file.
+    """
+    try:
+        template = Template(Path(override).read_text(encoding="utf-8")) if override else _packaged_template(name)
+    except (OSError, UnicodeError) as exc:
+        raise ConfigInvalid(f"cannot read template {override}: {exc}") from exc
+    try:
+        return template.substitute(**fields)
+    except KeyError as exc:
+        raise ConfigInvalid(f"template {override or name}: unknown placeholder ${exc.args[0]}") from exc
+    except ValueError as exc:
+        raise ConfigInvalid(f"template {override or name}: {exc}") from exc
 
 
 def character_speaks(character: str, conversations: list[Conversation]) -> bool:
@@ -410,7 +429,9 @@ def plot_prompt(
     if not character_speaks(character, conversations):
         raise CharacterAbsent(f"{character!r} speaks in no conversation of plot {plot.index}")
     ordered = sorted(previous_triples, key=lambda t: t.plot_index)
-    prompt = load_template(template_name, template_override).substitute(
+    prompt = render_template(
+        template_name,
+        template_override,
         plot_summary=plot.summary,
         scenario=plot.scenario,
         dialogues=render_dialogues(conversations),
@@ -606,15 +627,15 @@ def checked_triple_record(rec: dict) -> dict:
     return rec
 
 
-def load_kept_triples(triples_dir: Path) -> list[dict]:
-    """Every book's kept triple records; reject files are skipped."""
+def load_kept_triples(triples_dir: Path, read: Callable[[Path], Path] = Path) -> list[dict]:
+    """Every book's kept triple records; reject files are skipped. Each file goes through `read` first."""
     if not triples_dir.is_dir():
         raise MissingUpstreamArtifact(f"no triples under {triples_dir}; run extract")
     return [
         rec
         for path in sorted(triples_dir.glob("*.jsonl"))
         if not path.name.endswith(".rejects.jsonl")
-        for rec in read_jsonl(path, checked_triple_record)
+        for rec in read_jsonl(read(path), checked_triple_record)
     ]
 
 

@@ -7,8 +7,10 @@ Error-path tests use their own scratch directories.
 
 from __future__ import annotations
 
+import builtins
 import csv
 import hashlib
+import io
 import json
 import shutil
 from collections import Counter
@@ -18,8 +20,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import tomtrace
 from conftest import CONFIG, PIPELINE, http_backend, run_cli, send_reply
-from tomtrace.cli import main
+from tomtrace.cli import RunContext, main
 from tomtrace.qagen import REVIEW_COLUMNS, QuestionState, load_questions
 from tomtrace.tkg import check_invariants, load_kg
 
@@ -276,6 +279,92 @@ def test_manifests_carry_no_absolute_paths(chain):
         assert str(out) not in path.read_text(encoding="utf-8")
 
 
+def _manifest_key(path: Path, out: Path) -> str:
+    """The manifest key rule: relative to the out dir, else to the config's directory, else the name."""
+    for base in (out, CONFIG.parent):
+        if path.resolve().is_relative_to(base.resolve()):
+            return path.resolve().relative_to(base.resolve()).as_posix()
+    return path.name
+
+
+@pytest.fixture(scope="module")
+def opened_and_recorded(tmp_path_factory):
+    """Per command: its manifest and the keys of the files it opened for reading.
+
+    Opens made while RunContext records an input or writes the manifest are
+    not counted, nor are the config, the response cache and the packaged
+    prompt templates.
+    """
+    out = tmp_path_factory.mktemp("opens") / "out"
+    skipped = (CONFIG.resolve(), (out / "cache").resolve(), Path(tomtrace.__file__).parent.resolve() / "templates")
+    opened: set[str] = set()
+    paused = [0]
+
+    def recording(real_open):
+        def open_(file, mode="r", *args, **kwargs):
+            if not paused[0] and isinstance(file, (str, Path)) and not set(mode) & set("wax+"):
+                path = Path(file).resolve()
+                if not any(path == s or path.is_relative_to(s) for s in skipped):
+                    opened.add(_manifest_key(path, out))
+            return real_open(file, mode, *args, **kwargs)
+
+        return open_
+
+    def unrecorded(method):
+        def call(*args, **kwargs):
+            paused[0] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                paused[0] -= 1
+
+        return call
+
+    commands = [
+        *PIPELINE, "review-export", f"review-import {out / 'review.csv'}", "review-export --kind triples",
+        "emit-ft --allow-unverified", "stats", "report --layout markdown",
+    ]
+    steps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builtins, "open", recording(builtins.open))
+        mp.setattr(io, "open", recording(io.open))
+        for name in ("read", "write_manifest"):
+            if hasattr(RunContext, name):  # a RunContext without read() is still compared, and fails
+                mp.setattr(RunContext, name, unrecorded(getattr(RunContext, name)))
+        for command in commands:
+            opened.clear()
+            run_cli(out, command)
+            keys = set(opened)  # before the manifest is read back below
+            manifest = json.loads((out / "manifests" / f"{command.split()[0]}.json").read_text(encoding="utf-8"))
+            steps.append((command, manifest, keys))
+    return out, steps
+
+
+def test_manifest_inputs_are_the_files_each_command_opened(opened_and_recorded):
+    _, steps = opened_and_recorded
+    for command, manifest, opened in steps:
+        assert set(manifest["inputs"]) == opened, command
+    by_command = {command: set(manifest["inputs"]) for command, manifest, _ in steps}
+    for command in ("build-kg", "emit-ft --allow-unverified"):
+        assert "corpus/king-lear.jsonl" in by_command[command]
+    for command in ("extract", "build-kg", "genqa", "eval", "emit-ft --allow-unverified", "stats"):
+        assert "king-lear-aliases.txt" in by_command[command], command
+
+
+def test_each_input_under_out_carries_the_digest_its_writer_recorded(opened_and_recorded):
+    out, steps = opened_and_recorded
+    written: dict[str, str] = {}
+    for command, manifest, _ in steps:
+        for key, digest in manifest["inputs"].items():
+            if (out / key).is_file():
+                assert written.get(key) == digest, (command, key)
+        written.update(manifest["outputs"])
+    verify = next(manifest for command, manifest, _ in steps if command == "verify")
+    genqa = next(manifest for command, manifest, _ in steps if command == "genqa")
+    assert verify["inputs"]["questions.jsonl"] == genqa["outputs"]["questions.jsonl"]
+    assert verify["inputs"]["questions.jsonl"] != verify["outputs"]["questions.jsonl"]
+
+
 def test_duplicate_import_collects_row_errors(chain):
     out, _ = chain
     result = run_cli(out, f"review-import {out / 'review.csv'}", expect=1)[0]
@@ -343,6 +432,29 @@ def test_malformed_replay_script_exits_one_without_a_traceback(tmp_path, lines, 
     assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
     assert result.stderr.startswith("error: replay script")
     assert f"bad.jsonl:{line_number}:" in result.stderr
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "cannot read template"),
+    (b"\xff$plot_summary\n", "cannot read template"),
+    (b"$plot_summary for $character: $bogus\n", "unknown placeholder $bogus"),
+], ids=["missing", "not-utf8", "unknown-placeholder"])
+def test_bad_template_override_exits_one_naming_the_file(tmp_path, content, reason):
+    shutil.copytree(CONFIG.parent, tmp_path / "data")
+    config = tmp_path / "data" / "pipeline.yaml"
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    raw["triples"]["template"] = "extract.txt"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    template = tmp_path / "data" / "extract.txt"
+    if content is not None:
+        template.write_bytes(content)
+    out = tmp_path / "out"
+    run_cli(out, "ingest", config=config)
+    [result] = run_cli(out, "extract", expect=1, config=config)
+    assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
+    assert result.stderr.startswith("error: ")
+    assert str(template) in result.stderr and reason in result.stderr
+    assert not (out / "triples").exists()
 
 
 def test_config_backend_keys_reach_the_gateway(tmp_path, monkeypatch):

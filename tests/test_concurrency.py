@@ -4,12 +4,14 @@ The fixture pipeline runs through the live gateway path (cache, retries,
 limiter) against a transport that answers from the fixture replay script
 after a random 0-5 ms delay, so concurrent requests finish out of order, and
 through the real HTTP transport against a local server that answers from the
-same script.
+same script. A failed backend fails `eval` like every other model stage, and
+a rerun sends only what the failed run left unanswered.
 """
 
 from __future__ import annotations
 
 import random
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -18,6 +20,7 @@ import pytest
 import yaml
 
 from conftest import CONFIG, DATA, http_backend, run_cli, send_reply
+from test_llmgate import _refused_url
 from tomtrace import cli, llmgate
 from tomtrace.llmgate import ChatRequest, ReplayScript
 
@@ -128,3 +131,59 @@ def test_pipeline_over_http_matches_in_memory_and_resumes_after_an_abort(monkeyp
     assert [name for name in http if http[name] != memory[name]] == []
     assert [name for name in http if http[name] != resumed[name]] == []
     assert http_requests == in_memory_requests
+
+
+def _ready_for_eval(pipeline_out: Path, out: Path) -> Path:
+    """A copy of the fixture pipeline's tree without eval's outputs."""
+    shutil.copytree(pipeline_out, out)
+    (out / "predictions.jsonl").unlink()
+    (out / "report.txt").unlink()
+    return out
+
+
+@pytest.mark.parametrize("failure", ["unset-token", "refused"])
+def test_eval_backend_failure_exits_two_and_writes_no_predictions(pipeline_out, tmp_path, monkeypatch, failure):
+    out = _ready_for_eval(pipeline_out, tmp_path / "out")
+    config = _write_config(tmp_path, endpoint=_refused_url())
+    if failure == "unset-token":
+        monkeypatch.delenv("TOMTRACE_API_TOKEN", raising=False)
+    else:
+        monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
+    [result] = run_cli(out, "eval", config=config, expect=2)
+    reason = "TOMTRACE_API_TOKEN not set" if failure == "unset-token" else "retries exhausted: transport"
+    assert result.stderr.startswith("backend error: ") and reason in result.stderr
+    assert not (out / "predictions.jsonl").exists() and not (out / "report.txt").exists()
+
+
+def test_eval_rerun_sends_only_the_unanswered_requests(pipeline_out, tmp_path, monkeypatch):
+    """After eval fails part-way, a rerun resends nothing answered and writes an uninterrupted run's bytes."""
+    script = ReplayScript.load(DATA / "replay.jsonl")
+    fail_from = {"n": None}
+
+    def answer(handler, n, payload):
+        if fail_from["n"] is not None and n >= fail_from["n"]:
+            send_reply(handler, 503, {"error": {"message": "overloaded"}})
+        else:
+            send_reply(handler, 200, _scripted_answer(script, payload))
+
+    whole = _ready_for_eval(pipeline_out, tmp_path / "whole")
+    resumed = _ready_for_eval(pipeline_out, tmp_path / "resumed")
+    monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
+    with http_backend(answer) as server:
+        config = _write_config(tmp_path, endpoint=server.url)
+        run_cli(whole, "eval", config=config)
+        whole_requests = len(server.requests)
+        fail_from["n"] = whole_requests + 10  # ten answers, then 503s
+        [aborted] = run_cli(resumed, "eval", config=config, expect=2)
+        assert aborted.stderr.startswith("backend error: retries exhausted: HTTP 503")
+        assert not (resumed / "predictions.jsonl").exists()
+        answered = [payload for _, payload in server.requests[whole_requests:fail_from["n"]]]
+        fail_from["n"] = None
+        rerun_from = len(server.requests)
+        run_cli(resumed, "eval", config=config)
+        rerun = [payload for _, payload in server.requests[rerun_from:]]
+    assert len(rerun) == whole_requests - len(answered)
+    assert not [payload for payload in rerun if payload in answered]
+    whole_bytes, resumed_bytes = _tree_bytes(whole), _tree_bytes(resumed)
+    assert whole_bytes.keys() == resumed_bytes.keys()
+    assert [name for name in whole_bytes if whole_bytes[name] != resumed_bytes[name]] == []

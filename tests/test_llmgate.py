@@ -133,6 +133,25 @@ def test_cache_round_trip_and_no_token_leak(tmp_path, monkeypatch):
     assert log.is_file() and "secret-token-value" not in log.read_text()
 
 
+def test_cache_entry_with_the_former_error_field_is_still_a_hit(tmp_path):
+    """Entries once stored `"error": null` in the response body; those caches stay warm."""
+    cache = ResponseCache(tmp_path)
+    req = user_request("m", "old entry")
+    body = {"text": "kept", "prompt_tokens": 2, "output_tokens": 1, "backend_id": BACKEND.name, "error": None}
+    entry = {
+        "request": {"digest": req.digest, "model_id": "m"},
+        "response": body,
+        "integrity": llmgate.sha256_text(llmgate.canonical_json(body)),
+    }
+    (tmp_path / "responses.jsonl").write_text(f"{cache.key_for(req, BACKEND)} {json.dumps(entry)}\n", encoding="utf-8")
+    hit = cache.get(req, BACKEND)
+    assert hit is not None and hit.text == "kept" and hit.cached
+    fresh = user_request("m", "new entry")
+    cache.put(fresh, BACKEND, ChatResponse(text="new", prompt_tokens=1, output_tokens=1, backend_id=BACKEND.name))
+    last = (tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()[-1]
+    assert "error" not in json.loads(last.split(" ", 1)[1])["response"]
+
+
 def test_cache_corrupt_entry_is_miss(tmp_path, caplog):
     cache = ResponseCache(tmp_path)
     req = user_request("m", "x")
@@ -242,8 +261,8 @@ def test_empty_or_non_text_completion_is_a_transport_error_and_not_cached(tmp_pa
     gw = Gateway(BACKEND, cache=ResponseCache(tmp_path), transport=transport)
     with pytest.raises(TransportError, match="empty or not text"):
         gw.complete(user_request("m", "x"))
-    results = gw.submit_batch({"a": user_request("m", "a"), "b": user_request("m", "b")})
-    assert all(isinstance(result, TransportError) for result in results.values())
+    with pytest.raises(TransportError, match="empty or not text"):
+        gw.submit_batch({"a": user_request("m", "a"), "b": user_request("m", "b")})
     assert not (tmp_path / "responses.jsonl").exists()
 
 
@@ -268,17 +287,15 @@ def test_auth_read_at_call_time(monkeypatch):
 
 # --- gateway ---------------------------------------------------------------------------
 
-def test_gateway_batch_collects_errors(tmp_path):
+def test_gateway_batch_raises_the_first_failure(tmp_path):
     script = ReplayScript.load(
         _write_script(tmp_path / "s.jsonl", [{"prompt_pattern": "good", "response_text": "fine"}])
     )
     gw = Gateway(BACKEND, replay=script)
-    results = gw.submit_batch({
-        "a": user_request("m", "a good prompt"),
-        "b": user_request("m", "no match"),
-    })
-    assert results["a"].text == "fine"
-    assert isinstance(results["b"], ScriptMiss)
+    results = gw.submit_batch({"a": user_request("m", "a good prompt"), "b": user_request("m", "good too")})
+    assert {key: r.text for key, r in results.items()} == {"a": "fine", "b": "fine"}
+    with pytest.raises(ScriptMiss):
+        gw.submit_batch({"a": user_request("m", "a good prompt"), "b": user_request("m", "no match")})
 
 
 def _live_transport(answer, delay_s=0.0):

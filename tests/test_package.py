@@ -73,10 +73,11 @@ def test_write_atomic_is_the_only_code_that_writes_a_file():
     ]
 
 
-class _JsonParses(ast.NodeVisitor):
-    """The enclosing qualified name of each `json.loads` or `json.load` call."""
+class _CallSites(ast.NodeVisitor):
+    """The enclosing qualified name of each call whose function node `match` accepts."""
 
-    def __init__(self) -> None:
+    def __init__(self, match) -> None:
+        self.match = match
         self.scope: list[str] = []
         self.found: list[str] = []
 
@@ -88,21 +89,27 @@ class _JsonParses(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
 
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in {"load", "loads"}:
-            if getattr(func.value, "id", "") == "json":
-                self.found.append(".".join(self.scope))
+        if self.match(node.func):
+            self.found.append(".".join(self.scope))
         self.generic_visit(node)
+
+
+def _call_sites(match) -> list[tuple[str, str]]:
+    """(file name, enclosing qualified name) of each matching call in the package."""
+    found = []
+    for path in sorted(Path(tomtrace.__file__).parent.glob("*.py")):
+        visitor = _CallSites(match)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += [(path.name, scope) for scope in visitor.found]
+    return found
 
 
 def test_read_jsonl_is_the_only_code_that_decodes_record_lines():
     """Record files go through util.read_jsonl; the graph file and the cache log keep their own loops."""
-    found = []
-    for path in sorted(Path(tomtrace.__file__).parent.glob("*.py")):
-        visitor = _JsonParses()
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found += [(path.name, scope) for scope in visitor.found]
-    assert found == [
+    def json_parse(func) -> bool:
+        return isinstance(func, ast.Attribute) and func.attr in {"load", "loads"} and getattr(func.value, "id", "") == "json"
+
+    assert _call_sites(json_parse) == [
         ("corpus.py", "_parse_coser_book"),  # one whole JSON document per source book
         ("llmgate.py", "ResponseCache._entry"),  # one cache log line, read at an indexed byte offset
         ("llmgate.py", "_http_transport"),  # a backend's response body
@@ -111,4 +118,16 @@ def test_read_jsonl_is_the_only_code_that_decodes_record_lines():
         ("tkg.py", "load_kg"),  # ... and the records it covers
         ("triples.py", "_json_entries"),  # a model's response text
         ("util.py", "read_jsonl"),
+    ]
+
+
+def test_run_context_is_the_only_code_that_hashes_files():
+    """Manifest inputs are hashed as the stage reads them, never from a list a command keeps."""
+    def hashing(func) -> bool:
+        return getattr(func, "attr", getattr(func, "id", "")) == "sha256_file"
+
+    assert _call_sites(hashing) == [
+        ("cli.py", "RunContext.read"),  # an input, as the stage opens it
+        ("cli.py", "RunContext.write_manifest"),  # the config ...
+        ("cli.py", "RunContext.write_manifest"),  # ... and the outputs
     ]
