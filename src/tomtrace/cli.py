@@ -4,40 +4,42 @@
 Every subcommand writes a run manifest (input hashes, config hash, versions)
 so a run under the replay backend can be reproduced byte for byte. Exit
 codes: 0 success, 1 user or config error, 2 backend failure.
+
+Each stage runs in a process of its own, so start-up is paid per stage: a
+command imports the pipeline modules it runs inside its body, and at exit the
+collector's passes over objects that die with the process are skipped.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
+import gc
+import hashlib
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .corpus import Corpus, corpus_stats, corpus_stats_to_record, ingest_corpus, serialize_corpus
-from .errors import GatewayError, MissingUpstreamArtifact, TomtraceError
-from .evalharness import ReportLayout, conditions, load_predictions, render_report, run_eval, score
-from .ftemit import SplitSpec, emit_training_files, write_split_manifest
-from .llmgate import Gateway, ReplayScript, ResponseCache
-from .qagen import (
-    QuestionState,
-    dataset_stats,
-    dataset_stats_to_record,
-    export_review,
-    first_pass_stats,
-    generate_questions,
-    import_review,
-    load_questions,
-    save_questions,
-    save_verdicts,
-    verify_questions,
-)
-from .tkg import ContradictionRules, MergeMode, TemporalKG, build_graph, load_kg, save_kg
-from .triples import checked_triple_record, export_triple_review, extract_triples, load_kept_triples, write_extractions
+from .errors import ConfigInvalid, GatewayError, MissingUpstreamArtifact, TomtraceError
 from .util import read_jsonl, sample, sha256_file, write_atomic, write_json, write_jsonl
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
+    from .llmgate import Gateway
+    from .tkg import TemporalKG
+    from .triples import TemplateOverride
+
+# Finalization would run full collections over objects that die with the process
+# anyway. Frozen only at exit: while a command runs, the collector works as before.
+atexit.register(gc.freeze)
+
+# Report layouts (evalharness.ReportLayout values) and the suffix of each one's file.
+REPORT_SUFFIXES = {"plain": "txt", "markdown": "md", "csv": "csv"}
 
 
 def _guarded(fn):
@@ -98,29 +100,51 @@ class RunContext:
                 pass
         return path
 
-    def template(self, override: str | None) -> str | None:
-        """A configured prompt-template override, recorded as an input; None keeps the packaged one."""
-        if override:
-            self.read(override)
-        return override
+    def template(self, override: str | None) -> TemplateOverride | None:
+        """A configured prompt-template override, read once; None keeps the packaged one.
+
+        The manifest records the digest of the bytes read here, and every
+        prompt of the stage comes from them, even if the file changes mid-stage.
+        """
+        if not override:
+            return None
+        from .triples import TemplateOverride
+
+        path = Path(override)
+        try:
+            data = path.read_bytes()
+            # Universal newlines, as a file opened for text reads them.
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except (OSError, UnicodeError) as exc:
+            raise ConfigInvalid(f"cannot read template {override}: {exc}") from exc
+        self.inputs.setdefault(self._key(path), hashlib.sha256(data).hexdigest())
+        return TemplateOverride(override, text)
 
     def load_corpus(self) -> Corpus:
+        from .corpus import ingest_corpus
+
         if not self.corpus_dir.is_dir() or not any(self.corpus_dir.glob("*.jsonl")):
             raise MissingUpstreamArtifact(f"no normalized corpus under {self.corpus_dir}; run ingest")
         return ingest_corpus(self.corpus_dir, format="jsonl", alias_tables=self.alias_tables, read=self.read)
 
     def load_kgs(self) -> dict[str, TemporalKG]:
+        from .tkg import load_kg
+
         paths = sorted(self.kg_dir.glob("*.kg.jsonl"))
         if not paths:
             raise MissingUpstreamArtifact(f"no graphs under {self.kg_dir}; run build-kg")
         return {kg.book_id: kg for kg in (load_kg(self.read(p)) for p in paths)}
 
     def load_question_file(self) -> list:
+        from .qagen import load_questions
+
         if not self.questions_path.is_file():
             raise MissingUpstreamArtifact(f"{self.questions_path} missing; run genqa")
         return load_questions(self.read(self.questions_path))
 
     def gateway(self, *, replay_override: str | None = None, cache_override: str | None = None) -> Gateway:
+        from .llmgate import Gateway, ReplayScript, ResponseCache
+
         replay = None
         script = replay_override or self.config.replay.script
         if script:
@@ -176,6 +200,8 @@ def main(ctx: click.Context, config_path: str, out_override: str | None, verbose
 @_command()
 def ingest(ctx: RunContext):
     """Parse source books into the normalized plot-per-line corpus."""
+    from .corpus import corpus_stats, ingest_corpus, serialize_corpus
+
     cfg = ctx.config.corpus
     if not cfg.input:
         raise MissingUpstreamArtifact("corpus.input is not configured")
@@ -194,6 +220,8 @@ def ingest(ctx: RunContext):
 @click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
 def extract(ctx: RunContext, replay_override: str | None, cache_override: str | None):
     """Extract mental-state triples per character and plot."""
+    from .triples import extract_triples, write_extractions
+
     corpus = ctx.load_corpus()
     extractions = extract_triples(
         sorted(corpus.books, key=lambda b: b.id),
@@ -213,6 +241,9 @@ def extract(ctx: RunContext, replay_override: str | None, cache_override: str | 
 @_command("build-kg")
 def build_kg(ctx: RunContext):
     """Fold extracted triple batches into per-book temporal graphs."""
+    from .tkg import ContradictionRules, MergeMode, build_graph, save_kg
+    from .triples import checked_triple_record
+
     corpus = ctx.load_corpus()
     if not ctx.triples_dir.is_dir():
         raise MissingUpstreamArtifact(f"no triples under {ctx.triples_dir}; run extract")
@@ -249,6 +280,8 @@ def build_kg(ctx: RunContext):
 @click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
 def genqa(ctx: RunContext, replay_override: str | None, cache_override: str | None):
     """Generate one question per dimension per speaking character per plot."""
+    from .qagen import generate_questions, save_questions
+
     questions = generate_questions(
         ctx.load_corpus(),
         ctx.load_kgs(),
@@ -268,6 +301,8 @@ def genqa(ctx: RunContext, replay_override: str | None, cache_override: str | No
 @click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
 def verify(ctx: RunContext, replay_override: str | None, cache_override: str | None):
     """Model-verify generated questions, regenerating rejects up to the budget."""
+    from .qagen import QuestionState, first_pass_stats, save_questions, save_verdicts, verify_questions
+
     final, verdicts = verify_questions(
         ctx.load_question_file(),
         ctx.gateway(replay_override=replay_override, cache_override=cache_override),
@@ -294,6 +329,9 @@ def verify(ctx: RunContext, replay_override: str | None, cache_override: str | N
 @click.option("--output", "output_path", default=None, type=click.Path(dir_okay=False))
 def review_export(ctx: RunContext, kind: str, output_path: str | None):
     """Export a review CSV (sampled per config) for human verdicts."""
+    from .qagen import QuestionState, export_review
+    from .triples import export_triple_review, load_kept_triples
+
     seed = ctx.config.seed
     if kind == "questions":
         verified = [q for q in ctx.load_question_file() if q.state is QuestionState.LLM_VERIFIED]
@@ -314,6 +352,8 @@ def review_export(ctx: RunContext, kind: str, output_path: str | None):
 @click.argument("csv_path", type=click.Path(exists=True, dir_okay=False))
 def review_import(ctx: RunContext, csv_path: str):
     """Apply human pass/fail verdicts from a review CSV."""
+    from .qagen import import_review, save_questions
+
     questions = ctx.load_question_file()
     report = import_review(ctx.read(csv_path), {q.id: q for q in questions})
     save_questions(questions, ctx.questions_path)
@@ -342,6 +382,8 @@ def eval_cmd(
     cache_override: str | None,
 ):
     """Answer every question under each model and condition, then score."""
+    from .evalharness import ReportLayout, conditions, render_report, run_eval
+
     corpus = ctx.load_corpus()
     questions = ctx.load_question_file()
     chosen = conditions(context_override or ctx.config.eval.context, triples_override or ctx.config.eval.triples)
@@ -371,17 +413,18 @@ def eval_cmd(
 
 
 @_command()
-@click.option("--layout", type=click.Choice([l.value for l in ReportLayout]), default="plain")
+@click.option("--layout", type=click.Choice(list(REPORT_SUFFIXES)), default="plain")
 def report(ctx: RunContext, layout: str):
     """Re-render the score table from stored predictions."""
+    from .evalharness import ReportLayout, load_predictions, render_report, score
+
     if not ctx.predictions_path.is_file():
         raise MissingUpstreamArtifact(f"{ctx.predictions_path} missing; run eval")
     questions = {q.id: q for q in ctx.load_question_file()}
     predictions = load_predictions(ctx.read(ctx.predictions_path))
     table = score(predictions, questions)
     rendered = render_report(table, ReportLayout(layout))
-    suffix = {"plain": "txt", "markdown": "md", "csv": "csv"}[layout]
-    target = ctx.out_dir / f"report.{suffix}"
+    target = ctx.out_dir / f"report.{REPORT_SUFFIXES[layout]}"
     write_atomic(target, [rendered.encode("utf-8")])
     click.echo(rendered, nl=False)
     ctx.write_manifest("report", [target])
@@ -391,6 +434,8 @@ def report(ctx: RunContext, layout: str):
 @click.option("--allow-unverified", is_flag=True, help="Waive the human-verification gate.")
 def emit_ft(ctx: RunContext, allow_unverified: bool):
     """Emit supervised fine-tune JSONL files with the book-level OOD split."""
+    from .ftemit import SplitSpec, emit_training_files, write_split_manifest
+
     corpus = ctx.load_corpus()
     kgs = ctx.load_kgs()
     questions = ctx.load_question_file()
@@ -415,6 +460,8 @@ def emit_ft(ctx: RunContext, allow_unverified: bool):
 @_command()
 def stats(ctx: RunContext):
     """Corpus and question-set statistics."""
+    from .corpus import corpus_stats, corpus_stats_to_record
+
     report = corpus_stats(ctx.load_corpus())
     payload = {"corpus": corpus_stats_to_record(report)}
     click.echo(f"{'book':30} {'plots':>6} {'convs':>6} {'avg speakers':>13}")
@@ -422,6 +469,8 @@ def stats(ctx: RunContext):
         click.echo(f"{b.title[:30]:30} {b.plot_count:>6} {b.conversation_count:>6} {b.avg_speakers:>13}")
     click.echo(f"{'TOTAL':30} {report.total_plots:>6} {report.total_conversations:>6} {report.avg_speakers:>13}")
     if ctx.questions_path.is_file():
+        from .qagen import dataset_stats, dataset_stats_to_record
+
         qstats = dataset_stats(ctx.load_question_file())
         payload["questions"] = dataset_stats_to_record(qstats)
         click.echo(

@@ -154,10 +154,16 @@ def _fill_section(cls, data: dict, path: str):
     return section
 
 
+def _yaml_loader() -> type:
+    """libyaml's safe loader, about ten times faster than PyYAML's own; the pure-Python
+    SafeLoader where libyaml is not built. Both share the safe constructor and resolver."""
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: Path | str) -> PipelineConfig:
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_yaml_loader())
     except (OSError, UnicodeError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

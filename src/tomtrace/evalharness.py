@@ -20,7 +20,7 @@ from .errors import ConfigInvalid, MissingKg, MissingPlot, UnknownQuestionId
 from .llmgate import ChatRequest, ChatResponse, estimate_tokens, user_request
 from .qagen import TomQuestion
 from .tkg import TemporalKG, state_at
-from .triples import DIMENSIONS, Dimension, render_template, render_triple
+from .triples import DIMENSIONS, Dimension, TemplateOverride, render_template, render_triple
 from .util import format_half_up, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -87,7 +87,7 @@ def assemble_context(
     condition: EvalCondition,
     *,
     answer_style: str = "triples_then_answer",
-    template_override: str | None = None,
+    template_override: TemplateOverride | None = None,
 ) -> EvalPrompt:
     """Build the standardized question prompt for one condition."""
     if answer_style not in ANSWER_STYLES:
@@ -365,7 +365,7 @@ def run_eval(
     predictions_path: Path | str,
     *,
     answer_style: str = "triples_then_answer",
-    template_override: str | None = None,
+    template_override: TemplateOverride | None = None,
 ) -> tuple[ScoreTable, Path]:
     """Evaluate every question under every model and condition.
 

@@ -21,7 +21,6 @@ import re
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, TypeVar
@@ -555,6 +554,10 @@ class Gateway:
                     failed.set()
                     raise
             return None
+
+        # Imported here, not at module level: offline stages load this module
+        # for its record types and never run a batch.
+        from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=max(1, self.backend.max_in_flight))
         try:

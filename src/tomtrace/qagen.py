@@ -36,7 +36,7 @@ from .errors import (
 )
 from .llmgate import ChatRequest, Gateway, user_request
 from .tkg import TemporalKG, state_at
-from .triples import DIMENSIONS, Dimension, MentalStateTriple, plot_prompt, render_template
+from .triples import DIMENSIONS, Dimension, MentalStateTriple, TemplateOverride, plot_prompt, render_template
 from .util import format_half_up, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -127,7 +127,7 @@ def build_question_prompt(
     previous_triples: list[MentalStateTriple],
     *,
     model_id: str,
-    template_override: str | None = None,
+    template_override: TemplateOverride | None = None,
     temperature: float = 0.0,
     max_output_tokens: int = 3072,
 ) -> ChatRequest:
@@ -288,7 +288,7 @@ def build_verification_prompt(
     question: TomQuestion,
     *,
     model_id: str,
-    template_override: str | None = None,
+    template_override: TemplateOverride | None = None,
     temperature: float = 0.0,
 ) -> ChatRequest:
     prompt = render_template(
@@ -303,7 +303,7 @@ def build_verification_prompt(
     return user_request(model_id, prompt, temperature=temperature, max_output_tokens=512)
 
 
-def llm_verify(question, gateway, *, model_id: str, template_override: str | None = None):
+def llm_verify(question, gateway, *, model_id: str, template_override: TemplateOverride | None = None):
     """Run model verification on a Generated question and apply the verdict."""
     if question.state is not QuestionState.GENERATED:
         raise InvalidState(f"{question.id}: llm_verify needs state generated, not {question.state.value}")
@@ -329,7 +329,7 @@ def regenerate(
     *,
     model_id: str,
     notes: str = "",
-    template_override: str | None = None,
+    template_override: TemplateOverride | None = None,
 ) -> TomQuestion:
     """Produce a replacement for a rejected question (state Generated, attempt+1)."""
     if question.state is not QuestionState.REJECTED:
@@ -376,7 +376,7 @@ def generate_questions(
     gateway: Gateway,
     *,
     model_id: str,
-    template_override: str | None = None,
+    template_override: TemplateOverride | None = None,
     shuffle: bool = False,
     seed: int | None = None,
 ) -> list[TomQuestion]:
@@ -425,7 +425,7 @@ def verify_questions(
     *,
     model_id: str,
     max_attempts: int,
-    template_override: str | None = None,
+    template_override: TemplateOverride | None = None,
     shuffle: bool = False,
     seed: int | None = None,
 ) -> tuple[list[TomQuestion], list[VerificationVerdict]]:

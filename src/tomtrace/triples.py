@@ -374,23 +374,27 @@ def _packaged_template(name: str) -> Template:
     return Template(resources.files("tomtrace.templates").joinpath(name).read_text(encoding="utf-8"))
 
 
-def render_template(name: str, override: Path | str | None = None, **fields: str) -> str:
-    """The packaged prompt template `name`, or the `override` file in its place, filled with `fields`.
+@dataclass(frozen=True)
+class TemplateOverride:
+    """A prompt-template file used in place of a packaged template: its text, read once, and its path."""
 
-    A packaged template is read once per process, an override on every call.
-    An override that cannot be read as UTF-8, or that holds a placeholder
-    `fields` does not fill, raises ConfigInvalid naming the file.
+    path: str
+    text: str
+
+
+def render_template(name: str, override: TemplateOverride | None = None, **fields: str) -> str:
+    """The packaged prompt template `name`, or the `override` in its place, filled with `fields`.
+
+    A packaged template is read once per process. An override that holds a
+    placeholder `fields` does not fill raises ConfigInvalid naming its file.
     """
-    try:
-        template = Template(Path(override).read_text(encoding="utf-8")) if override else _packaged_template(name)
-    except (OSError, UnicodeError) as exc:
-        raise ConfigInvalid(f"cannot read template {override}: {exc}") from exc
+    template, label = (Template(override.text), override.path) if override else (_packaged_template(name), name)
     try:
         return template.substitute(**fields)
     except KeyError as exc:
-        raise ConfigInvalid(f"template {override or name}: unknown placeholder ${exc.args[0]}") from exc
+        raise ConfigInvalid(f"template {label}: unknown placeholder ${exc.args[0]}") from exc
     except ValueError as exc:
-        raise ConfigInvalid(f"template {override or name}: {exc}") from exc
+        raise ConfigInvalid(f"template {label}: {exc}") from exc
 
 
 def character_speaks(character: str, conversations: list[Conversation]) -> bool:
@@ -421,7 +425,7 @@ def plot_prompt(
     previous_triples: list[MentalStateTriple],
     *,
     model_id: str,
-    template_override: str | None,
+    template_override: TemplateOverride | None,
     temperature: float,
     max_output_tokens: int,
 ) -> ChatRequest:
@@ -448,7 +452,7 @@ def build_extraction_prompt(
     previous_triples: list[MentalStateTriple],
     *,
     model_id: str,
-    template_override: str | None = None,
+    template_override: TemplateOverride | None = None,
     temperature: float = 0.0,
     max_output_tokens: int = 2048,
 ) -> ChatRequest:
@@ -524,7 +528,7 @@ def _extract_chain(
     *,
     model_id: str,
     strict: bool,
-    template_override: str | None,
+    template_override: TemplateOverride | None,
 ) -> Extraction:
     """One character through one book; each prompt carries the previous plot's kept triples."""
     out = Extraction()
@@ -574,7 +578,7 @@ def extract_triples(
     *,
     model_id: str,
     strict: bool = False,
-    template_override: str | None = None,
+    template_override: TemplateOverride | None = None,
 ) -> dict[str, Extraction]:
     """Extract every speaker's triples through every book, keyed by book id.
 

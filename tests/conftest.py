@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import tomtrace
 from tomtrace.cli import main
 from tomtrace.config import BackendSection
 from tomtrace.corpus import ingest_corpus
@@ -18,6 +22,9 @@ DATA = Path(__file__).parent / "data"
 CONFIG = DATA / "pipeline.yaml"
 
 PIPELINE = ("ingest", "extract", "build-kg", "genqa", "verify", "eval", "report")
+
+# How the `tomtrace` console script starts the CLI.
+ENTRY_POINT = "import sys; from tomtrace.cli import main; sys.exit(main())"
 
 
 def run_cli(out_dir: Path, *commands: str, expect: int = 0, config: Path = CONFIG) -> list:
@@ -34,6 +41,21 @@ def run_cli(out_dir: Path, *commands: str, expect: int = 0, config: Path = CONFI
             )
         results.append(result)
     return results
+
+
+def run_entry_point(*args: str, code: str = ENTRY_POINT) -> subprocess.CompletedProcess:
+    """Run the CLI with `args` in a fresh interpreter, through `code`, and return the finished process.
+
+    Unlike `run_cli`, the process exits the way a user's does: through
+    `sys.exit`, the atexit handlers and interpreter finalization.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(tomtrace.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under root, keyed by its path relative to root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="session")

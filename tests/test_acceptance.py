@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, tree_bytes
 from kg_oracle import run_random_case
 from tomtrace.corpus import SegmentKind, corpus_stats, ingest_corpus, parse_turn
 from tomtrace.evalharness import (
@@ -223,14 +223,6 @@ def test_criterion_05_score_cells_match_hand_recount():
         assert row.total[Dimension.BELIEF] == 10  # None-letter rows stay in the denominator
 
 
-def _tree_bytes(root: Path) -> dict[str, bytes]:
-    return {
-        p.relative_to(root).as_posix(): p.read_bytes()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
-
-
 def test_criterion_06_two_runs_are_byte_identical(tmp_path):
     with criterion(6, "end-to-end determinism under the replay backend") as note:
         sequence = ("ingest", "extract", "build-kg", "genqa", "eval", "report")
@@ -239,7 +231,7 @@ def test_criterion_06_two_runs_are_byte_identical(tmp_path):
         run_cli(out_a, *sequence)
         run_cli(out_b, *sequence)
         elapsed = time.perf_counter() - started
-        tree_a, tree_b = _tree_bytes(out_a), _tree_bytes(out_b)
+        tree_a, tree_b = tree_bytes(out_a), tree_bytes(out_b)
         assert tree_a.keys() == tree_b.keys()
         different = [name for name in tree_a if tree_a[name] != tree_b[name]]
         assert different == []

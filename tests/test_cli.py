@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import builtins
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -21,8 +22,11 @@ import yaml
 from click.testing import CliRunner
 
 import tomtrace
-from conftest import CONFIG, PIPELINE, http_backend, run_cli, send_reply
-from tomtrace.cli import RunContext, main
+from conftest import CONFIG, PIPELINE, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
+from test_llmgate import _refused_url
+from tomtrace.cli import REPORT_SUFFIXES, RunContext, main
+from tomtrace.config import load_config
+from tomtrace.evalharness import ReportLayout
 from tomtrace.qagen import REVIEW_COLUMNS, QuestionState, load_questions
 from tomtrace.tkg import check_invariants, load_kg
 
@@ -156,6 +160,10 @@ def test_report_markdown_layout(chain):
     assert "| Models | Belief | Desire | Emotion | Intention | Avg |" in text
     assert "| replay-gpt | 80.00 | 80.00 | 100.00 | 80.00 | 85.00 |" in text
     assert "| w Triple | 100.00 | 80.00 | 100.00 | 80.00 | 90.00 |" in text
+
+
+def test_report_layout_choices_are_the_report_layouts():
+    assert list(REPORT_SUFFIXES) == [layout.value for layout in ReportLayout]
 
 
 def test_report_csv_layout(chain):
@@ -457,6 +465,52 @@ def test_bad_template_override_exits_one_naming_the_file(tmp_path, content, reas
     assert not (out / "triples").exists()
 
 
+def _fixture_copy(tmp_path: Path, edit) -> Path:
+    """A copy of the fixture data whose config `edit(raw)` has changed; returns the config path."""
+    shutil.copytree(CONFIG.parent, tmp_path / "data")
+    config = tmp_path / "data" / "pipeline.yaml"
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    edit(raw)
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return config
+
+
+def test_a_template_override_is_read_once_per_stage(tmp_path):
+    """Every prompt and the manifest's digest come from one read of the file."""
+    config = _fixture_copy(tmp_path, lambda raw: raw["triples"].update(template="extract.txt"))
+    template = tmp_path / "data" / "extract.txt"
+    # The packaged text, so that the replay script answers the prompts.
+    template.write_bytes((Path(tomtrace.__file__).parent / "templates" / "triple_extraction.txt").read_bytes())
+    out = tmp_path / "out"
+    run_cli(out, "ingest", config=config)
+    opens = []
+
+    def counting(real_open):
+        def open_(file, *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file).resolve() == template.resolve():
+                opens.append(file)
+            return real_open(file, *args, **kwargs)
+
+        return open_
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builtins, "open", counting(builtins.open))
+        mp.setattr(io, "open", counting(io.open))
+        [result] = run_cli(out, "extract", config=config)
+    assert len(opens) == 1
+    assert result.stdout.startswith("extracted ") and not result.stdout.startswith("extracted 0 ")
+    manifest = json.loads((out / "manifests" / "extract.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"]["extract.txt"] == hashlib.sha256(template.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_template_override_reads_newlines_as_a_text_file_does(tmp_path, newline):
+    template = tmp_path / "prompt.txt"
+    template.write_bytes("$plot_summary\nfor $character\n".replace("\n", newline).encode("utf-8"))
+    override = RunContext(load_config(CONFIG), str(tmp_path / "out")).template(str(template))
+    assert override.text == template.read_text(encoding="utf-8") == "$plot_summary\nfor $character\n"
+
+
 def test_config_backend_keys_reach_the_gateway(tmp_path, monkeypatch):
     book = {"title": "Storm", "plots": [{
         "summary": "Kent waits out the storm.",
@@ -570,3 +624,56 @@ def test_version_flag():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "version" in result.stdout
+
+
+def test_nothing_is_frozen_while_a_command_runs_in_process(tmp_path):
+    run_cli(tmp_path / "out", "ingest")
+    assert gc.get_freeze_count() == 0
+
+
+# --- the real entry point: a fresh interpreter that exits through atexit ----------------
+
+
+def test_stages_run_through_the_entry_point_write_the_bytes_of_an_in_process_run(tmp_path):
+    in_process = run_cli(tmp_path / "in-process", "ingest", "extract")
+    for command, expected in zip(("ingest", "extract"), in_process):
+        result = run_entry_point("-c", str(CONFIG), "--out", str(tmp_path / "process"), command)
+        assert (result.returncode, result.stdout) == (0, expected.stdout), result.stderr
+    assert tree_bytes(tmp_path / "process") == tree_bytes(tmp_path / "in-process")
+
+
+def test_the_entry_point_freezes_the_collector_only_at_exit():
+    code = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "from tomtrace.cli import main\n"
+        "try:\n"
+        "    main()\n"
+        "finally:\n"
+        "    print('in run', gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    result = run_entry_point("--version", code=code)
+    assert result.returncode == 0
+    assert result.stderr == "in run False\nat exit True\n"
+
+
+def test_a_bad_config_through_the_entry_point_exits_one(tmp_path):
+    config = tmp_path / "bad.yaml"
+    config.write_text("seed: 1\nbogus: true\n", encoding="utf-8")
+    result = run_entry_point("-c", str(config), "--out", str(tmp_path / "out"), "ingest")
+    assert (result.returncode, result.stderr) == (1, "error: unknown key bogus\n")
+
+
+def test_an_unset_token_through_the_entry_point_exits_two(tmp_path, monkeypatch):
+    def live(raw):
+        raw["replay"] = {}
+        raw["backend"]["endpoint"] = _refused_url()
+
+    config = _fixture_copy(tmp_path, live)
+    out = tmp_path / "out"
+    run_cli(out, "ingest", config=config)
+    monkeypatch.delenv("TOMTRACE_API_TOKEN", raising=False)
+    result = run_entry_point("-c", str(config), "--out", str(out), "extract")
+    assert result.returncode == 2
+    assert result.stderr == "backend error: environment variable TOMTRACE_API_TOKEN not set\n"
+    assert not (out / "triples").exists()

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import CONFIG, DATA, http_backend, run_cli, send_reply
+from conftest import CONFIG, DATA, http_backend, run_cli, send_reply, tree_bytes
 from test_llmgate import _refused_url
 from tomtrace import cli, llmgate
 from tomtrace.llmgate import ChatRequest, ReplayScript
@@ -83,14 +83,10 @@ def _run_pipeline(monkeypatch, config: Path, out: Path, max_in_flight: int | Non
     return calls["n"]
 
 
-def _tree_bytes(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
 def test_outputs_and_request_counts_identical_at_one_and_eight_in_flight(monkeypatch, tmp_path, live_config):
     serial_calls = _run_pipeline(monkeypatch, live_config, tmp_path / "serial", 1)
     parallel_calls = _run_pipeline(monkeypatch, live_config, tmp_path / "parallel", 8)
-    serial, parallel = _tree_bytes(tmp_path / "serial"), _tree_bytes(tmp_path / "parallel")
+    serial, parallel = tree_bytes(tmp_path / "serial"), tree_bytes(tmp_path / "parallel")
     assert serial.keys() == parallel.keys()
     assert [name for name in serial if serial[name] != parallel[name]] == []
     assert any(name.startswith("cache/") for name in serial)  # the live path was taken
@@ -125,7 +121,7 @@ def test_pipeline_over_http_matches_in_memory_and_resumes_after_an_abort(monkeyp
         run_cli(resumed_out, *STAGES[1:], config=config)
 
     in_memory_requests = _run_pipeline(monkeypatch, config, tmp_path / "memory")
-    http, memory, resumed = (_tree_bytes(tmp_path / name) for name in ("http", "memory", "resumed"))
+    http, memory, resumed = (tree_bytes(tmp_path / name) for name in ("http", "memory", "resumed"))
     assert http.keys() == memory.keys() == resumed.keys()
     assert any(name.startswith("cache/") for name in http)
     assert [name for name in http if http[name] != memory[name]] == []
@@ -184,6 +180,6 @@ def test_eval_rerun_sends_only_the_unanswered_requests(pipeline_out, tmp_path, m
         rerun = [payload for _, payload in server.requests[rerun_from:]]
     assert len(rerun) == whole_requests - len(answered)
     assert not [payload for payload in rerun if payload in answered]
-    whole_bytes, resumed_bytes = _tree_bytes(whole), _tree_bytes(resumed)
+    whole_bytes, resumed_bytes = tree_bytes(whole), tree_bytes(resumed)
     assert whole_bytes.keys() == resumed_bytes.keys()
     assert [name for name in whole_bytes if whole_bytes[name] != resumed_bytes[name]] == []

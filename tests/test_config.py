@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import json
 
+import pytest
+import yaml
+
+from conftest import CONFIG, run_cli
+from tomtrace import config as config_module
 from tomtrace.config import load_config
 from tomtrace.errors import ConfigInvalid
 
@@ -173,3 +178,86 @@ def test_out_and_cache_dirs_not_rebased(tmp_path):
     config = load_config(write(tmp_path, "seed: 7\nout_dir: results\ncache_dir: cache\n"))
     assert config.out_dir == "results"
     assert config.cache_dir == "cache"
+
+
+# --- the YAML loader ---------------------------------------------------------------
+
+# The benchmark writes its config as indented JSON, which is valid YAML.
+JSON_SHAPED = json.dumps({
+    "seed": 11, "out_dir": "out", "cache_dir": "cache",
+    "corpus": {"input": "corpus/books", "format": "coser", "alias_tables": {"b-0": "corpus/aliases/b-0.txt"}},
+    "backend": {"name": "simulated", "endpoint": "http://127.0.0.1:8080/v1/chat", "auth_env_var": "TOKEN",
+                "model": "sim", "max_in_flight": 2, "requests_per_minute": 1_000_000,
+                "retry_max_attempts": 3, "retry_base_backoff_s": 0.02},
+    "merge": {"mode": "deterministic_merge", "antonym_pairs": [["hopeful", "grim"]]},
+    "triples": {"strict_perspective": False},
+    "qagen": {"shuffle_options": False},
+    "verification": {"question_sample_rate": 1.0, "triple_sample_rate": 1.0, "max_attempts": 3},
+    "eval": {"models": ["sim"], "context": "both", "triples": "both"},
+    "ft": {"ood_books": ["Book 0"], "require_human_verified": True, "with_triples": "both"},
+}, indent=1) + "\n"
+
+# Anchors and aliases, a << merge key, literal and folded block scalars, ${VAR} interpolation.
+YAML_FEATURES = """\
+seed: 3
+corpus:
+  input: >-
+    books
+backend: &live
+  name: live
+  endpoint: "${TT_HOST}/v1/chat"
+  model: &model m-1
+replay:
+  default_policy: fixed
+  default_text: |
+    line one
+    line two: ${TT_HOST}
+triples: &prompts
+  template: prompts/extract.txt
+qagen:
+  <<: *prompts
+  shuffle_options: true
+merge:
+  antonym_pairs:
+    - &pair [pleased, betrayed]
+    - *pair
+eval:
+  models: [*model, m-2]
+"""
+
+
+def _load_both(path, monkeypatch):
+    """The config as the libyaml loader reads it, and as the pure-Python fallback does."""
+    by_c = load_config(path)
+    with monkeypatch.context() as mp:
+        mp.delattr(yaml, "CSafeLoader", raising=False)
+        assert config_module._yaml_loader() is yaml.SafeLoader
+        by_python = load_config(path)
+    return by_c, by_python
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+def test_libyaml_parses_the_config():
+    assert config_module._yaml_loader() is yaml.CSafeLoader
+
+
+@pytest.mark.parametrize("text", [None, JSON_SHAPED, YAML_FEATURES], ids=["fixture", "json-shaped", "yaml-features"])
+def test_both_loaders_read_the_same_config(tmp_path, monkeypatch, text):
+    monkeypatch.setenv("TT_HOST", "http://127.0.0.1:9")
+    by_c, by_python = _load_both(CONFIG if text is None else write(tmp_path, text), monkeypatch)
+    assert by_c == by_python
+    if text is YAML_FEATURES:
+        assert by_c.backend.endpoint == "http://127.0.0.1:9/v1/chat" and by_c.corpus.input.endswith("/books")
+        assert by_c.replay.default_text == "line one\nline two: http://127.0.0.1:9\n"
+        assert by_c.qagen.template == by_c.triples.template and by_c.qagen.shuffle_options is True
+        assert by_c.merge.antonym_pairs == [["pleased", "betrayed"]] * 2
+        assert by_c.eval.models == ["m-1", "m-2"]
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["libyaml", "pure-python"])
+def test_malformed_yaml_exits_one_with_either_loader(tmp_path, monkeypatch, fallback):
+    if fallback:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    config = write(tmp_path, "seed: 1\ncorpus: [unclosed\n")
+    [result] = run_cli(tmp_path / "out", "ingest", expect=1, config=config)
+    assert result.stderr.startswith(f"error: config {config} is not valid YAML")

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tomtrace
+from conftest import CONFIG, ENTRY_POINT, run_cli, run_entry_point
 
 
 def test_importing_the_package_loads_no_pipeline_module():
@@ -21,6 +24,58 @@ def test_importing_the_gateway_loads_neither_the_config_module_nor_yaml():
     env = {**os.environ, "PYTHONPATH": str(Path(tomtrace.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# The entry point, reporting every loaded module on its last stderr line as the process exits.
+MODULES_AT_EXIT = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print('modules:', *sorted(sys.modules), file=sys.stderr))\n" + ENTRY_POINT
+)
+PIPELINE_MODULES = {f"tomtrace.{m}" for m in ("llmgate", "triples", "tkg", "qagen", "evalharness", "ftemit")}
+REQUEST_MODULES = {"concurrent.futures", "http.client", "urllib.request"}
+OFFLINE_COMMANDS = ("ingest", "build-kg", "report", "review-export", "review-import", "emit-ft", "stats")
+
+
+@pytest.fixture(scope="module")
+def modules_at_exit(tmp_path_factory) -> dict[str, set[str]]:
+    """Per command, the modules loaded when its process exits.
+
+    `--version` and every offline command run on the fixture in a fresh
+    interpreter; the model stages that feed them run in this process.
+    """
+    out = tmp_path_factory.mktemp("imports") / "out"
+    loaded: dict[str, set[str]] = {}
+
+    def run(name: str, *args: str) -> None:
+        result = run_entry_point(*args, code=MODULES_AT_EXIT)
+        assert result.returncode == 0, result.stderr
+        label, *modules = result.stderr.splitlines()[-1].split()
+        assert label == "modules:", result.stderr
+        loaded[name] = set(modules)
+
+    run("--version", "--version")
+    steps = ["ingest", "extract", "build-kg", "genqa", "verify", "eval", "report", "review-export",
+             f"review-import {out / 'review.csv'}", "emit-ft --allow-unverified", "stats"]
+    for step in steps:
+        name = step.split()[0]
+        if name in OFFLINE_COMMANDS:
+            run(name, "-c", str(CONFIG), "--out", str(out), *step.split())
+        else:
+            run_cli(out, step)
+    return loaded
+
+
+def test_version_and_ingest_load_no_module_of_the_later_stages(modules_at_exit):
+    for command in ("--version", "ingest"):
+        assert modules_at_exit[command] & PIPELINE_MODULES == set(), command
+    assert "tomtrace.corpus" in modules_at_exit["ingest"]
+
+
+def test_no_offline_command_loads_a_thread_pool_or_an_http_client(modules_at_exit):
+    assert set(modules_at_exit) == {"--version", *OFFLINE_COMMANDS}
+    for command in OFFLINE_COMMANDS:
+        assert modules_at_exit[command] & REQUEST_MODULES == set(), command
+    assert {"tomtrace.evalharness", "tomtrace.qagen"} <= modules_at_exit["report"]
 
 
 class _FileWrites(ast.NodeVisitor):
