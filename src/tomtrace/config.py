@@ -1,16 +1,18 @@
 """Pipeline configuration: one YAML file, validated strictly.
 
-Unknown keys are rejected so typos fail loudly. String values support
-${ENV_VAR} interpolation for secrets; the interpolated value never lands in
-logs or artifacts. Relative paths are resolved against the config file's
-directory.
+Each setting is declared once, as a field of its section: the field's type is
+what the file must give, and `setting` attaches any further rule. The reader
+rejects unknown keys so typos fail loudly, and names the dotted key in every
+error. String values support ${ENV_VAR} interpolation for secrets; the
+interpolated value never lands in logs or artifacts. A string that fills a
+number or a flag is read as a YAML scalar. Settings that name an input file
+are resolved against the config file's directory.
 """
-
-from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -20,11 +22,18 @@ from .errors import ConfigInvalid
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
+def setting(default=MISSING, *, default_factory=MISSING, choices=(), low=None, high=None, file=False):
+    """A field whose value must also be one of `choices` and lie within [`low`, `high`];
+    with `file` it names an input, resolved against the config file's directory."""
+    return field(default=default, default_factory=default_factory,
+                 metadata={"choices": choices, "low": low, "high": high, "file": file})
+
+
 @dataclass
 class CorpusSection:
-    input: str = ""
-    format: str = "coser"
-    alias_tables: dict[str, str] = field(default_factory=dict)
+    input: str = setting("", file=True)
+    format: str = setting("coser", choices=("coser", "jsonl"))
+    alias_tables: dict[str, str] = setting(default_factory=dict, file=True)
 
 
 @dataclass
@@ -33,23 +42,23 @@ class BackendSection:
     endpoint: str = ""
     auth_env_var: str = "LLM_API_KEY"
     model: str = ""
-    max_in_flight: int = 4
-    requests_per_minute: int = 60
-    retry_max_attempts: int = 3
-    retry_base_backoff_s: float = 0.5
+    max_in_flight: int = 4  # below 1 runs one request at a time
+    requests_per_minute: int = setting(60, low=1)
+    retry_max_attempts: int = 3  # below 1 makes one attempt
+    retry_base_backoff_s: float = setting(0.5, low=0)
 
 
 @dataclass
 class ReplaySection:
-    script: str | None = None
-    default_policy: str = "error"
+    script: str | None = setting(None, file=True)
+    default_policy: str = setting("error", choices=("error", "fixed"))
     default_text: str = ""
 
 
 @dataclass
 class MergeSection:
-    mode: str = "trust_llm_diff"
-    jaccard_threshold: float = 0.5
+    mode: str = setting("trust_llm_diff", choices=("trust_llm_diff", "deterministic_merge"))
+    jaccard_threshold: float = setting(0.5, low=0, high=1)
     antonym_pairs: list[list[str]] = field(default_factory=list)
     negation_cues: list[str] = field(default_factory=lambda: ["not", "never", "no longer"])
 
@@ -57,42 +66,44 @@ class MergeSection:
 @dataclass
 class TriplesSection:
     strict_perspective: bool = False
-    template: str | None = None
+    template: str | None = setting(None, file=True)
 
 
 @dataclass
 class QagenSection:
     shuffle_options: bool = False
-    template: str | None = None
+    template: str | None = setting(None, file=True)
 
 
 @dataclass
 class VerificationSection:
-    question_sample_rate: float = 1.0
-    triple_sample_rate: float = 0.4
-    max_attempts: int = 3
-    template: str | None = None
+    question_sample_rate: float = setting(1.0, low=0, high=1)
+    triple_sample_rate: float = setting(0.4, low=0, high=1)
+    max_attempts: int = setting(3, low=1)
+    template: str | None = setting(None, file=True)
 
 
 @dataclass
 class EvalSection:
     models: list[str] = field(default_factory=list)
-    context: str = "current"  # current | extended | both
-    triples: str = "both"  # on | off | both
-    answer_style: str = "triples_then_answer"
-    template: str | None = None
+    context: str = setting("current", choices=("current", "extended", "both"))
+    triples: str = setting("both", choices=("on", "off", "both"))
+    answer_style: str = setting("triples_then_answer", choices=("triples_then_answer", "answer_only"))
+    template: str | None = setting(None, file=True)
 
 
 @dataclass
 class FtSection:
     ood_books: list[str] = field(default_factory=list)
     require_human_verified: bool = True
-    with_triples: str = "both"  # on | off | both
+    with_triples: str = setting("both", choices=("on", "off", "both"))
 
 
 @dataclass
 class PipelineConfig:
     seed: int | None = None
+    # out_dir and cache_dir resolve against the caller's cwd on purpose:
+    # runs land where the command is issued, inputs live with the config.
     out_dir: str = "out"
     cache_dir: str | None = None
     corpus: CorpusSection = field(default_factory=CorpusSection)
@@ -104,7 +115,7 @@ class PipelineConfig:
     verification: VerificationSection = field(default_factory=VerificationSection)
     eval: EvalSection = field(default_factory=EvalSection)
     ft: FtSection = field(default_factory=FtSection)
-    source_path: str = ""  # config file location, for manifest hashing
+    source_path: str = field(default="", init=False)  # config file location, for manifest hashing
 
     def needs_seed(self) -> bool:
         return (
@@ -114,44 +125,71 @@ class PipelineConfig:
         )
 
 
-_SECTIONS = {
-    "corpus": CorpusSection,
-    "backend": BackendSection,
-    "replay": ReplaySection,
-    "merge": MergeSection,
-    "triples": TriplesSection,
-    "qagen": QagenSection,
-    "verification": VerificationSection,
-    "eval": EvalSection,
-    "ft": FtSection,
-}
-_TOP_SCALARS = ("seed", "out_dir", "cache_dir")
+_KINDS = {str: "a string", int: "an integer", float: "a number", bool: "true or false", list: "a list", dict: "a mapping"}
 
 
-def _interpolate(value, path: str):
-    if isinstance(value, str):
-        def repl(m: re.Match) -> str:
-            name = m.group(1)
-            if name not in os.environ:
-                raise ConfigInvalid(f"{path}: environment variable {name} not set")
-            return os.environ[name]
+def _interpolate(value: str, key: str) -> str:
+    def repl(m: re.Match) -> str:
+        name = m.group(1)
+        if name not in os.environ:
+            raise ConfigInvalid(f"{key}: environment variable {name} not set")
+        return os.environ[name]
 
-        return _ENV_RE.sub(repl, value)
-    if isinstance(value, list):
-        return [_interpolate(v, path) for v in value]
-    if isinstance(value, dict):
-        return {k: _interpolate(v, f"{path}.{k}") for k, v in value.items()}
+    return _ENV_RE.sub(repl, value)
+
+
+def _read(cls, data: dict, prefix: str, base: Path):
+    """An instance of the dataclass `cls` from `data`, the mapping at dotted key `prefix`."""
+    known = {f.name: f for f in fields(cls) if f.init}
+    values = {}
+    for key, raw in data.items():
+        name = f"{prefix}{key}"
+        if key not in known:
+            raise ConfigInvalid(f"unknown key {name}")
+        tp = known[key].type
+        if not is_dataclass(tp):
+            values[key] = _value(raw, tp, name, known[key].metadata, base)
+        elif isinstance(raw, dict):
+            values[key] = _read(tp, raw, f"{name}.", base)
+        elif raw is not None:  # an empty section keeps its defaults
+            raise ConfigInvalid(f"{name} must be a mapping, got {raw!r}")
+    return cls(**values)
+
+
+def _value(raw, tp, key: str, rule, base: Path):
+    """`raw`, the value at dotted key `key`, checked against the type `tp` and the field's `rule`."""
+    value = _interpolate(raw, key) if isinstance(raw, str) else raw
+    optional = isinstance(tp, types.UnionType)  # X | None
+    if optional:
+        [tp] = [t for t in tp.__args__ if t is not type(None)]
+    if isinstance(value, str) and tp in (int, float, bool):
+        try:
+            value = yaml.load(value, Loader=_yaml_loader())
+        except yaml.YAMLError:
+            pass
+    if value is None and optional:
+        return None
+    kind = getattr(tp, "__origin__", tp)  # list[str] -> list
+    if not (type(value) is kind or (kind is float and type(value) is int)):
+        raise ConfigInvalid(f"{key} must be {_KINDS[kind]}, got {raw!r}")
+    if kind is list:
+        [item] = tp.__args__
+        return [_value(v, item, f"{key}[{i}]", rule, base) for i, v in enumerate(value)]
+    if kind is dict:
+        item = tp.__args__[1]
+        for k in value:
+            if type(k) is not str:
+                raise ConfigInvalid(f"{key} must have string keys, got {k!r}")
+        return {k: _value(v, item, f"{key}.{k}", rule, base) for k, v in value.items()}
+    if rule.get("choices") and value not in rule["choices"]:
+        raise ConfigInvalid(f"{key} must be one of {', '.join(rule['choices'])}, got {raw!r}")
+    low, high = rule.get("low"), rule.get("high")
+    if (low is not None and not value >= low) or (high is not None and not value <= high):  # NaN fails both
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigInvalid(f"{key} must be {bound}, got {raw!r}")
+    if rule.get("file") and value and not Path(value).is_absolute():
+        return str(base / value)
     return value
-
-
-def _fill_section(cls, data: dict, path: str):
-    allowed = set(cls.__dataclass_fields__)
-    section = cls()
-    for key, value in data.items():
-        if key not in allowed:
-            raise ConfigInvalid(f"unknown key {path}.{key}")
-        setattr(section, key, _interpolate(value, f"{path}.{key}"))
-    return section
 
 
 def _yaml_loader() -> type:
@@ -172,72 +210,18 @@ def load_config(path: Path | str) -> PipelineConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigInvalid(f"config {path} must be a mapping")
-
-    config = PipelineConfig(source_path=str(path))
-    for key, value in raw.items():
-        if key in _TOP_SCALARS:
-            setattr(config, key, _interpolate(value, key))
-        elif key in _SECTIONS:
-            if value is None:
-                continue
-            if not isinstance(value, dict):
-                raise ConfigInvalid(f"section {key} must be a mapping")
-            setattr(config, key, _fill_section(_SECTIONS[key], value, key))
-        else:
-            raise ConfigInvalid(f"unknown key {key}")
-
+    config = _read(PipelineConfig, raw, "", path.parent)
+    config.source_path = str(path)
     _validate(config)
-    _resolve_paths(config, path.parent)
     return config
 
 
 def _validate(config: PipelineConfig) -> None:
-    if config.corpus.format not in ("coser", "jsonl"):
-        raise ConfigInvalid(f"corpus.format must be coser or jsonl, got {config.corpus.format!r}")
-    if config.replay.default_policy not in ("error", "fixed"):
-        raise ConfigInvalid("replay.default_policy must be error or fixed")
+    """The rules that no single field's type and rule can state."""
     if config.replay.default_policy == "fixed" and not config.replay.default_text:
         raise ConfigInvalid("replay.default_text must be non-empty when default_policy is fixed")
-    if config.merge.mode not in ("trust_llm_diff", "deterministic_merge"):
-        raise ConfigInvalid("merge.mode must be trust_llm_diff or deterministic_merge")
-    if not 0.0 <= config.merge.jaccard_threshold <= 1.0:
-        raise ConfigInvalid("merge.jaccard_threshold must be in [0, 1]")
-    for pair in config.merge.antonym_pairs:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigInvalid(f"merge.antonym_pairs entries must be 2-item lists, got {pair!r}")
-    for rate_key in ("question_sample_rate", "triple_sample_rate"):
-        rate = getattr(config.verification, rate_key)
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigInvalid(f"verification.{rate_key} must be in [0, 1]")
-    if config.eval.context not in ("current", "extended", "both"):
-        raise ConfigInvalid("eval.context must be current, extended, or both")
-    if config.eval.triples not in ("on", "off", "both"):
-        raise ConfigInvalid("eval.triples must be on, off, or both")
-    if config.eval.answer_style not in ("triples_then_answer", "answer_only"):
-        raise ConfigInvalid("eval.answer_style must be triples_then_answer or answer_only")
-    if config.ft.with_triples not in ("on", "off", "both"):
-        raise ConfigInvalid("ft.with_triples must be on, off, or both")
-    if config.verification.max_attempts < 1:
-        raise ConfigInvalid("verification.max_attempts must be >= 1")
+    for i, pair in enumerate(config.merge.antonym_pairs):
+        if len(pair) != 2:
+            raise ConfigInvalid(f"merge.antonym_pairs[{i}] must have two items, got {pair!r}")
     if config.needs_seed() and config.seed is None:
         raise ConfigInvalid("seed is required when sampling or shuffling is enabled")
-
-
-def _resolve_paths(config: PipelineConfig, base: Path) -> None:
-    def resolve(value: str | None) -> str | None:
-        if not value:
-            return value
-        p = Path(value)
-        return str(p if p.is_absolute() else (base / p))
-
-    config.corpus.input = resolve(config.corpus.input) or ""
-    config.corpus.alias_tables = {
-        k: resolve(v) for k, v in config.corpus.alias_tables.items()
-    }
-    config.replay.script = resolve(config.replay.script)
-    config.triples.template = resolve(config.triples.template)
-    config.qagen.template = resolve(config.qagen.template)
-    config.verification.template = resolve(config.verification.template)
-    config.eval.template = resolve(config.eval.template)
-    # out_dir and cache_dir resolve against the caller's cwd on purpose:
-    # runs land where the command is issued, inputs live with the config.

@@ -51,7 +51,6 @@ class Turn:
 
 @dataclass
 class Conversation:
-    plot_ref: tuple[str, int]  # (book_id, plot index)
     environment: str
     cast: list[str]
     turns: list[Turn]
@@ -354,7 +353,7 @@ def _parse_coser_book(file: Path) -> Book:
         scenario = str(_pick(raw_plot, "scenario", "") or "").strip()
         raw_convs = _pick(raw_plot, "conversations", []) or []
         conversations = [
-            _parse_conversation(book_id, pos, c, f"{record_id}:conv[{n}]")
+            _parse_conversation(c, f"{record_id}:conv[{n}]")
             for n, c in enumerate(raw_convs, start=1)
         ]
         if not scenario and conversations:
@@ -371,7 +370,7 @@ def _parse_coser_book(file: Path) -> Book:
     return Book(id=book_id, title=str(title), plots=plots)
 
 
-def _parse_conversation(book_id: str, plot_index: int, raw: dict, record_id: str) -> Conversation:
+def _parse_conversation(raw: dict, record_id: str) -> Conversation:
     if not isinstance(raw, dict):
         raise MalformedRecord(record_id, "conversation record is not an object")
     environment = str(_pick(raw, "environment", "") or "").strip()
@@ -392,12 +391,7 @@ def _parse_conversation(book_id: str, plot_index: int, raw: dict, record_id: str
         environment = " ".join(filter(None, [environment] + env_extra))
     if not turns:
         raise MalformedRecord(record_id, "conversation has no turns")
-    return Conversation(
-        plot_ref=(book_id, plot_index),
-        environment=environment,
-        cast=cast,
-        turns=turns,
-    )
+    return Conversation(environment=environment, cast=cast, turns=turns)
 
 
 def _parse_dialogue_entry(line, record_id: str) -> Turn | None:
@@ -490,7 +484,7 @@ def plot_from_record(rec: dict) -> tuple[Plot, str]:
         if not turns:
             raise ValueError(f"conversation {n} has no turns")
         conversations.append(
-            Conversation((book_id, index), conv.get("environment", ""), list(conv.get("cast", [])), turns)
+            Conversation(conv.get("environment", ""), list(conv.get("cast", [])), turns)
         )
     plot = Plot(book_id, index, rec["summary"], rec.get("scenario", ""), conversations)
     return plot, rec.get("title", book_id)

@@ -329,7 +329,6 @@ def regenerate(
     *,
     model_id: str,
     notes: str = "",
-    template_override: TemplateOverride | None = None,
 ) -> TomQuestion:
     """Produce a replacement for a rejected question (state Generated, attempt+1)."""
     if question.state is not QuestionState.REJECTED:
@@ -338,7 +337,6 @@ def regenerate(
         raise AttemptsExhausted(f"{question.id}: attempt {question.attempt} hit budget {max_attempts}")
     prompt = render_template(
         "question_regeneration.txt",
-        template_override,
         dimension=question.dimension.label,
         dimension_key=dimension_key(question.dimension),
         scenario=question.scenario,

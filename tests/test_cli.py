@@ -27,6 +27,7 @@ from test_llmgate import _refused_url
 from tomtrace.cli import REPORT_SUFFIXES, RunContext, main
 from tomtrace.config import load_config
 from tomtrace.evalharness import ReportLayout
+from tomtrace.llmgate import Gateway
 from tomtrace.qagen import REVIEW_COLUMNS, QuestionState, load_questions
 from tomtrace.tkg import check_invariants, load_kg
 
@@ -511,6 +512,32 @@ def test_a_template_override_reads_newlines_as_a_text_file_does(tmp_path, newlin
     assert override.text == template.read_text(encoding="utf-8") == "$plot_summary\nfor $character\n"
 
 
+@pytest.mark.parametrize("section, packaged, command", [
+    ("triples", "triple_extraction.txt", "extract"),
+    ("qagen", "question_generation.txt", "genqa"),
+    ("verification", "question_verification.txt", "verify"),
+    ("eval", "eval_question.txt", "eval"),
+])
+def test_a_template_override_reaches_every_prompt_of_its_stage(tmp_path, monkeypatch, section, packaged, command):
+    config = _fixture_copy(tmp_path, lambda raw: raw[section].update(template="override.txt"))
+    template = tmp_path / "data" / "override.txt"
+    marker = f"OVERRIDE FOR {section}\n"
+    # The packaged text after the marker, so that the replay script still answers the prompts.
+    packaged_text = (Path(tomtrace.__file__).parent / "templates" / packaged).read_text(encoding="utf-8")
+    template.write_text(marker + packaged_text, encoding="utf-8")
+    out = tmp_path / "out"
+    run_cli(out, *PIPELINE[:PIPELINE.index(command)])
+    prompts = []
+    real_complete = Gateway.complete
+    monkeypatch.setattr(Gateway, "complete", lambda self, request: prompts.append(request.messages[-1][1]) or real_complete(self, request))
+    run_cli(out, command, config=config)
+    # verify also regenerates rejected questions, from a template that no setting overrides.
+    own = [p for p in prompts if "was rejected during review" not in p]
+    assert own and all(p.startswith(marker) for p in own)
+    manifest = json.loads((out / "manifests" / f"{command}.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"]["override.txt"] == hashlib.sha256(template.read_bytes()).hexdigest()
+
+
 def test_config_backend_keys_reach_the_gateway(tmp_path, monkeypatch):
     book = {"title": "Storm", "plots": [{
         "summary": "Kent waits out the storm.",
@@ -677,3 +704,30 @@ def test_an_unset_token_through_the_entry_point_exits_two(tmp_path, monkeypatch)
     assert result.returncode == 2
     assert result.stderr == "backend error: environment variable TOMTRACE_API_TOKEN not set\n"
     assert not (out / "triples").exists()
+
+
+@pytest.mark.parametrize("section, key, value, command", [
+    ("backend", "requests_per_minute", 0, "extract"),
+    ("backend", "max_in_flight", "two", "extract"),
+    ("backend", "retry_base_backoff_s", -1, "extract"),
+    ("eval", "models", "replay-gpt", "eval"),
+    ("corpus", "alias_tables", ["king-lear-aliases.txt"], "ingest"),
+], ids=["rate-zero", "in-flight-word", "negative-backoff", "models-scalar", "alias-tables-list"])
+def test_a_mistyped_setting_through_the_entry_point_exits_one_naming_its_key(
+    tmp_path, monkeypatch, section, key, value, command
+):
+    """Each value once passed the loader and failed later: most in a worker's traceback, and a scalar
+    `eval.models` was read as one model per letter."""
+
+    def live(raw):
+        del raw["replay"]
+        raw["backend"]["endpoint"] = _refused_url()
+        raw[section][key] = value
+
+    config = _fixture_copy(tmp_path, live)
+    out = tmp_path / "out"
+    run_cli(out, *PIPELINE[:PIPELINE.index(command)])
+    monkeypatch.setenv("TOMTRACE_API_TOKEN", "t")
+    result = run_entry_point("-c", str(config), "--out", str(out), command)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith(f"error: {section}.{key} must be ") and "Traceback" not in result.stderr
