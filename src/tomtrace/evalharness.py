@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import Corpus
 from .errors import ConfigInvalid, MissingKg, MissingPlot, UnknownQuestionId
-from .llmgate import ChatRequest, ChatResponse, estimate_tokens, user_request
+from .llmgate import ChatRequest, estimate_tokens, user_request
 from .qagen import TomQuestion
 from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, TemplateOverride, render_template, render_triple
@@ -370,9 +371,11 @@ def run_eval(
     """Evaluate every question under every model and condition.
 
     Iteration order is deterministic: (book, plot, question id, model,
-    condition). An item whose prompt cannot be assembled degrades to an
-    unparseable prediction; a backend failure or a bad template fails the
-    run before any prediction is written.
+    condition). Each prompt is assembled when the gateway's runner draws its
+    request, so only a bounded window of prompts is alive at a time. An item
+    whose prompt cannot be assembled degrades to an unparseable prediction; a
+    backend failure or a bad template fails the run before any prediction is
+    written.
     """
     ordered_questions = sorted(questions, key=lambda q: (q.book_id, q.plot_index, q.id))
     items: list[tuple[TomQuestion, str, EvalCondition]] = [
@@ -381,41 +384,46 @@ def run_eval(
         for model in models
         for condition in conditions
     ]
-    requests: dict[int, ChatRequest] = {}
-    prompts: list[EvalPrompt | None] = []  # None where assembly failed
-    results: dict[int, object] = {}  # a response, or the assembly error that stands in for it
-    for idx, (question, model, condition) in enumerate(items):
-        try:
-            prompt = assemble_context(
-                question,
-                corpus,
-                kgs.get(question.book_id),
-                condition,
-                answer_style=answer_style,
-                template_override=template_override,
-            )
-            requests[idx] = user_request(model, prompt.text)
-        except ConfigInvalid:
-            raise
-        except Exception as exc:  # degraded item, run continues
-            logger.warning("item %s/%s/%s failed assembly: %s", question.id, model, condition, exc)
-            prompt, results[idx] = None, exc
-        prompts.append(prompt)
+    token_estimates = [0] * len(items)
+    failures: dict[int, Exception] = {}  # assembly errors, which stand in for responses
 
-    results.update(gateway.submit_batch(requests))
+    def requests() -> Iterator[ChatRequest]:
+        for idx, (question, model, condition) in enumerate(items):
+            try:
+                prompt = assemble_context(
+                    question,
+                    corpus,
+                    kgs.get(question.book_id),
+                    condition,
+                    answer_style=answer_style,
+                    template_override=template_override,
+                )
+            except ConfigInvalid:
+                raise
+            except Exception as exc:  # degraded item, run continues
+                logger.warning("item %s/%s/%s failed assembly: %s", question.id, model, condition, exc)
+                failures[idx] = exc
+                continue
+            token_estimates[idx] = prompt.token_estimate
+            yield user_request(model, prompt.text)
+
+    responses = iter(gateway.submit_batch(requests()))
     predictions: list[Prediction] = []
-    for idx, ((question, model, condition), prompt) in enumerate(zip(items, prompts)):
-        result = results[idx]
-        answered = isinstance(result, ChatResponse)
+    for idx, (question, model, condition) in enumerate(items):
+        if idx in failures:
+            letter, raw_text, error = None, "", str(failures[idx])
+        else:
+            raw_text = next(responses).text
+            letter, error = parse_answer(raw_text), None
         predictions.append(
             Prediction(
                 question_id=question.id,
                 model_id=model,
                 condition=condition,
-                letter=parse_answer(result.text) if answered else None,
-                raw_text=result.text if answered else "",
-                prompt_tokens_est=prompt.token_estimate if prompt is not None else 0,
-                error=None if answered else str(result),
+                letter=letter,
+                raw_text=raw_text,
+                prompt_tokens_est=token_estimates[idx],
+                error=error,
             )
         )
 

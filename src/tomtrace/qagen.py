@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import Conversation, Corpus, Plot
 from .errors import (
@@ -380,29 +381,30 @@ def generate_questions(
 ) -> list[TomQuestion]:
     """Four questions for every speaking character of every plot, in book -> plot -> speaker order.
 
-    Prompts, with their graph lookups, are built on the calling thread; the
-    requests run on the gateway's runner.
+    Prompts, with their graph lookups, are built on the calling thread as the
+    gateway's runner draws them; the requests run on the runner's workers.
     """
-    jobs: list[tuple[str, int, str, ChatRequest]] = []
-    for book in sorted(corpus.books, key=lambda b: b.id):
-        kg = kgs.get(book.id)
-        for plot in book.plots:
-            for character in plot.speakers():
-                previous: list[MentalStateTriple] = []
-                if kg is not None and plot.index > 1:
-                    try:
-                        previous = state_at(kg, character, plot.index - 1)
-                    except TomtraceError:
-                        previous = []
-                request = build_question_prompt(
-                    plot,
-                    plot.conversations_of(character),
-                    character,
-                    previous,
-                    model_id=model_id,
-                    template_override=template_override,
-                )
-                jobs.append((book.id, plot.index, character, request))
+
+    def jobs() -> Iterator[tuple[str, int, str, ChatRequest]]:
+        for book in sorted(corpus.books, key=lambda b: b.id):
+            kg = kgs.get(book.id)
+            for plot in book.plots:
+                for character in plot.speakers():
+                    previous: list[MentalStateTriple] = []
+                    if kg is not None and plot.index > 1:
+                        try:
+                            previous = state_at(kg, character, plot.index - 1)
+                        except TomtraceError:
+                            previous = []
+                    request = build_question_prompt(
+                        plot,
+                        plot.conversations_of(character),
+                        character,
+                        previous,
+                        model_id=model_id,
+                        template_override=template_override,
+                    )
+                    yield book.id, plot.index, character, request
 
     def ask(job: tuple[str, int, str, ChatRequest]) -> list[TomQuestion]:
         book_id, plot_index, character, request = job
@@ -414,7 +416,7 @@ def generate_questions(
             four = [shuffle_options(q, random.Random(f"{seed}:{q.id}")) for q in four]
         return four
 
-    return [q for four in gateway.run(ask, jobs) for q in four]
+    return [q for four in gateway.run(ask, jobs()) for q in four]
 
 
 def verify_questions(

@@ -22,12 +22,12 @@ import yaml
 from click.testing import CliRunner
 
 import tomtrace
-from conftest import CONFIG, PIPELINE, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
+from conftest import CONFIG, ENTRY_POINT, PIPELINE, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
 from test_llmgate import _refused_url
 from tomtrace.cli import REPORT_SUFFIXES, RunContext, main
 from tomtrace.config import load_config
 from tomtrace.evalharness import ReportLayout
-from tomtrace.llmgate import Gateway
+from tomtrace.llmgate import MAX_BACKOFF_S, Gateway
 from tomtrace.qagen import REVIEW_COLUMNS, QuestionState, load_questions
 from tomtrace.tkg import check_invariants, load_kg
 
@@ -731,3 +731,28 @@ def test_a_mistyped_setting_through_the_entry_point_exits_one_naming_its_key(
     result = run_entry_point("-c", str(config), "--out", str(out), command)
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith(f"error: {section}.{key} must be ") and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("backoff", [float("inf"), 1.0e300], ids=["inf", "1e300"])
+def test_an_unbounded_retry_backoff_through_the_entry_point_sleeps_at_most_the_cap(tmp_path, monkeypatch, backoff):
+    """Each sleep between attempts is capped, so a huge base neither overflows `sleep` nor waits for days."""
+
+    def live(raw):
+        del raw["replay"]
+        raw["backend"]["endpoint"] = _refused_url()
+        raw["backend"].update(retry_max_attempts=3, retry_base_backoff_s=backoff)
+
+    config = _fixture_copy(tmp_path, live)
+    out = tmp_path / "out"
+    run_cli(out, "ingest", config=config)
+    monkeypatch.setenv("TOMTRACE_API_TOKEN", "t")
+    # Record the sleeps instead of taking them; the gateway binds `time.sleep` when it is imported.
+    code = ("import atexit, sys, time; sleeps = []; time.sleep = sleeps.append; "
+            "atexit.register(lambda: print('sleeps', *sleeps)); " + ENTRY_POINT)
+    result = run_entry_point("-c", str(config), "--out", str(out), "extract", code=code)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("backend error: retries exhausted") and "Traceback" not in result.stderr
+    label, *sleeps = result.stdout.splitlines()[-1].split()
+    assert label == "sleeps"
+    sleeps = [float(s) for s in sleeps]
+    assert sleeps and all(s == MAX_BACKOFF_S for s in sleeps)

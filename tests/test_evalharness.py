@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
 
 import pytest
 
+from tomtrace import evalharness, llmgate
 from tomtrace.config import BackendSection
 from tomtrace.errors import MissingKg, MissingPlot, UnknownQuestionId
 from tomtrace.evalharness import (
@@ -366,6 +368,36 @@ def test_run_eval_orders_items_deterministically(fixture_corpus, tmp_path):
         [questions[1].id] * 2 + [questions[0].id] * 2
     )
     assert [r["context"] for r in records] == ["current", "current+prev"] * 2
+
+
+def test_run_eval_holds_at_most_a_window_of_assembled_prompts(fixture_corpus, tmp_path, monkeypatch):
+    """Each prompt is assembled when the runner draws it, not all before the first request."""
+    gateway = catch_all_gateway()
+    gateway.backend = dataclasses.replace(gateway.backend, max_in_flight=1)
+    window = llmgate._AHEAD_PER_WORKER
+    counts = {"assembled": 0, "answered": 0, "held": 0}
+    real_assemble, real_complete = evalharness.assemble_context, gateway.complete
+
+    def assemble(*args, **kwargs):
+        counts["assembled"] += 1
+        counts["held"] = max(counts["held"], counts["assembled"] - counts["answered"])
+        return real_assemble(*args, **kwargs)
+
+    def complete(request):
+        response = real_complete(request)
+        counts["answered"] += 1
+        return response
+
+    monkeypatch.setattr(evalharness, "assemble_context", assemble)
+    monkeypatch.setattr(gateway, "complete", complete)
+    questions = [question_at(plot_index=p, dimension=d) for p in (1, 2) for d in Dimension]
+    run_eval(
+        fixture_corpus, {"king-lear": lear_kg()}, questions,
+        models=["replay-gpt", "replay-gpt-2"], conditions=list(ALL_CONDITIONS),
+        gateway=gateway, predictions_path=tmp_path / "p.jsonl",
+    )
+    assert counts["assembled"] == counts["answered"] == 64 > window
+    assert counts["held"] <= window
 
 
 @pytest.mark.parametrize(

@@ -262,7 +262,7 @@ def test_empty_or_non_text_completion_is_a_transport_error_and_not_cached(tmp_pa
     with pytest.raises(TransportError, match="empty or not text"):
         gw.complete(user_request("m", "x"))
     with pytest.raises(TransportError, match="empty or not text"):
-        gw.submit_batch({"a": user_request("m", "a"), "b": user_request("m", "b")})
+        gw.submit_batch([user_request("m", "a"), user_request("m", "b")])
     assert not (tmp_path / "responses.jsonl").exists()
 
 
@@ -292,10 +292,10 @@ def test_gateway_batch_raises_the_first_failure(tmp_path):
         _write_script(tmp_path / "s.jsonl", [{"prompt_pattern": "good", "response_text": "fine"}])
     )
     gw = Gateway(BACKEND, replay=script)
-    results = gw.submit_batch({"a": user_request("m", "a good prompt"), "b": user_request("m", "good too")})
-    assert {key: r.text for key, r in results.items()} == {"a": "fine", "b": "fine"}
+    results = gw.submit_batch([user_request("m", "a good prompt"), user_request("m", "good too")])
+    assert [r.text for r in results] == ["fine", "fine"]
     with pytest.raises(ScriptMiss):
-        gw.submit_batch({"a": user_request("m", "a good prompt"), "b": user_request("m", "no match")})
+        gw.submit_batch([user_request("m", "a good prompt"), user_request("m", "no match")])
 
 
 def _live_transport(answer, delay_s=0.0):
@@ -374,6 +374,86 @@ def test_gateway_run_starts_no_item_after_one_has_failed():
     with pytest.raises(TransportError, match="item 0"):
         gw.run(work, items())
     assert calls == [0]
+
+
+def test_gateway_run_draws_at_most_a_window_of_items_before_the_first_result():
+    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=2))
+    window = 2 * llmgate._AHEAD_PER_WORKER
+    drawn, at_first_return, release = [], [], threading.Event()
+
+    def items():
+        for n in range(10 * window):
+            drawn.append(n)
+            yield n
+
+    def work(n):
+        release.wait(timeout=10)
+        if not at_first_return:
+            at_first_return.append(len(drawn))
+        return n
+
+    timer = threading.Timer(0.2, release.set)  # the runner draws all it may long before this
+    timer.start()
+    try:
+        assert gw.run(work, items()) == list(range(10 * window))
+    finally:
+        timer.cancel()
+        timer.join(timeout=10)
+    assert at_first_return[0] <= window
+    assert len(drawn) == 10 * window
+
+
+def test_gateway_run_draws_no_item_after_one_has_failed_and_seals_the_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    transport, _ = _live_transport("answer")
+    cache = ResponseCache(tmp_path)
+    seals = []
+    real_seal = cache.seal
+    monkeypatch.setattr(cache, "seal", lambda: seals.append(real_seal()))
+    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=1), cache=cache, transport=transport)
+    drawn, raised = [], threading.Event()
+
+    def ask(n):
+        if n == 1:
+            raised.set()
+            raise TransportError("item 1")
+        return gw.complete(user_request("m", f"prompt {n}"))
+
+    def items():
+        for n in range(100):
+            if n == 2:  # asked for before item 1 fails; handed over after it has failed
+                raised.wait(timeout=10)
+                time.sleep(0.05)
+            drawn.append(n)
+            yield n
+
+    with pytest.raises(TransportError, match="item 1"):
+        gw.run(ask, items())
+    assert drawn in ([0, 1], [0, 1, 2])
+    assert seals == [None]
+    assert len(cache.path.read_bytes().splitlines()) == 1
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+def test_gateway_run_keeps_input_order_while_drawing_a_bounded_window(max_in_flight):
+    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=max_in_flight))
+    window = max_in_flight * llmgate._AHEAD_PER_WORKER
+    count = 5 * window
+    drawn, ahead = [], []
+
+    def items():
+        for n in range(count):
+            drawn.append(n)
+            yield n
+
+    def work(n):
+        ahead.append(len(drawn) - n)  # items drawn beyond this one, which is not yet read
+        time.sleep(0.0001 * (n % 7))
+        return n * n
+
+    assert gw.run(work, items()) == [n * n for n in range(count)]
+    assert len(drawn) == count
+    assert max(ahead) <= window
 
 
 def test_gateway_cache_single_flight_per_key(tmp_path, monkeypatch):
