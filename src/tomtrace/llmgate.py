@@ -24,7 +24,9 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, TypeVar
+from urllib.parse import unquote, urlsplit
 
+from . import __version__
 from .errors import (
     AuthMissing,
     ConfigInvalid,
@@ -37,6 +39,7 @@ from .errors import (
 from .util import canonical_json, read_jsonl, sha256_text, write_atomic
 
 if TYPE_CHECKING:  # the config module loads yaml, which no gateway user needs
+    import socket
     from concurrent.futures import Future
 
     from .config import BackendSection
@@ -392,39 +395,208 @@ MAX_BACKOFF_S = 60.0
 _AHEAD_PER_WORKER = 16
 
 
-def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object]:
-    """POST `payload` as JSON; returns (status, parsed JSON body or its text).
+def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object, dict[str, str]]:
+    """POST `payload` as JSON over HTTP/1.1; returns (status, parsed JSON body or its text, headers).
 
-    An HTTP error status is returned like a success, so retries stay in
-    Gateway._request. A request that gets no whole response (refused, timed
-    out, cut short, malformed endpoint) raises ConnectionError. Proxies come
-    from HTTP(S)_PROXY/NO_PROXY and TLS is verified against the system store.
+    An HTTP error status, a redirect included, is returned like a success, so
+    retries stay in Gateway._request; a redirect is never followed. Header
+    names are lower-cased. A request that gets no whole response (refused,
+    timed out, cut short, malformed status line, header or chunk size,
+    malformed endpoint) raises ConnectionError. HTTP_TIMEOUT_S bounds the
+    connect and each read. Each call opens one connection and closes it.
+    Proxies come from the environment's `*_proxy` variables
+    (HTTP(S)_PROXY/NO_PROXY, matched as urllib matches them), and TLS is
+    verified against the system store (SSL_CERT_FILE/SSL_CERT_DIR).
     """
-    # Imported here, not at module level: replayed and cache-served runs
-    # send no request, and these imports would add to every stage's start-up.
-    import http.client
-    import urllib.error
-    import urllib.request
+    import socket  # only here: replayed and cache-served runs send no request
 
     try:
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={**headers, "Content-Type": "application/json"},
-            method="POST",
+        endpoint = urlsplit(url)
+        scheme, host = endpoint.scheme, endpoint.hostname
+        if scheme not in ("http", "https") or not host:
+            raise ValueError(f"malformed endpoint {url!r}")
+        port = endpoint.port or (443 if scheme == "https" else 80)
+        host_port = endpoint.netloc.rpartition("@")[2]
+        target = (endpoint.path or "/") + (f"?{endpoint.query}" if endpoint.query else "")
+        proxy = _proxy_for(scheme, host_port)
+        address, proxy_headers = proxy or ((host, port), {})
+        tunnel = proxy is not None and scheme == "https"
+        if proxy is not None and not tunnel:
+            target = f"http://{host_port}{target}"  # a forwarding proxy takes the absolute URL
+        data = json.dumps(payload).encode("utf-8")
+        head = _request_head(
+            f"POST {target} HTTP/1.1",
+            {
+                "Host": host_port,
+                "Content-Type": "application/json",
+                "Content-Length": str(len(data)),
+                "Accept-Encoding": "identity",
+                "Connection": "close",
+                "User-Agent": f"tomtrace/{__version__}",
+                **headers,
+                **({} if tunnel else proxy_headers),
+            },
         )
+        sock = socket.create_connection(address, timeout=HTTP_TIMEOUT_S)
         try:
-            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
-                status, raw = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            with exc:
-                status, raw = exc.code, exc.read()
-    except (OSError, ValueError, http.client.HTTPException) as exc:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if tunnel:
+                _tunnel(sock, host_port if endpoint.port else f"{host_port}:{port}", proxy_headers)
+            if scheme == "https":
+                import ssl  # only here: plain-HTTP stages never load it
+
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+            sock.sendall(head + data)
+            with sock.makefile("rb") as reply:
+                status, reply_headers = _read_head(reply)
+                while 100 <= status < 200:  # interim replies precede the final one
+                    status, reply_headers = _read_head(reply)
+                raw = _read_body(reply, status, reply_headers)
+        finally:
+            sock.close()
+    except (OSError, ValueError) as exc:
         raise ConnectionError(str(exc)) from exc
     try:
-        return status, json.loads(raw)
+        return status, json.loads(raw), reply_headers
     except ValueError:
-        return status, raw.decode("utf-8", errors="replace")
+        return status, raw.decode("utf-8", errors="replace"), reply_headers
+
+
+# Longest status, header or chunk-size line a reply may send, and most header
+# fields in one reply; past either the reply is malformed.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+def _proxy_for(scheme: str, host_port: str) -> tuple[tuple[str, int], dict[str, str]] | None:
+    """The address of the proxy urllib's opener picks for an endpoint, and its headers; None for none.
+
+    The proxy is reached over plain TCP. The user info of its URL becomes a
+    Proxy-Authorization header, as urllib sends it. urllib is imported only
+    when a `*_proxy` variable is set: it loads http.client and email, which
+    a stage would otherwise never need.
+    """
+    if not any(name.lower().endswith("_proxy") for name in os.environ):
+        return None
+    import urllib.request
+
+    url = urllib.request.getproxies().get(scheme)
+    if not url or urllib.request.proxy_bypass(host_port):
+        return None
+    proxy = urlsplit(url if "://" in url else f"http://{url}")
+    if not proxy.hostname:
+        raise ValueError(f"malformed {scheme} proxy {url!r}")
+    headers = {}
+    if proxy.username and proxy.password:
+        import base64
+
+        credentials = f"{unquote(proxy.username)}:{unquote(proxy.password)}".encode()
+        headers["Proxy-Authorization"] = f"Basic {base64.b64encode(credentials).decode('ascii')}"
+    return (proxy.hostname, proxy.port or 80), headers
+
+
+def _request_head(request_line: str, fields: Mapping[str, str]) -> bytes:
+    """A request's line and header fields, up to and including the blank line."""
+    lines = [request_line, *(f"{name}: {value}" for name, value in fields.items())]
+    if request_line.count(" ") != 2 or any(_CONTROL.search(line) for line in lines):
+        raise ValueError(f"space or control character in the request head: {request_line[:80]!r}")
+    return "\r\n".join([*lines, "", ""]).encode("latin-1")
+
+
+def _tunnel(sock: socket.socket, authority: str, proxy_headers: Mapping[str, str]) -> None:
+    """Ask the proxy on `sock` for a tunnel to `authority` (host:port); a non-2xx reply raises."""
+    sock.sendall(_request_head(f"CONNECT {authority} HTTP/1.1", {"Host": authority, **proxy_headers}))
+    # Unbuffered: a buffered reader could swallow the first bytes of the tunnel.
+    with sock.makefile("rb", buffering=0) as reply:
+        status, _ = _read_head(reply)
+    if not 200 <= status < 300:
+        raise ConnectionError(f"proxy answered CONNECT with HTTP {status}")
+
+
+def _read_line(reply: BinaryIO) -> bytes:
+    line = reply.readline(_MAX_LINE + 1)
+    if not line.endswith(b"\n"):
+        raise ConnectionError("reply line too long" if len(line) > _MAX_LINE else "reply cut short")
+    return line
+
+
+def _read_head(reply: BinaryIO) -> tuple[int, dict[str, str]]:
+    """A reply's status code and header fields, keyed by lower-cased name (RFC 9112 §§4-5)."""
+    line = _read_line(reply)
+    version, _, rest = line.rstrip(b"\r\n").partition(b" ")
+    code = rest[:3]
+    if not version.startswith(b"HTTP/1.") or not (code.isdigit() and len(code) == 3) or rest[3:4] not in (b"", b" "):
+        raise ConnectionError(f"malformed status line {line[:80]!r}")
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reply)
+        if line in (b"\r\n", b"\n"):
+            return int(code), fields
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name != name.strip():
+            raise ConnectionError(f"malformed header line {line[:80]!r}")
+        key, text = name.decode("latin-1").lower(), value.strip().decode("latin-1")
+        fields[key] = f"{fields[key]}, {text}" if key in fields else text
+    raise ConnectionError(f"more than {_MAX_HEADERS} header fields")
+
+
+def _read_body(reply: BinaryIO, status: int, fields: Mapping[str, str]) -> bytes:
+    """The body after the head: chunked, by Content-Length, or to EOF (RFC 9112 §6.3)."""
+    if status in (204, 304):
+        return b""
+    if "transfer-encoding" in fields:
+        if fields["transfer-encoding"].rsplit(",", 1)[-1].strip().lower() != "chunked":
+            return reply.read()
+        chunks = []
+        while True:
+            line = _read_line(reply)
+            digits = line.split(b";", 1)[0].strip()
+            if not digits or digits.strip(_HEX_DIGITS):
+                raise ConnectionError(f"malformed chunk size {line[:80]!r}")
+            size = int(digits, 16)
+            if size == 0:
+                break
+            chunks.append(_read_exactly(reply, size))
+            if _read_line(reply).strip():
+                raise ConnectionError("chunk not followed by CRLF")
+        while _read_line(reply).strip():  # trailer fields
+            pass
+        return b"".join(chunks)
+    if "content-length" in fields:
+        length = fields["content-length"]
+        if not (length.isascii() and length.isdigit()):
+            raise ConnectionError(f"malformed Content-Length {length[:80]!r}")
+        return _read_exactly(reply, int(length))
+    return reply.read()
+
+
+def _read_exactly(reply: BinaryIO, size: int) -> bytes:
+    data = reply.read(size)
+    if len(data) < size:
+        raise ConnectionError(f"reply cut short: {len(data)} of {size} body bytes")
+    return data
+
+
+def _retry_after(fields: Mapping[str, str]) -> float:
+    """Seconds a `Retry-After` field asks to wait (RFC 9110 §10.2.3); 0 when absent, bogus or past."""
+    value = fields.get("retry-after", "").strip()
+    if not value:
+        return 0.0
+    if value.isascii() and value.isdigit():
+        return float(value)
+    # Only here: email costs every stage start-up, and only a date needs it.
+    from datetime import timezone
+    from email.utils import parsedate_to_datetime
+
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return 0.0
+    if when.tzinfo is None:  # "-0000": UTC, by RFC 5322
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, when.timestamp() - time.time())
 
 
 def _usage(body: dict, key: str, text: str) -> int:
@@ -493,7 +665,11 @@ class Gateway:
                         del self._in_flight[request]
 
     def _request(self, request: ChatRequest) -> ChatResponse:
-        """Send `request`; 429s, 5xx and lost connections are retried with exponential backoff."""
+        """Send `request`; 429s, 5xx and lost connections are retried with exponential backoff.
+
+        The sleep before a retry is the backoff, or longer when a 429 or 503
+        carried a `Retry-After`, and never more than MAX_BACKOFF_S.
+        """
         backend = self.backend
         token = os.environ.get(backend.auth_env_var, "")
         if not token:
@@ -512,19 +688,23 @@ class Gateway:
         last_failure = ""
         rate_limited = False
         backoff = backend.retry_base_backoff_s
+        retry_after = 0.0
         for attempt in range(max(1, backend.retry_max_attempts)):
             if attempt:
-                self._sleep(min(backoff, MAX_BACKOFF_S))
+                self._sleep(min(max(backoff, retry_after), MAX_BACKOFF_S))
                 backoff *= 2  # never raises: a float doubles up to inf
+                retry_after = 0.0
             self._limiter.acquire()
             try:
-                status, body = transport(backend.endpoint, payload, headers)
+                status, body, reply_headers = transport(backend.endpoint, payload, headers)
             except ConnectionError as exc:
                 last_failure = f"transport: {exc}"
                 continue
             if status == 429 or status >= 500:
                 rate_limited = status == 429
                 last_failure = f"HTTP {status}"
+                if status in (429, 503):
+                    retry_after = _retry_after(reply_headers)
                 continue
             if status != 200:
                 raise TransportError(f"HTTP {status}: {str(body)[:200]}")

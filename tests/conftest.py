@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import select
+import socket
+import ssl
 import subprocess
 import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 from click.testing import CliRunner
@@ -20,6 +25,8 @@ from tomtrace.llmgate import Gateway, ReplayScript
 
 DATA = Path(__file__).parent / "data"
 CONFIG = DATA / "pipeline.yaml"
+# A self-signed certificate for localhost and 127.0.0.1, valid until 2076.
+TLS_CERT = DATA / "localhost-cert.pem"
 
 PIPELINE = ("ingest", "extract", "build-kg", "genqa", "verify", "eval", "report")
 
@@ -95,36 +102,28 @@ def send_reply(handler: BaseHTTPRequestHandler, status: int, body, *, length: in
 
 
 @contextmanager
-def http_backend(answer):
-    """A chat backend on 127.0.0.1 for the real HTTP transport; skips if it cannot bind.
+def _serving(handler: type[BaseHTTPRequestHandler], host: str, tls: bool):
+    """Serve `handler` on `host` (TLS with the test certificate if `tls`); skips if it cannot bind.
 
-    `answer(handler, n, payload)` writes the reply to the n-th POST (from 0).
-    Yields the server: `url`, `requests` as (headers, payload) in arrival
-    order, and `release`, set on exit to free answers that stall on it.
+    Yields the server: `url` (scheme, host and port), `requests` and its
+    `lock`, and `release`, set on exit to free handlers that stall on it.
     """
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):  # noqa: N802 (http.server naming)
-            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            with server.lock:
-                n = len(server.requests)
-                server.requests.append((self.headers, payload))
-            answer(self, n, payload)
-
-        def log_message(self, format, *args):
-            pass
 
     class Server(ThreadingHTTPServer):
         daemon_threads = True
 
         def handle_error(self, request, client_address):
-            pass  # a client that gave up (timeout, truncated reply) is expected
+            pass  # a client that gave up (timeout, truncated reply, refused certificate) is expected
 
     try:
-        server = Server(("127.0.0.1", 0), Handler)
+        server = Server((host, 0), handler)
     except OSError as exc:
-        pytest.skip(f"cannot bind a local HTTP server: {exc}")
-    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+        pytest.skip(f"cannot bind a local HTTP server on {host}: {exc}")
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_CERT, DATA / "localhost-key.pem")
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+    server.url = f"{'https' if tls else 'http'}://{host}:{server.server_address[1]}"
     server.requests = []
     server.lock = threading.Lock()
     server.release = threading.Event()
@@ -138,3 +137,81 @@ def http_backend(answer):
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@contextmanager
+def http_backend(answer, *, host: str = "127.0.0.1", tls: bool = False):
+    """A chat backend on `host` for the real HTTP transport; skips if it cannot bind.
+
+    `answer(handler, n, payload)` writes the reply to the n-th request (from 0).
+    Yields the server: `url`, `requests` as (headers, payload) in arrival
+    order (a GET's payload is None), and `release`, set on exit to free
+    answers that stall on it. With `tls` it serves `TLS_CERT`.
+    """
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):  # noqa: N802 (http.server naming)
+            length = int(self.headers.get("Content-Length", 0))
+            payload = json.loads(self.rfile.read(length)) if length else None
+            with self.server.lock:
+                n = len(self.server.requests)
+                self.server.requests.append((self.headers, payload))
+            answer(self, n, payload)
+
+        do_GET = do_POST  # a client that follows a redirect turns the POST into a GET
+
+        def log_message(self, format, *args):
+            pass
+
+    with _serving(Handler, host, tls) as server:
+        server.url += "/v1/chat"
+        yield server
+
+
+@contextmanager
+def http_proxy():
+    """A forwarding proxy on 127.0.0.1 for absolute-URL POSTs and CONNECT tunnels.
+
+    Yields the server: `url`, and `requests` as (method, target, headers) in
+    arrival order. A POST is sent on to its origin without the proxy's own
+    headers; a CONNECT relays bytes both ways until one side closes.
+    """
+
+    class Handler(BaseHTTPRequestHandler):
+        def _record(self):
+            with self.server.lock:
+                self.server.requests.append((self.command, self.path, self.headers))
+
+        def do_POST(self):  # noqa: N802 (http.server naming)
+            self._record()
+            origin = urlsplit(self.path)
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            hop_by_hop = {"host", "connection", "content-length", "proxy-authorization"}
+            headers = {k: v for k, v in self.headers.items() if k.lower() not in hop_by_hop}
+            upstream = http.client.HTTPConnection(origin.hostname, origin.port, timeout=10)
+            try:
+                upstream.request("POST", origin.path, body, headers)
+                reply = upstream.getresponse()
+                send_reply(self, reply.status, reply.read())
+            finally:
+                upstream.close()
+
+        def do_CONNECT(self):  # noqa: N802
+            self._record()
+            host, _, port = self.path.rpartition(":")
+            with socket.create_connection((host, int(port)), timeout=10) as upstream:
+                self.send_response(200, "Connection established")
+                self.end_headers()
+                ends = [self.connection, upstream]
+                while True:
+                    readable, _, _ = select.select(ends, [], [], 10)
+                    data = readable[0].recv(65536) if readable else b""
+                    if not data:
+                        break
+                    ends[readable[0] is ends[0]].sendall(data)
+
+        def log_message(self, format, *args):
+            pass
+
+    with _serving(Handler, "127.0.0.1", tls=False) as server:
+        yield server

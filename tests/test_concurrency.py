@@ -65,7 +65,7 @@ def _run_pipeline(monkeypatch, config: Path, out: Path, max_in_flight: int | Non
             calls["n"] += 1
             delay = rng.uniform(0.0, 0.005)
         time.sleep(delay)
-        return 200, _scripted_answer(script, payload)
+        return 200, _scripted_answer(script, payload), {}
 
     load_config = cli.load_config
 

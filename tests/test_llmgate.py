@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import dataclasses
 import gc
 import io
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import http_backend, send_reply
+from conftest import TLS_CERT, http_backend, http_proxy, send_reply
+import tomtrace
 from tomtrace import llmgate
 from tomtrace.config import BackendSection
 from tomtrace.errors import (
@@ -122,7 +124,7 @@ def test_cache_round_trip_and_no_token_leak(tmp_path, monkeypatch):
 
     def transport(url, payload, headers):
         return 200, {"choices": [{"message": {"content": "live answer"}}],
-                     "usage": {"prompt_tokens": 3, "completion_tokens": 2}}
+                     "usage": {"prompt_tokens": 3, "completion_tokens": 2}}, {}
 
     first = Gateway(BACKEND, transport=transport).complete(req)
     cache.put(req, BACKEND, first)
@@ -205,9 +207,9 @@ def _flaky_transport(failures, status=429):
     def transport(url, payload, headers):
         calls["n"] += 1
         if calls["n"] <= failures:
-            return status, {}
+            return status, {}, {}
         return 200, {"choices": [{"message": {"content": "ok"}}],
-                     "usage": {"prompt_tokens": 1, "completion_tokens": 1}}
+                     "usage": {"prompt_tokens": 1, "completion_tokens": 1}}, {}
 
     return transport, calls
 
@@ -238,13 +240,53 @@ def test_server_error_exhaustion_is_transport_error(monkeypatch):
         Gateway(backend, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
 
 
+def _replying(*replies):
+    """A transport answering each call with the next of `replies`, each (status, body, headers)."""
+    answers = iter(replies)
+    return lambda url, payload, headers: next(answers)
+
+
+OK = (200, {"choices": [{"message": {"content": "ok"}}]}, {})
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize(
+    "retry_after, slept",
+    [
+        ("7", 7.0),
+        ("0", 0.5),
+        ("Fri, 01 Jan 2100 00:00:00 GMT", llmgate.MAX_BACKOFF_S),
+        ("Sun, 06 Nov 1994 08:49:37 GMT", 0.5),
+        ("soon", 0.5),
+        ("-3", 0.5),
+    ],
+    ids=["seconds", "zero", "far-future-date", "past-date", "bogus", "negative"],
+)
+def test_retry_after_lengthens_the_backoff_up_to_the_cap(monkeypatch, status, retry_after, slept):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    sleeps = []
+    backend = dataclasses.replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0.5)
+    transport = _replying((status, {}, {"retry-after": retry_after}), OK)
+    assert Gateway(backend, transport=transport, sleep_fn=sleeps.append).complete(user_request("m", "x")).text == "ok"
+    assert sleeps == [slept]
+
+
+def test_retry_after_holds_for_one_retry_and_only_after_429_or_503(monkeypatch):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    sleeps = []
+    backend = dataclasses.replace(BACKEND, retry_max_attempts=4, retry_base_backoff_s=0.5)
+    transport = _replying((429, {}, {"retry-after": "9"}), (500, {}, {"retry-after": "9"}), (503, {}, {}), OK)
+    assert Gateway(backend, transport=transport, sleep_fn=sleeps.append).complete(user_request("m", "x")).text == "ok"
+    assert sleeps == [9.0, 1.0, 2.0]
+
+
 def test_client_error_fails_fast(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     calls = {"n": 0}
 
     def transport(url, payload, headers):
         calls["n"] += 1
-        return 400, {"error": "bad request"}
+        return 400, {"error": "bad request"}, {}
 
     with pytest.raises(TransportError):
         Gateway(BACKEND, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
@@ -256,7 +298,7 @@ def test_empty_or_non_text_completion_is_a_transport_error_and_not_cached(tmp_pa
     monkeypatch.setenv("TT_TOKEN", "t")
 
     def transport(url, payload, headers):
-        return 200, {"choices": [{"message": {"content": content}}]}
+        return 200, {"choices": [{"message": {"content": content}}]}, {}
 
     gw = Gateway(BACKEND, cache=ResponseCache(tmp_path), transport=transport)
     with pytest.raises(TransportError, match="empty or not text"):
@@ -279,7 +321,7 @@ def test_auth_read_at_call_time(monkeypatch):
 
     def transport(url, payload, headers):
         seen["auth"] = headers["Authorization"]
-        return 200, {"choices": [{"message": {"content": "ok"}}]}
+        return 200, {"choices": [{"message": {"content": "ok"}}]}, {}
 
     Gateway(BACKEND, transport=transport).complete(user_request("m", "x"))
     assert seen["auth"] == "Bearer tok-123"
@@ -306,7 +348,7 @@ def _live_transport(answer, delay_s=0.0):
         with lock:
             calls["n"] += 1
         time.sleep(delay_s)
-        return 200, {"choices": [{"message": {"content": answer}}]}
+        return 200, {"choices": [{"message": {"content": answer}}]}, {}
 
     return transport, calls
 
@@ -715,7 +757,7 @@ def test_http_non_json_answer_cannot_be_extracted(monkeypatch, no_resource_warni
 
 def test_http_transport_returns_error_status_and_text_body(no_resource_warnings):
     with http_backend(_replies((400, b"bad request"))) as server:
-        assert llmgate._http_transport(server.url, {"x": 1}, {}) == (400, "bad request")
+        assert llmgate._http_transport(server.url, {"x": 1}, {})[:2] == (400, "bad request")
 
 
 def test_http_client_error_fails_fast(monkeypatch, no_resource_warnings):
@@ -766,3 +808,202 @@ def test_http_read_timeout_is_retried_then_a_transport_error(monkeypatch, no_res
             _call(server.url, attempts=2)
     assert len(server.requests) == 2
     assert time.monotonic() - start < 5
+
+
+def test_http_retry_after_reaches_the_gateway(monkeypatch, no_resource_warnings):
+    monkeypatch.setenv("TT_TOKEN", "t")
+
+    def busy_then_answer(handler, n, payload):
+        if n == 0:
+            handler.send_response(503)
+            handler.send_header("Retry-After", "3")
+            handler.send_header("Content-Length", "0")
+            handler.end_headers()
+        else:
+            send_reply(handler, 200, ANSWER)
+
+    sleeps = []
+    with http_backend(busy_then_answer) as server:
+        gateway = Gateway(_live(server.url), sleep_fn=sleeps.append)
+        assert gateway.complete(user_request("m", "hello")).text == "live answer"
+    assert sleeps == [3.0]
+
+
+def test_http_redirect_is_not_followed(monkeypatch, no_resource_warnings):
+    """A 302 is the backend's answer: the token never goes to the host `Location` names."""
+    monkeypatch.setenv("TT_TOKEN", "secret-token")
+    with http_backend(_replies((200, ANSWER))) as elsewhere:
+
+        def redirect(handler, n, payload):
+            handler.send_response(302)
+            handler.send_header("Location", elsewhere.url)
+            handler.send_header("Content-Length", "0")
+            handler.end_headers()
+
+        with http_backend(redirect) as server:
+            with pytest.raises(TransportError, match="HTTP 302"):
+                _call(server.url)
+    assert len(server.requests) == 1
+    assert elsewhere.requests == []
+
+
+# --- HTTP/1.1 framing of a reply -----------------------------------------------------------
+
+def _raw(*chunks: bytes):
+    """Answer every request by writing `chunks` as they are, then closing the connection."""
+
+    def answer(handler, n, payload):
+        for chunk in chunks:
+            handler.wfile.write(chunk)
+
+    return answer
+
+
+BODY = json.dumps(ANSWER).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        [b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nX-Extra: a\r\nx-extra: b\r\n\r\n" % len(BODY), BODY],
+        [b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nX-Extra: a, b\r\n\r\n",
+         b"%x;ext=1\r\n%s\r\n" % (10, BODY[:10]), b"%x\r\n%s\r\n" % (len(BODY) - 10, BODY[10:]),
+         b"0\r\nTrailer-Field: t\r\n\r\n"],
+        [b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n",
+         b"HTTP/1.1 200 OK\r\nX-Extra: a, b\r\n\r\n", BODY],
+        [b"HTTP/1.0 200\nX-Extra:a, b\n\n", BODY],
+    ],
+    ids=["content-length", "chunked", "interim-then-to-eof", "bare-lf-no-reason"],
+)
+def test_http_transport_frames_the_reply(reply, no_resource_warnings):
+    with http_backend(_raw(*reply)) as server:
+        status, body, headers = llmgate._http_transport(server.url, {"x": 1}, {})
+    assert (status, body, headers["x-extra"]) == (200, ANSWER, "a, b")
+
+
+def test_http_transport_sends_one_http11_request(no_resource_warnings):
+    with http_backend(_replies((204, b""))) as server:
+        assert llmgate._http_transport(server.url, {"x": "é"}, {"Authorization": "Bearer t"})[:2] == (204, "")
+    [(headers, payload)] = server.requests
+    assert payload == {"x": "é"}
+    assert headers["Host"] == server.url.split("/")[2]
+    assert (headers["Accept-Encoding"], headers["Connection"], headers["Authorization"]) == ("identity", "close", "Bearer t")
+    assert headers["User-Agent"] == f"tomtrace/{tomtrace.__version__}"
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        ([b"HTTP/1.1 2OO OK\r\n\r\n"], "malformed status line"),
+        ([b"<html>hello</html>\r\n"], "malformed status line"),
+        ([b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n"], "malformed header line"),
+        ([b"HTTP/1.1 200 OK\r\n folded: x\r\n\r\n"], "malformed header line"),
+        ([b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n"], "malformed Content-Length"),
+        ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"], "malformed chunk size"),
+        ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x5\r\nhello\r\n0\r\n\r\n"], "malformed chunk size"),
+        ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhel"], "cut short"),
+        ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n"], "cut short"),
+        ([b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n"], "cut short"),
+        ([b""], "cut short"),
+        ([b"HTTP/1.1 200 OK\r\n", b"X: y\r\n" * 101, b"\r\n"], "more than 100 header fields"),
+    ],
+    ids=["status-code", "not-http", "header", "folded-header", "content-length", "chunk-size",
+         "chunk-size-prefix", "chunk-data", "last-chunk", "head", "empty", "too-many-headers"],
+)
+def test_http_transport_raises_connection_error_for_a_malformed_or_short_reply(reply, message, no_resource_warnings):
+    with http_backend(_raw(*reply)) as server:
+        with pytest.raises(ConnectionError, match=message):
+            llmgate._http_transport(server.url, {"x": 1}, {})
+
+
+@pytest.mark.parametrize(
+    "url", ["ftp://127.0.0.1/v1", "http://127.0.0.1:port/v1", "http://127.0.0.1/a b"], ids=["scheme", "port", "space"]
+)
+def test_http_transport_rejects_a_malformed_endpoint(url, no_resource_warnings):
+    with pytest.raises(ConnectionError):
+        llmgate._http_transport(url, {}, {})
+
+
+def test_http_transport_rejects_a_header_that_would_split_the_request(no_resource_warnings):
+    with http_backend(_replies((200, ANSWER))) as server:
+        with pytest.raises(ConnectionError, match="control character"):
+            llmgate._http_transport(server.url, {}, {"Authorization": "Bearer t\r\nX-Injected: 1"})
+    assert server.requests == []
+
+
+def test_posting_loads_no_urllib_http_client_email_or_ssl(no_resource_warnings):
+    """A stage process that posts to a plain-HTTP backend without a proxy loads none of them."""
+    code = (
+        "import sys, tomtrace.cli; from tomtrace import llmgate; "
+        "status, body, headers = llmgate._http_transport(sys.argv[1], {'x': 1}, {}); "
+        "print(status, body, sorted({'urllib.request', 'http.client', 'email', 'ssl'} & set(sys.modules)))"
+    )
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = str(Path(llmgate.__file__).parents[1])
+    with http_backend(_replies((200, {"ok": 1}))) as server:
+        result = subprocess.run(
+            [sys.executable, "-c", code, server.url], capture_output=True, text=True, env=env, timeout=60
+        )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "200 {'ok': 1} []"
+
+
+# --- TLS and proxies ------------------------------------------------------------------------
+
+@pytest.fixture()
+def proxy_env(monkeypatch):
+    """The caller's `*_proxy` variables and TLS trust settings removed; the test sets its own."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name in ("SSL_CERT_FILE", "SSL_CERT_DIR"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv("TT_TOKEN", "t")
+    return monkeypatch
+
+
+def test_https_needs_a_trusted_certificate_for_the_host(proxy_env, no_resource_warnings):
+    with http_backend(_replies((200, ANSWER)), tls=True) as server:
+        with pytest.raises(TransportError, match="retries exhausted: transport"):
+            _call(server.url, attempts=1)
+        proxy_env.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        assert _call(server.url).text == "live answer"
+    assert len(server.requests) == 1
+
+
+def test_https_refuses_a_trusted_certificate_for_another_host(proxy_env, no_resource_warnings):
+    proxy_env.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    with http_backend(_replies((200, ANSWER)), tls=True, host="127.0.0.2") as server:
+        with pytest.raises(TransportError, match="retries exhausted: transport"):
+            _call(server.url, attempts=1)
+    assert server.requests == []
+
+
+def test_http_proxy_gets_the_absolute_url_and_its_credentials(proxy_env, no_resource_warnings):
+    with http_backend(_replies((200, ANSWER))) as server, http_proxy() as proxy:
+        proxy_env.setenv("HTTP_PROXY", proxy.url.replace("//", "//user:p%40ss@"))
+        assert _call(server.url).text == "live answer"
+    [(method, target, headers)] = proxy.requests
+    assert (method, target) == ("POST", server.url)
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+    [(headers, _)] = server.requests
+    assert headers["Authorization"] == "Bearer t"
+
+
+def test_no_proxy_bypasses_the_proxy(proxy_env, no_resource_warnings):
+    with http_backend(_replies((200, ANSWER))) as server, http_proxy() as proxy:
+        proxy_env.setenv("HTTP_PROXY", proxy.url)
+        proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        assert _call(server.url).text == "live answer"
+    assert proxy.requests == []
+    assert len(server.requests) == 1
+
+
+def test_https_proxy_tunnels_with_connect(proxy_env, no_resource_warnings):
+    proxy_env.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    with http_backend(_replies((200, ANSWER)), tls=True) as server, http_proxy() as proxy:
+        proxy_env.setenv("HTTPS_PROXY", proxy.url.replace("//", "//user:pw@"))
+        assert _call(server.url).text == "live answer"
+    [(method, target, headers)] = proxy.requests
+    assert (method, target) == ("CONNECT", server.url.split("/")[2])
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+    [(headers, _)] = server.requests
+    assert "Proxy-Authorization" not in headers and headers["Authorization"] == "Bearer t"
