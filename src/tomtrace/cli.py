@@ -26,7 +26,7 @@ import click
 from . import __version__
 from .config import PipelineConfig, load_config
 from .errors import ConfigInvalid, GatewayError, MissingUpstreamArtifact, TomtraceError
-from .util import read_jsonl, sample, sha256_file, write_atomic, write_json, write_jsonl
+from .util import decode_text, read_jsonl, sample, sha256_file, write_atomic, write_json, write_jsonl
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -113,8 +113,7 @@ class RunContext:
         path = Path(override)
         try:
             data = path.read_bytes()
-            # Universal newlines, as a file opened for text reads them.
-            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            text = decode_text(data)
         except (OSError, UnicodeError) as exc:
             raise ConfigInvalid(f"cannot read template {override}: {exc}") from exc
         self.inputs.setdefault(self._key(path), hashlib.sha256(data).hexdigest())
@@ -160,11 +159,10 @@ class RunContext:
         return self.config.backend.model or "default-model"
 
     def write_manifest(self, command: str, outputs: list[Path]) -> Path:
-        """Record the config, the files read through read() and the `outputs`, each by digest."""
-        config_path = Path(self.config.source_path)
+        """Record the config as parsed, the files read through read() and the `outputs`, each by digest."""
         manifest = {
             "command": command,
-            "config_sha256": sha256_file(config_path) if config_path.is_file() else None,
+            "config_sha256": self.config.config_sha256 or None,
             "inputs": self.inputs,
             "outputs": {self._key(p): sha256_file(p) for p in outputs if p.is_file()},
             "package_version": __version__,

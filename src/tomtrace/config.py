@@ -7,17 +7,21 @@ error. String values support ${ENV_VAR} interpolation for secrets; the
 interpolated value never lands in logs or artifacts. A string that fills a
 number or a flag is read as a YAML scalar. Settings that name an input file
 are resolved against the config file's directory.
+
+A file's parsed tree is memoized under the user cache directory, keyed by the
+SHA-256 of its bytes, so loading bytes parsed before imports no YAML parser.
 """
 
+import hashlib
+import json
 import os
 import re
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-import yaml
-
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, IoError
+from .util import decode_text, write_atomic
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -115,7 +119,8 @@ class PipelineConfig:
     verification: VerificationSection = field(default_factory=VerificationSection)
     eval: EvalSection = field(default_factory=EvalSection)
     ft: FtSection = field(default_factory=FtSection)
-    source_path: str = field(default="", init=False)  # config file location, for manifest hashing
+    source_path: str = field(default="", init=False)  # config file location
+    config_sha256: str = field(default="", init=False)  # digest of the bytes parsed, for the manifest
 
     def needs_seed(self) -> bool:
         return (
@@ -163,6 +168,8 @@ def _value(raw, tp, key: str, rule, base: Path):
     if optional:
         [tp] = [t for t in tp.__args__ if t is not type(None)]
     if isinstance(value, str) and tp in (int, float, bool):
+        import yaml
+
         try:
             value = yaml.load(value, Loader=_yaml_loader())
         except yaml.YAMLError:
@@ -195,25 +202,91 @@ def _value(raw, tp, key: str, rule, base: Path):
 def _yaml_loader() -> type:
     """libyaml's safe loader, about ten times faster than PyYAML's own; the pure-Python
     SafeLoader where libyaml is not built. Both share the safe constructor and resolver."""
+    import yaml
+
     return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(path: Path | str) -> PipelineConfig:
+    """The config at `path`, read once and checked.
+
+    The parsed tree comes from the memo of these bytes when there is one, and
+    is memoized otherwise. The memo holds the tree as parsed, before `${VAR}`
+    interpolation and path resolution, so a hit gives the same config and the
+    same errors as a parse.
+    """
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_yaml_loader())
-    except (OSError, UnicodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    memo = _memo_path(digest)
+    raw = _recall(memo) if memo else None
+    if raw is None:
+        raw = _parse(data, path)
+        if memo:
+            _memoize(memo, raw)
+    config = _read(PipelineConfig, raw, "", path.parent)
+    config.source_path = str(path)
+    config.config_sha256 = digest
+    _validate(config)
+    return config
+
+
+def _parse(data: bytes, path: Path) -> dict:
+    """The YAML mapping in `data`, the bytes of the config at `path`; an empty file is {}."""
+    import yaml
+
+    try:
+        raw = yaml.load(decode_text(data), Loader=_yaml_loader())
+    except UnicodeError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"config {path} is not valid YAML: {exc}") from exc
     if raw is None:
-        raw = {}
+        return {}
     if not isinstance(raw, dict):
         raise ConfigInvalid(f"config {path} must be a mapping")
-    config = _read(PipelineConfig, raw, "", path.parent)
-    config.source_path = str(path)
-    _validate(config)
-    return config
+    return raw
+
+
+def _memo_path(digest: str) -> Path | None:
+    """Where the tree of a config whose bytes have SHA-256 `digest` is memoized.
+
+    The directory is `$XDG_CACHE_HOME/tomtrace/config`, or `~/.cache/tomtrace/config`
+    when that variable is unset, empty or relative (the XDG Base Directory rule);
+    None when no home directory is known either.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser("~/.cache")
+        if not os.path.isabs(base):
+            return None
+    return Path(base, "tomtrace", "config", f"{digest}.json")
+
+
+def _recall(memo: Path) -> dict | None:
+    """The tree memoized at `memo`; None for a miss: no file, or not one JSON object."""
+    try:
+        tree = json.loads(memo.read_bytes())
+    except (OSError, ValueError):
+        return None
+    return tree if isinstance(tree, dict) else None
+
+
+def _memoize(memo: Path, tree: dict) -> None:
+    """Keep `tree` at `memo` if JSON holds it unchanged; a failed write only costs the next load a parse."""
+    try:
+        text = json.dumps(tree, allow_nan=False)
+    except (TypeError, ValueError):  # a date, a set or binary; NaN or infinity; a recursive alias
+        return
+    if json.loads(text) != tree:  # a key that is not a string
+        return
+    try:
+        write_atomic(memo, [text.encode("utf-8")])
+    except IoError:
+        pass
 
 
 def _validate(config: PipelineConfig) -> None:

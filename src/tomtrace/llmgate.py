@@ -38,8 +38,9 @@ from .errors import (
 )
 from .util import canonical_json, read_jsonl, sha256_text, write_atomic
 
-if TYPE_CHECKING:  # the config module loads yaml, which no gateway user needs
+if TYPE_CHECKING:  # annotations only: no gateway user needs these modules loaded
     import socket
+    import ssl
     from concurrent.futures import Future
 
     from .config import BackendSection
@@ -406,7 +407,8 @@ def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object
     connect and each read. Each call opens one connection and closes it.
     Proxies come from the environment's `*_proxy` variables
     (HTTP(S)_PROXY/NO_PROXY, matched as urllib matches them), and TLS is
-    verified against the system store (SSL_CERT_FILE/SSL_CERT_DIR).
+    verified against the system store (SSL_CERT_FILE/SSL_CERT_DIR) with a
+    context built once per process for each setting of those variables.
     """
     import socket  # only here: replayed and cache-served runs send no request
 
@@ -443,9 +445,7 @@ def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object
             if tunnel:
                 _tunnel(sock, host_port if endpoint.port else f"{host_port}:{port}", proxy_headers)
             if scheme == "https":
-                import ssl  # only here: plain-HTTP stages never load it
-
-                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+                sock = _tls_context().wrap_socket(sock, server_hostname=host)
             sock.sendall(head + data)
             with sock.makefile("rb") as reply:
                 status, reply_headers = _read_head(reply)
@@ -460,6 +460,22 @@ def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object
         return status, json.loads(raw), reply_headers
     except ValueError:
         return status, raw.decode("utf-8", errors="replace"), reply_headers
+
+
+# Verifying TLS contexts by (SSL_CERT_FILE, SSL_CERT_DIR): building one loads the CA store.
+_TLS_CONTEXTS: dict[tuple[str | None, str | None], ssl.SSLContext] = {}
+_TLS_LOCK = threading.Lock()
+
+
+def _tls_context() -> ssl.SSLContext:
+    """The default verifying context for the trust settings in the environment now."""
+    import ssl  # only here: plain-HTTP stages never load it
+
+    key = (os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR"))
+    with _TLS_LOCK:
+        if key not in _TLS_CONTEXTS:
+            _TLS_CONTEXTS[key] = ssl.create_default_context()
+        return _TLS_CONTEXTS[key]
 
 
 # Longest status, header or chunk-size line a reply may send, and most header

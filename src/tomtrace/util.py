@@ -53,6 +53,11 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def decode_text(data: bytes) -> str:
+    """UTF-8 `data` with universal newlines, as a file opened for text reads it."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def canonical_json(obj: object) -> str:
     """Stable serialization used for digests and integrity hashes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)

@@ -65,6 +65,15 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+@pytest.fixture(scope="session", autouse=True)
+def user_cache(tmp_path_factory) -> Path:
+    """XDG_CACHE_HOME for the whole session, so no test writes the config memo under ~/.cache."""
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(cache))
+        yield cache
+
+
 @pytest.fixture(scope="session")
 def fixture_corpus():
     return ingest_corpus(

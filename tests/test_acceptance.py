@@ -223,12 +223,16 @@ def test_criterion_05_score_cells_match_hand_recount():
         assert row.total[Dimension.BELIEF] == 10  # None-letter rows stay in the denominator
 
 
-def test_criterion_06_two_runs_are_byte_identical(tmp_path):
+def test_criterion_06_two_runs_are_byte_identical(tmp_path, monkeypatch):
     with criterion(6, "end-to-end determinism under the replay backend") as note:
         sequence = ("ingest", "extract", "build-kg", "genqa", "eval", "report")
+        # The first run parses the config, the second reads its memoized tree.
+        memos = tmp_path / "xdg" / "tomtrace" / "config"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         started = time.perf_counter()
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli(out_a, *sequence)
+        assert len(list(memos.glob("*.json"))) == 1
         run_cli(out_b, *sequence)
         elapsed = time.perf_counter() - started
         tree_a, tree_b = tree_bytes(out_a), tree_bytes(out_b)

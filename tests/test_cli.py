@@ -13,6 +13,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -282,6 +283,26 @@ def test_model_stage_manifests_list_the_replay_script(chain):
         assert "replay.jsonl" not in manifest["inputs"], name
 
 
+def test_manifest_records_the_config_bytes_the_stage_parsed(tmp_path, monkeypatch):
+    """A config edited while a stage runs is recorded with the bytes the stage parsed."""
+    shutil.copytree(CONFIG.parent, tmp_path / "data")
+    config = tmp_path / "data" / "pipeline.yaml"
+    original = config.read_bytes()
+    out = tmp_path / "out"
+    run_cli(out, "ingest", config=config)
+    load_corpus = RunContext.load_corpus
+
+    def edit_then_load_corpus(self):
+        config.write_bytes(original + b"# edited mid-stage\n")
+        return load_corpus(self)
+
+    monkeypatch.setattr(RunContext, "load_corpus", edit_then_load_corpus)
+    run_cli(out, "stats", config=config)
+    manifest = json.loads((out / "manifests" / "stats.json").read_text(encoding="utf-8"))
+    assert config.read_bytes() != original
+    assert manifest["config_sha256"] == hashlib.sha256(original).hexdigest()
+
+
 def test_manifests_carry_no_absolute_paths(chain):
     out, _ = chain
     for path in (out / "manifests").glob("*.json"):
@@ -301,11 +322,12 @@ def opened_and_recorded(tmp_path_factory):
     """Per command: its manifest and the keys of the files it opened for reading.
 
     Opens made while RunContext records an input or writes the manifest are
-    not counted, nor are the config, the response cache and the packaged
-    prompt templates.
+    not counted, nor are the config and its parsed-tree memo, the response
+    cache and the packaged prompt templates.
     """
     out = tmp_path_factory.mktemp("opens") / "out"
-    skipped = (CONFIG.resolve(), (out / "cache").resolve(), Path(tomtrace.__file__).parent.resolve() / "templates")
+    memo = Path(os.environ["XDG_CACHE_HOME"], "tomtrace", "config").resolve()
+    skipped = (CONFIG.resolve(), memo, (out / "cache").resolve(), Path(tomtrace.__file__).parent.resolve() / "templates")
     opened: set[str] = set()
     paused = [0]
 

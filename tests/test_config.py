@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import types
 
 import pytest
 import yaml
@@ -226,13 +228,20 @@ eval:
 """
 
 
-def _load_both(path, monkeypatch):
-    """The config as the libyaml loader reads it, and as the pure-Python fallback does."""
+def _load_both(path, tmp_path, monkeypatch):
+    """The config as the libyaml loader reads it, and as the pure-Python fallback does.
+
+    Each load has a cache directory of its own, so both parse the file rather than read the memo.
+    """
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-c"))
     by_c = load_config(path)
     with monkeypatch.context() as mp:
         mp.delattr(yaml, "CSafeLoader", raising=False)
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-python"))
         assert config_module._yaml_loader() is yaml.SafeLoader
         by_python = load_config(path)
+    for cache in ("cache-c", "cache-python"):
+        assert len(_memos(tmp_path / cache)) == 1, cache
     return by_c, by_python
 
 
@@ -244,7 +253,7 @@ def test_libyaml_parses_the_config():
 @pytest.mark.parametrize("text", [None, JSON_SHAPED, YAML_FEATURES], ids=["fixture", "json-shaped", "yaml-features"])
 def test_both_loaders_read_the_same_config(tmp_path, monkeypatch, text):
     monkeypatch.setenv("TT_HOST", "http://127.0.0.1:9")
-    by_c, by_python = _load_both(CONFIG if text is None else write(tmp_path, text), monkeypatch)
+    by_c, by_python = _load_both(CONFIG if text is None else write(tmp_path, text), tmp_path, monkeypatch)
     assert by_c == by_python
     if text is YAML_FEATURES:
         assert by_c.backend.endpoint == "http://127.0.0.1:9/v1/chat" and by_c.corpus.input.endswith("/books")
@@ -256,8 +265,159 @@ def test_both_loaders_read_the_same_config(tmp_path, monkeypatch, text):
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["libyaml", "pure-python"])
 def test_malformed_yaml_exits_one_with_either_loader(tmp_path, monkeypatch, fallback):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     if fallback:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     config = write(tmp_path, "seed: 1\ncorpus: [unclosed\n")
     [result] = run_cli(tmp_path / "out", "ingest", expect=1, config=config)
     assert result.stderr.startswith(f"error: config {config} is not valid YAML")
+
+
+# --- the parsed-tree memo ------------------------------------------------------------
+
+def _memos(cache) -> list:
+    """The memo files under the cache directory `cache`."""
+    return sorted((cache / "tomtrace" / "config").glob("*.json"))
+
+
+@pytest.fixture()
+def cache(tmp_path, monkeypatch):
+    """An empty XDG_CACHE_HOME."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg"
+
+
+def _no_parse(monkeypatch):
+    """Make a YAML parse of the whole file fail the test: the next load must be a hit."""
+    def parse(data, path):
+        raise AssertionError(f"{path} was parsed, not read from its memo")
+
+    monkeypatch.setattr(config_module, "_parse", parse)
+
+
+@pytest.mark.parametrize("text", [None, JSON_SHAPED, YAML_FEATURES], ids=["fixture", "json-shaped", "yaml-features"])
+def test_a_miss_then_a_hit_load_the_same_config(tmp_path, monkeypatch, cache, text):
+    monkeypatch.setenv("TT_HOST", "http://127.0.0.1:9")
+    path = CONFIG if text is None else write(tmp_path, text)
+    parsed = load_config(path)
+    [memo] = _memos(cache)
+    assert memo.name == hashlib.sha256(path.read_bytes()).hexdigest() + ".json"
+    with monkeypatch.context() as mp:
+        _no_parse(mp)
+        assert load_config(path) == parsed
+    assert parsed.config_sha256 == memo.stem
+
+
+def test_the_memo_holds_the_tree_before_interpolation_and_path_resolution(tmp_path, monkeypatch, cache):
+    monkeypatch.setenv("TT_HOST", "http://127.0.0.1:9")
+    path = write(tmp_path, YAML_FEATURES)
+    load_config(path)
+    [memo] = _memos(cache)
+    tree = json.loads(memo.read_bytes())
+    assert tree["backend"]["endpoint"] == "${TT_HOST}/v1/chat"
+    assert tree["triples"]["template"] == "prompts/extract.txt"
+    monkeypatch.setenv("TT_HOST", "http://127.0.0.2:9")
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    copy = moved / "pipeline.yaml"
+    copy.write_bytes(path.read_bytes())
+    with monkeypatch.context() as mp:
+        _no_parse(mp)
+        config = load_config(copy)
+    assert config.backend.endpoint == "http://127.0.0.2:9/v1/chat"
+    assert config.triples.template == str(moved / "prompts/extract.txt")
+
+
+@pytest.mark.parametrize("text", [
+    "seed: 7\nbackend:\n  model: 2024-01-01\n",  # a date
+    "seed: 7\ncorpus:\n  alias_tables: {1: one.txt}\n",  # a key that is not a string
+    "seed: 7\n1: one\n",
+    "seed: 7\nmerge:\n  jaccard_threshold: .nan\n",  # not a JSON number
+    "seed: 7\nbackend:\n  retry_base_backoff_s: .inf\n",
+    "seed: 7\neval:\n  models: !!set {a, b}\n",
+    "seed: 7\nbackend:\n  model: !!binary aGk=\n",
+], ids=["date", "int-key", "top-int-key", "nan", "inf", "set", "binary"])
+def test_a_tree_json_cannot_hold_is_not_memoized(tmp_path, cache, text):
+    path = write(tmp_path, text)
+    outcomes = []
+    for _ in range(2):
+        try:
+            outcomes.append(load_config(path))
+        except ConfigInvalid as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert _memos(cache) == []
+    if "inf" in text:
+        assert outcomes[0].backend.retry_base_backoff_s == float("inf")
+    else:
+        assert isinstance(outcomes[0], str)
+
+
+def test_invalid_yaml_is_not_memoized_and_names_the_file(tmp_path, cache):
+    path = write(tmp_path, "seed: 1\ncorpus: [unclosed\n")
+    with pytest.raises(ConfigInvalid) as first:
+        load_config(path)
+    with pytest.raises(ConfigInvalid) as second:
+        load_config(path)
+    assert str(first.value) == str(second.value)
+    assert str(first.value).startswith(f"config {path} is not valid YAML: while parsing a flow sequence")
+    assert _memos(cache) == []
+
+
+@pytest.mark.parametrize("damage", [lambda b: b[: len(b) // 2], lambda b: b"[1, 2]", lambda b: b"null", lambda b: b""],
+                         ids=["truncated", "list", "null", "empty"])
+def test_a_damaged_memo_is_a_miss_and_is_rewritten(tmp_path, cache, damage):
+    path = write(tmp_path, JSON_SHAPED)
+    parsed = load_config(path)
+    [memo] = _memos(cache)
+    good = memo.read_bytes()
+    memo.write_bytes(damage(good))
+    assert load_config(path) == parsed
+    assert memo.read_bytes() == good
+
+
+def test_a_memo_that_cannot_be_written_still_loads(tmp_path, monkeypatch):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    path = write(tmp_path, MINIMAL)
+    assert load_config(path) == load_config(path)
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("home", ["passwd", None], ids=["home-from-passwd", "no-home"])
+def test_without_home_or_xdg_cache_home_the_config_still_loads(tmp_path, monkeypatch, home):
+    """With HOME unset the memo goes under the user's home from the password database, if it has one."""
+    import pwd
+
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.delenv("HOME", raising=False)
+
+    def getpwuid(uid):
+        if home is None:
+            raise KeyError(uid)
+        return types.SimpleNamespace(pw_dir=str(tmp_path / "home"))
+
+    monkeypatch.setattr(pwd, "getpwuid", getpwuid)
+    path = write(tmp_path, MINIMAL)
+    assert load_config(path).seed == 7
+    assert len(_memos(tmp_path / "home" / ".cache")) == (home is not None)
+
+
+def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative-cache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    load_config(write(tmp_path, MINIMAL))
+    assert len(_memos(tmp_path / "home" / ".cache")) == 1
+    assert not (tmp_path / "relative-cache").exists()
+
+
+def test_a_hit_reads_a_variable_that_fills_a_number_as_yaml(tmp_path, monkeypatch, cache):
+    monkeypatch.setenv("TT_N", "2")
+    path = write(tmp_path, "seed: 7\nbackend:\n  max_in_flight: ${TT_N}\n")
+    assert load_config(path).backend.max_in_flight == 2
+    with monkeypatch.context() as mp:
+        _no_parse(mp)
+        config = load_config(path)
+    assert config.backend.max_in_flight == 2 and type(config.backend.max_in_flight) is int

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,7 @@ def test_the_fixture_config_loads_to_its_values():
                  "answer_style": "triples_then_answer", "template": None},
         "ft": {"ood_books": [], "require_human_verified": True, "with_triples": "both"},
         "source_path": str(CONFIG),
+        "config_sha256": hashlib.sha256(CONFIG.read_bytes()).hexdigest(),
     }
 
 
@@ -80,6 +82,7 @@ def test_a_json_config_loads_to_its_values(tmp_path):
                  "answer_style": "triples_then_answer", "template": None},
         "ft": {"ood_books": ["Book 1"], "require_human_verified": True, "with_triples": "both"},
         "source_path": str(path),
+        "config_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
     }
 
 

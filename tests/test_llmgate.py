@@ -969,6 +969,59 @@ def test_https_needs_a_trusted_certificate_for_the_host(proxy_env, no_resource_w
     assert len(server.requests) == 1
 
 
+def test_https_builds_one_tls_context_per_trust_setting(proxy_env, no_resource_warnings):
+    import ssl
+
+    builds = []
+    build = ssl.create_default_context
+    proxy_env.setattr(ssl, "create_default_context", lambda: builds.append(1) or build())
+    proxy_env.setattr(llmgate, "_TLS_CONTEXTS", {})
+    proxy_env.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    with http_backend(_replies((200, ANSWER)), tls=True) as server:
+        for _ in range(3):
+            assert _call(server.url).text == "live answer"
+        assert len(builds) == 1
+        proxy_env.setenv("SSL_CERT_DIR", str(TLS_CERT.parent))
+        assert _call(server.url).text == "live answer"
+    assert len(builds) == 2
+    assert len(server.requests) == 4
+
+
+def test_concurrent_requests_build_one_tls_context(monkeypatch):
+    """Stress: 8 threads ask for the context at once; one is built and all share it."""
+    import ssl
+
+    builds = []
+
+    def build():
+        builds.append(1)
+        time.sleep(0.001)  # a real build takes tens of milliseconds
+        return object()
+
+    monkeypatch.setattr(ssl, "create_default_context", build)
+    monkeypatch.setattr(llmgate, "_TLS_CONTEXTS", {})
+    got = []
+    start = threading.Barrier(8)
+
+    def ask():
+        start.wait(timeout=10)
+        got.extend(llmgate._tls_context() for _ in range(50))
+
+    threads = [threading.Thread(target=ask) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert len(got) == 400 and len({id(c) for c in got}) == 1
+
+
 def test_https_refuses_a_trusted_certificate_for_another_host(proxy_env, no_resource_warnings):
     proxy_env.setenv("SSL_CERT_FILE", str(TLS_CERT))
     with http_backend(_replies((200, ANSWER)), tls=True, host="127.0.0.2") as server:

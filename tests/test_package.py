@@ -10,6 +10,7 @@ import pytest
 
 import tomtrace
 from conftest import CONFIG, ENTRY_POINT, run_cli, run_entry_point
+from tomtrace.config import load_config
 
 
 def test_importing_the_package_loads_no_pipeline_module():
@@ -41,10 +42,12 @@ def modules_at_exit(tmp_path_factory) -> dict[str, set[str]]:
     """Per command, the modules loaded when its process exits.
 
     `--version` and every offline command run on the fixture in a fresh
-    interpreter; the model stages that feed them run in this process.
+    interpreter; the model stages that feed them run in this process. The
+    config has been parsed once before any of them starts.
     """
     out = tmp_path_factory.mktemp("imports") / "out"
     loaded: dict[str, set[str]] = {}
+    load_config(CONFIG)
 
     def run(name: str, *args: str) -> None:
         result = run_entry_point(*args, code=MODULES_AT_EXIT)
@@ -76,6 +79,23 @@ def test_no_offline_command_loads_a_thread_pool_or_an_http_client(modules_at_exi
     for command in OFFLINE_COMMANDS:
         assert modules_at_exit[command] & REQUEST_MODULES == set(), command
     assert {"tomtrace.evalharness", "tomtrace.qagen"} <= modules_at_exit["report"]
+
+
+def test_no_offline_command_loads_yaml_once_the_config_was_parsed(modules_at_exit):
+    for command in ("--version", *OFFLINE_COMMANDS):
+        assert not {m for m in modules_at_exit[command] if m == "yaml" or m.startswith("yaml.")}, command
+
+
+def test_only_the_first_parse_of_a_config_loads_yaml(tmp_path, monkeypatch):
+    """A fresh cache directory makes the first stage parse the config; the next one reads the memo."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    loaded = []
+    for _ in range(2):
+        result = run_entry_point("-c", str(CONFIG), "--out", str(tmp_path / "out"), "ingest", code=MODULES_AT_EXIT)
+        assert result.returncode == 0, result.stderr
+        loaded.append(set(result.stderr.splitlines()[-1].split()[1:]))
+    assert {"yaml", "tomtrace.config"} <= loaded[0]
+    assert "yaml" not in loaded[1] and "tomtrace.config" in loaded[1]
 
 
 class _FileWrites(ast.NodeVisitor):
@@ -165,6 +185,8 @@ def test_read_jsonl_is_the_only_code_that_decodes_record_lines():
         return isinstance(func, ast.Attribute) and func.attr in {"load", "loads"} and getattr(func.value, "id", "") == "json"
 
     assert _call_sites(json_parse) == [
+        ("config.py", "_recall"),  # a memoized config tree ...
+        ("config.py", "_memoize"),  # ... and the check that JSON holds it unchanged
         ("corpus.py", "_parse_coser_book"),  # one whole JSON document per source book
         ("llmgate.py", "ResponseCache._entry"),  # one cache log line, read at an indexed byte offset
         ("llmgate.py", "_http_transport"),  # a backend's response body
@@ -183,6 +205,5 @@ def test_run_context_is_the_only_code_that_hashes_files():
 
     assert _call_sites(hashing) == [
         ("cli.py", "RunContext.read"),  # an input, as the stage opens it
-        ("cli.py", "RunContext.write_manifest"),  # the config ...
-        ("cli.py", "RunContext.write_manifest"),  # ... and the outputs
+        ("cli.py", "RunContext.write_manifest"),  # the outputs; the config's digest is of the bytes parsed
     ]
