@@ -2,8 +2,10 @@
 -> eval -> report, plus review round-trip, fine-tune emission, and stats.
 
 Every subcommand writes a run manifest (input hashes, config hash, versions)
-so a run under the replay backend can be reproduced byte for byte. Exit
-codes: 0 success, 1 user or config error, 2 backend failure.
+so a run under the replay backend can be reproduced byte for byte. Stage
+settings come only from the config, whose digest the manifest records; an
+option only picks where output goes or which file is written. Exit codes: 0
+success, 1 user or config error, 2 backend failure.
 
 Each stage runs in a process of its own, so start-up is paid per stage: a
 command imports the pipeline modules it runs inside its body, and at exit the
@@ -141,19 +143,18 @@ class RunContext:
             raise MissingUpstreamArtifact(f"{self.questions_path} missing; run genqa")
         return load_questions(self.read(self.questions_path))
 
-    def gateway(self, *, replay_override: str | None = None, cache_override: str | None = None) -> Gateway:
+    def gateway(self) -> Gateway:
         from .llmgate import Gateway, ReplayScript, ResponseCache
 
         replay = None
-        script = replay_override or self.config.replay.script
-        if script:
+        settings = self.config.replay
+        if settings.script:
             replay = ReplayScript.load(
-                self.read(script),
-                default_policy=self.config.replay.default_policy,
-                default_text=self.config.replay.default_text,
+                self.read(settings.script),
+                default_policy=settings.default_policy,
+                default_text=settings.default_text,
             )
-        cache_dir = Path(cache_override) if cache_override else self.cache_dir
-        return Gateway(self.config.backend, replay=replay, cache=ResponseCache(cache_dir))
+        return Gateway(self.config.backend, replay=replay, cache=ResponseCache(self.cache_dir))
 
     def model_id(self) -> str:
         return self.config.backend.model or "default-model"
@@ -214,9 +215,7 @@ def ingest(ctx: RunContext):
 
 
 @_command()
-@click.option("--replay", "replay_override", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
-def extract(ctx: RunContext, replay_override: str | None, cache_override: str | None):
+def extract(ctx: RunContext):
     """Extract mental-state triples per character and plot."""
     from .triples import extract_triples, write_extractions
 
@@ -224,7 +223,7 @@ def extract(ctx: RunContext, replay_override: str | None, cache_override: str | 
     extractions = extract_triples(
         sorted(corpus.books, key=lambda b: b.id),
         corpus.registries,
-        ctx.gateway(replay_override=replay_override, cache_override=cache_override),
+        ctx.gateway(),
         model_id=ctx.model_id(),
         strict=ctx.config.triples.strict_perspective,
         template_override=ctx.template(ctx.config.triples.template),
@@ -274,16 +273,14 @@ def build_kg(ctx: RunContext):
 
 
 @_command()
-@click.option("--replay", "replay_override", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
-def genqa(ctx: RunContext, replay_override: str | None, cache_override: str | None):
+def genqa(ctx: RunContext):
     """Generate one question per dimension per speaking character per plot."""
     from .qagen import generate_questions, save_questions
 
     questions = generate_questions(
         ctx.load_corpus(),
         ctx.load_kgs(),
-        ctx.gateway(replay_override=replay_override, cache_override=cache_override),
+        ctx.gateway(),
         model_id=ctx.model_id(),
         template_override=ctx.template(ctx.config.qagen.template),
         shuffle=ctx.config.qagen.shuffle_options,
@@ -295,15 +292,13 @@ def genqa(ctx: RunContext, replay_override: str | None, cache_override: str | No
 
 
 @_command()
-@click.option("--replay", "replay_override", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
-def verify(ctx: RunContext, replay_override: str | None, cache_override: str | None):
+def verify(ctx: RunContext):
     """Model-verify generated questions, regenerating rejects up to the budget."""
     from .qagen import QuestionState, first_pass_stats, save_questions, save_verdicts, verify_questions
 
     final, verdicts = verify_questions(
         ctx.load_question_file(),
-        ctx.gateway(replay_override=replay_override, cache_override=cache_override),
+        ctx.gateway(),
         model_id=ctx.model_id(),
         max_attempts=ctx.config.verification.max_attempts,
         template_override=ctx.template(ctx.config.verification.template),
@@ -366,42 +361,25 @@ def review_import(ctx: RunContext, csv_path: str):
 
 
 @_command("eval")
-@click.option("--models", "models_override", default=None, help="Comma-separated model ids.")
-@click.option("--context", "context_override", type=click.Choice(["current", "extended", "both"]), default=None)
-@click.option("--triples", "triples_override", type=click.Choice(["on", "off", "both"]), default=None)
-@click.option("--replay", "replay_override", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--cache-dir", "cache_override", default=None, type=click.Path(file_okay=False))
-def eval_cmd(
-    ctx: RunContext,
-    models_override: str | None,
-    context_override: str | None,
-    triples_override: str | None,
-    replay_override: str | None,
-    cache_override: str | None,
-):
+def eval_cmd(ctx: RunContext):
     """Answer every question under each model and condition, then score."""
     from .evalharness import ReportLayout, conditions, render_report, run_eval
 
     corpus = ctx.load_corpus()
     questions = ctx.load_question_file()
-    chosen = conditions(context_override or ctx.config.eval.context, triples_override or ctx.config.eval.triples)
+    settings = ctx.config.eval
+    chosen = conditions(settings.context, settings.triples)
     kgs = ctx.load_kgs() if any(c.triples_enabled for c in chosen) else {}
-    models = (
-        [m.strip() for m in models_override.split(",") if m.strip()]
-        if models_override
-        else (ctx.config.eval.models or [ctx.model_id()])
-    )
-    gateway = ctx.gateway(replay_override=replay_override, cache_override=cache_override)
     table, predictions_path = run_eval(
         corpus,
         kgs,
         questions,
-        models,
+        settings.models or [ctx.model_id()],
         chosen,
-        gateway,
+        ctx.gateway(),
         ctx.predictions_path,
-        answer_style=ctx.config.eval.answer_style,
-        template_override=ctx.template(ctx.config.eval.template),
+        answer_style=settings.answer_style,
+        template_override=ctx.template(settings.template),
     )
     rendered = render_report(table, ReportLayout.PLAIN)
     report_path = ctx.out_dir / "report.txt"
@@ -429,8 +407,7 @@ def report(ctx: RunContext, layout: str):
 
 
 @_command("emit-ft")
-@click.option("--allow-unverified", is_flag=True, help="Waive the human-verification gate.")
-def emit_ft(ctx: RunContext, allow_unverified: bool):
+def emit_ft(ctx: RunContext):
     """Emit supervised fine-tune JSONL files with the book-level OOD split."""
     from .ftemit import SplitSpec, emit_training_files, write_split_manifest
 
@@ -446,7 +423,7 @@ def emit_ft(ctx: RunContext, allow_unverified: bool):
         spec,
         ctx.config.ft.with_triples,
         ft_dir,
-        waive_verification=allow_unverified or not ctx.config.ft.require_human_verified,
+        waive_verification=not ctx.config.ft.require_human_verified,
     )
     for target, count in written:
         click.echo(f"{target}: {count} example(s)")

@@ -9,6 +9,7 @@ rounded (half up, two decimals) at display time.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -178,8 +179,6 @@ class ScoreRow:
     condition: EvalCondition
     correct: dict[Dimension, int] = field(default_factory=dict)
     total: dict[Dimension, int] = field(default_factory=dict)
-    fixed_cells: dict[Dimension, Fraction] | None = None
-    fixed_avg: Fraction | None = None
 
     @classmethod
     def from_percentages(
@@ -188,22 +187,22 @@ class ScoreRow:
         condition: EvalCondition,
         cells: dict[Dimension, str],
     ) -> "ScoreRow":
-        """Row with externally supplied percentage cells (already 0-100)."""
+        """Row whose cells are the given percentages (already 0-100), held as counts.
+
+        Every dimension gets the same total, so the average is the mean of the cells.
+        """
         fixed = {d: Fraction(cells[d]) for d in cells}
-        avg = sum(fixed.values(), Fraction(0)) / len(fixed) if fixed else None
-        return cls(model=model, condition=condition, fixed_cells=fixed, fixed_avg=avg)
+        scale = math.lcm(*(f.denominator for f in fixed.values()))
+        correct = {d: int(f * scale) for d, f in fixed.items()}
+        return cls(model=model, condition=condition, correct=correct, total=dict.fromkeys(fixed, 100 * scale))
 
     def cell(self, dimension: Dimension) -> Fraction | None:
-        if self.fixed_cells is not None:
-            return self.fixed_cells.get(dimension)
         total = self.total.get(dimension, 0)
         if total == 0:
             return None
         return Fraction(100 * self.correct.get(dimension, 0), total)
 
     def avg(self) -> Fraction | None:
-        if self.fixed_avg is not None:
-            return self.fixed_avg
         total = sum(self.total.values())
         if total == 0:
             return None

@@ -29,7 +29,7 @@ from .errors import (
     UnparseableResponse,
 )
 from .llmgate import ChatRequest, Gateway, user_request
-from .util import normalize_name, read_jsonl, stable_hash, write_csv, write_jsonl
+from .util import normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -265,8 +265,6 @@ def parse_triple_response(
     into three parts, carry an unknown predicate, or name a foreign subject
     are quarantined into `rejects` rather than dropped.
     """
-    from .util import strip_code_fences
-
     body = strip_code_fences(text).strip()
     if not body:
         raise UnparseableResponse("empty response")

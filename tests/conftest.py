@@ -15,6 +15,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import tomtrace
@@ -48,6 +49,23 @@ def run_cli(out_dir: Path, *commands: str, expect: int = 0, config: Path = CONFI
             )
         results.append(result)
     return results
+
+
+def derived_config(directory: Path, **sections: dict) -> Path:
+    """The fixture config with each of `sections` updated, written as `directory`/pipeline.yaml.
+
+    Its input paths are absolute, so the fixture data is read wherever the copy lives.
+    """
+    raw = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+    corpus = raw["corpus"]
+    corpus["input"] = str(DATA / corpus["input"])
+    corpus["alias_tables"] = {book: str(DATA / table) for book, table in corpus["alias_tables"].items()}
+    raw["replay"]["script"] = str(DATA / raw["replay"]["script"])
+    for name, values in sections.items():
+        raw[name].update(values)
+    config = directory / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return config
 
 
 def run_entry_point(*args: str, code: str = ENTRY_POINT) -> subprocess.CompletedProcess:

@@ -23,7 +23,7 @@ import yaml
 from click.testing import CliRunner
 
 import tomtrace
-from conftest import CONFIG, ENTRY_POINT, PIPELINE, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
+from conftest import CONFIG, ENTRY_POINT, PIPELINE, derived_config, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
 from test_llmgate import _refused_url
 from tomtrace.cli import REPORT_SUFFIXES, RunContext, main
 from tomtrace.config import load_config
@@ -166,6 +166,22 @@ def test_report_markdown_layout(chain):
 
 def test_report_layout_choices_are_the_report_layouts():
     assert list(REPORT_SUFFIXES) == [layout.value for layout in ReportLayout]
+
+
+def test_stage_options_only_pick_where_output_goes():
+    """Only the config, whose digest the manifest records, decides what a stage computes.
+
+    An option that set a stage setting would change a run without changing its
+    manifest, and a rerun from the recorded config could not reproduce it. The
+    options left pick the output directory, the logging, or which file is written.
+    """
+    stage_options = {
+        "ingest": set(), "extract": set(), "build-kg": set(), "genqa": set(), "verify": set(),
+        "review-export": {"kind", "output_path"}, "review-import": {"csv_path"}, "eval": set(),
+        "report": {"layout"}, "emit-ft": set(), "stats": set(),
+    }
+    assert {name: {p.name for p in command.params} for name, command in main.commands.items()} == stage_options
+    assert {p.name for p in main.params} == {"config_path", "out_override", "verbose", "version"}
 
 
 def test_report_csv_layout(chain):
@@ -327,7 +343,12 @@ def opened_and_recorded(tmp_path_factory):
     """
     out = tmp_path_factory.mktemp("opens") / "out"
     memo = Path(os.environ["XDG_CACHE_HOME"], "tomtrace", "config").resolve()
-    skipped = (CONFIG.resolve(), memo, (out / "cache").resolve(), Path(tomtrace.__file__).parent.resolve() / "templates")
+    # emit-ft waives the human-verification gate, so every question goes through emit_example.
+    unverified = derived_config(tmp_path_factory.mktemp("unverified"), ft={"require_human_verified": False})
+    skipped = (
+        CONFIG.resolve(), unverified.resolve(), memo, (out / "cache").resolve(),
+        Path(tomtrace.__file__).parent.resolve() / "templates",
+    )
     opened: set[str] = set()
     paused = [0]
 
@@ -353,7 +374,7 @@ def opened_and_recorded(tmp_path_factory):
 
     commands = [
         *PIPELINE, "review-export", f"review-import {out / 'review.csv'}", "review-export --kind triples",
-        "emit-ft --allow-unverified", "stats", "report --layout markdown",
+        "emit-ft", "stats", "report --layout markdown",
     ]
     steps = []
     with pytest.MonkeyPatch.context() as mp:
@@ -364,7 +385,7 @@ def opened_and_recorded(tmp_path_factory):
                 mp.setattr(RunContext, name, unrecorded(getattr(RunContext, name)))
         for command in commands:
             opened.clear()
-            run_cli(out, command)
+            run_cli(out, command, config=unverified if command == "emit-ft" else CONFIG)
             keys = set(opened)  # before the manifest is read back below
             manifest = json.loads((out / "manifests" / f"{command.split()[0]}.json").read_text(encoding="utf-8"))
             steps.append((command, manifest, keys))
@@ -376,9 +397,9 @@ def test_manifest_inputs_are_the_files_each_command_opened(opened_and_recorded):
     for command, manifest, opened in steps:
         assert set(manifest["inputs"]) == opened, command
     by_command = {command: set(manifest["inputs"]) for command, manifest, _ in steps}
-    for command in ("build-kg", "emit-ft --allow-unverified"):
+    for command in ("build-kg", "emit-ft"):
         assert "corpus/king-lear.jsonl" in by_command[command]
-    for command in ("extract", "build-kg", "genqa", "eval", "emit-ft --allow-unverified", "stats"):
+    for command in ("extract", "build-kg", "genqa", "eval", "emit-ft", "stats"):
         assert "king-lear-aliases.txt" in by_command[command], command
 
 
@@ -432,7 +453,8 @@ def test_replay_miss_exits_two(tmp_path):
     run_cli(out, "ingest")
     empty_script = tmp_path / "empty.jsonl"
     empty_script.write_text("", encoding="utf-8")
-    result = run_cli(out, f"extract --replay {empty_script}", expect=2)[0]
+    config = derived_config(tmp_path, replay={"script": str(empty_script)})
+    result = run_cli(out, "extract", expect=2, config=config)[0]
     assert result.stderr.startswith("backend error:")
 
 
@@ -442,7 +464,8 @@ def test_replay_miss_after_a_full_run_exits_two(tmp_path):
     run_cli(out, "ingest", "extract")
     empty_script = tmp_path / "empty.jsonl"
     empty_script.write_text("", encoding="utf-8")
-    result = run_cli(out, f"extract --replay {empty_script}", expect=2)[0]
+    config = derived_config(tmp_path, replay={"script": str(empty_script)})
+    result = run_cli(out, "extract", expect=2, config=config)[0]
     assert result.stderr.startswith("backend error: no replay entry for digest")
     assert not (out / "cache").exists()
 
@@ -459,7 +482,8 @@ def test_malformed_replay_script_exits_one_without_a_traceback(tmp_path, lines, 
     run_cli(out, "ingest")
     script = tmp_path / "bad.jsonl"
     script.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = run_cli(out, f"extract --replay {script}", expect=1)[0]
+    config = derived_config(tmp_path, replay={"script": str(script)})
+    result = run_cli(out, "extract", expect=1, config=config)[0]
     assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
     assert result.stderr.startswith("error: replay script")
     assert f"bad.jsonl:{line_number}:" in result.stderr

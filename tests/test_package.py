@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tomtrace
-from conftest import CONFIG, ENTRY_POINT, run_cli, run_entry_point
+from conftest import CONFIG, ENTRY_POINT, derived_config, run_cli, run_entry_point
 from tomtrace.config import load_config
 
 
@@ -42,12 +42,16 @@ def modules_at_exit(tmp_path_factory) -> dict[str, set[str]]:
     """Per command, the modules loaded when its process exits.
 
     `--version` and every offline command run on the fixture in a fresh
-    interpreter; the model stages that feed them run in this process. The
-    config has been parsed once before any of them starts.
+    interpreter; the model stages that feed them run in this process.
+    emit-ft waives the human-verification gate, so every question goes
+    through emit_example. Each config has been parsed once before any of
+    them starts.
     """
     out = tmp_path_factory.mktemp("imports") / "out"
     loaded: dict[str, set[str]] = {}
-    load_config(CONFIG)
+    unverified = derived_config(out.parent, ft={"require_human_verified": False})
+    for config in (CONFIG, unverified):
+        load_config(config)
 
     def run(name: str, *args: str) -> None:
         result = run_entry_point(*args, code=MODULES_AT_EXIT)
@@ -58,11 +62,12 @@ def modules_at_exit(tmp_path_factory) -> dict[str, set[str]]:
 
     run("--version", "--version")
     steps = ["ingest", "extract", "build-kg", "genqa", "verify", "eval", "report", "review-export",
-             f"review-import {out / 'review.csv'}", "emit-ft --allow-unverified", "stats"]
+             f"review-import {out / 'review.csv'}", "emit-ft", "stats"]
     for step in steps:
         name = step.split()[0]
         if name in OFFLINE_COMMANDS:
-            run(name, "-c", str(CONFIG), "--out", str(out), *step.split())
+            config = unverified if name == "emit-ft" else CONFIG
+            run(name, "-c", str(config), "--out", str(out), *step.split())
         else:
             run_cli(out, step)
     return loaded
