@@ -37,32 +37,44 @@ class SegmentKind(Enum):
     THOUGHT = "thought"
 
 
-@dataclass
+# The record types are plain classes with slots: a dataclass compiles its
+# methods when its module is imported, which every stage process pays again.
 class UtteranceSegment:
-    kind: SegmentKind
-    text: str  # delimiters already stripped
+    __slots__ = ("kind", "text")
+
+    def __init__(self, kind: SegmentKind, text: str) -> None:
+        self.kind = kind
+        self.text = text  # delimiters already stripped
 
 
-@dataclass
 class Turn:
-    speaker: str
-    segments: list[UtteranceSegment]
+    __slots__ = ("speaker", "segments")
+
+    def __init__(self, speaker: str, segments: list[UtteranceSegment]) -> None:
+        self.speaker = speaker
+        self.segments = segments
 
 
-@dataclass
 class Conversation:
-    environment: str
-    cast: list[str]
-    turns: list[Turn]
+    __slots__ = ("environment", "cast", "turns")
+
+    def __init__(self, environment: str, cast: list[str], turns: list[Turn]) -> None:
+        self.environment = environment
+        self.cast = cast
+        self.turns = turns
 
 
-@dataclass
 class Plot:
-    book_id: str
-    index: int  # 1-based position in the book
-    summary: str
-    scenario: str
-    conversations: list[Conversation]
+    __slots__ = ("book_id", "index", "summary", "scenario", "conversations")
+
+    def __init__(
+        self, book_id: str, index: int, summary: str, scenario: str, conversations: list[Conversation]
+    ) -> None:
+        self.book_id = book_id
+        self.index = index  # 1-based position in the book
+        self.summary = summary
+        self.scenario = scenario
+        self.conversations = conversations
 
     def speakers(self) -> list[str]:
         return sorted({t.speaker for conv in self.conversations for t in conv.turns})
@@ -77,16 +89,19 @@ class Plot:
         ]
 
 
-@dataclass
 class Book:
-    id: str
-    title: str
-    plots: list[Plot]
+    __slots__ = ("id", "title", "plots")
+
+    def __init__(self, id: str, title: str, plots: list[Plot]) -> None:
+        self.id = id
+        self.title = title
+        self.plots = plots
 
     def speakers(self) -> list[str]:
         return sorted({name for plot in self.plots for name in plot.speakers()})
 
 
+# A dataclass, so that dataclasses.replace(corpus, books=...) derives a sub-corpus.
 @dataclass
 class Corpus:
     books: list[Book]
@@ -501,23 +516,42 @@ def serialize_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:
 
 # --- statistics --------------------------------------------------------------
 
-@dataclass
 class BookStats:
-    book_id: str
-    title: str
-    plot_count: int
-    conversation_count: int
-    avg_speakers: str  # 2-decimal string, half-up
-    undefined_mean: bool
+    __slots__ = ("book_id", "title", "plot_count", "conversation_count", "avg_speakers", "undefined_mean")
+
+    def __init__(
+        self,
+        book_id: str,
+        title: str,
+        plot_count: int,
+        conversation_count: int,
+        avg_speakers: str,
+        undefined_mean: bool,
+    ) -> None:
+        self.book_id = book_id
+        self.title = title
+        self.plot_count = plot_count
+        self.conversation_count = conversation_count
+        self.avg_speakers = avg_speakers  # 2-decimal string, half-up
+        self.undefined_mean = undefined_mean
 
 
-@dataclass
 class StatsReport:
-    per_book: list[BookStats]
-    total_plots: int
-    total_conversations: int
-    avg_speakers: str
-    undefined_mean: bool
+    __slots__ = ("per_book", "total_plots", "total_conversations", "avg_speakers", "undefined_mean")
+
+    def __init__(
+        self,
+        per_book: list[BookStats],
+        total_plots: int,
+        total_conversations: int,
+        avg_speakers: str,
+        undefined_mean: bool,
+    ) -> None:
+        self.per_book = per_book
+        self.total_plots = total_plots
+        self.total_conversations = total_conversations
+        self.avg_speakers = avg_speakers
+        self.undefined_mean = undefined_mean
 
 
 def _distinct_speakers(conversation: Conversation) -> int:

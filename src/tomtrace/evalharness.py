@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -33,10 +32,22 @@ class ContextMode(Enum):
     CURRENT_PLUS_PREV = "current+prev"
 
 
-@dataclass(frozen=True)
 class EvalCondition:
-    context_mode: ContextMode
-    triples_enabled: bool
+    """One cell of the condition grid; equal conditions share a report row."""
+
+    __slots__ = ("context_mode", "triples_enabled")
+
+    def __init__(self, context_mode: ContextMode, triples_enabled: bool) -> None:
+        self.context_mode = context_mode
+        self.triples_enabled = triples_enabled
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context_mode, self.triples_enabled) == (other.context_mode, other.triples_enabled)
+
+    def __repr__(self) -> str:
+        return f"EvalCondition(context_mode={self.context_mode.value!r}, triples_enabled={self.triples_enabled})"
 
 
 def conditions(context: str, triples: str) -> list[EvalCondition]:
@@ -74,12 +85,14 @@ _INSTRUCTIONS_ANSWER_ONLY = (
 TRIPLE_BLOCK_HEADER = "Relevant mental state triples:"
 
 
-@dataclass
 class EvalPrompt:
-    question_id: str
-    condition: EvalCondition
-    text: str
-    token_estimate: int
+    __slots__ = ("question_id", "condition", "text", "token_estimate")
+
+    def __init__(self, question_id: str, condition: EvalCondition, text: str, token_estimate: int) -> None:
+        self.question_id = question_id
+        self.condition = condition
+        self.text = text
+        self.token_estimate = token_estimate
 
 
 def assemble_context(
@@ -160,25 +173,44 @@ def parse_answer(text: str) -> str | None:
     return None
 
 
-@dataclass
 class Prediction:
-    question_id: str
-    model_id: str
-    condition: EvalCondition
-    letter: str | None
-    raw_text: str
-    prompt_tokens_est: int = 0
-    error: str | None = None
+    __slots__ = ("question_id", "model_id", "condition", "letter", "raw_text", "prompt_tokens_est", "error")
+
+    def __init__(
+        self,
+        question_id: str,
+        model_id: str,
+        condition: EvalCondition,
+        letter: str | None,
+        raw_text: str,
+        prompt_tokens_est: int = 0,
+        error: str | None = None,
+    ) -> None:
+        self.question_id = question_id
+        self.model_id = model_id
+        self.condition = condition
+        self.letter = letter
+        self.raw_text = raw_text
+        self.prompt_tokens_est = prompt_tokens_est
+        self.error = error
 
 
 # --- scoring -----------------------------------------------------------------------
 
-@dataclass
 class ScoreRow:
-    model: str
-    condition: EvalCondition
-    correct: dict[Dimension, int] = field(default_factory=dict)
-    total: dict[Dimension, int] = field(default_factory=dict)
+    __slots__ = ("model", "condition", "correct", "total")
+
+    def __init__(
+        self,
+        model: str,
+        condition: EvalCondition,
+        correct: dict[Dimension, int] | None = None,
+        total: dict[Dimension, int] | None = None,
+    ) -> None:
+        self.model = model
+        self.condition = condition
+        self.correct = {} if correct is None else correct
+        self.total = {} if total is None else total
 
     @classmethod
     def from_percentages(
@@ -209,9 +241,11 @@ class ScoreRow:
         return Fraction(100 * sum(self.correct.values()), total)
 
 
-@dataclass
 class ScoreTable:
-    rows: list[ScoreRow] = field(default_factory=list)
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[ScoreRow] | None = None) -> None:
+        self.rows = [] if rows is None else rows
 
     def row(self, model: str, condition: EvalCondition) -> ScoreRow:
         for row in self.rows:

@@ -8,7 +8,6 @@ the answer object, or answers directly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -33,18 +32,24 @@ class Split(Enum):
     OOD_TEST = "ood_test"
 
 
-@dataclass
 class TrainingExample:
-    input: str
-    output: str
-    with_triples: bool
-    question_id: str
-    split: Split = Split.TRAIN
+    __slots__ = ("input", "output", "with_triples", "question_id", "split")
+
+    def __init__(
+        self, input: str, output: str, with_triples: bool, question_id: str, split: Split = Split.TRAIN
+    ) -> None:
+        self.input = input
+        self.output = output
+        self.with_triples = with_triples
+        self.question_id = question_id
+        self.split = split
 
 
-@dataclass
 class SplitSpec:
-    ood_book_titles: frozenset[str]
+    __slots__ = ("ood_book_titles",)
+
+    def __init__(self, ood_book_titles: frozenset[str]) -> None:
+        self.ood_book_titles = ood_book_titles
 
 
 def emit_example(
@@ -84,11 +89,18 @@ def emit_example(
     )
 
 
-@dataclass
 class SplitResult:
-    train: list[TomQuestion] = field(default_factory=list)
-    ood: list[TomQuestion] = field(default_factory=list)
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    __slots__ = ("train", "ood", "counts")
+
+    def __init__(
+        self,
+        train: list[TomQuestion] | None = None,
+        ood: list[TomQuestion] | None = None,
+        counts: dict[str, dict[str, int]] | None = None,
+    ) -> None:
+        self.train = [] if train is None else train
+        self.ood = [] if ood is None else ood
+        self.counts = {} if counts is None else counts
 
 
 def split_ood(corpus: Corpus, questions: list[TomQuestion], spec: SplitSpec) -> SplitResult:

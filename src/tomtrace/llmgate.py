@@ -58,6 +58,7 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
+# A frozen dataclass: hashable by value, it keys the gateway's in-flight table.
 @dataclass(frozen=True)
 class ChatRequest:
     model_id: str
@@ -101,26 +102,30 @@ def user_request(model_id: str, text: str, **kwargs) -> ChatRequest:
     return ChatRequest(model_id=model_id, messages=(("user", text),), **kwargs)
 
 
-@dataclass
 class ChatResponse:
-    text: str
-    prompt_tokens: int
-    output_tokens: int
-    backend_id: str
-    cached: bool = False
+    __slots__ = ("text", "prompt_tokens", "output_tokens", "backend_id", "cached")
 
-    def __post_init__(self):
-        if not self.text:
+    def __init__(
+        self, text: str, prompt_tokens: int, output_tokens: int, backend_id: str, cached: bool = False
+    ) -> None:
+        if not text:
             raise ValueError("empty response text")
+        self.text = text
+        self.prompt_tokens = prompt_tokens
+        self.output_tokens = output_tokens
+        self.backend_id = backend_id
+        self.cached = cached
 
 
 # --- replay -----------------------------------------------------------------
 
-@dataclass
 class ReplayEntry:
-    response_text: str
-    digest: str | None = None
-    prompt_pattern: str | None = None
+    __slots__ = ("response_text", "digest", "prompt_pattern")
+
+    def __init__(self, response_text: str, digest: str | None = None, prompt_pattern: str | None = None) -> None:
+        self.response_text = response_text
+        self.digest = digest
+        self.prompt_pattern = prompt_pattern
 
 
 class ReplayScript:
@@ -144,7 +149,8 @@ class ReplayScript:
         self._by_digest: dict[str, str] = {}
         self._patterns: list[tuple[re.Pattern, str]] = []
         for entry in entries:
-            self._add(vars(entry))
+            self._add({"response_text": entry.response_text, "digest": entry.digest,
+                       "prompt_pattern": entry.prompt_pattern})
 
     def _add(self, rec: Mapping) -> None:
         """Add one entry from its record (`response_text` and a `digest` or a `prompt_pattern`)."""

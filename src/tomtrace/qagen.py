@@ -16,7 +16,6 @@ import json
 import logging
 import random
 import re
-from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -57,43 +56,61 @@ class VerificationStage(Enum):
     HUMAN = "human"
 
 
-@dataclass
 class TomQuestion:
-    id: str
-    book_id: str
-    plot_index: int
-    character: str
-    dimension: Dimension
-    scenario: str
-    reasoning: str
-    stem: str
-    options: list[str]  # texts without letter labels, positions are A-D
-    correct: str
-    state: QuestionState = QuestionState.GENERATED
-    attempt: int = 1
-    permutation: list[int] | None = None  # new position -> original index
+    __slots__ = ("id", "book_id", "plot_index", "character", "dimension", "scenario", "reasoning", "stem",
+                 "options", "correct", "state", "attempt", "permutation")
 
-    def __post_init__(self):
-        if len(self.options) != 4:
-            raise BadOptionCount(f"{self.id or self.stem!r}: {len(self.options)} options")
-        normalized = {" ".join(o.split()).casefold() for o in self.options}
+    def __init__(
+        self,
+        id: str,
+        book_id: str,
+        plot_index: int,
+        character: str,
+        dimension: Dimension,
+        scenario: str,
+        reasoning: str,
+        stem: str,
+        options: list[str],
+        correct: str,
+        state: QuestionState = QuestionState.GENERATED,
+        attempt: int = 1,
+        permutation: list[int] | None = None,
+    ) -> None:
+        if len(options) != 4:
+            raise BadOptionCount(f"{id or stem!r}: {len(options)} options")
+        normalized = {" ".join(o.split()).casefold() for o in options}
         if len(normalized) != 4:
-            raise BadOptionCount(f"{self.id or self.stem!r}: options not pairwise distinct")
-        if self.correct not in LETTERS:
-            raise AmbiguousCorrect(f"{self.id or self.stem!r}: correct={self.correct!r}")
-        if self.attempt < 1:
+            raise BadOptionCount(f"{id or stem!r}: options not pairwise distinct")
+        if correct not in LETTERS:
+            raise AmbiguousCorrect(f"{id or stem!r}: correct={correct!r}")
+        if attempt < 1:
             raise ValueError("attempt starts at 1")
+        self.id = id
+        self.book_id = book_id
+        self.plot_index = plot_index
+        self.character = character
+        self.dimension = dimension
+        self.scenario = scenario
+        self.reasoning = reasoning
+        self.stem = stem
+        self.options = options  # texts without letter labels, positions are A-D
+        self.correct = correct
+        self.state = state
+        self.attempt = attempt
+        self.permutation = permutation  # new position -> original index
 
     def option_lines(self) -> list[str]:
         return [f"{letter}. {text}" for letter, text in zip(LETTERS, self.options)]
 
 
-@dataclass
 class VerificationVerdict:
-    question_id: str
-    stage: VerificationStage
-    passed: bool
-    notes: str = ""
+    __slots__ = ("question_id", "stage", "passed", "notes")
+
+    def __init__(self, question_id: str, stage: VerificationStage, passed: bool, notes: str = "") -> None:
+        self.question_id = question_id
+        self.stage = stage
+        self.passed = passed
+        self.notes = notes
 
 
 _LEGAL_TRANSITIONS = {
@@ -264,7 +281,11 @@ def shuffle_options(question: TomQuestion, rng: random.Random) -> TomQuestion:
     old_correct = LETTERS.index(question.correct)
     new_options = [question.options[i] for i in perm]
     new_correct = LETTERS[perm.index(old_correct)]
-    return replace(question, options=new_options, correct=new_correct, permutation=perm)
+    q = question
+    return TomQuestion(
+        q.id, q.book_id, q.plot_index, q.character, q.dimension, q.scenario, q.reasoning, q.stem,
+        new_options, new_correct, q.state, q.attempt, perm,
+    )
 
 
 # --- verification -----------------------------------------------------------------
@@ -513,25 +534,38 @@ def export_review(questions: list[TomQuestion], path: Path | str) -> int:
     return len(rows)
 
 
-@dataclass
 class ReviewImportReport:
-    applied: list[VerificationVerdict] = field(default_factory=list)
-    skipped_blank: int = 0
-    errors: list[str] = field(default_factory=list)
+    __slots__ = ("applied", "skipped_blank", "errors")
+
+    def __init__(
+        self,
+        applied: list[VerificationVerdict] | None = None,
+        skipped_blank: int = 0,
+        errors: list[str] | None = None,
+    ) -> None:
+        self.applied = [] if applied is None else applied
+        self.skipped_blank = skipped_blank
+        self.errors = [] if errors is None else errors
 
 
 def import_review(path: Path | str, questions: dict[str, TomQuestion]) -> ReviewImportReport:
     """Apply pass/fail verdicts from a review CSV.
 
     Rows with problems are reported, not fatal: remaining rows still apply.
+    A file without a `question_id` or a `verdict` column raises
+    UnreadableSource, since none of its rows could apply.
     """
     report = ReviewImportReport()
     try:
         # utf-8-sig: spreadsheet tools save "CSV UTF-8" with a byte order mark.
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
     except (OSError, UnicodeError, csv.Error) as exc:
         raise UnreadableSource(f"cannot read review CSV {path}: {exc}") from exc
+    missing = [column for column in ("question_id", "verdict") if column not in (reader.fieldnames or ())]
+    if missing:
+        raise UnreadableSource(f"review CSV {path} has no {' or '.join(missing)} column")
     for row_num, row in enumerate(rows, start=2):
         raw_verdict = (row.get("verdict") or "").strip().casefold()
         qid = (row.get("question_id") or "").strip()
@@ -558,13 +592,22 @@ def import_review(path: Path | str, questions: dict[str, TomQuestion]) -> Review
 
 # --- statistics ---------------------------------------------------------------------
 
-@dataclass
 class QuestionSetStats:
-    questions: int
-    correct_answers: int
-    distractors: int
-    per_dimension: dict[str, int]
-    per_book: dict[str, int]
+    __slots__ = ("questions", "correct_answers", "distractors", "per_dimension", "per_book")
+
+    def __init__(
+        self,
+        questions: int,
+        correct_answers: int,
+        distractors: int,
+        per_dimension: dict[str, int],
+        per_book: dict[str, int],
+    ) -> None:
+        self.questions = questions
+        self.correct_answers = correct_answers
+        self.distractors = distractors
+        self.per_dimension = per_dimension
+        self.per_book = per_book
 
 
 def dataset_stats(questions: list[TomQuestion]) -> QuestionSetStats:
@@ -584,14 +627,22 @@ def dataset_stats(questions: list[TomQuestion]) -> QuestionSetStats:
 
 
 def dataset_stats_to_record(stats: QuestionSetStats) -> dict:
-    return asdict(stats)
+    return {
+        "questions": stats.questions,
+        "correct_answers": stats.correct_answers,
+        "distractors": stats.distractors,
+        "per_dimension": stats.per_dimension,
+        "per_book": stats.per_book,
+    }
 
 
-@dataclass
 class FirstPassReport:
-    verified_questions: int
-    first_attempt_passes: int
-    rate: str  # 2-decimal fraction string, half-up
+    __slots__ = ("verified_questions", "first_attempt_passes", "rate")
+
+    def __init__(self, verified_questions: int, first_attempt_passes: int, rate: str) -> None:
+        self.verified_questions = verified_questions
+        self.first_attempt_passes = first_attempt_passes
+        self.rate = rate  # 2-decimal fraction string, half-up
 
 
 def first_pass_stats(verdicts: list[VerificationVerdict], attempts: dict[str, int]) -> FirstPassReport:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -60,23 +59,29 @@ class SupersedeReason(Enum):
     CONTRADICTED = "contradicted"
 
 
-@dataclass
 class SupersedeLink:
-    old_id: str
-    new_id: str
-    reason: SupersedeReason
+    __slots__ = ("old_id", "new_id", "reason")
+
+    def __init__(self, old_id: str, new_id: str, reason: SupersedeReason) -> None:
+        self.old_id = old_id
+        self.new_id = new_id
+        self.reason = reason
 
 
-@dataclass
 class RetireRecord:
-    triple_id: str
-    plot_index: int
+    __slots__ = ("triple_id", "plot_index")
+
+    def __init__(self, triple_id: str, plot_index: int) -> None:
+        self.triple_id = triple_id
+        self.plot_index = plot_index
 
 
-@dataclass
 class CharacterNode:
-    canonical_name: str
-    last_insert_plot: int = 0
+    __slots__ = ("canonical_name", "last_insert_plot")
+
+    def __init__(self, canonical_name: str, last_insert_plot: int = 0) -> None:
+        self.canonical_name = canonical_name
+        self.last_insert_plot = last_insert_plot
 
 
 # Default negation cues for the contradiction heuristic. Antonym pairs are
@@ -85,10 +90,14 @@ class CharacterNode:
 NEGATION_CUES = ("not", "never", "no longer")
 
 
-@dataclass
 class ContradictionRules:
-    antonym_pairs: list[tuple[str, str]] = field(default_factory=list)
-    negation_cues: tuple[str, ...] = NEGATION_CUES
+    __slots__ = ("antonym_pairs", "negation_cues")
+
+    def __init__(
+        self, antonym_pairs: list[tuple[str, str]] | None = None, negation_cues: tuple[str, ...] = NEGATION_CUES
+    ) -> None:
+        self.antonym_pairs = [] if antonym_pairs is None else antonym_pairs
+        self.negation_cues = negation_cues
 
 
 _TOKEN_RE = re.compile(r"[a-z']+")
@@ -126,15 +135,26 @@ def is_contradiction(old_obj: str, new_obj: str, rules: ContradictionRules) -> b
     return False
 
 
-@dataclass
 class ChangeLog:
-    character: str
-    plot_index: int
-    unchanged: list[str] = field(default_factory=list)
-    added: list[str] = field(default_factory=list)
-    refined: list[SupersedeLink] = field(default_factory=list)
-    contradicted: list[SupersedeLink] = field(default_factory=list)
-    retired: list[str] = field(default_factory=list)
+    __slots__ = ("character", "plot_index", "unchanged", "added", "refined", "contradicted", "retired")
+
+    def __init__(
+        self,
+        character: str,
+        plot_index: int,
+        unchanged: list[str] | None = None,
+        added: list[str] | None = None,
+        refined: list[SupersedeLink] | None = None,
+        contradicted: list[SupersedeLink] | None = None,
+        retired: list[str] | None = None,
+    ) -> None:
+        self.character = character
+        self.plot_index = plot_index
+        self.unchanged = [] if unchanged is None else unchanged
+        self.added = [] if added is None else added
+        self.refined = [] if refined is None else refined
+        self.contradicted = [] if contradicted is None else contradicted
+        self.retired = [] if retired is None else retired
 
 
 def changelog_to_record(log: ChangeLog) -> dict:
@@ -150,16 +170,27 @@ def changelog_to_record(log: ChangeLog) -> dict:
     }
 
 
-@dataclass
 class TemporalKG:
-    book_id: str
-    plot_count: int | None = None
-    nodes: dict[str, CharacterNode] = field(default_factory=dict)
-    edges: dict[str, MentalStateTriple] = field(default_factory=dict)
-    supersede_links: list[SupersedeLink] = field(default_factory=list)
-    retirements: list[RetireRecord] = field(default_factory=list)
-    # character -> edge ids in insertion order
-    index: dict[str, list[str]] = field(default_factory=dict)
+    __slots__ = ("book_id", "plot_count", "nodes", "edges", "supersede_links", "retirements", "index")
+
+    def __init__(
+        self,
+        book_id: str,
+        plot_count: int | None = None,
+        nodes: dict[str, CharacterNode] | None = None,
+        edges: dict[str, MentalStateTriple] | None = None,
+        supersede_links: list[SupersedeLink] | None = None,
+        retirements: list[RetireRecord] | None = None,
+        index: dict[str, list[str]] | None = None,
+    ) -> None:
+        self.book_id = book_id
+        self.plot_count = plot_count
+        self.nodes = {} if nodes is None else nodes
+        self.edges = {} if edges is None else edges
+        self.supersede_links = [] if supersede_links is None else supersede_links
+        self.retirements = [] if retirements is None else retirements
+        # character -> edge ids in insertion order
+        self.index = {} if index is None else index
 
     def node_for(self, character: str) -> CharacterNode:
         wanted = normalize_name(character)
@@ -349,12 +380,20 @@ def state_at(kg: TemporalKG, character: str, plot_t: int) -> list[MentalStateTri
     return sorted(chosen, key=lambda t: t.plot_index)  # stable: keeps insertion order
 
 
-@dataclass
 class TimelineEntry:
-    plot_index: int
-    triple: MentalStateTriple
-    supersede_reason: SupersedeReason | None = None
-    superseded_id: str | None = None
+    __slots__ = ("plot_index", "triple", "supersede_reason", "superseded_id")
+
+    def __init__(
+        self,
+        plot_index: int,
+        triple: MentalStateTriple,
+        supersede_reason: SupersedeReason | None = None,
+        superseded_id: str | None = None,
+    ) -> None:
+        self.plot_index = plot_index
+        self.triple = triple
+        self.supersede_reason = supersede_reason
+        self.superseded_id = superseded_id
 
 
 def timeline(

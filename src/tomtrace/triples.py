@@ -12,7 +12,6 @@ import functools
 import json
 import logging
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -67,19 +66,38 @@ PRONOUN_TOKENS = ("he", "she", "his", "her", "him", "they", "them", "their")
 _PRONOUN_RE = re.compile(r"\b(?:%s)\b" % "|".join(PRONOUN_TOKENS), re.IGNORECASE)
 
 
-@dataclass
 class MentalStateTriple:
-    id: str
-    subject: str
-    predicate_raw: str
-    dimension: Dimension
-    target: str | None
-    object: str
-    plot_index: int
-    # First plot at which a later batch superseded or retired this edge; the
-    # edge holds over [plot_index, valid_to). None while it is still active.
-    valid_to: int | None = None
-    supersedes: str | None = None
+    __slots__ = ("id", "subject", "predicate_raw", "dimension", "target", "object", "plot_index",
+                 "valid_to", "supersedes")
+
+    def __init__(
+        self,
+        id: str,
+        subject: str,
+        predicate_raw: str,
+        dimension: Dimension,
+        target: str | None,
+        object: str,
+        plot_index: int,
+        valid_to: int | None = None,
+        supersedes: str | None = None,
+    ) -> None:
+        self.id = id
+        self.subject = subject
+        self.predicate_raw = predicate_raw
+        self.dimension = dimension
+        self.target = target
+        self.object = object
+        self.plot_index = plot_index
+        # First plot at which a later batch superseded or retired this edge; the
+        # edge holds over [plot_index, valid_to). None while it is still active.
+        self.valid_to = valid_to
+        self.supersedes = supersedes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def classify_dimension(predicate_raw: str) -> Dimension:
@@ -152,23 +170,31 @@ def render_triple(triple: MentalStateTriple) -> str:
     return f"({triple.subject}, {triple.predicate_raw}, {triple.object})"
 
 
-@dataclass
 class RejectedEntry:
-    raw: str
-    reason: str
+    __slots__ = ("raw", "reason")
+
+    def __init__(self, raw: str, reason: str) -> None:
+        self.raw = raw
+        self.reason = reason
 
 
-@dataclass
 class TripleBatch:
     """One extraction result: all triples for one character at one plot."""
 
-    character: str
-    plot_index: int
-    triples: list[MentalStateTriple]
-    rejects: list[RejectedEntry] = field(default_factory=list)
+    __slots__ = ("character", "plot_index", "triples", "rejects")
 
-    def __post_init__(self):
-        for triple in self.triples:
+    def __init__(
+        self,
+        character: str,
+        plot_index: int,
+        triples: list[MentalStateTriple],
+        rejects: list[RejectedEntry] | None = None,
+    ) -> None:
+        self.character = character
+        self.plot_index = plot_index
+        self.triples = triples
+        self.rejects = [] if rejects is None else rejects
+        for triple in triples:
             if normalize_name(triple.subject) != normalize_name(self.character):
                 raise ForeignSubject(
                     f"triple subject {triple.subject!r} in a {self.character!r} batch"
@@ -315,10 +341,12 @@ class ViolationKind(Enum):
     DIMENSION_MISMATCH = "dimension_mismatch"
 
 
-@dataclass
 class Violation:
-    kind: ViolationKind
-    detail: str
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: ViolationKind, detail: str) -> None:
+        self.kind = kind
+        self.detail = detail
 
 
 def validate_triple(
@@ -372,12 +400,14 @@ def _packaged_template(name: str) -> Template:
     return Template(resources.files("tomtrace.templates").joinpath(name).read_text(encoding="utf-8"))
 
 
-@dataclass(frozen=True)
 class TemplateOverride:
     """A prompt-template file used in place of a packaged template: its text, read once, and its path."""
 
-    path: str
-    text: str
+    __slots__ = ("path", "text")
+
+    def __init__(self, path: str, text: str) -> None:
+        self.path = path
+        self.text = text
 
 
 def render_template(name: str, override: TemplateOverride | None = None, **fields: str) -> str:
@@ -504,13 +534,17 @@ def _reject_record(book_id: str, character: str, plot_index: int, raw: str, reas
     return {"book_id": book_id, "character": character, "plot_index": plot_index, "raw": raw, "reason": reason}
 
 
-@dataclass
 class Extraction:
     """Extraction output records, in character -> plot order."""
 
-    triples: list[dict] = field(default_factory=list)
-    rejects: list[dict] = field(default_factory=list)
-    rejected: int = 0  # entries rejected from parsed responses; unparseable responses are not counted
+    __slots__ = ("triples", "rejects", "rejected")
+
+    def __init__(
+        self, triples: list[dict] | None = None, rejects: list[dict] | None = None, rejected: int = 0
+    ) -> None:
+        self.triples = [] if triples is None else triples
+        self.rejects = [] if rejects is None else rejects
+        self.rejected = rejected  # entries rejected from parsed responses; unparseable responses are not counted
 
     def extend(self, other: "Extraction") -> None:
         self.triples += other.triples

@@ -634,6 +634,23 @@ def test_truncated_question_file_exits_one_without_a_traceback(pipeline_out, tmp
     assert f"questions.jsonl:{len(questions.read_bytes().splitlines())}: invalid JSON" in result.stderr
 
 
+@pytest.mark.parametrize("column, misspelled", [("verdict", "verdikt"), ("question_id", "question id")])
+def test_review_csv_without_a_needed_column_exits_one_before_writing(pipeline_out, tmp_path, column, misspelled):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    run_cli(out, "review-export")
+    review = out / "review.csv"
+    _mark_all_pass(review)
+    header, body = review.read_text(encoding="utf-8").split("\n", 1)
+    review.write_text(header.replace(column, misspelled) + "\n" + body, encoding="utf-8")
+    questions = (out / "questions.jsonl").read_bytes()
+    [result] = run_cli(out, f"review-import {review}", expect=1)
+    assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
+    assert result.stderr.startswith("error: ") and f"no {column} column" in result.stderr
+    assert (out / "questions.jsonl").read_bytes() == questions
+    assert not (out / "manifests" / "review-import.json").exists()
+
+
 @pytest.mark.parametrize("damage", ["missing-field", "not-utf8"])
 @pytest.mark.parametrize("artifact, command, field", [
     ("questions.jsonl", "verify", "stem"),

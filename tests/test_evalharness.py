@@ -351,6 +351,10 @@ def test_run_eval_degrades_per_item(fixture_corpus, tmp_path, caplog):
     # degraded item still counted, as wrong
     [row] = table.rows
     assert sum(row.total.values()) == 2 and sum(row.correct.values()) == 1
+    [warning] = [r.getMessage() for r in caplog.records if "failed assembly" in r.getMessage()]
+    for part in (questions[1].id, "replay-gpt", repr(CURRENT.context_mode.value), "triples_enabled=False"):
+        assert part in warning
+    assert "object at 0x" not in warning
 
 
 def test_run_eval_orders_items_deterministically(fixture_corpus, tmp_path):

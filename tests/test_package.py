@@ -27,6 +27,31 @@ def test_importing_the_gateway_loads_neither_the_config_module_nor_yaml():
     assert result.stdout.strip() == "[]"
 
 
+def test_only_the_config_sections_corpus_and_chat_request_are_dataclasses():
+    """Each dataclass compiles its generated methods when its module is imported, in every stage process.
+
+    So record types are plain classes. The config sections stay dataclasses
+    because the reader walks their fields; Corpus because a sub-corpus is
+    derived with dataclasses.replace; ChatRequest because it is a frozen,
+    hashable key of the gateway's in-flight table.
+    """
+    code = (
+        "import dataclasses, importlib, pkgutil, sys, tomtrace\n"
+        "for info in pkgutil.iter_modules(tomtrace.__path__):\n"
+        "    importlib.import_module(f'tomtrace.{info.name}')\n"
+        "print(*sorted(f'{name}.{obj.__name__}' for name, module in list(sys.modules.items())\n"
+        "              if name.startswith('tomtrace') for obj in vars(module).values()\n"
+        "              if isinstance(obj, type) and obj.__module__ == name and dataclasses.is_dataclass(obj)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tomtrace.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    sections = ("Backend", "Corpus", "Eval", "Ft", "Merge", "Qagen", "Replay", "Triples", "Verification")
+    assert result.stdout.split() == sorted(
+        [f"tomtrace.config.{s}Section" for s in sections]
+        + ["tomtrace.config.PipelineConfig", "tomtrace.corpus.Corpus", "tomtrace.llmgate.ChatRequest"]
+    )
+
+
 # The entry point, reporting every loaded module on its last stderr line as the process exits.
 MODULES_AT_EXIT = (
     "import atexit, sys\n"

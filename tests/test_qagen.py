@@ -36,6 +36,7 @@ from tomtrace.qagen import (
     parse_question_response,
     parse_verdict_response,
     question_id,
+    question_to_record,
     regenerate,
     save_questions,
     shuffle_options,
@@ -211,8 +212,12 @@ def test_parse_accepts_doubled_braces_and_fences():
 # --- option shuffling ------------------------------------------------------------------
 
 def test_shuffle_records_permutation_and_remaps_correct():
-    q = make_question(correct="B")
+    q = make_question(correct="B", state=QuestionState.REJECTED, attempt=2)
     shuffled = shuffle_options(q, random.Random("fixed-seed"))
+    moved = ("options", "correct", "permutation")
+    assert {k: v for k, v in question_to_record(shuffled).items() if k not in moved} == {
+        k: v for k, v in question_to_record(q).items() if k not in moved
+    }
     assert sorted(shuffled.options) == sorted(q.options)
     assert shuffled.permutation is not None
     # the letter moved with its text
