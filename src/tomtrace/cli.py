@@ -5,25 +5,25 @@ Every subcommand writes a run manifest (input hashes, config hash, versions)
 so a run under the replay backend can be reproduced byte for byte. Stage
 settings come only from the config, whose digest the manifest records; an
 option only picks where output goes or which file is written. Exit codes: 0
-success, 1 user or config error, 2 backend failure.
+success, 1 user, usage or config error, 2 backend failure.
 
-Each stage runs in a process of its own, so start-up is paid per stage: a
-command imports the pipeline modules it runs inside its body, and at exit the
-collector's passes over objects that die with the process are skipped.
+Each stage runs in a process of its own, so start-up is paid per stage: the
+arguments are parsed by the standard library's argparse, a command imports
+the pipeline modules it runs inside its body, and at exit the collector's
+passes over objects that die with the process are skipped.
 """
 
 from __future__ import annotations
 
+import argparse
 import atexit
-import functools
 import gc
 import hashlib
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 from . import __version__
 from .config import PipelineConfig, load_config
@@ -44,21 +44,9 @@ atexit.register(gc.freeze)
 REPORT_SUFFIXES = {"plain": "txt", "markdown": "md", "csv": "csv"}
 
 
-def _guarded(fn):
-    """Map library errors to exit codes: gateway failures 2, the rest 1."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except GatewayError as exc:
-            click.echo(f"backend error: {exc}", err=True)
-            sys.exit(2)
-        except TomtraceError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
+def _echo(text: str, *, err: bool = False, end: str = "\n") -> None:
+    """Write `text` to stdout, or stderr if `err`, and flush, so a pipe gets lines in the order written."""
+    print(text, end=end, file=sys.stderr if err else None, flush=True)
 
 
 class RunContext:
@@ -172,31 +160,110 @@ class RunContext:
         return write_json(self.out_dir / "manifests" / f"{command}.json", manifest)
 
 
-pass_ctx = click.make_pass_decorator(RunContext)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated option, offers `--help`, and exits 1 on a usage error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _command(name: str | None = None):
-    """Register a subcommand that takes the RunContext and maps library errors to exit codes."""
-    return lambda fn: main.command(name)(pass_ctx(_guarded(fn)))
+# An option's flags (none for a positional argument) and its other `add_argument` keywords.
+Option = tuple[tuple[str, ...], dict]
 
 
-@click.group()
-@click.option("--config", "-c", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_override", default=None, help="Override the configured output directory.")
-@click.option("--verbose", "-v", is_flag=True, help="Chatty logging.")
-@click.version_option(version=__version__)
-@click.pass_context
-@_guarded
-def main(ctx: click.Context, config_path: str, out_override: str | None, verbose: bool):
-    """Mental-state pipeline over plot-segmented narrative corpora."""
-    logging.basicConfig(
-        level=logging.INFO if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    ctx.obj = RunContext(load_config(config_path), out_override)
+def _option(*flags: str, **keywords) -> Option:
+    return flags, keywords
 
 
-@_command()
+def _add_options(parser: argparse.ArgumentParser, params: dict[str, Option]) -> None:
+    for dest, (flags, keywords) in params.items():
+        if flags:
+            parser.add_argument(*flags, dest=dest, **keywords)
+        else:
+            parser.add_argument(dest, **keywords)
+
+
+class Command:
+    """A subcommand: `callback(ctx, **options)` and, by name, the options it takes."""
+
+    def __init__(self, callback, params: dict[str, Option]):
+        self.callback = callback
+        self.params = params
+
+
+class CommandTable:
+    """The command line: the global options in `params`, then one of `commands` with its own options.
+
+    Calling it parses `args` (sys.argv[1:] by default), runs the command's
+    current `callback` with a RunContext, and ends in SystemExit with the exit
+    code, as a console script's entry point does: gateway failures exit 2;
+    other library errors, usage errors, an interrupt and a closed stdout 1.
+    """
+
+    def __init__(self, **params: Option):
+        self.params = params
+        self.commands: dict[str, Command] = {}
+
+    def command(self, name: str | None = None, **params: Option):
+        """Register a function taking the RunContext and `params` as the command `name` (default its own)."""
+
+        def register(fn):
+            self.commands[name or fn.__name__] = Command(fn, params)
+            return fn
+
+        return register
+
+    def _parser(self, prog: str) -> argparse.ArgumentParser:
+        parser = _Parser(prog=prog, description="Mental-state pipeline over plot-segmented narrative corpora.")
+        _add_options(parser, self.params)
+        choices = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        for name, command in self.commands.items():
+            summary = (command.callback.__doc__ or "").strip()
+            _add_options(choices.add_parser(name, help=summary, description=summary), command.params)
+        return parser
+
+    def __call__(self, args: list[str] | None = None, prog_name: str | None = None):
+        options = vars(self._parser(prog_name or "tomtrace").parse_args(args))
+        command = self.commands[options.pop("command")]
+        logging.basicConfig(
+            level=logging.INFO if options.pop("verbose") else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        try:
+            ctx = RunContext(load_config(options.pop("config_path")), options.pop("out_override"))
+            command.callback(ctx, **options)
+        except GatewayError as exc:
+            _echo(f"backend error: {exc}", err=True)
+            sys.exit(2)
+        except TomtraceError as exc:
+            _echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        except KeyboardInterrupt:
+            _echo("Aborted!", err=True)
+            sys.exit(1)
+        except BrokenPipeError:
+            # The reader of stdout left early, as `| head` does. Point stdout at
+            # /dev/null so the flush at exit cannot fail again, and exit quietly.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        sys.exit(0)
+
+
+main = CommandTable(
+    config_path=_option("-c", "--config", required=True, metavar="FILE"),
+    out_override=_option("--out", metavar="DIR", help="Override the configured output directory."),
+    verbose=_option("-v", "--verbose", action="store_true", help="Chatty logging."),
+    version=_option("--version", action="version", version=f"%(prog)s, version {__version__}",
+                    help="Show the version and exit."),
+)
+
+
+@main.command()
 def ingest(ctx: RunContext):
     """Parse source books into the normalized plot-per-line corpus."""
     from .corpus import corpus_stats, ingest_corpus, serialize_corpus
@@ -207,14 +274,14 @@ def ingest(ctx: RunContext):
     corpus = ingest_corpus(cfg.input, format=cfg.format, alias_tables=ctx.alias_tables, read=ctx.read)
     written = serialize_corpus(corpus, ctx.corpus_dir)
     stats = corpus_stats(corpus)
-    click.echo(
+    _echo(
         f"ingested {len(corpus.books)} book(s): {stats.total_plots} plots, "
         f"{stats.total_conversations} conversations"
     )
     ctx.write_manifest("ingest", written)
 
 
-@_command()
+@main.command()
 def extract(ctx: RunContext):
     """Extract mental-state triples per character and plot."""
     from .triples import extract_triples, write_extractions
@@ -231,11 +298,11 @@ def extract(ctx: RunContext):
     outputs = write_extractions(extractions, ctx.triples_dir)
     total = sum(len(e.triples) for e in extractions.values())
     rejected = sum(e.rejected for e in extractions.values())
-    click.echo(f"extracted {total} triples ({rejected} rejected)")
+    _echo(f"extracted {total} triples ({rejected} rejected)")
     ctx.write_manifest("extract", outputs)
 
 
-@_command("build-kg")
+@main.command("build-kg")
 def build_kg(ctx: RunContext):
     """Fold extracted triple batches into per-book temporal graphs."""
     from .tkg import ContradictionRules, MergeMode, build_graph, save_kg
@@ -265,14 +332,14 @@ def build_kg(ctx: RunContext):
             save_kg(kg, ctx.kg_dir / f"{book.id}.kg.jsonl"),
             write_jsonl(ctx.kg_dir / f"{book.id}.changelog.jsonl", changelog),
         ]
-        click.echo(
+        _echo(
             f"{book.id}: {len(kg.edges)} edges, {len(kg.supersede_links)} supersede links, "
             f"{len(kg.retirements)} retirements"
         )
     ctx.write_manifest("build-kg", outputs)
 
 
-@_command()
+@main.command()
 def genqa(ctx: RunContext):
     """Generate one question per dimension per speaking character per plot."""
     from .qagen import generate_questions, save_questions
@@ -287,11 +354,11 @@ def genqa(ctx: RunContext):
         seed=ctx.config.seed,
     )
     path = save_questions(questions, ctx.questions_path)
-    click.echo(f"generated {len(questions)} questions")
+    _echo(f"generated {len(questions)} questions")
     ctx.write_manifest("genqa", [path])
 
 
-@_command()
+@main.command()
 def verify(ctx: RunContext):
     """Model-verify generated questions, regenerating rejects up to the budget."""
     from .qagen import QuestionState, first_pass_stats, save_questions, save_verdicts, verify_questions
@@ -310,16 +377,18 @@ def verify(ctx: RunContext):
     attempts = {q.id: q.attempt for q in final}
     report = first_pass_stats(verdicts, attempts)
     verified = sum(1 for q in final if q.state is QuestionState.LLM_VERIFIED)
-    click.echo(
+    _echo(
         f"verified {verified}/{len(final)} questions; first-pass rate {report.rate} "
         f"({report.first_attempt_passes}/{report.verified_questions})"
     )
     ctx.write_manifest("verify", [ctx.questions_path, ctx.verdicts_path])
 
 
-@_command("review-export")
-@click.option("--kind", type=click.Choice(["questions", "triples"]), default="questions")
-@click.option("--output", "output_path", default=None, type=click.Path(dir_okay=False))
+@main.command(
+    "review-export",
+    kind=_option("--kind", choices=["questions", "triples"], default="questions"),
+    output_path=_option("--output", metavar="FILE"),
+)
 def review_export(ctx: RunContext, kind: str, output_path: str | None):
     """Export a review CSV (sampled per config) for human verdicts."""
     from .qagen import QuestionState, export_review
@@ -337,12 +406,11 @@ def review_export(ctx: RunContext, kind: str, output_path: str | None):
         target = Path(output_path or ctx.out_dir / "triples_review.csv")
         count = export_triple_review(chosen, target)
     noun = "question" if kind == "questions" else "triple"
-    click.echo(f"exported {count} {noun}(s) to {target}")
+    _echo(f"exported {count} {noun}(s) to {target}")
     ctx.write_manifest("review-export", [target])
 
 
-@_command("review-import")
-@click.argument("csv_path", type=click.Path(exists=True, dir_okay=False))
+@main.command("review-import", csv_path=_option(metavar="CSV"))
 def review_import(ctx: RunContext, csv_path: str):
     """Apply human pass/fail verdicts from a review CSV."""
     from .qagen import import_review, save_questions
@@ -350,17 +418,17 @@ def review_import(ctx: RunContext, csv_path: str):
     questions = ctx.load_question_file()
     report = import_review(ctx.read(csv_path), {q.id: q for q in questions})
     save_questions(questions, ctx.questions_path)
-    click.echo(
+    _echo(
         f"applied {len(report.applied)} verdict(s), skipped {report.skipped_blank} blank row(s)"
     )
     for err in report.errors:
-        click.echo(f"row error: {err}", err=True)
+        _echo(f"row error: {err}", err=True)
     ctx.write_manifest("review-import", [ctx.questions_path])
     if report.errors:
         sys.exit(1)
 
 
-@_command("eval")
+@main.command("eval")
 def eval_cmd(ctx: RunContext):
     """Answer every question under each model and condition, then score."""
     from .evalharness import ReportLayout, conditions, render_report, run_eval
@@ -384,12 +452,11 @@ def eval_cmd(ctx: RunContext):
     rendered = render_report(table, ReportLayout.PLAIN)
     report_path = ctx.out_dir / "report.txt"
     write_atomic(report_path, [rendered.encode("utf-8")])
-    click.echo(rendered, nl=False)
+    _echo(rendered, end="")
     ctx.write_manifest("eval", [predictions_path, report_path])
 
 
-@_command()
-@click.option("--layout", type=click.Choice(list(REPORT_SUFFIXES)), default="plain")
+@main.command(layout=_option("--layout", choices=list(REPORT_SUFFIXES), default="plain"))
 def report(ctx: RunContext, layout: str):
     """Re-render the score table from stored predictions."""
     from .evalharness import ReportLayout, load_predictions, render_report, score
@@ -402,11 +469,11 @@ def report(ctx: RunContext, layout: str):
     rendered = render_report(table, ReportLayout(layout))
     target = ctx.out_dir / f"report.{REPORT_SUFFIXES[layout]}"
     write_atomic(target, [rendered.encode("utf-8")])
-    click.echo(rendered, nl=False)
+    _echo(rendered, end="")
     ctx.write_manifest("report", [target])
 
 
-@_command("emit-ft")
+@main.command("emit-ft")
 def emit_ft(ctx: RunContext):
     """Emit supervised fine-tune JSONL files with the book-level OOD split."""
     from .ftemit import SplitSpec, emit_training_files, write_split_manifest
@@ -426,29 +493,29 @@ def emit_ft(ctx: RunContext):
         waive_verification=not ctx.config.ft.require_human_verified,
     )
     for target, count in written:
-        click.echo(f"{target}: {count} example(s)")
+        _echo(f"{target}: {count} example(s)")
     outputs = [target for target, _ in written]
     outputs.append(write_split_manifest(corpus, spec, ft_dir / "split_manifest.json"))
     ctx.write_manifest("emit-ft", outputs)
 
 
-@_command()
+@main.command()
 def stats(ctx: RunContext):
     """Corpus and question-set statistics."""
     from .corpus import corpus_stats, corpus_stats_to_record
 
     report = corpus_stats(ctx.load_corpus())
     payload = {"corpus": corpus_stats_to_record(report)}
-    click.echo(f"{'book':30} {'plots':>6} {'convs':>6} {'avg speakers':>13}")
+    _echo(f"{'book':30} {'plots':>6} {'convs':>6} {'avg speakers':>13}")
     for b in report.per_book:
-        click.echo(f"{b.title[:30]:30} {b.plot_count:>6} {b.conversation_count:>6} {b.avg_speakers:>13}")
-    click.echo(f"{'TOTAL':30} {report.total_plots:>6} {report.total_conversations:>6} {report.avg_speakers:>13}")
+        _echo(f"{b.title[:30]:30} {b.plot_count:>6} {b.conversation_count:>6} {b.avg_speakers:>13}")
+    _echo(f"{'TOTAL':30} {report.total_plots:>6} {report.total_conversations:>6} {report.avg_speakers:>13}")
     if ctx.questions_path.is_file():
         from .qagen import dataset_stats, dataset_stats_to_record
 
         qstats = dataset_stats(ctx.load_question_file())
         payload["questions"] = dataset_stats_to_record(qstats)
-        click.echo(
+        _echo(
             f"questions: {qstats.questions} (correct {qstats.correct_answers}, "
             f"distractors {qstats.distractors})"
         )

@@ -119,15 +119,6 @@ class ChatResponse:
 
 # --- replay -----------------------------------------------------------------
 
-class ReplayEntry:
-    __slots__ = ("response_text", "digest", "prompt_pattern")
-
-    def __init__(self, response_text: str, digest: str | None = None, prompt_pattern: str | None = None) -> None:
-        self.response_text = response_text
-        self.digest = digest
-        self.prompt_pattern = prompt_pattern
-
-
 class ReplayScript:
     """Scripted responses keyed by request digest or prompt regex.
 
@@ -136,21 +127,13 @@ class ReplayScript:
     does: "error" raises ScriptMiss, "fixed" returns `default_text`.
     """
 
-    def __init__(
-        self,
-        entries: list[ReplayEntry],
-        default_policy: str = "error",
-        default_text: str = "",
-    ) -> None:
+    def __init__(self, default_policy: str = "error", default_text: str = "") -> None:
         if default_policy not in ("error", "fixed"):
             raise ValueError(f"unknown replay policy {default_policy!r}")
         self.default_policy = default_policy
         self.default_text = default_text
         self._by_digest: dict[str, str] = {}
         self._patterns: list[tuple[re.Pattern, str]] = []
-        for entry in entries:
-            self._add({"response_text": entry.response_text, "digest": entry.digest,
-                       "prompt_pattern": entry.prompt_pattern})
 
     def _add(self, rec: Mapping) -> None:
         """Add one entry from its record (`response_text` and a `digest` or a `prompt_pattern`)."""
@@ -177,7 +160,7 @@ class ReplayScript:
         default_text: str = "",
     ) -> "ReplayScript":
         """Read a JSONL script; a malformed one raises ConfigInvalid naming the file and line."""
-        script = cls([], default_policy=default_policy, default_text=default_text)
+        script = cls(default_policy=default_policy, default_text=default_text)
         try:
             read_jsonl(path, script._add)
         except (MalformedRecord, UnreadableSource) as exc:

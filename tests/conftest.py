@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import os
 import select
@@ -9,14 +10,14 @@ import ssl
 import subprocess
 import sys
 import threading
-from contextlib import contextmanager
+import traceback
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 import tomtrace
 from tomtrace.cli import main
@@ -35,20 +36,71 @@ PIPELINE = ("ingest", "extract", "build-kg", "genqa", "verify", "eval", "report"
 ENTRY_POINT = "import sys; from tomtrace.cli import main; sys.exit(main())"
 
 
-def run_cli(out_dir: Path, *commands: str, expect: int = 0, config: Path = CONFIG) -> list:
+class CliResult:
+    """One in-process CLI run: its exit code, what it wrote, and the exception that ended it.
+
+    `output` is stdout and stderr interleaved in the order written. `exception`
+    is the SystemExit of a non-zero exit or any other uncaught exception, and
+    `exc_info` is the exception that ended the run, a SystemExit included.
+    """
+
+    def __init__(self, exit_code: int, stdout: str, stderr: str, output: str, exception, exc_info):
+        self.exit_code = exit_code
+        self.stdout = stdout
+        self.stderr = stderr
+        self.output = output
+        self.exception = exception
+        self.exc_info = exc_info
+
+
+class _Capture(io.StringIO):
+    """A stream that also copies each write to `shared`."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
+def invoke_cli(*args: str) -> CliResult:
+    """Run the CLI in this process with `args`, capturing its streams and its exit."""
+    output = io.StringIO()
+    stdout, stderr = _Capture(output), _Capture(output)
+    exit_code, exception, exc_info = 0, None, None
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            main(list(args), prog_name="tomtrace")
+        except SystemExit as exc:
+            exit_code, exc_info = exc.code or 0, sys.exc_info()
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception, exc_info = 1, exc, sys.exc_info()
+    return CliResult(exit_code, stdout.getvalue(), stderr.getvalue(), output.getvalue(), exception, exc_info)
+
+
+def run_cli(out_dir: Path, *commands: str, expect: int = 0, config: Path = CONFIG) -> list[CliResult]:
     """Run CLI subcommands against the fixture config (or `config`) into out_dir."""
-    runner = CliRunner()
     results = []
     for command in commands:
-        args = ["-c", str(config), "--out", str(out_dir)] + command.split()
-        result = runner.invoke(main, args)
+        result = invoke_cli("-c", str(config), "--out", str(out_dir), *command.split())
         if result.exit_code != expect:
             raise AssertionError(
                 f"{command!r} exited {result.exit_code}, expected {expect}\n{result.output}"
-                + ("".join(__import__('traceback').format_exception(*result.exc_info)) if result.exc_info else "")
+                + ("".join(traceback.format_exception(*result.exc_info)) if result.exc_info else "")
             )
         results.append(result)
     return results
+
+
+def replay_script(*records: dict) -> ReplayScript:
+    """A replay script of `records`, each added as a line of a script file is."""
+    script = ReplayScript()
+    for record in records:
+        script._add(record)
+    return script
 
 
 def derived_config(directory: Path, **sections: dict) -> Path:

@@ -15,15 +15,19 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 import tomtrace
-from conftest import CONFIG, ENTRY_POINT, PIPELINE, derived_config, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
+from conftest import (
+    CONFIG, ENTRY_POINT, PIPELINE, derived_config, http_backend, invoke_cli, run_cli, run_entry_point, send_reply,
+    tree_bytes,
+)
 from test_llmgate import _refused_url
 from tomtrace.cli import REPORT_SUFFIXES, RunContext, main
 from tomtrace.config import load_config
@@ -180,8 +184,8 @@ def test_stage_options_only_pick_where_output_goes():
         "review-export": {"kind", "output_path"}, "review-import": {"csv_path"}, "eval": set(),
         "report": {"layout"}, "emit-ft": set(), "stats": set(),
     }
-    assert {name: {p.name for p in command.params} for name, command in main.commands.items()} == stage_options
-    assert {p.name for p in main.params} == {"config_path", "out_override", "verbose", "version"}
+    assert {name: set(command.params) for name, command in main.commands.items()} == stage_options
+    assert set(main.params) == {"config_path", "out_override", "verbose", "version"}
 
 
 def test_report_csv_layout(chain):
@@ -443,7 +447,7 @@ def test_report_without_predictions_exits_one(tmp_path):
 def test_unknown_config_key_exits_one(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("seed: 1\nbogus_top: true\n", encoding="utf-8")
-    result = CliRunner().invoke(main, ["-c", str(bad), "stats"])
+    result = invoke_cli("-c", str(bad), "stats")
     assert result.exit_code == 1
     assert "bogus_top" in result.stderr
 
@@ -711,9 +715,66 @@ def test_unwritable_output_exits_one_without_a_traceback(pipeline_out, tmp_path)
 
 
 def test_version_flag():
-    result = CliRunner().invoke(main, ["--version"])
+    result = invoke_cli("--version")
     assert result.exit_code == 0
     assert "version" in result.stdout
+
+
+# --- the hooks a tracer uses: the command table, each command's callback, and the exit --------
+
+
+def test_the_command_table_holds_every_command():
+    assert list(main.commands) == [
+        "ingest", "extract", "build-kg", "genqa", "verify", "review-export", "review-import", "eval", "report",
+        "emit-ft", "stats",
+    ]
+
+
+def test_a_callback_put_in_place_of_a_command_is_the_code_that_runs(tmp_path, monkeypatch):
+    calls = []
+    command = main.commands["stats"]
+    monkeypatch.setattr(command, "callback", lambda ctx, **options: calls.append((ctx.out_dir, options)))
+    result = invoke_cli("-c", str(CONFIG), "--out", str(tmp_path / "out"), "stats")
+    assert (result.exit_code, result.stdout) == (0, "")
+    assert calls == [(tmp_path / "out", {})]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, code", [("stats", 1), ("ingest", 0)])
+def test_main_ends_in_system_exit_with_the_stage_exit_code(tmp_path, command, code):
+    with pytest.raises(SystemExit) as raised:
+        main(["-c", str(CONFIG), "--out", str(tmp_path / "out"), command], prog_name="tomtrace")
+    assert raised.value.code == code  # stats on an empty out/ has no corpus to read
+
+
+# --- usage errors and the program's name --------------------------------------------------------
+
+
+@pytest.mark.parametrize("missing", ["nope.yaml", "."], ids=["no-file", "directory"])
+def test_a_config_that_cannot_be_read_exits_one_naming_it(tmp_path, missing):
+    result = run_entry_point("-c", missing, "--out", str(tmp_path / "out"), "ingest")
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: cannot read config {missing}: ")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["-c", str(CONFIG), "bogus"], "argument COMMAND: invalid choice: 'bogus'"),
+    (["ingest"], "the following arguments are required: -c/--config"),
+    (["-c", str(CONFIG), "report", "--layout", "html"], "argument --layout: invalid choice: 'html'"),
+    (["-c", str(CONFIG), "review-export", "--kind", "plots"], "argument --kind: invalid choice: 'plots'"),
+    (["-c", str(CONFIG), "ingest", "--out", "elsewhere"], "unrecognized arguments: --out elsewhere"),
+    ([f"--conf={CONFIG}", "ingest"], "the following arguments are required: -c/--config"),
+], ids=["unknown-command", "no-config", "bad-layout", "bad-kind", "option-after-command", "abbreviation"])
+def test_a_usage_error_exits_one_with_the_usage_on_stderr(tmp_path, args, message):
+    result = run_entry_point(*args)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("usage: tomtrace")
+    assert message in result.stderr
+
+
+def test_the_program_is_named_tomtrace_however_it_is_started():
+    result = run_entry_point("--version")
+    assert (result.returncode, result.stdout) == (0, "tomtrace, version 0.1.0\n")
 
 
 def test_nothing_is_frozen_while_a_command_runs_in_process(tmp_path):
@@ -745,6 +806,17 @@ def test_the_entry_point_freezes_the_collector_only_at_exit():
     result = run_entry_point("--version", code=code)
     assert result.returncode == 0
     assert result.stderr == "in run False\nat exit True\n"
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_stage_with_one_and_no_traceback(pipeline_out, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    env = {**os.environ, "PYTHONPATH": str(Path(tomtrace.__file__).parents[1])}
+    args = [sys.executable, "-c", ENTRY_POINT, "-c", str(CONFIG), "--out", str(out), "report"]
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        child.stdout.close()  # before the stage prints its table
+        stderr = child.stderr.read()
+    assert (child.returncode, stderr) == (1, b"")
 
 
 def test_a_bad_config_through_the_entry_point_exits_one(tmp_path):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tomtrace import evalharness, llmgate
+from conftest import replay_script
 from tomtrace.config import BackendSection
 from tomtrace.errors import MissingKg, MissingPlot, UnknownQuestionId
 from tomtrace.evalharness import (
@@ -29,7 +30,7 @@ from tomtrace.evalharness import (
     run_eval,
     score,
 )
-from tomtrace.llmgate import Gateway, ReplayEntry, ReplayScript, estimate_tokens
+from tomtrace.llmgate import Gateway, estimate_tokens
 from tomtrace.qagen import QuestionState, TomQuestion, question_id
 from tomtrace.tkg import TemporalKG, insert_batch
 from tomtrace.triples import Dimension, TripleBatch, make_triple
@@ -316,8 +317,7 @@ def test_rows_ordered_mode_then_model_then_triples():
 # --- full loop -----------------------------------------------------------------------------
 
 def catch_all_gateway(answer="A"):
-    script = ReplayScript([ReplayEntry(prompt_pattern="CANDIDATE CHOICES",
-                                       response_text=f"{{answer: {answer}}}")])
+    script = replay_script({"prompt_pattern": "CANDIDATE CHOICES", "response_text": f"{{answer: {answer}}}"})
     return Gateway(BackendSection(name="replay-gpt", endpoint="", auth_env_var="X"), replay=script)
 
 

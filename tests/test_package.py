@@ -116,6 +116,12 @@ def test_no_offline_command_loads_yaml_once_the_config_was_parsed(modules_at_exi
         assert not {m for m in modules_at_exit[command] if m == "yaml" or m.startswith("yaml.")}, command
 
 
+def test_no_command_loads_click(modules_at_exit):
+    """The CLI parses its arguments with the standard library's argparse."""
+    for command, modules in modules_at_exit.items():
+        assert not {m for m in modules if m == "click" or m.startswith("click.")}, command
+
+
 def test_only_the_first_parse_of_a_config_loads_yaml(tmp_path, monkeypatch):
     """A fresh cache directory makes the first stage parse the config; the next one reads the memo."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -164,13 +170,17 @@ class _FileWrites(ast.NodeVisitor):
 
 
 def test_write_atomic_is_the_only_code_that_writes_a_file():
-    """Every artifact is replaced whole through util.write_atomic; the cache log append is the one other write."""
+    """Every artifact is replaced whole through util.write_atomic; the cache log append is the one other write.
+
+    The CLI opens /dev/null for writing only to put it under a stdout whose reader has left.
+    """
     found = []
     for path in sorted(Path(tomtrace.__file__).parent.glob("*.py")):
         visitor = _FileWrites()
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += [(path.name, scope, call) for scope, call in visitor.found]
     assert found == [
+        ("cli.py", "CommandTable.__call__", "os.open"),
         ("llmgate.py", "ResponseCache.put", "open 'a+b'"),
         ("llmgate.py", "ResponseCache.put", "open 'a+b'"),
         ("util.py", "write_atomic", "open 'wb'"),

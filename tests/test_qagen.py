@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import replay_script
 from tomtrace.config import BackendSection
 from tomtrace.errors import (
     AmbiguousCorrect,
@@ -17,7 +18,7 @@ from tomtrace.errors import (
     UnparseableResponse,
     UnreadableSource,
 )
-from tomtrace.llmgate import Gateway, ReplayEntry, ReplayScript
+from tomtrace.llmgate import Gateway
 from tomtrace.qagen import (
     LETTERS,
     QuestionState,
@@ -326,16 +327,16 @@ def test_unparseable_verdict_fails_closed():
 BACKEND = BackendSection(name="replay-gpt", endpoint="", auth_env_var="X")
 
 
-def gateway_with(entries):
-    return Gateway(BACKEND, replay=ReplayScript(entries))
+def gateway_with(*records):
+    return Gateway(BACKEND, replay=replay_script(*records))
 
 
 def test_llm_verify_pass_and_fail():
-    gw = gateway_with([
-        ReplayEntry(prompt_pattern=r"(?s)believe about the love test.*Marked correct",
-                    response_text='{"verdict": "fail", "notes": "ambiguous"}'),
-        ReplayEntry(prompt_pattern="You are reviewing", response_text='{"verdict": "pass"}'),
-    ])
+    gw = gateway_with(
+        {"prompt_pattern": r"(?s)believe about the love test.*Marked correct",
+         "response_text": '{"verdict": "fail", "notes": "ambiguous"}'},
+        {"prompt_pattern": "You are reviewing", "response_text": '{"verdict": "pass"}'},
+    )
     q = make_question()
     q.stem = "How does Cordelia feel?"
     v = llm_verify(q, gw, model_id="replay-gpt")
@@ -348,7 +349,7 @@ def test_llm_verify_pass_and_fail():
 
 
 def test_llm_verify_requires_generated_state():
-    gw = gateway_with([ReplayEntry(prompt_pattern=".", response_text='{"verdict": "pass"}')])
+    gw = gateway_with({"prompt_pattern": ".", "response_text": '{"verdict": "pass"}'})
     with pytest.raises(InvalidState):
         llm_verify(make_question(state=QuestionState.LLM_VERIFIED), gw, model_id="m")
 
@@ -362,7 +363,7 @@ REGEN_BLOCK = json.dumps({
 
 
 def test_regenerate_bumps_attempt_same_id():
-    gw = gateway_with([ReplayEntry(prompt_pattern="was rejected during review", response_text=REGEN_BLOCK)])
+    gw = gateway_with({"prompt_pattern": "was rejected during review", "response_text": REGEN_BLOCK})
     q = make_question(state=QuestionState.REJECTED)
     replacement = regenerate(q, gw, max_attempts=3, model_id="m", notes="ambiguous")
     assert replacement.id == q.id
@@ -373,13 +374,13 @@ def test_regenerate_bumps_attempt_same_id():
 
 
 def test_regenerate_requires_rejected_state():
-    gw = gateway_with([ReplayEntry(prompt_pattern=".", response_text=REGEN_BLOCK)])
+    gw = gateway_with({"prompt_pattern": ".", "response_text": REGEN_BLOCK})
     with pytest.raises(InvalidState):
         regenerate(make_question(), gw, max_attempts=3, model_id="m")
 
 
 def test_regenerate_attempt_budget():
-    gw = gateway_with([ReplayEntry(prompt_pattern=".", response_text=REGEN_BLOCK)])
+    gw = gateway_with({"prompt_pattern": ".", "response_text": REGEN_BLOCK})
     q = make_question(state=QuestionState.REJECTED, attempt=3)
     with pytest.raises(AttemptsExhausted):
         regenerate(q, gw, max_attempts=3, model_id="m")
