@@ -33,16 +33,12 @@ class Split(Enum):
 
 
 class TrainingExample:
-    __slots__ = ("input", "output", "with_triples", "question_id", "split")
+    __slots__ = ("input", "output", "question_id")
 
-    def __init__(
-        self, input: str, output: str, with_triples: bool, question_id: str, split: Split = Split.TRAIN
-    ) -> None:
+    def __init__(self, input: str, output: str, question_id: str) -> None:
         self.input = input
         self.output = output
-        self.with_triples = with_triples
         self.question_id = question_id
-        self.split = split
 
 
 class SplitSpec:
@@ -59,7 +55,6 @@ def emit_example(
     *,
     corpus: Corpus,
     waive_verification: bool = False,
-    split: Split = Split.TRAIN,
 ) -> TrainingExample:
     """One supervised example for a human-verified question."""
     if question.state is not QuestionState.HUMAN_VERIFIED and not waive_verification:
@@ -80,27 +75,16 @@ def emit_example(
         output = "\n".join(parts)
     else:
         output = f"Answer:\n{answer_obj}"
-    return TrainingExample(
-        input=prompt.text,
-        output=output,
-        with_triples=with_triples,
-        question_id=question.id,
-        split=split,
-    )
+    return TrainingExample(input=prompt.text, output=output, question_id=question.id)
 
 
 class SplitResult:
     __slots__ = ("train", "ood", "counts")
 
-    def __init__(
-        self,
-        train: list[TomQuestion] | None = None,
-        ood: list[TomQuestion] | None = None,
-        counts: dict[str, dict[str, int]] | None = None,
-    ) -> None:
-        self.train = [] if train is None else train
-        self.ood = [] if ood is None else ood
-        self.counts = {} if counts is None else counts
+    def __init__(self) -> None:
+        self.train: list[TomQuestion] = []
+        self.ood: list[TomQuestion] = []
+        self.counts: dict[str, dict[str, int]] = {"train": {}, "ood_test": {}}
 
 
 def split_ood(corpus: Corpus, questions: list[TomQuestion], spec: SplitSpec) -> SplitResult:
@@ -111,7 +95,7 @@ def split_ood(corpus: Corpus, questions: list[TomQuestion], spec: SplitSpec) -> 
     missing = ood_titles - known_titles
     if missing:
         raise UnknownBook(f"split names books not in corpus: {sorted(missing)}")
-    result = SplitResult(counts={"train": {}, "ood_test": {}})
+    result = SplitResult()
     for question in questions:
         title = titles_by_id.get(question.book_id)
         if title is None:
@@ -153,14 +137,7 @@ def emit_training_files(
     for split, bucket in ((Split.TRAIN, result.train), (Split.OOD_TEST, result.ood)):
         for triples in variants:
             examples = [
-                emit_example(
-                    q,
-                    kgs.get(q.book_id),
-                    triples,
-                    corpus=corpus,
-                    waive_verification=waive_verification,
-                    split=split,
-                )
+                emit_example(q, kgs.get(q.book_id), triples, corpus=corpus, waive_verification=waive_verification)
                 for q in bucket
             ]
             target = out_dir / f"{split.value}_{'with' if triples else 'without'}_triples.jsonl"

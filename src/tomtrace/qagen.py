@@ -37,7 +37,9 @@ from .errors import (
 from .llmgate import ChatRequest, Gateway, user_request
 from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, MentalStateTriple, TemplateOverride, plot_prompt, render_template
-from .util import format_half_up, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl
+from .util import (
+    format_half_up, load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -146,8 +148,6 @@ def build_question_prompt(
     *,
     model_id: str,
     template_override: TemplateOverride | None = None,
-    temperature: float = 0.0,
-    max_output_tokens: int = 3072,
 ) -> ChatRequest:
     """Instantiate the generation template: one question per dimension."""
     return plot_prompt(
@@ -158,8 +158,7 @@ def build_question_prompt(
         previous_triples,
         model_id=model_id,
         template_override=template_override,
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
+        max_output_tokens=3072,
     )
 
 
@@ -215,13 +214,10 @@ def _question_from_block(
 
 
 def _load_response_json(text: str) -> object:
-    body = strip_code_fences(text).strip()
-    for candidate in (body, body.replace("{{", "{").replace("}}", "}")):
-        try:
-            return json.loads(candidate)
-        except json.JSONDecodeError:
-            continue
-    raise UnparseableResponse("generation response is not JSON")
+    try:
+        return load_json_reply(strip_code_fences(text).strip())
+    except json.JSONDecodeError:
+        raise UnparseableResponse("generation response is not JSON") from None
 
 
 def parse_question_response(
@@ -230,7 +226,6 @@ def parse_question_response(
     book_id: str,
     plot_index: int,
     character: str,
-    attempt: int = 1,
 ) -> list[TomQuestion]:
     """Parse a four-dimension generation response, in report-column order."""
     data = _load_response_json(text)
@@ -268,7 +263,7 @@ def parse_question_response(
                 book_id=book_id,
                 plot_index=plot_index,
                 character=character,
-                attempt=attempt,
+                attempt=1,
             )
         )
     return questions
@@ -311,7 +306,6 @@ def build_verification_prompt(
     *,
     model_id: str,
     template_override: TemplateOverride | None = None,
-    temperature: float = 0.0,
 ) -> ChatRequest:
     prompt = render_template(
         "question_verification.txt",
@@ -322,7 +316,7 @@ def build_verification_prompt(
         options="\n".join(question.option_lines()),
         correct=question.correct,
     )
-    return user_request(model_id, prompt, temperature=temperature, max_output_tokens=512)
+    return user_request(model_id, prompt, max_output_tokens=512)
 
 
 def llm_verify(question, gateway, *, model_id: str, template_override: TemplateOverride | None = None):
@@ -537,15 +531,10 @@ def export_review(questions: list[TomQuestion], path: Path | str) -> int:
 class ReviewImportReport:
     __slots__ = ("applied", "skipped_blank", "errors")
 
-    def __init__(
-        self,
-        applied: list[VerificationVerdict] | None = None,
-        skipped_blank: int = 0,
-        errors: list[str] | None = None,
-    ) -> None:
-        self.applied = [] if applied is None else applied
-        self.skipped_blank = skipped_blank
-        self.errors = [] if errors is None else errors
+    def __init__(self) -> None:
+        self.applied: list[VerificationVerdict] = []
+        self.skipped_blank = 0
+        self.errors: list[str] = []
 
 
 def import_review(path: Path | str, questions: dict[str, TomQuestion]) -> ReviewImportReport:

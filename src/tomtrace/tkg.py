@@ -138,23 +138,14 @@ def is_contradiction(old_obj: str, new_obj: str, rules: ContradictionRules) -> b
 class ChangeLog:
     __slots__ = ("character", "plot_index", "unchanged", "added", "refined", "contradicted", "retired")
 
-    def __init__(
-        self,
-        character: str,
-        plot_index: int,
-        unchanged: list[str] | None = None,
-        added: list[str] | None = None,
-        refined: list[SupersedeLink] | None = None,
-        contradicted: list[SupersedeLink] | None = None,
-        retired: list[str] | None = None,
-    ) -> None:
+    def __init__(self, character: str, plot_index: int) -> None:
         self.character = character
         self.plot_index = plot_index
-        self.unchanged = [] if unchanged is None else unchanged
-        self.added = [] if added is None else added
-        self.refined = [] if refined is None else refined
-        self.contradicted = [] if contradicted is None else contradicted
-        self.retired = [] if retired is None else retired
+        self.unchanged: list[str] = []
+        self.added: list[str] = []
+        self.refined: list[SupersedeLink] = []
+        self.contradicted: list[SupersedeLink] = []
+        self.retired: list[str] = []
 
 
 def changelog_to_record(log: ChangeLog) -> dict:
@@ -173,24 +164,15 @@ def changelog_to_record(log: ChangeLog) -> dict:
 class TemporalKG:
     __slots__ = ("book_id", "plot_count", "nodes", "edges", "supersede_links", "retirements", "index")
 
-    def __init__(
-        self,
-        book_id: str,
-        plot_count: int | None = None,
-        nodes: dict[str, CharacterNode] | None = None,
-        edges: dict[str, MentalStateTriple] | None = None,
-        supersede_links: list[SupersedeLink] | None = None,
-        retirements: list[RetireRecord] | None = None,
-        index: dict[str, list[str]] | None = None,
-    ) -> None:
+    def __init__(self, book_id: str, plot_count: int | None = None) -> None:
         self.book_id = book_id
         self.plot_count = plot_count
-        self.nodes = {} if nodes is None else nodes
-        self.edges = {} if edges is None else edges
-        self.supersede_links = [] if supersede_links is None else supersede_links
-        self.retirements = [] if retirements is None else retirements
+        self.nodes: dict[str, CharacterNode] = {}
+        self.edges: dict[str, MentalStateTriple] = {}
+        self.supersede_links: list[SupersedeLink] = []
+        self.retirements: list[RetireRecord] = []
         # character -> edge ids in insertion order
-        self.index = {} if index is None else index
+        self.index: dict[str, list[str]] = {}
 
     def node_for(self, character: str) -> CharacterNode:
         wanted = normalize_name(character)
@@ -423,6 +405,7 @@ def timeline(
 
 def check_invariants(kg: TemporalKG) -> None:
     """Raise AssertionError when structural graph invariants do not hold."""
+    # Links that strictly increase the plot index cannot form a cycle.
     for link in kg.supersede_links:
         assert link.old_id in kg.edges, f"dangling old_id {link.old_id}"
         assert link.new_id in kg.edges, f"dangling new_id {link.new_id}"
@@ -431,24 +414,6 @@ def check_invariants(kg: TemporalKG) -> None:
             f"link {link.old_id}->{link.new_id} not time-increasing "
             f"({old.plot_index} !< {new.plot_index})"
         )
-    # Cycle check over supersede edges old -> new.
-    adjacency: dict[str, list[str]] = {}
-    for link in kg.supersede_links:
-        adjacency.setdefault(link.old_id, []).append(link.new_id)
-    state: dict[str, int] = {}
-
-    def visit(node_id: str, stack: list[str]) -> None:
-        state[node_id] = 1
-        for nxt in adjacency.get(node_id, []):
-            if state.get(nxt) == 1:
-                raise AssertionError(f"supersede cycle through {nxt}: {stack + [nxt]}")
-            if state.get(nxt, 0) == 0:
-                visit(nxt, stack + [nxt])
-        state[node_id] = 2
-
-    for node_id in adjacency:
-        if state.get(node_id, 0) == 0:
-            visit(node_id, [node_id])
     for character, ids in kg.index.items():
         assert character in kg.nodes, f"index references unknown character {character!r}"
         for edge_id in ids:
@@ -546,12 +511,17 @@ def load_kg(path: Path | str) -> TemporalKG:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CorruptGraphFile(f"{path}: bad header: {exc}") from exc
-    if header.get("record") != "header":
+    if not isinstance(header, dict) or header.get("record") != "header":
         raise CorruptGraphFile(f"{path}: first record is not a header")
+    book_id, plot_count = header.get("book_id"), header.get("plot_count")
+    if not isinstance(book_id, str):
+        raise CorruptGraphFile(f"{path}: header book_id {book_id!r} is not a string")
+    if plot_count is not None and type(plot_count) is not int:
+        raise CorruptGraphFile(f"{path}: header plot_count {plot_count!r} is not an integer or null")
     body_lines = lines[1:]
     if sha256_text("\n".join(body_lines)) != header.get("integrity"):
         raise CorruptGraphFile(f"{path}: integrity hash mismatch")
-    kg = TemporalKG(book_id=header["book_id"], plot_count=header.get("plot_count"))
+    kg = TemporalKG(book_id=book_id, plot_count=plot_count)
     for n, line in enumerate(body_lines, start=2):
         try:
             rec = json.loads(line)

@@ -28,7 +28,7 @@ from .errors import (
     UnparseableResponse,
 )
 from .llmgate import ChatRequest, Gateway, user_request
-from .util import normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl
+from .util import load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +79,6 @@ class MentalStateTriple:
         target: str | None,
         object: str,
         plot_index: int,
-        valid_to: int | None = None,
         supersedes: str | None = None,
     ) -> None:
         self.id = id
@@ -91,7 +90,7 @@ class MentalStateTriple:
         self.plot_index = plot_index
         # First plot at which a later batch superseded or retired this edge; the
         # edge holds over [plot_index, valid_to). None while it is still active.
-        self.valid_to = valid_to
+        self.valid_to: int | None = None
         self.supersedes = supersedes
 
     def __eq__(self, other: object) -> bool:
@@ -100,22 +99,19 @@ class MentalStateTriple:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
+def _stem_match(predicate_raw: str) -> tuple[int, Dimension] | None:
+    """(length, dimension) of the longest stem the predicate starts with, if any."""
+    lowered = predicate_raw.strip().casefold()
+    matches = [(len(stem), dimension) for stem, dimension in PREDICATE_STEMS.items() if lowered.startswith(stem)]
+    return max(matches, key=lambda match: match[0]) if matches else None
+
+
 def classify_dimension(predicate_raw: str) -> Dimension:
     """Dimension from the predicate's leading stem; unknown stems raise."""
-    lowered = predicate_raw.strip().casefold()
-    best: tuple[int, Dimension] | None = None
-    for stem, dimension in PREDICATE_STEMS.items():
-        if lowered.startswith(stem) and (best is None or len(stem) > best[0]):
-            best = (len(stem), dimension)
-    if best is None:
+    match = _stem_match(predicate_raw)
+    if match is None:
         raise UnknownPredicate(f"predicate {predicate_raw!r} matches no dimension stem")
-    return best[1]
-
-
-def _matched_stem_length(predicate_raw: str) -> int | None:
-    lowered = predicate_raw.strip().casefold()
-    lengths = [len(s) for s in PREDICATE_STEMS if lowered.startswith(s)]
-    return max(lengths) if lengths else None
+    return match[1]
 
 
 def extract_target(predicate_raw: str) -> str | None:
@@ -126,10 +122,10 @@ def extract_target(predicate_raw: str) -> str | None:
     ("KingLear" -> "King Lear"). Absence is a valid result.
     """
     predicate = predicate_raw.strip()
-    stem_len = _matched_stem_length(predicate)
-    if stem_len is None:
+    match = _stem_match(predicate)
+    if match is None:
         return None
-    rest = predicate[stem_len:].lstrip(" _-")
+    rest = predicate[match[0]:].lstrip(" _-")
     if not rest:
         return None
     suffix = None
@@ -258,22 +254,21 @@ def _tuple_entries_from_text(text: str) -> list[str]:
 
 
 def _json_entries(body: str) -> list[str] | None:
-    for candidate in (body, body.replace("{{", "{").replace("}}", "}")):
-        try:
-            data = json.loads(candidate)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(data, dict):
-            for key, value in data.items():
-                if key.casefold() == "target character" and isinstance(value, list):
-                    return [str(v) for v in value]
-            # Single-key object with a list payload counts too.
-            if len(data) == 1:
-                value = next(iter(data.values()))
-                if isinstance(value, list):
-                    return [str(v) for v in value]
-        if isinstance(data, list):
-            return [str(v) for v in data]
+    try:
+        data = load_json_reply(body)
+    except json.JSONDecodeError:
+        return None
+    if isinstance(data, dict):
+        for key, value in data.items():
+            if key.casefold() == "target character" and isinstance(value, list):
+                return [str(v) for v in value]
+        # Single-key object with a list payload counts too.
+        if len(data) == 1:
+            value = next(iter(data.values()))
+            if isinstance(value, list):
+                return [str(v) for v in value]
+    if isinstance(data, list):
+        return [str(v) for v in data]
     return None
 
 
@@ -454,7 +449,6 @@ def plot_prompt(
     *,
     model_id: str,
     template_override: TemplateOverride | None,
-    temperature: float,
     max_output_tokens: int,
 ) -> ChatRequest:
     """Instantiate a per-character plot template: extraction and question generation share it."""
@@ -470,7 +464,7 @@ def plot_prompt(
         character=character,
         previous_triples="\n".join(render_triple(t) for t in ordered),
     )
-    return user_request(model_id, prompt, temperature=temperature, max_output_tokens=max_output_tokens)
+    return user_request(model_id, prompt, max_output_tokens=max_output_tokens)
 
 
 def build_extraction_prompt(
@@ -481,8 +475,6 @@ def build_extraction_prompt(
     *,
     model_id: str,
     template_override: TemplateOverride | None = None,
-    temperature: float = 0.0,
-    max_output_tokens: int = 2048,
 ) -> ChatRequest:
     """Instantiate the extraction template for one character and plot."""
     return plot_prompt(
@@ -493,8 +485,7 @@ def build_extraction_prompt(
         previous_triples,
         model_id=model_id,
         template_override=template_override,
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
+        max_output_tokens=2048,
     )
 
 
@@ -539,12 +530,10 @@ class Extraction:
 
     __slots__ = ("triples", "rejects", "rejected")
 
-    def __init__(
-        self, triples: list[dict] | None = None, rejects: list[dict] | None = None, rejected: int = 0
-    ) -> None:
-        self.triples = [] if triples is None else triples
-        self.rejects = [] if rejects is None else rejects
-        self.rejected = rejected  # entries rejected from parsed responses; unparseable responses are not counted
+    def __init__(self) -> None:
+        self.triples: list[dict] = []
+        self.rejects: list[dict] = []
+        self.rejected = 0  # entries rejected from parsed responses; unparseable responses are not counted
 
     def extend(self, other: "Extraction") -> None:
         self.triples += other.triples

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from .errors import IoError, MalformedRecord, UnreadableSource
+from .errors import IoError, MalformedRecord, TomtraceError, UnreadableSource
 
 T = TypeVar("T")
 
@@ -96,8 +96,8 @@ def read_jsonl(path: Path | str, decode: Callable[[dict], T] = dict) -> list[T]:
 
     Lines end at b"\\n" only, so a record keeps a raw U+2028 and the like. A line
     that is not UTF-8, not one JSON object, or that `decode` rejects (`KeyError`,
-    `TypeError`, `ValueError`, `AttributeError`) raises `MalformedRecord` naming
-    `file:line`; a file that cannot be read raises `UnreadableSource`.
+    `TypeError`, `ValueError`, `AttributeError` or a `TomtraceError`) raises
+    `MalformedRecord` naming `file:line`; a file that cannot be read raises `UnreadableSource`.
     """
     records = []
     try:
@@ -108,13 +108,13 @@ def read_jsonl(path: Path | str, decode: Callable[[dict], T] = dict) -> list[T]:
                 try:
                     record = json.loads(line.decode("utf-8"))
                     if not isinstance(record, dict):
-                        raise MalformedRecord(f"{path}:{n}", "not a JSON object")
+                        raise TypeError("not a JSON object")
                     records.append(decode(record))
                 except KeyError as exc:
                     raise MalformedRecord(f"{path}:{n}", f"missing field {exc}") from exc
                 except json.JSONDecodeError as exc:
                     raise MalformedRecord(f"{path}:{n}", f"invalid JSON: {exc}") from exc
-                except (TypeError, ValueError, AttributeError) as exc:
+                except (TypeError, ValueError, AttributeError, TomtraceError) as exc:
                     raise MalformedRecord(f"{path}:{n}", str(exc)) from exc
     except OSError as exc:
         raise UnreadableSource(f"cannot read {path}: {exc}") from exc
@@ -144,18 +144,17 @@ def sample(items: list, rate: float, seed: int | None, *, key: Callable) -> list
     return [ordered[i] for i in sorted(picked)]
 
 
-def round_half_up(value: Fraction | int | float, places: int = 2) -> Decimal:
-    """Round with ties away from zero, the convention used in every report."""
+def round_half_up(value: Fraction | int | float) -> Decimal:
+    """Round to two places with ties away from zero, the convention used in every report."""
     if isinstance(value, Fraction):
         dec = Decimal(value.numerator) / Decimal(value.denominator)
     else:
         dec = Decimal(str(value))
-    quantum = Decimal(1).scaleb(-places)
-    return dec.quantize(quantum, rounding=ROUND_HALF_UP)
+    return dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
 
 
-def format_half_up(value: Fraction | int | float, places: int = 2) -> str:
-    return str(round_half_up(value, places))
+def format_half_up(value: Fraction | int | float) -> str:
+    return str(round_half_up(value))
 
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9_-]*\s*\n(.*)\n?```\s*$", re.DOTALL)
@@ -165,3 +164,15 @@ def strip_code_fences(text: str) -> str:
     """Drop one enclosing markdown fence if the whole payload is fenced."""
     m = _FENCE_RE.match(text.strip())
     return m.group(1) if m else text
+
+
+def load_json_reply(body: str) -> object:
+    """A model reply as JSON, or else the reply with `{{`/`}}` collapsed (a template's braces echoed back).
+
+    Raises `json.JSONDecodeError` when neither parses. Collapsing a `}}` outside
+    a string unbalances valid JSON, so the two readings never parse to different shapes.
+    """
+    try:
+        return json.loads(body)
+    except json.JSONDecodeError:
+        return json.loads(body.replace("{{", "{").replace("}}", "}"))

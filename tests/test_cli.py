@@ -588,6 +588,28 @@ def test_a_template_override_reaches_every_prompt_of_its_stage(tmp_path, monkeyp
     assert manifest["inputs"]["override.txt"] == hashlib.sha256(template.read_bytes()).hexdigest()
 
 
+def test_each_kind_of_request_keeps_its_temperature_and_output_budget(tmp_path, monkeypatch):
+    """Both parameters enter the request digest, so a changed value orphans every cached answer."""
+    sent = []
+    real_complete = Gateway.complete
+    monkeypatch.setattr(Gateway, "complete", lambda self, request: sent.append(request) or real_complete(self, request))
+    out = tmp_path / "out"
+    seen: dict[str, set] = {}
+    for command in PIPELINE:
+        sent.clear()
+        run_cli(out, command)
+        for request in sent:
+            kind = "regenerate" if "was rejected during review" in request.prompt_text() else command
+            seen.setdefault(kind, set()).add((request.temperature, request.max_output_tokens))
+    assert seen == {
+        "extract": {(0.0, 2048)},
+        "genqa": {(0.0, 3072)},
+        "verify": {(0.0, 512)},
+        "regenerate": {(0.0, 1024)},
+        "eval": {(0.0, 2048)},
+    }
+
+
 def test_config_backend_keys_reach_the_gateway(tmp_path, monkeypatch):
     book = {"title": "Storm", "plots": [{
         "summary": "Kent waits out the storm.",

@@ -47,3 +47,23 @@ def test_history_naming_an_unknown_edge_is_corrupt(tmp_path):
     path.write_text("\n".join([json.dumps(header)] + body) + "\n", encoding="utf-8")
     with pytest.raises(CorruptGraphFile, match="nosuchedge"):
         load_kg(path)
+
+
+@pytest.mark.parametrize(
+    "edit, complaint",
+    [
+        (lambda header: [1], "not a header"),
+        (lambda header: {k: v for k, v in header.items() if k != "book_id"}, "book_id None is not a string"),
+        (lambda header: {**header, "book_id": 7}, "book_id 7 is not a string"),
+        (lambda header: {**header, "plot_count": "2"}, "plot_count '2' is not an integer"),
+        (lambda header: {**header, "plot_count": True}, "plot_count True is not an integer"),
+    ],
+    ids=["list", "no-book-id", "numeric-book-id", "text-plot-count", "boolean-plot-count"],
+)
+def test_a_malformed_header_is_corrupt_naming_the_file(tmp_path, edit, complaint):
+    header, *body = LEGACY.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "bad-header.kg.jsonl"
+    path.write_text("\n".join([json.dumps(edit(json.loads(header)))] + body) + "\n", encoding="utf-8")
+    with pytest.raises(CorruptGraphFile, match=complaint) as caught:
+        load_kg(path)
+    assert str(path) in str(caught.value)

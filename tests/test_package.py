@@ -230,11 +230,11 @@ def test_read_jsonl_is_the_only_code_that_decodes_record_lines():
         ("corpus.py", "_parse_coser_book"),  # one whole JSON document per source book
         ("llmgate.py", "ResponseCache._entry"),  # one cache log line, read at an indexed byte offset
         ("llmgate.py", "_http_transport"),  # a backend's response body
-        ("qagen.py", "_load_response_json"),  # a model's response text
         ("tkg.py", "load_kg"),  # the graph file's integrity-hashed header ...
         ("tkg.py", "load_kg"),  # ... and the records it covers
-        ("triples.py", "_json_entries"),  # a model's response text
         ("util.py", "read_jsonl"),
+        ("util.py", "load_json_reply"),  # a model's response text ...
+        ("util.py", "load_json_reply"),  # ... and the same with doubled braces collapsed
     ]
 
 

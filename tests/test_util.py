@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tomtrace.errors import IoError, MalformedRecord
+from tomtrace.qagen import question_from_record
 from tomtrace.util import (
     canonical_json,
     clean_name,
@@ -81,15 +82,24 @@ def test_sample_full_rate_sorts_and_a_seed_fixes_the_pick():
         assert sample(items[::-1], 0.4, 13, key=lambda x: x) == [2, 3, 9]
 
 
-@pytest.mark.parametrize("text, line", [
-    ('{"a": 1}\n{"a": \n', 2),
-    ('{"a": 1}\n\n[1, 2]\n', 3),
-], ids=["truncated", "not-an-object"])
-def test_read_jsonl_names_the_file_and_line_of_a_malformed_record(tmp_path, text, line):
+_QUESTION = {"id": "q1", "book_id": "b", "plot_index": 1, "character": "Lear", "dimension": "belief",
+             "stem": "Why?", "options": ["w", "x", "y", "z"], "correct": "A"}
+
+
+@pytest.mark.parametrize("text, decode, line, reason", [
+    ('{"a": 1}\n{"a": \n', dict, 2, "invalid JSON"),
+    ('{"a": 1}\n\n[1, 2]\n', dict, 3, "not a JSON object"),
+    (json.dumps({**_QUESTION, "options": ["w", "x", "y"]}) + "\n", question_from_record, 1, "'q1': 3 options"),
+    (json.dumps(_QUESTION) + "\n" + json.dumps({**_QUESTION, "correct": "E"}) + "\n", question_from_record, 2,
+     "correct='E'"),
+], ids=["truncated", "not-an-object", "three-options", "correct-e"])
+def test_read_jsonl_names_the_file_and_line_of_a_malformed_record(tmp_path, text, decode, line, reason):
     path = tmp_path / "questions.jsonl"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(MalformedRecord, match=f"questions.jsonl:{line}: "):
-        read_jsonl(path)
+    with pytest.raises(MalformedRecord) as caught:
+        read_jsonl(path, decode)
+    assert caught.value.record_id == f"{path}:{line}"
+    assert reason in caught.value.reason and str(path) not in caught.value.reason
 
 
 def test_write_atomic_replaces_the_file_through_a_hidden_temporary(tmp_path):
