@@ -517,7 +517,7 @@ def serialize_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:
 # --- statistics --------------------------------------------------------------
 
 class BookStats:
-    __slots__ = ("book_id", "title", "plot_count", "conversation_count", "avg_speakers", "undefined_mean")
+    __slots__ = ("book_id", "title", "plot_count", "conversation_count", "avg_speakers")
 
     def __init__(
         self,
@@ -526,18 +526,16 @@ class BookStats:
         plot_count: int,
         conversation_count: int,
         avg_speakers: str,
-        undefined_mean: bool,
     ) -> None:
         self.book_id = book_id
         self.title = title
         self.plot_count = plot_count
         self.conversation_count = conversation_count
         self.avg_speakers = avg_speakers  # 2-decimal string, half-up
-        self.undefined_mean = undefined_mean
 
 
 class StatsReport:
-    __slots__ = ("per_book", "total_plots", "total_conversations", "avg_speakers", "undefined_mean")
+    __slots__ = ("per_book", "total_plots", "total_conversations", "avg_speakers")
 
     def __init__(
         self,
@@ -545,13 +543,11 @@ class StatsReport:
         total_plots: int,
         total_conversations: int,
         avg_speakers: str,
-        undefined_mean: bool,
     ) -> None:
         self.per_book = per_book
         self.total_plots = total_plots
         self.total_conversations = total_conversations
         self.avg_speakers = avg_speakers
-        self.undefined_mean = undefined_mean
 
 
 def _distinct_speakers(conversation: Conversation) -> int:
@@ -575,8 +571,7 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
         total_plots += plots
         total_convs += convs
         total_speakers += speakers
-        undefined = convs == 0
-        avg = "0.00" if undefined else format_half_up(Fraction(speakers, convs))
+        avg = format_half_up(Fraction(speakers, convs)) if convs else "0.00"
         per_book.append(
             BookStats(
                 book_id=book.id,
@@ -584,17 +579,14 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
                 plot_count=plots,
                 conversation_count=convs,
                 avg_speakers=avg,
-                undefined_mean=undefined,
             )
         )
-    undefined = total_convs == 0
-    avg_total = "0.00" if undefined else format_half_up(Fraction(total_speakers, total_convs))
+    avg_total = format_half_up(Fraction(total_speakers, total_convs)) if total_convs else "0.00"
     return StatsReport(
         per_book=per_book,
         total_plots=total_plots,
         total_conversations=total_convs,
         avg_speakers=avg_total,
-        undefined_mean=undefined,
     )
 
 

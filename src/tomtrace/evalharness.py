@@ -8,11 +8,14 @@ rounded (half up, two decimals) at display time.
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 import math
 import re
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby, product
 from pathlib import Path
 from typing import Iterator
 
@@ -85,6 +88,14 @@ _INSTRUCTIONS_ANSWER_ONLY = (
 TRIPLE_BLOCK_HEADER = "Relevant mental state triples:"
 
 
+def render_triple_block(question: TomQuestion, kg: TemporalKG | None) -> str:
+    """The header, then one line per triple active for the question's character at its plot."""
+    if kg is None:
+        raise MissingKg(f"condition needs triples but no graph given for {question.book_id}")
+    triples = state_at(kg, question.character, question.plot_index)
+    return "\n".join([TRIPLE_BLOCK_HEADER, *map(render_triple, triples)])
+
+
 class EvalPrompt:
     __slots__ = ("question_id", "condition", "text", "token_estimate")
 
@@ -119,14 +130,7 @@ def assemble_context(
     else:
         story_plot = plot.summary
 
-    if condition.triples_enabled:
-        if kg is None:
-            raise MissingKg(f"condition needs triples but no graph given for {question.book_id}")
-        triples = state_at(kg, question.character, question.plot_index)
-        lines = "\n".join(render_triple(t) for t in triples)
-        triple_block = f"{TRIPLE_BLOCK_HEADER}\n{lines}\n\n" if lines else f"{TRIPLE_BLOCK_HEADER}\n\n"
-    else:
-        triple_block = ""
+    triple_block = render_triple_block(question, kg) + "\n\n" if condition.triples_enabled else ""
 
     instructions_tpl = (
         _INSTRUCTIONS_TRIPLES_FIRST if answer_style == "triples_then_answer" else _INSTRUCTIONS_ANSWER_ONLY
@@ -292,74 +296,45 @@ def _row_cells(row: ScoreRow) -> list[str]:
     return cells
 
 
-def _ordered_rows(table: ScoreTable) -> list[tuple[ContextMode, ScoreRow]]:
-    models: list[str] = []
-    for row in table.rows:
-        if row.model not in models:
-            models.append(row.model)
-    ordered = []
-    for mode in ContextMode:
-        for model in models:
-            for triples in (False, True):
-                for row in table.rows:
-                    if (
-                        row.model == model
-                        and row.condition.context_mode is mode
-                        and row.condition.triples_enabled is triples
-                    ):
-                        ordered.append((mode, row))
-    return ordered
-
-
 def _row_label(row: ScoreRow) -> str:
     return "w Triple" if row.condition.triples_enabled else row.model
 
 
 def render_report(table: ScoreTable, layout: ReportLayout = ReportLayout.PLAIN) -> str:
-    ordered = _ordered_rows(table)
-    modes = {mode for mode, _ in ordered}
+    """Rows by context mode, then model in first-seen order, the base row before `w Triple`."""
+    modes = list(ContextMode)
+    models = {model: rank for rank, model in enumerate(dict.fromkeys(row.model for row in table.rows))}
+    rows = sorted(
+        table.rows,
+        key=lambda r: (modes.index(r.condition.context_mode), models[r.model], r.condition.triples_enabled),
+    )
     if layout is ReportLayout.CSV:
-        lines = ["model,context,condition,belief,desire,emotion,intention,avg"]
-        for _, row in ordered:
-            cells = ",".join(_row_cells(row))
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["model", "context", "condition", "belief", "desire", "emotion", "intention", "avg"])
+        for row in rows:
             condition = "w Triple" if row.condition.triples_enabled else "base"
-            lines.append(f"{row.model},{row.condition.context_mode.value},{condition},{cells}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([row.model, row.condition.context_mode.value, condition, *_row_cells(row)])
+        return text.getvalue()
 
-    if layout is ReportLayout.MARKDOWN:
-        lines = []
-        for mode in ContextMode:
-            group = [row for m, row in ordered if m is mode]
-            if not group:
-                continue
-            if len(modes) > 1:
-                lines.append(f"### Context: {mode.value}")
-                lines.append("")
+    markdown = layout is ReportLayout.MARKDOWN
+    groups = [(mode, list(group)) for mode, group in groupby(rows, key=lambda r: r.condition.context_mode)]
+    label_width = max([len("Models")] + [len(_row_label(row)) for row in rows])
+    lines = []
+    for mode, group in groups:
+        if len(groups) > 1:
+            lines.extend([f"### Context: {mode.value}", ""] if markdown else [f"Context: {mode.value}"])
+        if markdown:
             lines.append("| Models | " + " | ".join(REPORT_COLUMNS) + " |")
             lines.append("| --- | " + " | ".join("---:" for _ in REPORT_COLUMNS) + " |")
             for row in group:
-                lines.append("| " + " | ".join([_row_label(row)] + _row_cells(row)) + " |")
-            lines.append("")
-        return "\n".join(lines).rstrip("\n") + "\n"
-
-    # plain table
-    labels = [_row_label(row) for _, row in ordered]
-    label_width = max([len("Models")] + [len(l) for l in labels]) if labels else len("Models")
-    col_width = 10
-    out_lines = []
-    for mode in ContextMode:
-        group = [row for m, row in ordered if m is mode]
-        if not group:
-            continue
-        if len(modes) > 1:
-            out_lines.append(f"Context: {mode.value}")
-        header = "Models".ljust(label_width) + "".join(c.rjust(col_width) for c in REPORT_COLUMNS)
-        out_lines.append(header)
-        for row in group:
-            cells = _row_cells(row)
-            out_lines.append(_row_label(row).ljust(label_width) + "".join(c.rjust(col_width) for c in cells))
-        out_lines.append("")
-    return "\n".join(out_lines).rstrip("\n") + "\n"
+                lines.append("| " + " | ".join([_row_label(row).replace("|", "\\|"), *_row_cells(row)]) + " |")
+        else:
+            lines.append("Models".ljust(label_width) + "".join(c.rjust(10) for c in REPORT_COLUMNS))
+            for row in group:
+                lines.append(_row_label(row).ljust(label_width) + "".join(c.rjust(10) for c in _row_cells(row)))
+        lines.append("")
+    return "\n".join(lines).rstrip("\n") + "\n"
 
 
 # --- full evaluation loop ----------------------------------------------------------------
@@ -378,10 +353,13 @@ def prediction_to_record(pred: Prediction) -> dict:
 
 
 def prediction_from_record(rec: dict) -> Prediction:
+    model, triples = rec["model"], rec["triples"]
+    if not isinstance(model, str) or not isinstance(triples, bool):
+        raise TypeError(f"model must be a string and triples true or false, not {model!r} and {triples!r}")
     return Prediction(
         question_id=rec["question_id"],
-        model_id=rec["model"],
-        condition=EvalCondition(ContextMode(rec["context"]), rec["triples"]),
+        model_id=model,
+        condition=EvalCondition(ContextMode(rec["context"]), triples),
         letter=rec.get("letter"),
         raw_text=rec.get("raw_text", ""),
         prompt_tokens_est=rec.get("prompt_tokens_est", 0),
@@ -405,23 +383,17 @@ def run_eval(
 
     Iteration order is deterministic: (book, plot, question id, model,
     condition). Each prompt is assembled when the gateway's runner draws its
-    request, so only a bounded window of prompts is alive at a time. An item
-    whose prompt cannot be assembled degrades to an unparseable prediction; a
-    backend failure or a bad template fails the run before any prediction is
-    written.
+    item, so only a bounded window of prompts is alive at a time; the workers
+    only send requests, and answers are parsed once the runner returns. An
+    item whose prompt cannot be assembled degrades to an unparseable
+    prediction with no request; a backend failure or a bad template fails the
+    run before any prediction is written.
     """
     ordered_questions = sorted(questions, key=lambda q: (q.book_id, q.plot_index, q.id))
-    items: list[tuple[TomQuestion, str, EvalCondition]] = [
-        (question, model, condition)
-        for question in ordered_questions
-        for model in models
-        for condition in conditions
-    ]
-    token_estimates = [0] * len(items)
-    failures: dict[int, Exception] = {}  # assembly errors, which stand in for responses
 
-    def requests() -> Iterator[ChatRequest]:
-        for idx, (question, model, condition) in enumerate(items):
+    def items() -> Iterator[tuple[Prediction, ChatRequest | None]]:
+        for question, model, condition in product(ordered_questions, models, conditions):
+            prediction = Prediction(question.id, model, condition, letter=None, raw_text="")
             try:
                 prompt = assemble_context(
                     question,
@@ -435,30 +407,22 @@ def run_eval(
                 raise
             except Exception as exc:  # degraded item, run continues
                 logger.warning("item %s/%s/%s failed assembly: %s", question.id, model, condition, exc)
-                failures[idx] = exc
-                continue
-            token_estimates[idx] = prompt.token_estimate
-            yield user_request(model, prompt.text)
+                prediction.error = str(exc)
+                yield prediction, None
+            else:
+                prediction.prompt_tokens_est = prompt.token_estimate
+                yield prediction, user_request(model, prompt.text)
 
-    responses = iter(gateway.submit_batch(requests()))
-    predictions: list[Prediction] = []
-    for idx, (question, model, condition) in enumerate(items):
-        if idx in failures:
-            letter, raw_text, error = None, "", str(failures[idx])
-        else:
-            raw_text = next(responses).text
-            letter, error = parse_answer(raw_text), None
-        predictions.append(
-            Prediction(
-                question_id=question.id,
-                model_id=model,
-                condition=condition,
-                letter=letter,
-                raw_text=raw_text,
-                prompt_tokens_est=token_estimates[idx],
-                error=error,
-            )
-        )
+    def answer(item: tuple[Prediction, ChatRequest | None]) -> Prediction:
+        prediction, request = item
+        if request is not None:
+            prediction.raw_text = gateway.complete(request).text
+        return prediction
+
+    predictions = gateway.run(answer, items())
+    for prediction in predictions:
+        if prediction.error is None:
+            prediction.letter = parse_answer(prediction.raw_text)
 
     predictions_path = write_jsonl(predictions_path, (prediction_to_record(p) for p in predictions))
     table = score(predictions, {q.id: q for q in questions})

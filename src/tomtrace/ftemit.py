@@ -12,16 +12,10 @@ from enum import Enum
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import MissingKg, UnknownBook, UnverifiedQuestion
-from .evalharness import (
-    ContextMode,
-    EvalCondition,
-    TRIPLE_BLOCK_HEADER,
-    assemble_context,
-)
+from .errors import UnknownBook, UnverifiedQuestion
+from .evalharness import ContextMode, EvalCondition, assemble_context, render_triple_block
 from .qagen import QuestionState, TomQuestion
-from .tkg import TemporalKG, state_at
-from .triples import render_triple
+from .tkg import TemporalKG
 from .util import normalize_name, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -61,30 +55,18 @@ def emit_example(
         raise UnverifiedQuestion(f"{question.id} is {question.state.value}, not human_verified")
     condition = EvalCondition(ContextMode.CURRENT_PLOT, triples_enabled=False)
     prompt = assemble_context(question, corpus, kg, condition)
-    answer_obj = "{answer: %s}" % question.correct
+    output = "Answer:\n{answer: %s}" % question.correct
     if with_triples:
-        if kg is None:
-            raise MissingKg(f"{question.id}: triples requested but no graph given")
-        triples = state_at(kg, question.character, question.plot_index)
-        lines = "\n".join(render_triple(t) for t in triples)
-        parts = [TRIPLE_BLOCK_HEADER]
-        if lines:
-            parts.append(lines)
-        parts.append("Answer:")
-        parts.append(answer_obj)
-        output = "\n".join(parts)
-    else:
-        output = f"Answer:\n{answer_obj}"
+        output = render_triple_block(question, kg) + "\n" + output
     return TrainingExample(input=prompt.text, output=output, question_id=question.id)
 
 
 class SplitResult:
-    __slots__ = ("train", "ood", "counts")
+    __slots__ = ("train", "ood")
 
     def __init__(self) -> None:
         self.train: list[TomQuestion] = []
         self.ood: list[TomQuestion] = []
-        self.counts: dict[str, dict[str, int]] = {"train": {}, "ood_test": {}}
 
 
 def split_ood(corpus: Corpus, questions: list[TomQuestion], spec: SplitSpec) -> SplitResult:
@@ -100,10 +82,7 @@ def split_ood(corpus: Corpus, questions: list[TomQuestion], spec: SplitSpec) -> 
         title = titles_by_id.get(question.book_id)
         if title is None:
             raise UnknownBook(f"question {question.id} references unknown book {question.book_id!r}")
-        bucket, key = (result.ood, "ood_test") if title in ood_titles else (result.train, "train")
-        bucket.append(question)
-        dim = question.dimension.label
-        result.counts[key][dim] = result.counts[key].get(dim, 0) + 1
+        (result.ood if title in ood_titles else result.train).append(question)
     return result
 
 

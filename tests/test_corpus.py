@@ -204,7 +204,6 @@ def test_stats_golden(fixture_corpus):
     assert report.total_conversations == 2
     # conversation 1 has 3 distinct speakers, conversation 2 has 2
     assert report.avg_speakers == "2.50"
-    assert not report.undefined_mean
     assert report.per_book[0].book_id == "king-lear"
 
 
@@ -213,5 +212,7 @@ def test_stats_empty_book_flagged():
         Plot(book_id="empty", index=1, summary="s", scenario="", conversations=[])
     ])
     report = corpus_stats(Corpus(books=[book]))
-    assert report.undefined_mean
+    assert report.total_conversations == 0
     assert report.avg_speakers == "0.00"
+    assert report.per_book[0].conversation_count == 0
+    assert report.per_book[0].avg_speakers == "0.00"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import re
 from fractions import Fraction
@@ -300,6 +302,24 @@ def test_csv_report_golden():
         "model,context,condition,belief,desire,emotion,intention,avg\n"
         "m,current,base,66.67,100.00,66.67,50.00,70.00\n"
     )
+
+
+@pytest.mark.parametrize("layout", [ReportLayout.CSV, ReportLayout.MARKDOWN])
+def test_report_escapes_a_model_id_that_holds_the_layout_separator(layout):
+    model = 'org/"model",v2|beta'
+    table = ScoreTable()
+    for condition in (CURRENT, CURRENT_T):
+        row = table.row(model, condition)
+        row.total[Dimension.BELIEF], row.correct[Dimension.BELIEF] = 2, 1
+    text = render_report(table, layout)
+    if layout is ReportLayout.CSV:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(r) for r in rows] == [8, 8, 8]
+        assert [r[0] for r in rows[1:]] == [model, model]
+    else:
+        cells = [re.split(r"(?<!\\)\|", line)[1:-1] for line in text.splitlines()]
+        assert [len(c) for c in cells] == [6, 6, 6, 6]
+        assert [c[0].strip().replace("\\|", "|") for c in cells[2:]] == [model, "w Triple"]
 
 
 def test_rows_ordered_mode_then_model_then_triples():

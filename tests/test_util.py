@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tomtrace.errors import IoError, MalformedRecord
+from tomtrace.evalharness import prediction_from_record
 from tomtrace.qagen import question_from_record
 from tomtrace.util import (
     canonical_json,
@@ -84,6 +85,7 @@ def test_sample_full_rate_sorts_and_a_seed_fixes_the_pick():
 
 _QUESTION = {"id": "q1", "book_id": "b", "plot_index": 1, "character": "Lear", "dimension": "belief",
              "stem": "Why?", "options": ["w", "x", "y", "z"], "correct": "A"}
+_PREDICTION = {"question_id": "q1", "model": "m", "context": "current", "triples": True, "letter": "A"}
 
 
 @pytest.mark.parametrize("text, decode, line, reason", [
@@ -92,7 +94,9 @@ _QUESTION = {"id": "q1", "book_id": "b", "plot_index": 1, "character": "Lear", "
     (json.dumps({**_QUESTION, "options": ["w", "x", "y"]}) + "\n", question_from_record, 1, "'q1': 3 options"),
     (json.dumps(_QUESTION) + "\n" + json.dumps({**_QUESTION, "correct": "E"}) + "\n", question_from_record, 2,
      "correct='E'"),
-], ids=["truncated", "not-an-object", "three-options", "correct-e"])
+    (json.dumps(_PREDICTION) + "\n" + json.dumps({**_PREDICTION, "triples": 1}) + "\n", prediction_from_record, 2,
+     "triples true or false"),
+], ids=["truncated", "not-an-object", "three-options", "correct-e", "triples-one"])
 def test_read_jsonl_names_the_file_and_line_of_a_malformed_record(tmp_path, text, decode, line, reason):
     path = tmp_path / "questions.jsonl"
     path.write_text(text, encoding="utf-8")
