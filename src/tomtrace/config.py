@@ -1,9 +1,11 @@
 """Pipeline configuration: one YAML file, validated strictly.
 
-Each setting is declared once, as a field of its section: the field's type is
-what the file must give, and `setting` attaches any further rule. The reader
-rejects unknown keys so typos fail loudly, and names the dotted key in every
-error. String values support ${ENV_VAR} interpolation for secrets; the
+Each setting is declared once, in its section's `SETTINGS` table: its type is
+what the file must give, its default fills a key the file leaves out, and
+`setting` attaches any further rule. The sections are plain classes, so a stage
+compiles no generated method when it imports this module. The reader walks the
+tables, rejects unknown keys so typos fail loudly, and names the dotted key in
+every error. String values support ${ENV_VAR} interpolation for secrets; the
 interpolated value never lands in logs or artifacts. A string that fills a
 number or a flag is read as a YAML scalar. Settings that name an input file
 are resolved against the config file's directory.
@@ -17,7 +19,6 @@ import json
 import os
 import re
 import types
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigInvalid, IoError
@@ -26,101 +27,144 @@ from .util import decode_text, write_atomic
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
-def setting(default=MISSING, *, default_factory=MISSING, choices=(), low=None, high=None, file=False):
-    """A field whose value must also be one of `choices` and lie within [`low`, `high`];
+def setting(tp, default=None, *, choices=(), low=None, high=None, file=False) -> tuple:
+    """A setting of type `tp` whose value must also be one of `choices` and lie within [`low`, `high`];
     with `file` it names an input, resolved against the config file's directory."""
-    return field(default=default, default_factory=default_factory,
-                 metadata={"choices": choices, "low": low, "high": high, "file": file})
+    return tp, default, {"choices": choices, "low": low, "high": high, "file": file}
 
 
-@dataclass
-class CorpusSection:
-    input: str = setting("", file=True)
-    format: str = setting("coser", choices=("coser", "jsonl"))
-    alias_tables: dict[str, str] = setting(default_factory=dict, file=True)
+class Section:
+    """Settings read from one mapping of the file. `SETTINGS` maps each name to its
+    `setting`; an instance holds each one's value, its default where none is given."""
+
+    SETTINGS: dict[str, tuple] = {}
+
+    def __init__(self, **values) -> None:
+        unknown = values.keys() - self.SETTINGS.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no setting {min(unknown)!r}")
+        for name, (tp, default, _) in self.SETTINGS.items():
+            setattr(self, name, values[name] if name in values else _fresh(tp, default))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
-@dataclass
-class BackendSection:
-    name: str = "default"
-    endpoint: str = ""
-    auth_env_var: str = "LLM_API_KEY"
-    model: str = ""
-    max_in_flight: int = 4  # below 1 runs one request at a time
-    requests_per_minute: int = setting(60, low=1)
-    retry_max_attempts: int = 3  # below 1 makes one attempt
-    retry_base_backoff_s: float = setting(0.5, low=0)
+def _is_section(tp) -> bool:
+    return type(tp) is type and issubclass(tp, Section)
 
 
-@dataclass
-class ReplaySection:
-    script: str | None = setting(None, file=True)
-    default_policy: str = setting("error", choices=("error", "fixed"))
-    default_text: str = ""
+def _fresh(tp, default):
+    """The value of a setting left out: a section of its defaults, else a copy of the default."""
+    if _is_section(tp):
+        return tp()
+    return default.copy() if isinstance(default, (list, dict)) else default
 
 
-@dataclass
-class MergeSection:
-    mode: str = setting("trust_llm_diff", choices=("trust_llm_diff", "deterministic_merge"))
-    jaccard_threshold: float = setting(0.5, low=0, high=1)
-    antonym_pairs: list[list[str]] = field(default_factory=list)
-    negation_cues: list[str] = field(default_factory=lambda: ["not", "never", "no longer"])
+class CorpusSection(Section):
+    SETTINGS = {
+        "input": setting(str, "", file=True),
+        "format": setting(str, "coser", choices=("coser", "jsonl")),
+        "alias_tables": setting(dict[str, str], {}, file=True),
+    }
 
 
-@dataclass
-class TriplesSection:
-    strict_perspective: bool = False
-    template: str | None = setting(None, file=True)
+class BackendSection(Section):
+    SETTINGS = {
+        "name": setting(str, "default"),
+        "endpoint": setting(str, ""),
+        "auth_env_var": setting(str, "LLM_API_KEY"),
+        "model": setting(str, ""),
+        "max_in_flight": setting(int, 4),  # below 1 runs one request at a time
+        "requests_per_minute": setting(int, 60, low=1),
+        "retry_max_attempts": setting(int, 3),  # below 1 makes one attempt
+        "retry_base_backoff_s": setting(float, 0.5, low=0),
+    }
 
 
-@dataclass
-class QagenSection:
-    shuffle_options: bool = False
-    template: str | None = setting(None, file=True)
+class ReplaySection(Section):
+    SETTINGS = {
+        "script": setting(str | None, file=True),
+        "default_policy": setting(str, "error", choices=("error", "fixed")),
+        "default_text": setting(str, ""),
+    }
 
 
-@dataclass
-class VerificationSection:
-    question_sample_rate: float = setting(1.0, low=0, high=1)
-    triple_sample_rate: float = setting(0.4, low=0, high=1)
-    max_attempts: int = setting(3, low=1)
-    template: str | None = setting(None, file=True)
+class MergeSection(Section):
+    SETTINGS = {
+        "mode": setting(str, "trust_llm_diff", choices=("trust_llm_diff", "deterministic_merge")),
+        "jaccard_threshold": setting(float, 0.5, low=0, high=1),
+        "antonym_pairs": setting(list[list[str]], []),
+        "negation_cues": setting(list[str], ["not", "never", "no longer"]),
+    }
 
 
-@dataclass
-class EvalSection:
-    models: list[str] = field(default_factory=list)
-    context: str = setting("current", choices=("current", "extended", "both"))
-    triples: str = setting("both", choices=("on", "off", "both"))
-    answer_style: str = setting("triples_then_answer", choices=("triples_then_answer", "answer_only"))
-    template: str | None = setting(None, file=True)
+class TriplesSection(Section):
+    SETTINGS = {
+        "strict_perspective": setting(bool, False),
+        "template": setting(str | None, file=True),
+    }
 
 
-@dataclass
-class FtSection:
-    ood_books: list[str] = field(default_factory=list)
-    require_human_verified: bool = True
-    with_triples: str = setting("both", choices=("on", "off", "both"))
+class QagenSection(Section):
+    SETTINGS = {
+        "shuffle_options": setting(bool, False),
+        "template": setting(str | None, file=True),
+    }
 
 
-@dataclass
-class PipelineConfig:
-    seed: int | None = None
-    # out_dir and cache_dir resolve against the caller's cwd on purpose:
-    # runs land where the command is issued, inputs live with the config.
-    out_dir: str = "out"
-    cache_dir: str | None = None
-    corpus: CorpusSection = field(default_factory=CorpusSection)
-    backend: BackendSection = field(default_factory=BackendSection)
-    replay: ReplaySection = field(default_factory=ReplaySection)
-    merge: MergeSection = field(default_factory=MergeSection)
-    triples: TriplesSection = field(default_factory=TriplesSection)
-    qagen: QagenSection = field(default_factory=QagenSection)
-    verification: VerificationSection = field(default_factory=VerificationSection)
-    eval: EvalSection = field(default_factory=EvalSection)
-    ft: FtSection = field(default_factory=FtSection)
-    source_path: str = field(default="", init=False)  # config file location
-    config_sha256: str = field(default="", init=False)  # digest of the bytes parsed, for the manifest
+class VerificationSection(Section):
+    SETTINGS = {
+        "question_sample_rate": setting(float, 1.0, low=0, high=1),
+        "triple_sample_rate": setting(float, 0.4, low=0, high=1),
+        "max_attempts": setting(int, 3, low=1),
+        "template": setting(str | None, file=True),
+    }
+
+
+class EvalSection(Section):
+    SETTINGS = {
+        "models": setting(list[str], []),
+        "context": setting(str, "current", choices=("current", "extended", "both")),
+        "triples": setting(str, "both", choices=("on", "off", "both")),
+        "answer_style": setting(str, "triples_then_answer", choices=("triples_then_answer", "answer_only")),
+        "template": setting(str | None, file=True),
+    }
+
+
+class FtSection(Section):
+    SETTINGS = {
+        "ood_books": setting(list[str], []),
+        "require_human_verified": setting(bool, True),
+        "with_triples": setting(str, "both", choices=("on", "off", "both")),
+    }
+
+
+class PipelineConfig(Section):
+    SETTINGS = {
+        "seed": setting(int | None),
+        # out_dir and cache_dir resolve against the caller's cwd on purpose:
+        # runs land where the command is issued, inputs live with the config.
+        "out_dir": setting(str, "out"),
+        "cache_dir": setting(str | None),
+        "corpus": setting(CorpusSection),
+        "backend": setting(BackendSection),
+        "replay": setting(ReplaySection),
+        "merge": setting(MergeSection),
+        "triples": setting(TriplesSection),
+        "qagen": setting(QagenSection),
+        "verification": setting(VerificationSection),
+        "eval": setting(EvalSection),
+        "ft": setting(FtSection),
+    }
+
+    def __init__(self, **values) -> None:
+        super().__init__(**values)
+        self.source_path = ""  # config file location
+        self.config_sha256 = ""  # digest of the bytes parsed, for the manifest
 
     def needs_seed(self) -> bool:
         return (
@@ -144,16 +188,15 @@ def _interpolate(value: str, key: str) -> str:
 
 
 def _read(cls, data: dict, prefix: str, base: Path):
-    """An instance of the dataclass `cls` from `data`, the mapping at dotted key `prefix`."""
-    known = {f.name: f for f in fields(cls) if f.init}
+    """An instance of the section `cls` from `data`, the mapping at dotted key `prefix`."""
     values = {}
     for key, raw in data.items():
         name = f"{prefix}{key}"
-        if key not in known:
+        if key not in cls.SETTINGS:
             raise ConfigInvalid(f"unknown key {name}")
-        tp = known[key].type
-        if not is_dataclass(tp):
-            values[key] = _value(raw, tp, name, known[key].metadata, base)
+        tp, _, rule = cls.SETTINGS[key]
+        if not _is_section(tp):
+            values[key] = _value(raw, tp, name, rule, base)
         elif isinstance(raw, dict):
             values[key] = _read(tp, raw, f"{name}.", base)
         elif raw is not None:  # an empty section keeps its defaults
@@ -162,7 +205,7 @@ def _read(cls, data: dict, prefix: str, base: Path):
 
 
 def _value(raw, tp, key: str, rule, base: Path):
-    """`raw`, the value at dotted key `key`, checked against the type `tp` and the field's `rule`."""
+    """`raw`, the value at dotted key `key`, checked against the type `tp` and the setting's `rule`."""
     value = _interpolate(raw, key) if isinstance(raw, str) else raw
     optional = isinstance(tp, types.UnionType)  # X | None
     if optional:
@@ -290,7 +333,7 @@ def _memoize(memo: Path, tree: dict) -> None:
 
 
 def _validate(config: PipelineConfig) -> None:
-    """The rules that no single field's type and rule can state."""
+    """The rules that no single setting's type and rule can state."""
     if config.replay.default_policy == "fixed" and not config.replay.default_text:
         raise ConfigInvalid("replay.default_text must be non-empty when default_policy is fixed")
     for i, pair in enumerate(config.merge.antonym_pairs):

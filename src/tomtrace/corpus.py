@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -101,11 +99,12 @@ class Book:
         return sorted({name for plot in self.plots for name in plot.speakers()})
 
 
-# A dataclass, so that dataclasses.replace(corpus, books=...) derives a sub-corpus.
-@dataclass
 class Corpus:
-    books: list[Book]
-    registries: dict[str, "CharacterRegistry"] = field(default_factory=dict)
+    __slots__ = ("books", "registries")
+
+    def __init__(self, books: list[Book], registries: dict[str, CharacterRegistry] | None = None) -> None:
+        self.books = books
+        self.registries = {} if registries is None else registries
 
     def book(self, book_id: str) -> Book | None:
         for b in self.books:
@@ -571,7 +570,7 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
         total_plots += plots
         total_convs += convs
         total_speakers += speakers
-        avg = format_half_up(Fraction(speakers, convs)) if convs else "0.00"
+        avg = format_half_up(speakers, convs) if convs else "0.00"
         per_book.append(
             BookStats(
                 book_id=book.id,
@@ -581,7 +580,7 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
                 avg_speakers=avg,
             )
         )
-    avg_total = format_half_up(Fraction(total_speakers, total_convs)) if total_convs else "0.00"
+    avg_total = format_half_up(total_speakers, total_convs) if total_convs else "0.00"
     return StatsReport(
         per_book=per_book,
         total_plots=total_plots,

@@ -2,8 +2,8 @@
 
 Conditions form a 2x2 grid: context covers the current plot summary alone or
 all summaries up to it, and the prompt either includes the character's active
-mental-state triples or not. Accuracies are kept as exact rationals and only
-rounded (half up, two decimals) at display time.
+mental-state triples or not. Accuracies are kept as integer counts and only
+rounded (half up, two decimals, in integer arithmetic) at display time.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import logging
 import math
 import re
 from enum import Enum
-from fractions import Fraction
 from itertools import groupby, product
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .corpus import Corpus
 from .errors import ConfigInvalid, MissingKg, MissingPlot, UnknownQuestionId
@@ -26,6 +25,9 @@ from .qagen import TomQuestion
 from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, TemplateOverride, render_template, render_triple
 from .util import format_half_up, read_jsonl, write_jsonl
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 logger = logging.getLogger(__name__)
 
@@ -227,22 +229,26 @@ class ScoreRow:
 
         Every dimension gets the same total, so the average is the mean of the cells.
         """
+        from fractions import Fraction
+
         fixed = {d: Fraction(cells[d]) for d in cells}
         scale = math.lcm(*(f.denominator for f in fixed.values()))
         correct = {d: int(f * scale) for d, f in fixed.items()}
         return cls(model=model, condition=condition, correct=correct, total=dict.fromkeys(fixed, 100 * scale))
 
     def cell(self, dimension: Dimension) -> Fraction | None:
-        total = self.total.get(dimension, 0)
-        if total == 0:
-            return None
-        return Fraction(100 * self.correct.get(dimension, 0), total)
+        return _percent(self.correct.get(dimension, 0), self.total.get(dimension, 0))
 
     def avg(self) -> Fraction | None:
-        total = sum(self.total.values())
-        if total == 0:
-            return None
-        return Fraction(100 * sum(self.correct.values()), total)
+        return _percent(sum(self.correct.values()), sum(self.total.values()))
+
+
+def _percent(correct: int, total: int) -> Fraction | None:
+    # Imported here: the report renders from counts, so a rendering stage loads
+    # neither `fractions` nor the `decimal` module it imports.
+    from fractions import Fraction
+
+    return None if total == 0 else Fraction(100 * correct, total)
 
 
 class ScoreTable:
@@ -286,14 +292,10 @@ class ReportLayout(Enum):
 REPORT_COLUMNS = ("Belief", "Desire", "Emotion", "Intention", "Avg")
 
 
-def _cell_text(value: Fraction | None) -> str:
-    return "-" if value is None else format_half_up(value)
-
-
 def _row_cells(row: ScoreRow) -> list[str]:
-    cells = [_cell_text(row.cell(d)) for d in DIMENSIONS]
-    cells.append(_cell_text(row.avg()))
-    return cells
+    counts = [(row.correct.get(d, 0), row.total.get(d, 0)) for d in DIMENSIONS]
+    counts.append((sum(row.correct.values()), sum(row.total.values())))
+    return ["-" if total == 0 else format_half_up(100 * correct, total) for correct, total in counts]
 
 
 def _row_label(row: ScoreRow) -> str:

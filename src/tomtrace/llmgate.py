@@ -21,7 +21,6 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, TypeVar
 from urllib.parse import unquote, urlsplit
@@ -58,29 +57,52 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-# A frozen dataclass: hashable by value, it keys the gateway's in-flight table.
-@dataclass(frozen=True)
 class ChatRequest:
-    model_id: str
-    messages: tuple[tuple[str, str], ...]
-    temperature: float = 0.0
-    max_output_tokens: int = 2048
-    seed: int | None = None
+    """A model request. Immutable and hashable by value: it keys the gateway's in-flight table."""
 
-    def __post_init__(self):
-        if not self.model_id:
+    __slots__ = ("model_id", "messages", "temperature", "max_output_tokens", "seed")
+
+    def __init__(
+        self,
+        model_id: str,
+        messages: tuple[tuple[str, str], ...],
+        temperature: float = 0.0,
+        max_output_tokens: int = 2048,
+        seed: int | None = None,
+    ) -> None:
+        if not model_id:
             raise ValueError("model_id must be non-empty")
-        if not self.messages:
+        if not messages:
             raise ValueError("at least one message required")
-        for role, _ in self.messages:
+        for role, _ in messages:
             if role not in _ROLES:
                 raise ValueError(f"unknown role {role!r}")
-        if not any(role == "user" for role, _ in self.messages):
+        if not any(role == "user" for role, _ in messages):
             raise ValueError("at least one user message required")
-        if not 0.0 <= self.temperature <= 2.0:
+        if not 0.0 <= temperature <= 2.0:
             raise ValueError("temperature out of range [0, 2]")
-        if self.max_output_tokens < 1:
+        if max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
+        for name, value in zip(self.__slots__, (model_id, messages, temperature, max_output_tokens, seed)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.model_id, self.messages, self.temperature, self.max_output_tokens, self.seed
+
+    def __eq__(self, other) -> bool:
+        return self._fields() == other._fields() if type(other) is ChatRequest else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "ChatRequest(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
     @property
     def digest(self) -> str:

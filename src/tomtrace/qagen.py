@@ -17,7 +17,6 @@ import logging
 import random
 import re
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
@@ -646,7 +645,7 @@ def first_pass_stats(verdicts: list[VerificationVerdict], attempts: dict[str, in
         for qid, verdict in first_seen.items()
         if verdict.passed and attempts.get(qid, 1) == 1
     )
-    rate = "0.00" if total == 0 else format_half_up(Fraction(passes, total))
+    rate = "0.00" if total == 0 else format_half_up(passes, total)
     return FirstPassReport(verified_questions=total, first_attempt_passes=passes, rate=rate)
 
 

@@ -10,12 +10,13 @@ import os
 import random
 import re
 import threading
-from decimal import Decimal, ROUND_HALF_UP
-from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 from .errors import IoError, MalformedRecord, TomtraceError, UnreadableSource
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 T = TypeVar("T")
 
@@ -144,17 +145,12 @@ def sample(items: list, rate: float, seed: int | None, *, key: Callable) -> list
     return [ordered[i] for i in sorted(picked)]
 
 
-def round_half_up(value: Fraction | int | float) -> Decimal:
-    """Round to two places with ties away from zero, the convention used in every report."""
-    if isinstance(value, Fraction):
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        dec = Decimal(str(value))
-    return dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
-
-
-def format_half_up(value: Fraction | int | float) -> str:
-    return str(round_half_up(value))
+def format_half_up(value: Fraction | int, denominator: int = 1) -> str:
+    """`value / denominator` (a positive `denominator`) to two places with ties away from zero,
+    the convention used in every report. Integer arithmetic: the ratio is never a float."""
+    p, q = value.numerator, value.denominator * denominator
+    hundredths = (200 * abs(p) + q) // (2 * q)  # floor(100 * |p/q| + 1/2)
+    return f"{'-' if p < 0 else ''}{hundredths // 100}.{hundredths % 100:02d}"
 
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9_-]*\s*\n(.*)\n?```\s*$", re.DOTALL)

@@ -21,7 +21,7 @@ import yaml
 
 import tomtrace
 from tomtrace.cli import main
-from tomtrace.config import BackendSection
+from tomtrace.config import BackendSection, Section
 from tomtrace.corpus import ingest_corpus
 from tomtrace.llmgate import Gateway, ReplayScript
 
@@ -101,6 +101,18 @@ def replay_script(*records: dict) -> ReplayScript:
     for record in records:
         script._add(record)
     return script
+
+
+def as_dict(obj) -> dict:
+    """The fields of a config section or a ChatRequest by name, each nested section a dict too."""
+    names = getattr(type(obj), "__slots__", None) or vars(obj)
+    values = {name: getattr(obj, name) for name in names}
+    return {name: as_dict(v) if isinstance(v, Section) else v for name, v in values.items()}
+
+
+def replace(obj, **changes):
+    """A copy of a config section or a ChatRequest with `changes` made to its fields."""
+    return type(obj)(**{**as_dict(obj), **changes})
 
 
 def derived_config(directory: Path, **sections: dict) -> Path:

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -792,6 +793,37 @@ def test_a_usage_error_exits_one_with_the_usage_on_stderr(tmp_path, args, messag
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr.startswith("usage: tomtrace")
     assert message in result.stderr
+
+
+@pytest.mark.parametrize("args", [["-c", str(CONFIG), "bogus"], ["-c", "report", "bogus"]],
+                         ids=["unknown-command", "config-named-like-a-command"])
+def test_an_unknown_command_is_reported_with_every_command(args):
+    result = run_entry_point(*args)
+    assert result.returncode == 1
+    message = result.stderr.splitlines()[-1]
+    assert "argument COMMAND: invalid choice: 'bogus' (choose from " in message
+    listed = message.split("(choose from ", 1)[1].rstrip(")").split(", ")
+    assert [name.strip("'") for name in listed] == list(main.commands)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--help", "report"]], ids=["alone", "before-a-command"])
+def test_help_lists_every_command(args):
+    result = run_entry_point(*args)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: tomtrace [--help] -c FILE")
+    assert re.findall(r"^    (\S+)", result.stdout, re.MULTILINE) == list(main.commands)
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "pipeline.yaml", "ingest"],
+    ["-v", "--out", "out", "-c", "pipeline.yaml", "review-export", "--kind", "triples", "--output", "t.csv"],
+    ["-c", "pipeline.yaml", "review-import", "report"],
+    ["-c", "report", "ingest"],
+    ["--out", "stats", "-c", "eval", "report", "--layout", "csv"],
+], ids=["stage", "options", "command-named-argument", "config-named-like-a-command", "two-options-named-so"])
+def test_parsing_for_the_named_command_alone_gives_the_full_parsers_options(args):
+    full = main._parser("tomtrace", main.commands).parse_args(args)
+    assert main._parse(args, "tomtrace") == vars(full)
 
 
 def test_the_program_is_named_tomtrace_however_it_is_started():

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from conftest import CONFIG, DATA
+from conftest import CONFIG, DATA, as_dict
 from tomtrace.config import load_config
 from tomtrace.errors import ConfigInvalid
 
@@ -22,7 +21,7 @@ def write(tmp_path, text, name="pipeline.yaml"):
 # --- every config valid before the typed reader loads to the same values -----------------
 
 def test_the_fixture_config_loads_to_its_values():
-    assert dataclasses.asdict(load_config(CONFIG)) == {
+    assert as_dict(load_config(CONFIG)) == {
         "seed": 13,
         "out_dir": "out",
         "cache_dir": None,
@@ -62,7 +61,7 @@ def test_a_json_config_loads_to_its_values(tmp_path):
         "ft": {"ood_books": ["Book 1"], "require_human_verified": True, "with_triples": "both"},
     }
     path = write(tmp_path, json.dumps(config, indent=1) + "\n")
-    assert dataclasses.asdict(load_config(path)) == {
+    assert as_dict(load_config(path)) == {
         "seed": 11,
         "out_dir": "out",
         "cache_dir": "cache",

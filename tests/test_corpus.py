@@ -30,6 +30,7 @@ from tomtrace.errors import (
 )
 
 from conftest import DATA
+from tomtrace.util import normalize_name
 
 
 # --- tripartite segmentation -------------------------------------------------
@@ -205,6 +206,18 @@ def test_stats_golden(fixture_corpus):
     # conversation 1 has 3 distinct speakers, conversation 2 has 2
     assert report.avg_speakers == "2.50"
     assert report.per_book[0].book_id == "king-lear"
+
+
+def test_stats_of_a_sub_corpus_count_its_books_alone(fixture_corpus):
+    """A sub-corpus derived as release criterion 10 derives the out-of-domain books of the public one."""
+    for titles, expected in (({"KING  lear"}, (2, 2, "2.50")), (set(), (0, 0, "0.00"))):
+        wanted = {normalize_name(t) for t in titles}
+        books = [b for b in fixture_corpus.books if normalize_name(b.title) in wanted]
+        sub = Corpus(books=books, registries=fixture_corpus.registries)
+        stats = corpus_stats(sub)
+        assert (stats.total_plots, stats.total_conversations, stats.avg_speakers) == expected
+        assert [b.book_id for b in stats.per_book] == [b.id for b in books]
+        assert sub.registries is fixture_corpus.registries
 
 
 def test_stats_empty_book_flagged():

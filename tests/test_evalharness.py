@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import re
@@ -10,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from tomtrace import evalharness, llmgate
-from conftest import replay_script
+from conftest import replace, replay_script
 from tomtrace.config import BackendSection
 from tomtrace.errors import MissingKg, MissingPlot, UnknownQuestionId
 from tomtrace.evalharness import (
@@ -397,7 +396,7 @@ def test_run_eval_orders_items_deterministically(fixture_corpus, tmp_path):
 def test_run_eval_holds_at_most_a_window_of_assembled_prompts(fixture_corpus, tmp_path, monkeypatch):
     """Each prompt is assembled when the runner draws it, not all before the first request."""
     gateway = catch_all_gateway()
-    gateway.backend = dataclasses.replace(gateway.backend, max_in_flight=1)
+    gateway.backend = replace(gateway.backend, max_in_flight=1)
     window = llmgate._AHEAD_PER_WORKER
     counts = {"assembled": 0, "answered": 0, "held": 0}
     real_assemble, real_complete = evalharness.assemble_context, gateway.complete

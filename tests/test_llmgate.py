@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import base64
-import dataclasses
 import gc
 import io
 import json
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TLS_CERT, http_backend, http_proxy, send_reply
+from conftest import TLS_CERT, http_backend, http_proxy, replace, send_reply
 import tomtrace
 from tomtrace import llmgate
 from tomtrace.config import BackendSection
@@ -53,12 +52,12 @@ def test_request_digest_stable_and_sensitive():
     c = user_request("m", "hello!")
     assert a.digest == b.digest
     assert a.digest != c.digest
-    assert a.digest != dataclasses.replace(a, temperature=0.5).digest
+    assert a.digest != replace(a, temperature=0.5).digest
 
 
 def test_request_is_frozen_and_validated():
     req = user_request("m", "hi")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         req.model_id = "other"
     with pytest.raises(ValueError):
         ChatRequest(model_id="", messages=(("user", "x"),))
@@ -218,7 +217,7 @@ def test_retry_then_success(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, calls = _flaky_transport(2)
     sleeps = []
-    backend = dataclasses.replace(BACKEND, retry_max_attempts=3, retry_base_backoff_s=0.5)
+    backend = replace(BACKEND, retry_max_attempts=3, retry_base_backoff_s=0.5)
     resp = Gateway(backend, transport=transport, sleep_fn=sleeps.append).complete(user_request("m", "x"))
     assert resp.text == "ok" and calls["n"] == 3
     assert sleeps == [0.5, 1.0]  # exponential backoff
@@ -227,7 +226,7 @@ def test_retry_then_success(monkeypatch):
 def test_rate_limit_exhaustion(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, _ = _flaky_transport(99, status=429)
-    backend = dataclasses.replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0)
+    backend = replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0)
     with pytest.raises(RateLimitedExhausted):
         Gateway(backend, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
 
@@ -235,7 +234,7 @@ def test_rate_limit_exhaustion(monkeypatch):
 def test_server_error_exhaustion_is_transport_error(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, _ = _flaky_transport(99, status=503)
-    backend = dataclasses.replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0)
+    backend = replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0)
     with pytest.raises(TransportError):
         Gateway(backend, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
 
@@ -265,7 +264,7 @@ OK = (200, {"choices": [{"message": {"content": "ok"}}]}, {})
 def test_retry_after_lengthens_the_backoff_up_to_the_cap(monkeypatch, status, retry_after, slept):
     monkeypatch.setenv("TT_TOKEN", "t")
     sleeps = []
-    backend = dataclasses.replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0.5)
+    backend = replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0.5)
     transport = _replying((status, {}, {"retry-after": retry_after}), OK)
     assert Gateway(backend, transport=transport, sleep_fn=sleeps.append).complete(user_request("m", "x")).text == "ok"
     assert sleeps == [slept]
@@ -274,7 +273,7 @@ def test_retry_after_lengthens_the_backoff_up_to_the_cap(monkeypatch, status, re
 def test_retry_after_holds_for_one_retry_and_only_after_429_or_503(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     sleeps = []
-    backend = dataclasses.replace(BACKEND, retry_max_attempts=4, retry_base_backoff_s=0.5)
+    backend = replace(BACKEND, retry_max_attempts=4, retry_base_backoff_s=0.5)
     transport = _replying((429, {}, {"retry-after": "9"}), (500, {}, {"retry-after": "9"}), (503, {}, {}), OK)
     assert Gateway(backend, transport=transport, sleep_fn=sleeps.append).complete(user_request("m", "x")).text == "ok"
     assert sleeps == [9.0, 1.0, 2.0]
@@ -354,7 +353,7 @@ def _live_transport(answer, delay_s=0.0):
 
 
 def test_gateway_run_returns_results_in_input_order():
-    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=4))
+    gw = Gateway(replace(BACKEND, max_in_flight=4))
 
     def slow_square(n):
         time.sleep(0.001 * (5 - n))
@@ -365,7 +364,7 @@ def test_gateway_run_returns_results_in_input_order():
 
 
 def test_gateway_run_bounds_concurrency_by_max_in_flight():
-    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=3))
+    gw = Gateway(replace(BACKEND, max_in_flight=3))
     lock = threading.Lock()
     barrier = threading.Barrier(3)  # breaks unless three items run at once
     state = {"now": 0, "peak": 0}
@@ -383,7 +382,7 @@ def test_gateway_run_bounds_concurrency_by_max_in_flight():
 
 
 def test_gateway_run_raises_the_first_failing_item_in_input_order():
-    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=8))
+    gw = Gateway(replace(BACKEND, max_in_flight=8))
 
     def work(n):
         if n == 2:
@@ -398,7 +397,7 @@ def test_gateway_run_raises_the_first_failing_item_in_input_order():
 
 
 def test_gateway_run_starts_no_item_after_one_has_failed():
-    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=1))
+    gw = Gateway(replace(BACKEND, max_in_flight=1))
     calls, raised = [], threading.Event()
 
     def work(n):
@@ -419,7 +418,7 @@ def test_gateway_run_starts_no_item_after_one_has_failed():
 
 
 def test_gateway_run_draws_at_most_a_window_of_items_before_the_first_result():
-    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=2))
+    gw = Gateway(replace(BACKEND, max_in_flight=2))
     window = 2 * llmgate._AHEAD_PER_WORKER
     drawn, at_first_return, release = [], [], threading.Event()
 
@@ -452,7 +451,7 @@ def test_gateway_run_draws_no_item_after_one_has_failed_and_seals_the_cache(tmp_
     seals = []
     real_seal = cache.seal
     monkeypatch.setattr(cache, "seal", lambda: seals.append(real_seal()))
-    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=1), cache=cache, transport=transport)
+    gw = Gateway(replace(BACKEND, max_in_flight=1), cache=cache, transport=transport)
     drawn, raised = [], threading.Event()
 
     def ask(n):
@@ -478,7 +477,7 @@ def test_gateway_run_draws_no_item_after_one_has_failed_and_seals_the_cache(tmp_
 
 @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
 def test_gateway_run_keeps_input_order_while_drawing_a_bounded_window(max_in_flight):
-    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=max_in_flight))
+    gw = Gateway(replace(BACKEND, max_in_flight=max_in_flight))
     window = max_in_flight * llmgate._AHEAD_PER_WORKER
     count = 5 * window
     drawn, ahead = [], []
@@ -503,7 +502,7 @@ def test_gateway_cache_single_flight_per_key(tmp_path, monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, calls = _live_transport("shared", delay_s=0.001)
     gw = Gateway(
-        dataclasses.replace(BACKEND, max_in_flight=16),
+        replace(BACKEND, max_in_flight=16),
         cache=ResponseCache(tmp_path),
         transport=transport,
     )
@@ -643,7 +642,7 @@ def test_gateway_run_seals_the_cache_when_an_item_raises(tmp_path, monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, _ = _live_transport("answer")
     cache = ResponseCache(tmp_path)
-    gw = Gateway(dataclasses.replace(BACKEND, max_in_flight=1), cache=cache, transport=transport)
+    gw = Gateway(replace(BACKEND, max_in_flight=1), cache=cache, transport=transport)
     prompts = sorted((user_request("m", f"prompt {n}") for n in range(6)),
                      key=lambda req: cache.key_for(req, BACKEND), reverse=True)
 
@@ -690,7 +689,7 @@ def no_resource_warnings():
 
 
 def _live(url: str, attempts: int = 3) -> BackendSection:
-    return dataclasses.replace(BACKEND, endpoint=url, retry_max_attempts=attempts, retry_base_backoff_s=0)
+    return replace(BACKEND, endpoint=url, retry_max_attempts=attempts, retry_base_backoff_s=0)
 
 
 def _call(url: str, request: ChatRequest | None = None, attempts: int = 3) -> ChatResponse:

@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 import os
 import threading
+from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
+from operator import methodcaller
 
 import pytest
 
@@ -16,7 +19,6 @@ from tomtrace.util import (
     format_half_up,
     normalize_name,
     read_jsonl,
-    round_half_up,
     sample,
     slugify,
     stable_hash,
@@ -58,7 +60,24 @@ def test_half_up_rounding():
     assert format_half_up(Fraction(1, 3)) == "0.33"
     assert format_half_up(Fraction(169, 2)) == "84.50"
     assert format_half_up(Fraction(100)) == "100.00"
-    assert str(round_half_up(Fraction(125, 1000))) == "0.13"
+
+
+def test_half_up_rounding_matches_an_exact_decimal_quantize():
+    """Every ratio p/q with q <= 400 in [0, 100], the range of a percentage, ties included.
+
+    The oracle divides with ROUND_DOWN at 28 digits. Every tie, k/100 + 1/200,
+    is a multiple of the last digit kept, so the truncated quotient reaches a tie
+    exactly when the ratio does, and it rounds as the ratio does.
+    """
+    cent = Decimal("0.01")
+    half_up = methodcaller("quantize", cent, rounding=ROUND_HALF_UP)
+    with localcontext() as context:
+        context.rounding = ROUND_DOWN
+        for q in range(1, 401):
+            ps = range(100 * q + 1)
+            exact = list(map(str, map(half_up, map(Decimal(q).__rtruediv__, map(Decimal, ps)))))
+            assert list(map(format_half_up, ps, repeat(q))) == exact, q
+    assert format_half_up(Fraction(169, 2)) == format_half_up(169, 2) == "84.50"
 
 
 def test_strip_code_fences():
