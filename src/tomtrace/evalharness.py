@@ -11,23 +11,19 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import math
 import re
 from enum import Enum
 from itertools import groupby, product
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .corpus import Corpus
 from .errors import ConfigInvalid, MissingKg, MissingPlot, UnknownQuestionId
 from .llmgate import ChatRequest, estimate_tokens, user_request
 from .qagen import TomQuestion
-from .tkg import TemporalKG, state_at
+from .tkg import TemporalKG, state_at_or_empty
 from .triples import DIMENSIONS, Dimension, TemplateOverride, render_template, render_triple
 from .util import format_half_up, read_jsonl, write_jsonl
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 logger = logging.getLogger(__name__)
 
@@ -66,8 +62,6 @@ def conditions(context: str, triples: str) -> list[EvalCondition]:
     return [EvalCondition(m, t) for m in modes for t in flags]
 
 
-ALL_CONDITIONS = tuple(conditions("both", "both"))
-
 ANSWER_STYLES = ("triples_then_answer", "answer_only")
 
 _INSTRUCTIONS_TRIPLES_FIRST = (
@@ -91,10 +85,11 @@ TRIPLE_BLOCK_HEADER = "Relevant mental state triples:"
 
 
 def render_triple_block(question: TomQuestion, kg: TemporalKG | None) -> str:
-    """The header, then one line per triple active for the question's character at its plot."""
+    """The header, then one line per triple active for the question's character at its plot
+    (none for a character with no node in the graph)."""
     if kg is None:
         raise MissingKg(f"condition needs triples but no graph given for {question.book_id}")
-    triples = state_at(kg, question.character, question.plot_index)
+    triples = state_at_or_empty(kg, question.character, question.plot_index)
     return "\n".join([TRIPLE_BLOCK_HEADER, *map(render_triple, triples)])
 
 
@@ -137,7 +132,7 @@ def assemble_context(
     instructions_tpl = (
         _INSTRUCTIONS_TRIPLES_FIRST if answer_style == "triples_then_answer" else _INSTRUCTIONS_ANSWER_ONLY
     )
-    instructions = instructions_tpl.format(character=question.character).replace("{{", "{").replace("}}", "}")
+    instructions = instructions_tpl.format(character=question.character)
     text = render_template(
         "eval_question.txt",
         template_override,
@@ -204,58 +199,22 @@ class Prediction:
 # --- scoring -----------------------------------------------------------------------
 
 class ScoreRow:
+    """Correct and asked counts per dimension for one (model, condition)."""
+
     __slots__ = ("model", "condition", "correct", "total")
 
-    def __init__(
-        self,
-        model: str,
-        condition: EvalCondition,
-        correct: dict[Dimension, int] | None = None,
-        total: dict[Dimension, int] | None = None,
-    ) -> None:
+    def __init__(self, model: str, condition: EvalCondition) -> None:
         self.model = model
         self.condition = condition
-        self.correct = {} if correct is None else correct
-        self.total = {} if total is None else total
-
-    @classmethod
-    def from_percentages(
-        cls,
-        model: str,
-        condition: EvalCondition,
-        cells: dict[Dimension, str],
-    ) -> "ScoreRow":
-        """Row whose cells are the given percentages (already 0-100), held as counts.
-
-        Every dimension gets the same total, so the average is the mean of the cells.
-        """
-        from fractions import Fraction
-
-        fixed = {d: Fraction(cells[d]) for d in cells}
-        scale = math.lcm(*(f.denominator for f in fixed.values()))
-        correct = {d: int(f * scale) for d, f in fixed.items()}
-        return cls(model=model, condition=condition, correct=correct, total=dict.fromkeys(fixed, 100 * scale))
-
-    def cell(self, dimension: Dimension) -> Fraction | None:
-        return _percent(self.correct.get(dimension, 0), self.total.get(dimension, 0))
-
-    def avg(self) -> Fraction | None:
-        return _percent(sum(self.correct.values()), sum(self.total.values()))
-
-
-def _percent(correct: int, total: int) -> Fraction | None:
-    # Imported here: the report renders from counts, so a rendering stage loads
-    # neither `fractions` nor the `decimal` module it imports.
-    from fractions import Fraction
-
-    return None if total == 0 else Fraction(100 * correct, total)
+        self.correct: dict[Dimension, int] = {}
+        self.total: dict[Dimension, int] = {}
 
 
 class ScoreTable:
     __slots__ = ("rows",)
 
-    def __init__(self, rows: list[ScoreRow] | None = None) -> None:
-        self.rows = [] if rows is None else rows
+    def __init__(self) -> None:
+        self.rows: list[ScoreRow] = []
 
     def row(self, model: str, condition: EvalCondition) -> ScoreRow:
         for row in self.rows:

@@ -28,13 +28,12 @@ from .errors import (
     InvalidState,
     MalformedVerdictRow,
     MissingDimension,
-    TomtraceError,
     UnknownQuestionId,
     UnparseableResponse,
     UnreadableSource,
 )
 from .llmgate import ChatRequest, Gateway, user_request
-from .tkg import TemporalKG, state_at
+from .tkg import TemporalKG, state_at_or_empty
 from .triples import DIMENSIONS, Dimension, MentalStateTriple, TemplateOverride, plot_prompt, render_template
 from .util import (
     format_half_up, load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl,
@@ -406,10 +405,7 @@ def generate_questions(
                 for character in plot.speakers():
                     previous: list[MentalStateTriple] = []
                     if kg is not None and plot.index > 1:
-                        try:
-                            previous = state_at(kg, character, plot.index - 1)
-                        except TomtraceError:
-                            previous = []
+                        previous = state_at_or_empty(kg, character, plot.index - 1)
                     request = build_question_prompt(
                         plot,
                         plot.conversations_of(character),

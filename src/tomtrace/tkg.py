@@ -362,6 +362,15 @@ def state_at(kg: TemporalKG, character: str, plot_t: int) -> list[MentalStateTri
     return sorted(chosen, key=lambda t: t.plot_index)  # stable: keeps insertion order
 
 
+def state_at_or_empty(kg: TemporalKG, character: str, plot_t: int) -> list[MentalStateTriple]:
+    """`state_at`, but no triples for a character with no node: one whose every
+    extraction was rejected or unparseable never entered the graph."""
+    try:
+        return state_at(kg, character, plot_t)
+    except UnknownCharacter:
+        return []
+
+
 class TimelineEntry:
     __slots__ = ("plot_index", "triple", "supersede_reason", "superseded_id")
 

@@ -11,12 +11,9 @@ import random
 import re
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .errors import IoError, MalformedRecord, TomtraceError, UnreadableSource
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 T = TypeVar("T")
 
@@ -145,10 +142,9 @@ def sample(items: list, rate: float, seed: int | None, *, key: Callable) -> list
     return [ordered[i] for i in sorted(picked)]
 
 
-def format_half_up(value: Fraction | int, denominator: int = 1) -> str:
-    """`value / denominator` (a positive `denominator`) to two places with ties away from zero,
-    the convention used in every report. Integer arithmetic: the ratio is never a float."""
-    p, q = value.numerator, value.denominator * denominator
+def format_half_up(p: int, q: int) -> str:
+    """`p / q` (a positive `q`) to two places with ties away from zero, the convention
+    used in every report. Integer arithmetic: the ratio is never a float."""
     hundredths = (200 * abs(p) + q) // (2 * q)  # floor(100 * |p/q| + 1/2)
     return f"{'-' if p < 0 else ''}{hundredths // 100}.{hundredths % 100:02d}"
 

@@ -20,13 +20,12 @@ import pytest
 
 from conftest import run_cli, tree_bytes
 from kg_oracle import run_random_case
-from tomtrace.corpus import Corpus, SegmentKind, corpus_stats, ingest_corpus, parse_turn
+from tomtrace.corpus import Book, Corpus, SegmentKind, StatsReport, corpus_stats, ingest_corpus, parse_turn
 from tomtrace.evalharness import (
     ContextMode,
     EvalCondition,
     Prediction,
     ReportLayout,
-    ScoreRow,
     ScoreTable,
     assemble_context,
     parse_answer,
@@ -53,7 +52,7 @@ from tomtrace.tkg import (
     insert_batch,
 )
 from tomtrace.triples import Dimension, TripleBatch, make_triple, parse_triple_response
-from tomtrace.util import format_half_up, normalize_name
+from tomtrace.util import normalize_name
 
 COSER_ENV = "TOMTRACE_COSER_DATA"
 
@@ -214,12 +213,13 @@ def test_criterion_05_score_cells_match_hand_recount():
         unparseable = "I think the answer is A"
         assert parse_answer(unparseable) is None
         table = score(predictions, questions)
-        row = table.row("m", condition)
-        assert format_half_up(row.cell(Dimension.BELIEF)) == "70.00"  # 7/10 by hand
-        assert format_half_up(row.cell(Dimension.DESIRE)) == "33.33"  # 1/3 by hand
-        assert row.cell(Dimension.EMOTION) is None
-        assert format_half_up(row.avg()) == "61.54"  # 8/13 by hand
-        assert row.total[Dimension.BELIEF] == 10  # None-letter rows stay in the denominator
+        header, printed = render_report(table, ReportLayout.CSV).splitlines()
+        cells = dict(zip(header.split(","), printed.split(",")))
+        assert cells["belief"] == "70.00"  # 7/10 by hand
+        assert cells["desire"] == "33.33"  # 1/3 by hand
+        assert cells["emotion"] == "-"
+        assert cells["avg"] == "61.54"  # 8/13 by hand
+        assert table.row("m", condition).total[Dimension.BELIEF] == 10  # None-letter rows stay in the denominator
 
 
 def test_criterion_06_two_runs_are_byte_identical(tmp_path, monkeypatch):
@@ -242,16 +242,23 @@ def test_criterion_06_two_runs_are_byte_identical(tmp_path, monkeypatch):
         note["detail"] = f"{len(tree_a)} files, {elapsed:.2f}s"
 
 
+def _row_from_cells(table: ScoreTable, model: str, condition: EvalCondition, cells: dict[Dimension, str]) -> None:
+    """Counts that print as the given two-place percentages: 10000 asked per dimension."""
+    row = table.row(model, condition)
+    for dimension, cell in cells.items():
+        row.total[dimension] = 10000
+        row.correct[dimension] = int(cell.replace(".", ""))  # "66.61" -> 6661
+
+
 def test_criterion_07_report_reproduces_fixture_rows():
     with criterion(7, "report fidelity on fixture percentages"):
         base = EvalCondition(ContextMode.CURRENT_PLOT, False)
         enhanced = EvalCondition(ContextMode.CURRENT_PLOT, True)
         base_cells = dict(zip(Dimension, ["66.61", "70.06", "69.61", "71.81"]))
         enhanced_cells = dict(zip(Dimension, ["71.65", "73.06", "74.02", "74.80"]))
-        table = ScoreTable(rows=[
-            ScoreRow.from_percentages("GPT-4o-mini", base, base_cells),
-            ScoreRow.from_percentages("GPT-4o-mini", enhanced, enhanced_cells),
-        ])
+        table = ScoreTable()
+        _row_from_cells(table, "GPT-4o-mini", base, base_cells)
+        _row_from_cells(table, "GPT-4o-mini", enhanced, enhanced_cells)
         rendered = render_report(table, ReportLayout.PLAIN)
         assert rendered == (
             "Models         Belief    Desire   Emotion Intention       Avg\n"
@@ -363,17 +370,63 @@ def _public_corpus():
     return ingest_corpus(root, format="coser")
 
 
+def public_corpus_stats(corpus: Corpus, ood_titles: frozenset[str]) -> tuple[StatsReport, list[Book], StatsReport]:
+    """Criterion 10's figures: the corpus's statistics, its books titled in `ood_titles`, and theirs."""
+    stats = corpus_stats(corpus)
+    ood_norms = {normalize_name(t) for t in ood_titles}
+    ood_books = [b for b in corpus.books if normalize_name(b.title) in ood_norms]
+    ood_stats = corpus_stats(Corpus(books=ood_books, registries=corpus.registries))
+    return stats, ood_books, ood_stats
+
+
+def prompt_token_means(corpus: Corpus) -> tuple[float, float]:
+    """Criterion 11's figures: the mean token estimate of a probe question's prompt at every
+    plot, with the current plot's context and with the extended one."""
+    standard: list[int] = []
+    extended: list[int] = []
+    for book in corpus.books:
+        for plot in book.plots:
+            speakers = sorted(
+                {t.speaker for conv in plot.conversations for t in conv.turns}
+            )
+            character = speakers[0] if speakers else "The Narrator"
+            probe = TomQuestion(
+                id=question_id(book.id, plot.index, character, Dimension.BELIEF),
+                book_id=book.id,
+                plot_index=plot.index,
+                character=character,
+                dimension=Dimension.BELIEF,
+                scenario="",
+                reasoning="",
+                stem=f"What does {character} believe about the unfolding scene?",
+                options=[
+                    "They believe the moment rewards honest speech.",
+                    "They believe silence will be read as defiance.",
+                    "They believe flattery will be found out in time.",
+                    "They believe the outcome is already decided.",
+                ],
+                correct="A",
+                state=QuestionState.HUMAN_VERIFIED,
+            )
+            for mode, sink in (
+                (ContextMode.CURRENT_PLOT, standard),
+                (ContextMode.CURRENT_PLUS_PREV, extended),
+            ):
+                prompt = assemble_context(
+                    probe, corpus, None, EvalCondition(mode, False)
+                )
+                sink.append(prompt.token_estimate)
+    return statistics.mean(standard), statistics.mean(extended)
+
+
 def test_criterion_10_public_corpus_statistics():
     with criterion(10, "public 20-book corpus statistics") as note:
         started = time.perf_counter()
         corpus = _public_corpus()
-        stats = corpus_stats(corpus)
+        stats, ood_books, ood_stats = public_corpus_stats(corpus, OOD_TITLES)
         assert (stats.total_plots, stats.total_conversations) == (258, 599)
         assert stats.avg_speakers == "2.47"
-        ood_norms = {normalize_name(t) for t in OOD_TITLES}
-        ood_books = [b for b in corpus.books if normalize_name(b.title) in ood_norms]
         assert len(ood_books) == 5
-        ood_stats = corpus_stats(Corpus(books=ood_books, registries=corpus.registries))
         assert (ood_stats.total_plots, ood_stats.total_conversations) == (93, 204)
         assert ood_stats.avg_speakers == "2.19"
         elapsed = time.perf_counter() - started
@@ -385,42 +438,7 @@ def test_criterion_10_public_corpus_statistics():
 def test_criterion_11_prompt_token_means_advisory():
     with criterion(11, "prompt token means within advisory band") as note:
         corpus = _public_corpus()
-        standard: list[int] = []
-        extended: list[int] = []
-        for book in corpus.books:
-            for plot in book.plots:
-                speakers = sorted(
-                    {t.speaker for conv in plot.conversations for t in conv.turns}
-                )
-                character = speakers[0] if speakers else "The Narrator"
-                probe = TomQuestion(
-                    id=question_id(book.id, plot.index, character, Dimension.BELIEF),
-                    book_id=book.id,
-                    plot_index=plot.index,
-                    character=character,
-                    dimension=Dimension.BELIEF,
-                    scenario="",
-                    reasoning="",
-                    stem=f"What does {character} believe about the unfolding scene?",
-                    options=[
-                        "They believe the moment rewards honest speech.",
-                        "They believe silence will be read as defiance.",
-                        "They believe flattery will be found out in time.",
-                        "They believe the outcome is already decided.",
-                    ],
-                    correct="A",
-                    state=QuestionState.HUMAN_VERIFIED,
-                )
-                for mode, sink in (
-                    (ContextMode.CURRENT_PLOT, standard),
-                    (ContextMode.CURRENT_PLUS_PREV, extended),
-                ):
-                    prompt = assemble_context(
-                        probe, corpus, None, EvalCondition(mode, False)
-                    )
-                    sink.append(prompt.token_estimate)
-        standard_mean = statistics.mean(standard)
-        extended_mean = statistics.mean(extended)
+        standard_mean, extended_mean = prompt_token_means(corpus)
         note["detail"] = (
             f"standard mean {standard_mean:.0f} vs 2109, extended mean {extended_mean:.0f} vs 4524"
         )

@@ -32,7 +32,7 @@ from conftest import (
 from test_llmgate import _refused_url
 from tomtrace.cli import REPORT_SUFFIXES, RunContext, main
 from tomtrace.config import load_config
-from tomtrace.evalharness import ReportLayout
+from tomtrace.evalharness import TRIPLE_BLOCK_HEADER, ReportLayout
 from tomtrace.llmgate import MAX_BACKOFF_S, Gateway
 from tomtrace.qagen import REVIEW_COLUMNS, QuestionState, load_questions
 from tomtrace.tkg import check_invariants, load_kg
@@ -609,6 +609,37 @@ def test_each_kind_of_request_keeps_its_temperature_and_output_budget(tmp_path, 
         "regenerate": {(0.0, 1024)},
         "eval": {(0.0, 2048)},
     }
+
+
+def test_a_speaker_with_no_graph_node_is_asked_with_an_empty_triple_block(tmp_path, monkeypatch):
+    """Fool's every extraction dropped, as if each was rejected: Fool gets no node in the graph."""
+    out = tmp_path / "out"
+    run_cli(out, "ingest", "extract")
+    triples = out / "triples" / "king-lear.jsonl"
+    lines = triples.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if json.loads(line)["character"] != "Fool"]
+    assert len(kept) < len(lines)
+    triples.write_text("".join(kept), encoding="utf-8")
+    run_cli(out, "build-kg", "genqa", "verify")
+    fool = {q.id for q in load_questions(out / "questions.jsonl") if q.character == "Fool"}
+    assert fool
+
+    prompts = []
+    real_complete = Gateway.complete
+    monkeypatch.setattr(Gateway, "complete", lambda self, request: prompts.append(request.prompt_text()) or real_complete(self, request))
+    run_cli(out, "eval")
+    predictions = _jsonl(out / "predictions.jsonl")
+    assert [p for p in predictions if p["error"] is not None] == []
+    asked = [p for p in prompts if "For the character Fool in the book" in p and TRIPLE_BLOCK_HEADER in p]
+    assert len(asked) == sum(1 for p in predictions if p["question_id"] in fool and p["triples"]) > 0
+    assert all(f"{TRIPLE_BLOCK_HEADER}\n\n" in p and "(Fool," not in p for p in asked)
+
+    run_cli(out, "review-export")
+    _mark_all_pass(out / "review.csv")
+    run_cli(out, f"review-import {out / 'review.csv'}", "emit-ft")
+    examples = _jsonl(out / "ft" / "train_with_triples.jsonl")
+    fool_outputs = [e["output"] for e in examples if "For the character Fool in the book" in e["input"]]
+    assert fool_outputs and all(o.startswith(f"{TRIPLE_BLOCK_HEADER}\nAnswer:\n") for o in fool_outputs)
 
 
 def test_config_backend_keys_reach_the_gateway(tmp_path, monkeypatch):

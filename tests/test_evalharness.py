@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -13,13 +12,11 @@ from conftest import replace, replay_script
 from tomtrace.config import BackendSection
 from tomtrace.errors import MissingKg, MissingPlot, UnknownQuestionId
 from tomtrace.evalharness import (
-    ALL_CONDITIONS,
     TRIPLE_BLOCK_HEADER,
     ContextMode,
     EvalCondition,
     Prediction,
     ReportLayout,
-    ScoreRow,
     ScoreTable,
     assemble_context,
     conditions,
@@ -111,6 +108,29 @@ def test_triple_block_header_only_when_state_empty(fixture_corpus):
     insert_batch(kg, TripleBatch(character="Fool", plot_index=2, triples=[]))
     prompt = assemble_context(q, fixture_corpus, kg, EvalCondition(ContextMode.CURRENT_PLOT, True))
     assert f"{TRIPLE_BLOCK_HEADER}\n\n" in prompt.text
+
+
+def test_triple_block_header_only_for_a_character_with_no_node(fixture_corpus):
+    """Every extraction for Fool rejected: no node, so no triples, and no error."""
+    kg = lear_kg()
+    assert "Fool" not in kg.nodes
+    prompt = assemble_context(question_at(plot_index=2, character="Fool"), fixture_corpus, kg, CURRENT_T)
+    assert f"{TRIPLE_BLOCK_HEADER}\n\n" in prompt.text
+    assert "(Fool," not in prompt.text
+
+
+def test_a_braced_name_appears_verbatim_in_every_part_of_the_prompt(fixture_corpus):
+    name = "The {{Masked}} Knight"
+    kg = TemporalKG(book_id="king-lear", plot_count=2)
+    triple = make_triple(name, "Believes", "the crown is forfeit", 1)
+    insert_batch(kg, TripleBatch(character=name, plot_index=1, triples=[triple]))
+    question = question_at(character=name, stem=f"What does {name} believe?")
+    text = assemble_context(question, fixture_corpus, kg, CURRENT_T).text
+    assert f"For the character {name} in the book" in text
+    assert f"QUESTION:\nWhat does {name} believe?" in text
+    assert f"({name}, Believes, the crown is forfeit)" in text
+    assert f"that explain {name}'s psychology" in text
+    assert "{Masked}" not in text.replace(name, "")
 
 
 def test_no_triple_block_when_disabled(fixture_corpus):
@@ -208,11 +228,10 @@ def test_score_hand_recount():
     questions, predictions = hand_fixture()
     table = score(predictions, questions)
     [row] = table.rows
-    assert row.cell(Dimension.BELIEF) == Fraction(200, 3)
-    assert row.cell(Dimension.DESIRE) == Fraction(100)
-    assert row.cell(Dimension.EMOTION) == Fraction(200, 3)
-    assert row.cell(Dimension.INTENTION) == Fraction(50)
-    assert row.avg() == Fraction(70)  # 7 of 10
+    assert row.correct == {Dimension.BELIEF: 2, Dimension.DESIRE: 2, Dimension.EMOTION: 2, Dimension.INTENTION: 1}
+    assert row.total == {Dimension.BELIEF: 3, Dimension.DESIRE: 2, Dimension.EMOTION: 3, Dimension.INTENTION: 2}
+    # Belief, Desire, Emotion, Intention, then Avg: 7 of 10
+    assert render_report(table).splitlines()[1].split()[1:] == ["66.67", "100.00", "66.67", "50.00", "70.00"]
 
 
 def test_unparseable_prediction_counts_wrong():
@@ -226,16 +245,6 @@ def test_score_rejects_unknown_question():
     pred = Prediction(question_id="ghost", model_id="m", condition=CURRENT, letter="A", raw_text="A")
     with pytest.raises(UnknownQuestionId):
         score([pred], {})
-
-
-def test_from_percentages_average():
-    row = ScoreRow.from_percentages("m", CURRENT, {
-        Dimension.BELIEF: "66.61",
-        Dimension.DESIRE: "70.06",
-        Dimension.EMOTION: "69.61",
-        Dimension.INTENTION: "71.81",
-    })
-    assert row.avg() == Fraction("69.5225")
 
 
 def test_empty_cells_render_as_dash():
@@ -324,7 +333,7 @@ def test_report_escapes_a_model_id_that_holds_the_layout_separator(layout):
 def test_rows_ordered_mode_then_model_then_triples():
     table = ScoreTable()
     for model in ("beta", "alpha"):
-        for condition in ALL_CONDITIONS:
+        for condition in conditions("both", "both"):
             row = table.row(model, condition)
             row.total[Dimension.BELIEF] = 1
             row.correct[Dimension.BELIEF] = 1
@@ -352,8 +361,8 @@ def test_run_eval_end_to_end(fixture_corpus, tmp_path):
     assert all(p.letter == "A" for p in loaded)
     for condition in (CURRENT, CURRENT_T):
         row = table.row("replay-gpt", condition)
-        assert row.cell(Dimension.BELIEF) == Fraction(100)
-        assert row.cell(Dimension.DESIRE) == Fraction(0)
+        assert (row.correct.get(Dimension.BELIEF, 0), row.total[Dimension.BELIEF]) == (1, 1)
+        assert (row.correct.get(Dimension.DESIRE, 0), row.total[Dimension.DESIRE]) == (0, 1)
 
 
 def test_run_eval_degrades_per_item(fixture_corpus, tmp_path, caplog):
@@ -416,7 +425,7 @@ def test_run_eval_holds_at_most_a_window_of_assembled_prompts(fixture_corpus, tm
     questions = [question_at(plot_index=p, dimension=d) for p in (1, 2) for d in Dimension]
     run_eval(
         fixture_corpus, {"king-lear": lear_kg()}, questions,
-        models=["replay-gpt", "replay-gpt-2"], conditions=list(ALL_CONDITIONS),
+        models=["replay-gpt", "replay-gpt-2"], conditions=conditions("both", "both"),
         gateway=gateway, predictions_path=tmp_path / "p.jsonl",
     )
     assert counts["assembled"] == counts["answered"] == 64 > window

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -253,3 +255,48 @@ def test_run_context_is_the_only_code_that_hashes_files():
         ("cli.py", "RunContext.read"),  # an input, as the stage opens it
         ("cli.py", "RunContext.write_manifest"),  # the outputs; the config's digest is of the bytes parsed
     ]
+
+
+# Public names that no other file of src/ or perfbench/ names, each kept for a reason.
+UNREFERENCED_ALLOWED = {
+    "timeline": "criterion 3's oracle and the README use it",
+    # argparse dispatches to each command's callback through the command table, not by name.
+    "build_kg": "the `build-kg` command's callback",
+    "review_export": "the `review-export` command's callback",
+    "review_import": "the `review-import` command's callback",
+    "eval_cmd": "the `eval` command's callback",
+    "emit_ft": "the `emit-ft` command's callback",
+}
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and constants, and the methods of top-level classes, not named `_...`."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_of_the_package_is_named_elsewhere():
+    """A public name that only its own definition mentions serves the tests alone, or nothing.
+
+    Counts whole-word matches in src/ and in perfbench/'s non-test files; each
+    definition of a name accounts for one of them.
+    """
+    package = Path(tomtrace.__file__).parent
+    root = package.parents[1]
+    benchmark = [path for path in sorted((root / "perfbench").glob("*.py")) if not path.name.startswith("test_")]
+    words: Counter[str] = Counter()
+    for path in [*sorted((root / "src").rglob("*.py")), *benchmark]:
+        words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    definitions: Counter[str] = Counter()
+    for path in sorted(package.glob("*.py")):
+        definitions.update(_public_definitions(ast.parse(path.read_text(encoding="utf-8"))))
+    unreferenced = sorted(name for name, count in definitions.items() if words[name] <= count)
+    assert unreferenced == sorted(UNREFERENCED_ALLOWED)

@@ -4,7 +4,6 @@ import json
 import os
 import threading
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
-from fractions import Fraction
 from itertools import repeat
 from operator import methodcaller
 
@@ -56,10 +55,10 @@ def test_canonical_json_sorted_compact():
 
 def test_half_up_rounding():
     """Ties round away from zero, not to even."""
-    assert format_half_up(Fraction(125, 1000)) == "0.13"
-    assert format_half_up(Fraction(1, 3)) == "0.33"
-    assert format_half_up(Fraction(169, 2)) == "84.50"
-    assert format_half_up(Fraction(100)) == "100.00"
+    assert format_half_up(125, 1000) == "0.13"
+    assert format_half_up(1, 3) == "0.33"
+    assert format_half_up(169, 2) == "84.50"
+    assert format_half_up(100, 1) == "100.00"
 
 
 def test_half_up_rounding_matches_an_exact_decimal_quantize():
@@ -77,7 +76,6 @@ def test_half_up_rounding_matches_an_exact_decimal_quantize():
             ps = range(100 * q + 1)
             exact = list(map(str, map(half_up, map(Decimal(q).__rtruediv__, map(Decimal, ps)))))
             assert list(map(format_half_up, ps, repeat(q))) == exact, q
-    assert format_half_up(Fraction(169, 2)) == format_half_up(169, 2) == "84.50"
 
 
 def test_strip_code_fences():
