@@ -12,7 +12,8 @@ arguments are parsed by the standard library's argparse with the sub-parser
 of the command being run alone, a command imports the pipeline modules it
 runs inside its body, and at exit the collector's passes over objects that
 die with the process are skipped. No stage loads `dataclasses`, `inspect`,
-`decimal` or `fractions`.
+`decimal`, `fractions` or `concurrent.futures`, and `logging` is loaded only
+by a stage that emits a record.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import atexit
 import gc
 import hashlib
-import logging
 import os
 import sys
 from pathlib import Path
@@ -30,7 +30,10 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .config import PipelineConfig, load_config
 from .errors import ConfigInvalid, GatewayError, MissingUpstreamArtifact, TomtraceError
-from .util import decode_text, read_jsonl, sample, sha256_file, write_atomic, write_json, write_jsonl
+from .util import (
+    INFO, WARNING, decode_text, defer_basic_config, read_jsonl, sample, sha256_file, write_atomic, write_json,
+    write_jsonl,
+)
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -261,8 +264,8 @@ class CommandTable:
     def __call__(self, args: list[str] | None = None, prog_name: str | None = None):
         options = self._parse(sys.argv[1:] if args is None else args, prog_name or "tomtrace")
         command = self.commands[options.pop("command")]
-        logging.basicConfig(
-            level=logging.INFO if options.pop("verbose") else logging.WARNING,
+        defer_basic_config(  # logging is loaded at the first record a stage emits, if any
+            level=INFO if options.pop("verbose") else WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
         try:

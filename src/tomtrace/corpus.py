@@ -9,7 +9,6 @@ reconstructed modulo surrounding whitespace.
 from __future__ import annotations
 
 import json
-import logging
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -21,9 +20,9 @@ from .errors import (
     NoSpeaker,
     UnreadableSource,
 )
-from .util import clean_name, format_half_up, normalize_name, read_jsonl, slugify, write_jsonl
+from .util import LazyLogger, clean_name, format_half_up, normalize_name, read_jsonl, slugify, write_jsonl
 
-logger = logging.getLogger(__name__)
+logger = LazyLogger(__name__)
 
 # Pseudo-speaker used by some sources for scene description lines.
 ENVIRONMENT_SPEAKER = "environment"
@@ -123,13 +122,16 @@ class CharacterRegistry:
 
     def __init__(self) -> None:
         self._aliases: dict[str, set[str]] = {}
+        # normalize_name(alias) -> the canonical names that alias belongs to, for resolve
+        self._canonicals: dict[str, set[str]] = {}
 
     def add(self, canonical: str, aliases: tuple[str, ...] | list[str] = ()) -> None:
         canonical = clean_name(canonical)
         bucket = self._aliases.setdefault(canonical, set())
-        bucket.add(canonical)
-        for alias in aliases:
-            bucket.add(clean_name(alias))
+        for alias in (canonical, *aliases):
+            alias = clean_name(alias)
+            bucket.add(alias)
+            self._canonicals.setdefault(normalize_name(alias), set()).add(canonical)
 
     def known_names(self) -> set[str]:
         out: set[str] = set()
@@ -141,15 +143,11 @@ class CharacterRegistry:
         wanted = normalize_name(name)
         if not wanted:
             raise NoSpeaker("empty character name")
-        hits = [
-            canonical
-            for canonical, aliases in self._aliases.items()
-            if any(normalize_name(a) == wanted for a in aliases)
-        ]
+        hits = self._canonicals.get(wanted, ())
         if len(hits) > 1:
             raise AmbiguousAlias(f"{name!r} matches {sorted(hits)}")
         if hits:
-            return hits[0]
+            return next(iter(hits))
         canonical = clean_name(name)
         self.add(canonical)
         return canonical

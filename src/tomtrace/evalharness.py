@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import re
 from enum import Enum
 from itertools import groupby, product
@@ -23,9 +22,9 @@ from .llmgate import ChatRequest, estimate_tokens, user_request
 from .qagen import TomQuestion
 from .tkg import TemporalKG, state_at_or_empty
 from .triples import DIMENSIONS, Dimension, TemplateOverride, render_template, render_triple
-from .util import format_half_up, read_jsonl, write_jsonl
+from .util import LazyLogger, format_half_up, read_jsonl, write_jsonl
 
-logger = logging.getLogger(__name__)
+logger = LazyLogger(__name__)
 
 
 class ContextMode(Enum):
@@ -343,9 +342,9 @@ def run_eval(
     """Evaluate every question under every model and condition.
 
     Iteration order is deterministic: (book, plot, question id, model,
-    condition). Each prompt is assembled when the gateway's runner draws its
-    item, so only a bounded window of prompts is alive at a time; the workers
-    only send requests, and answers are parsed once the runner returns. An
+    condition). Each prompt is assembled when a worker of the gateway's
+    runner draws its item, so at most `max_in_flight` prompts are alive at a
+    time, and answers are parsed once the runner returns. An
     item whose prompt cannot be assembled degrades to an unparseable
     prediction with no request; a backend failure or a bad template fails the
     run before any prediction is written.

@@ -7,7 +7,6 @@ the answer object, or answers directly.
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 from pathlib import Path
 
@@ -17,8 +16,6 @@ from .evalharness import ContextMode, EvalCondition, assemble_context, render_tr
 from .qagen import QuestionState, TomQuestion
 from .tkg import TemporalKG
 from .util import normalize_name, write_json, write_jsonl
-
-logger = logging.getLogger(__name__)
 
 
 class Split(Enum):

@@ -14,7 +14,6 @@ cached.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import re
@@ -35,16 +34,15 @@ from .errors import (
     TransportError,
     UnreadableSource,
 )
-from .util import canonical_json, read_jsonl, sha256_text, write_atomic
+from .util import LazyLogger, canonical_json, read_jsonl, sha256_text, write_atomic
 
 if TYPE_CHECKING:  # annotations only: no gateway user needs these modules loaded
     import socket
     import ssl
-    from concurrent.futures import Future
 
     from .config import BackendSection
 
-logger = logging.getLogger(__name__)
+logger = LazyLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -402,9 +400,6 @@ class RateLimiter:
 HTTP_TIMEOUT_S = 120
 # Longest sleep between two attempts of one request, whatever the base backoff.
 MAX_BACKOFF_S = 60.0
-# Items `Gateway.run` keeps submitted per worker ahead of the oldest unread
-# result: enough that no worker waits for the next item to be built.
-_AHEAD_PER_WORKER = 16
 
 
 def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object, dict[str, str]]:
@@ -754,52 +749,67 @@ class Gateway:
     def run(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """fn over items on `max_in_flight` threads; results in input order.
 
-        Items are drawn from `items` only as the workers need them: at most
-        `max_in_flight * _AHEAD_PER_WORKER` are submitted ahead of the oldest
-        unread result, so a caller that builds each item as it is drawn holds
-        a bounded number of them. Results are read in input order, so a
-        failure raises the exception of the first failing item, as a serial
-        loop would; items that start after a failure (hence after the failed
-        item) skip `fn`, and no further item is drawn. The cache is sealed at
-        the end, also after a failure, so its bytes do not depend on the
-        order the items finished.
+        Each worker draws the next item under one lock, calls `fn` on it and
+        keeps the result by index, so at most `max_in_flight` items are drawn
+        and unfinished at any time: a caller that builds each item as it is
+        drawn holds no more than that. Once an item has failed or `items` has
+        raised, no item is drawn; those already drawn finish. The exception of
+        the first failing item in input order is raised, as a serial loop
+        would raise it, else that of `items`. A `KeyboardInterrupt` while
+        waiting also stops the drawing. The workers are joined and the cache is
+        sealed before `run` returns or raises, so the cache's bytes do not
+        depend on the order the items finished.
         """
-        failed = threading.Event()
+        draw = enumerate(items).__next__
+        lock = threading.Lock()
+        ended = threading.Semaphore(0)  # released by each worker as it returns
+        results: dict[int, R] = {}
+        failures: dict[int, BaseException] = {}  # by item index
+        draw_failure: BaseException | None = None  # raised by `items`
+        stop = False
 
-        def guarded(item: T) -> R | None:
-            if not failed.is_set():
-                try:
-                    return fn(item)
-                except BaseException:
-                    failed.set()
-                    raise
-            return None
+        def work() -> None:
+            nonlocal draw_failure, stop
+            try:
+                while True:
+                    with lock:
+                        if stop:
+                            return
+                        try:
+                            index, item = draw()
+                        except StopIteration:
+                            return
+                        except BaseException as exc:
+                            draw_failure, stop = exc, True
+                            return
+                    try:
+                        results[index] = fn(item)
+                    except BaseException as exc:
+                        failures[index] = exc
+                        stop = True
+            finally:
+                ended.release()
 
-        # Imported here, not at module level: offline stages load this module
-        # for its record types and never run a batch.
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = max(1, self.backend.max_in_flight)
-        window = workers * _AHEAD_PER_WORKER
-        pool = ThreadPoolExecutor(max_workers=workers)
-        pending: deque[Future[R | None]] = deque()  # in input order
-        results: list[R | None] = []
+        workers = [threading.Thread(target=work) for _ in range(max(1, self.backend.max_in_flight))]
+        started = 0
         try:
-            for item in items:
-                pending.append(pool.submit(guarded, item))
-                if failed.is_set():
-                    break
-                if len(pending) == window:
-                    # Read half the window before drawing again: reading one
-                    # result per drawn item cost eval 3 % more CPU.
-                    while len(pending) > window // 2:
-                        results.append(pending.popleft().result())
-            results.extend(future.result() for future in pending)
-            return results
+            for worker in workers:
+                worker.start()
+                started += 1
+            # Not Thread.join: on Python 3.11 an interrupt inside join marks a running thread as ended.
+            for _ in range(started):
+                ended.acquire()
         finally:
-            pool.shutdown(cancel_futures=True)
+            stop = True
+            for worker in workers[:started]:
+                worker.join()
             if self.cache is not None:
                 self.cache.seal()
+        if failures:
+            raise failures[min(failures)]
+        if draw_failure is not None:
+            raise draw_failure
+        return [results[index] for index in range(len(results))]
 
     def submit_batch(self, requests: Iterable[ChatRequest]) -> list[ChatResponse]:
         """`complete` over the requests on `run`, in their order; the first failure raises."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import random
 import re
 from enum import Enum
@@ -36,10 +35,11 @@ from .llmgate import ChatRequest, Gateway, user_request
 from .tkg import TemporalKG, state_at_or_empty
 from .triples import DIMENSIONS, Dimension, MentalStateTriple, TemplateOverride, plot_prompt, render_template
 from .util import (
-    format_half_up, load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl,
+    LazyLogger, format_half_up, load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv,
+    write_jsonl,
 )
 
-logger = logging.getLogger(__name__)
+logger = LazyLogger(__name__)
 
 LETTERS = ("A", "B", "C", "D")
 

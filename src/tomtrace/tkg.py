@@ -32,7 +32,6 @@ is ever retired in this mode.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from enum import Enum
 from pathlib import Path
@@ -45,8 +44,6 @@ from .errors import (
 )
 from .triples import Dimension, MentalStateTriple, TripleBatch, triple_fields, triple_from_record
 from .util import normalize_name, sha256_text, write_atomic
-
-logger = logging.getLogger(__name__)
 
 
 class MergeMode(Enum):

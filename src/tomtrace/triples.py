@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import re
 from enum import Enum
 from importlib import resources
@@ -28,9 +27,11 @@ from .errors import (
     UnparseableResponse,
 )
 from .llmgate import ChatRequest, Gateway, user_request
-from .util import load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl
+from .util import (
+    LazyLogger, load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl,
+)
 
-logger = logging.getLogger(__name__)
+logger = LazyLogger(__name__)
 
 
 class Dimension(Enum):

@@ -1,4 +1,4 @@
-"""Small shared helpers: hashing, rounding, name normalization, record files."""
+"""Small shared helpers: hashing, rounding, name normalization, record files, logging."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import json
 import os
 import random
 import re
+import sys
 import threading
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -16,6 +17,64 @@ from typing import Callable, Iterable, TypeVar
 from .errors import IoError, MalformedRecord, TomtraceError, UnreadableSource
 
 T = TypeVar("T")
+
+# `logging`'s level numbers, so a record's level is known before it is loaded.
+INFO, WARNING = 20, 30
+# `logging.basicConfig` arguments the CLI asked for, applied at the first record that goes through `logging`.
+_basic_config: dict = {}
+_basic_config_lock = threading.Lock()
+
+
+def defer_basic_config(**kwargs: object) -> None:
+    """Have the first record a `LazyLogger` emits call `logging.basicConfig(**kwargs)` first.
+
+    `kwargs["level"]` (WARNING if not given) is also the least level of a
+    record that loads `logging` while nothing else has loaded it.
+    """
+    global _basic_config
+    _basic_config = kwargs
+
+
+class LazyLogger:
+    """`logging.getLogger(name)`, with `logging` imported at the first record it will emit.
+
+    While `logging` is not loaded, nothing can have set a level or added a
+    handler, so a record below the deferred level (else WARNING, as for an
+    unconfigured root logger) would be dropped, and is dropped without loading
+    it. Once anything has loaded `logging`, every record goes through it.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._logger = None
+
+    def info(self, msg: str, *args: object) -> None:
+        self._log(INFO, msg, args)
+
+    def warning(self, msg: str, *args: object) -> None:
+        self._log(WARNING, msg, args)
+
+    def _log(self, level: int, msg: str, args: tuple) -> None:
+        logger = self._logger
+        if logger is None:
+            if "logging" not in sys.modules and level < _basic_config.get("level", WARNING):
+                return
+            import logging
+
+            logger = self._logger = logging.getLogger(self.name)
+        if _basic_config:
+            _apply_basic_config()
+        logger.log(level, msg, *args, stacklevel=3)  # the caller's file and line, not this method's
+
+
+def _apply_basic_config() -> None:
+    global _basic_config
+    import logging
+
+    with _basic_config_lock:
+        if _basic_config:  # cleared only once applied, so no record overtakes the configuration
+            logging.basicConfig(**_basic_config)
+            _basic_config = {}
 
 
 def normalize_name(name: str) -> str:

@@ -5,6 +5,8 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tomtrace.corpus import (
     Book,
@@ -30,7 +32,7 @@ from tomtrace.errors import (
 )
 
 from conftest import DATA
-from tomtrace.util import normalize_name
+from tomtrace.util import clean_name, normalize_name
 
 
 # --- tripartite segmentation -------------------------------------------------
@@ -105,6 +107,68 @@ def test_ambiguous_alias_raises():
     registry.add("Regan", ["The Daughter"])
     with pytest.raises(AmbiguousAlias):
         registry.resolve("the daughter")
+
+
+class _ScanRegistry:
+    """CharacterRegistry as it was before its alias index: `resolve` scans every alias of every name."""
+
+    def __init__(self) -> None:
+        self._aliases: dict[str, set[str]] = {}
+
+    def add(self, canonical, aliases=()):
+        canonical = clean_name(canonical)
+        bucket = self._aliases.setdefault(canonical, set())
+        bucket.add(canonical)
+        for alias in aliases:
+            bucket.add(clean_name(alias))
+
+    def known_names(self):
+        return set().union(*self._aliases.values())
+
+    def resolve(self, name):
+        wanted = normalize_name(name)
+        if not wanted:
+            raise NoSpeaker("empty character name")
+        hits = [
+            canonical
+            for canonical, aliases in self._aliases.items()
+            if any(normalize_name(a) == wanted for a in aliases)
+        ]
+        if len(hits) > 1:
+            raise AmbiguousAlias(f"{name!r} matches {sorted(hits)}")
+        if hits:
+            return hits[0]
+        canonical = clean_name(name)
+        self.add(canonical)
+        return canonical
+
+
+# Spellings that differ in case, inner and outer whitespace and casefolding (ß, É), and blank ones.
+_NAMES = st.sampled_from([
+    "Lear", "lear", "King Lear", "king  lear", " KING LEAR ", "the king", "Fool", "the Fool", "Kent",
+    "Goneril", "Regan", "the daughter", "The  Daughter", "Édgar", "ÉDGAR", "Straße", "STRASSE", "", "  ",
+])
+
+
+def _outcome(resolve, name):
+    try:
+        return "resolved", resolve(name)
+    except (AmbiguousAlias, NoSpeaker) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_NAMES, st.none() | st.lists(_NAMES, max_size=3)), max_size=30))
+def test_resolve_agrees_with_a_scan_of_every_alias(steps):
+    """Each step adds a name with its aliases, or (aliases None) resolves it, on both registries."""
+    registry, scan = CharacterRegistry(), _ScanRegistry()
+    for name, aliases in steps:
+        if aliases is None:
+            assert _outcome(registry.resolve, name) == _outcome(scan.resolve, name)
+        else:
+            registry.add(name, aliases)
+            scan.add(name, aliases)
+        assert registry.known_names() == scan.known_names()
 
 
 # --- ingestion -------------------------------------------------------------------

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from tomtrace import evalharness, llmgate
+from tomtrace import evalharness
 from conftest import replace, replay_script
 from tomtrace.config import BackendSection
 from tomtrace.errors import MissingKg, MissingPlot, UnknownQuestionId
@@ -406,7 +406,7 @@ def test_run_eval_holds_at_most_a_window_of_assembled_prompts(fixture_corpus, tm
     """Each prompt is assembled when the runner draws it, not all before the first request."""
     gateway = catch_all_gateway()
     gateway.backend = replace(gateway.backend, max_in_flight=1)
-    window = llmgate._AHEAD_PER_WORKER
+    window = gateway.backend.max_in_flight
     counts = {"assembled": 0, "answered": 0, "held": 0}
     real_assemble, real_complete = evalharness.assemble_context, gateway.complete
 

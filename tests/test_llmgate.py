@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 import socket
@@ -405,7 +406,7 @@ def test_gateway_run_starts_no_item_after_one_has_failed():
         raised.set()
         raise TransportError(f"item {n}")
 
-    def items():  # later items reach the pool's one worker while it is idle, before any result is read
+    def items():  # item 1 is ready once item 0 has failed, and the one worker could draw it
         yield 0
         raised.wait(timeout=10)
         yield 1
@@ -419,7 +420,7 @@ def test_gateway_run_starts_no_item_after_one_has_failed():
 
 def test_gateway_run_draws_at_most_a_window_of_items_before_the_first_result():
     gw = Gateway(replace(BACKEND, max_in_flight=2))
-    window = 2 * llmgate._AHEAD_PER_WORKER
+    window = 2  # max_in_flight
     drawn, at_first_return, release = [], [], threading.Event()
 
     def items():
@@ -478,23 +479,100 @@ def test_gateway_run_draws_no_item_after_one_has_failed_and_seals_the_cache(tmp_
 @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
 def test_gateway_run_keeps_input_order_while_drawing_a_bounded_window(max_in_flight):
     gw = Gateway(replace(BACKEND, max_in_flight=max_in_flight))
-    window = max_in_flight * llmgate._AHEAD_PER_WORKER
-    count = 5 * window
-    drawn, ahead = [], []
+    count = 80 * max_in_flight
+    lock = threading.Lock()
+    drawn, finished, open_at_draw = [], set(), []
 
     def items():
         for n in range(count):
-            drawn.append(n)
+            with lock:
+                drawn.append(n)
+                open_at_draw.append(len(drawn) - len(finished))  # drawn and unfinished, this one included
             yield n
 
     def work(n):
-        ahead.append(len(drawn) - n)  # items drawn beyond this one, which is not yet read
         time.sleep(0.0001 * (n % 7))
+        with lock:
+            finished.add(n)
         return n * n
 
     assert gw.run(work, items()) == [n * n for n in range(count)]
     assert len(drawn) == count
-    assert max(ahead) <= window
+    assert max(open_at_draw) <= max_in_flight
+
+
+def test_gateway_run_calls_fn_once_per_item_under_contention():
+    """Stress: 16 workers share the items and the results, the interpreter switching threads as often as it can."""
+    gw = Gateway(replace(BACKEND, max_in_flight=16))
+    calls = [0] * 3000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(n):
+            calls[n] += 1
+            return n * n
+
+        results = gw.run(work, iter(range(3000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [n * n for n in range(3000)]
+    assert calls == [1] * 3000
+
+
+def test_gateway_run_raises_what_the_items_raise_once_the_drawn_items_finish(tmp_path, monkeypatch):
+    monkeypatch.setenv("TT_TOKEN", "t")
+    transport, calls = _live_transport("answer", delay_s=0.01)
+    cache = ResponseCache(tmp_path)
+    seals = []
+    real_seal = cache.seal
+    monkeypatch.setattr(cache, "seal", lambda: seals.append(real_seal()))
+    gw = Gateway(replace(BACKEND, max_in_flight=4), cache=cache, transport=transport)
+    finished = []
+
+    def ask(n):
+        response = gw.complete(user_request("m", f"prompt {n}"))
+        finished.append(n)
+        return response
+
+    def items():
+        yield from range(3)
+        raise ValueError("the source broke")
+
+    threads = threading.enumerate()
+    with pytest.raises(ValueError, match="the source broke"):
+        gw.run(ask, items())
+    assert threading.enumerate() == threads
+    assert sorted(finished) == [0, 1, 2] and calls["n"] == 3
+    assert seals == [None]
+    assert len(cache.path.read_bytes().splitlines()) == 3
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs a signal sent to the main thread")
+def test_gateway_run_stops_drawing_joins_and_seals_after_an_interrupt(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path)
+    seals = []
+    real_seal = cache.seal
+    monkeypatch.setattr(cache, "seal", lambda: seals.append(real_seal()))
+    gw = Gateway(replace(BACKEND, max_in_flight=2), cache=cache)
+    drawn = []
+
+    def items():
+        for n in range(1000):
+            drawn.append(n)
+            yield n
+
+    def work(n):
+        if n == 20:  # Ctrl-C while the main thread waits for the workers, long after it started them
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.001)
+        return n
+
+    threads = threading.enumerate()
+    with pytest.raises(KeyboardInterrupt):
+        gw.run(work, items())
+    assert threading.enumerate() == threads
+    assert len(drawn) < 500
+    assert seals == [None]
 
 
 def test_gateway_cache_single_flight_per_key(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tomtrace
-from conftest import CONFIG, ENTRY_POINT, derived_config, run_cli, run_entry_point
+from conftest import CONFIG, ENTRY_POINT, derived_config, run_entry_point
 from tomtrace.config import load_config
 
 
@@ -55,20 +55,20 @@ MODULES_AT_EXIT = (
 PIPELINE_MODULES = {f"tomtrace.{m}" for m in ("llmgate", "triples", "tkg", "qagen", "evalharness", "ftemit")}
 REQUEST_MODULES = {"concurrent.futures", "http.client", "urllib.request"}
 OFFLINE_COMMANDS = ("ingest", "build-kg", "report", "review-export", "review-import", "emit-ft", "stats")
+MODEL_COMMANDS = ("extract", "genqa", "verify", "eval")
 
 
 @pytest.fixture(scope="module")
-def modules_at_exit(tmp_path_factory) -> dict[str, set[str]]:
-    """Per command, the modules loaded when its process exits.
+def stage_processes(tmp_path_factory) -> dict[str, tuple[set[str], list[str]]]:
+    """Per command, the modules loaded when its process exits and the stderr lines before them.
 
-    `--version` and every offline command run on the fixture in a fresh
-    interpreter; the model stages that feed them run in this process.
-    emit-ft waives the human-verification gate, so every question goes
-    through emit_example. Each config has been parsed once before any of
-    them starts.
+    `--version` and every command of the pipeline run on the fixture in a
+    fresh interpreter. emit-ft waives the human-verification gate, so every
+    question goes through emit_example. Each config has been parsed once
+    before any of them starts.
     """
     out = tmp_path_factory.mktemp("imports") / "out"
-    loaded: dict[str, set[str]] = {}
+    runs: dict[str, tuple[set[str], list[str]]] = {}
     unverified = derived_config(out.parent, ft={"require_human_verified": False})
     for config in (CONFIG, unverified):
         load_config(config)
@@ -76,21 +76,25 @@ def modules_at_exit(tmp_path_factory) -> dict[str, set[str]]:
     def run(name: str, *args: str) -> None:
         result = run_entry_point(*args, code=MODULES_AT_EXIT)
         assert result.returncode == 0, result.stderr
-        label, *modules = result.stderr.splitlines()[-1].split()
+        *stderr, last = result.stderr.splitlines()
+        label, *modules = last.split()
         assert label == "modules:", result.stderr
-        loaded[name] = set(modules)
+        runs[name] = (set(modules), stderr)
 
     run("--version", "--version")
     steps = ["ingest", "extract", "build-kg", "genqa", "verify", "eval", "report", "review-export",
              f"review-import {out / 'review.csv'}", "emit-ft", "stats"]
     for step in steps:
         name = step.split()[0]
-        if name in OFFLINE_COMMANDS:
-            config = unverified if name == "emit-ft" else CONFIG
-            run(name, "-c", str(config), "--out", str(out), *step.split())
-        else:
-            run_cli(out, step)
-    return loaded
+        config = unverified if name == "emit-ft" else CONFIG
+        run(name, "-c", str(config), "--out", str(out), *step.split())
+    return runs
+
+
+@pytest.fixture(scope="module")
+def modules_at_exit(stage_processes) -> dict[str, set[str]]:
+    """Per command, the modules loaded when its process exits."""
+    return {name: modules for name, (modules, _) in stage_processes.items()}
 
 
 def test_version_and_ingest_load_no_module_of_the_later_stages(modules_at_exit):
@@ -100,10 +104,46 @@ def test_version_and_ingest_load_no_module_of_the_later_stages(modules_at_exit):
 
 
 def test_no_offline_command_loads_a_thread_pool_or_an_http_client(modules_at_exit):
-    assert set(modules_at_exit) == {"--version", *OFFLINE_COMMANDS}
+    assert set(modules_at_exit) == {"--version", *OFFLINE_COMMANDS, *MODEL_COMMANDS}
     for command in OFFLINE_COMMANDS:
         assert modules_at_exit[command] & REQUEST_MODULES == set(), command
     assert {"tomtrace.evalharness", "tomtrace.qagen"} <= modules_at_exit["report"]
+
+
+def test_no_model_stage_loads_a_thread_pool(modules_at_exit):
+    """`Gateway.run` works on plain threads, so a stage answered from its replay script or a warm cache loads no executor."""
+    for command in MODEL_COMMANDS:
+        assert "concurrent.futures" not in modules_at_exit[command], command
+
+
+def test_a_command_that_logs_nothing_loads_no_logging(stage_processes):
+    """`logging` is imported at the first record a stage emits; on the fixture only ingest warns."""
+    warned = {name for name, (_, stderr) in stage_processes.items() if any("WARNING" in line for line in stderr)}
+    assert warned == {"ingest"}
+    for command, (modules, _) in stage_processes.items():
+        if command not in warned:
+            assert "logging" not in modules, command
+
+
+def test_ingest_warns_on_stderr_in_the_configured_format(stage_processes):
+    _, stderr = stage_processes["ingest"]
+    assert stderr == [
+        "WARNING tomtrace.corpus: king-lear:plot[1]:conv[1]: skipping line without speaker prefix:"
+        " 'A hush falls over the assembled court.'",
+    ]
+
+
+def test_verbose_extract_reports_a_triple_kept_with_violations(tmp_path):
+    """A record below WARNING is emitted, in the configured format, once `--verbose` asks for it."""
+    config = derived_config(tmp_path, triples={"strict_perspective": False})
+    out = tmp_path / "out"
+    assert run_entry_point("-c", str(config), "--out", str(out), "ingest").returncode == 0
+    quiet = run_entry_point("-c", str(config), "--out", str(out), "extract")
+    verbose = run_entry_point("-c", str(config), "--out", str(out), "--verbose", "extract")
+    assert quiet.returncode == verbose.returncode == 0, verbose.stderr
+    kept = [line for line in verbose.stderr.splitlines() if "kept triple with violations" in line]
+    assert kept and all(line.startswith("INFO tomtrace.triples: ") for line in kept), verbose.stderr
+    assert "kept triple with violations" not in quiet.stderr
 
 
 def test_no_offline_command_loads_yaml_once_the_config_was_parsed(modules_at_exit):
