@@ -8,12 +8,11 @@ option only picks where output goes or which file is written. Exit codes: 0
 success, 1 user, usage or config error, 2 backend failure.
 
 Each stage runs in a process of its own, so start-up is paid per stage: the
-arguments are parsed by the standard library's argparse with the sub-parser
-of the command being run alone, a command imports the pipeline modules it
-runs inside its body, and at exit the collector's passes over objects that
-die with the process are skipped. No stage loads `dataclasses`, `inspect`,
-`decimal`, `fractions` or `concurrent.futures`, and `logging` is loaded only
-by a stage that emits a record.
+arguments are parsed by the standard library's argparse, a command imports
+the pipeline modules it runs inside its body, and at exit the collector's
+passes over objects that die with the process are skipped. No stage loads
+`dataclasses`, `inspect`, `decimal`, `fractions` or `concurrent.futures`,
+and `logging` is loaded only by a stage that emits a record.
 """
 
 from __future__ import annotations
@@ -177,17 +176,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _WrongGuess(Exception):
-    """A parser built for the command guessed from the arguments found them in error."""
-
-
-class _GuessParser(_Parser):
-    """A `_Parser` that leaves the report of a usage error to the parser of every command."""
-
-    def error(self, message):
-        raise _WrongGuess
-
-
 # An option's flags (none for a positional argument) and its other `add_argument` keywords.
 Option = tuple[tuple[str, ...], dict]
 
@@ -234,35 +222,18 @@ class CommandTable:
 
         return register
 
-    def _parser(self, prog: str, names, parser_class: type[_Parser] = _Parser) -> argparse.ArgumentParser:
-        """The parser of the global options and of the commands `names`."""
-        parser = parser_class(prog=prog, description="Mental-state pipeline over plot-segmented narrative corpora.")
+    def _parser(self, prog: str) -> _Parser:
+        """The parser of the global options and of every command."""
+        parser = _Parser(prog=prog, description="Mental-state pipeline over plot-segmented narrative corpora.")
         _add_options(parser, self.params)
         choices = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-        for name in names:
-            command = self.commands[name]
+        for name, command in self.commands.items():
             summary = (command.callback.__doc__ or "").strip()
             _add_options(choices.add_parser(name, help=summary, description=summary), command.params)
         return parser
 
-    def _parse(self, args: list[str], prog: str) -> dict:
-        """The options in `args`, the command's name under "command".
-
-        A stage names its command, so the first argument that names one picks
-        the only sub-parser built. Every command's is built when no argument
-        names one or `--help` is given, and again when the guess meets a
-        usage error, so help and error reports are the full parser's.
-        """
-        guess = next((arg for arg in args if arg in self.commands), None)
-        if guess is not None and "--help" not in args:
-            try:
-                return vars(self._parser(prog, [guess], _GuessParser).parse_args(args))
-            except _WrongGuess:
-                pass
-        return vars(self._parser(prog, self.commands).parse_args(args))
-
     def __call__(self, args: list[str] | None = None, prog_name: str | None = None):
-        options = self._parse(sys.argv[1:] if args is None else args, prog_name or "tomtrace")
+        options = vars(self._parser(prog_name or "tomtrace").parse_args(sys.argv[1:] if args is None else args))
         command = self.commands[options.pop("command")]
         defer_basic_config(  # logging is loaded at the first record a stage emits, if any
             level=INFO if options.pop("verbose") else WARNING,

@@ -93,11 +93,9 @@ def render_triple_block(question: TomQuestion, kg: TemporalKG | None) -> str:
 
 
 class EvalPrompt:
-    __slots__ = ("question_id", "condition", "text", "token_estimate")
+    __slots__ = ("text", "token_estimate")
 
-    def __init__(self, question_id: str, condition: EvalCondition, text: str, token_estimate: int) -> None:
-        self.question_id = question_id
-        self.condition = condition
+    def __init__(self, text: str, token_estimate: int) -> None:
         self.text = text
         self.token_estimate = token_estimate
 
@@ -144,12 +142,7 @@ def assemble_context(
         triple_block=triple_block,
         instructions=instructions,
     )
-    return EvalPrompt(
-        question_id=question.id,
-        condition=condition,
-        text=text,
-        token_estimate=estimate_tokens(text),
-    )
+    return EvalPrompt(text, estimate_tokens(text))
 
 
 # --- answer parsing ---------------------------------------------------------------

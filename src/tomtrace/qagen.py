@@ -443,7 +443,8 @@ def verify_questions(
 
     Each question is one verify -> regenerate -> verify chain; chains run on
     the gateway's runner. Returns the final questions and every verdict, both
-    in question order.
+    in question order; a question this run left rejected is logged, in the
+    same order.
     """
 
     def chain(question: TomQuestion) -> tuple[TomQuestion, list[VerificationVerdict]]:
@@ -467,11 +468,13 @@ def verify_questions(
                         current, random.Random(f"{seed}:{current.id}:{current.attempt}")
                     )
             except AttemptsExhausted:
-                logger.warning("%s: attempts exhausted, left rejected", current.id)
                 break
         return current, verdicts
 
     results = gateway.run(chain, questions)
+    for question, verdicts in results:  # on the calling thread, so in question order
+        if verdicts and question.state is QuestionState.REJECTED:
+            logger.warning("%s: attempts exhausted, left rejected", question.id)
     return [q for q, _ in results], [v for _, verdicts in results for v in verdicts]
 
 

@@ -296,7 +296,6 @@ def _insert_trust_llm_diff(
             link = SupersedeLink(old_id=edge.id, new_id=successor.id, reason=reason)
             kg.supersede_links.append(link)
             edge.valid_to = plot_index
-            successor.supersedes = edge.id
             (log.contradicted if reason is SupersedeReason.CONTRADICTED else log.refined).append(link)
         else:
             # No strictly-later same-key successor: the batch dropped it.
@@ -341,7 +340,6 @@ def _insert_deterministic(
             link = SupersedeLink(old_id=edge.id, new_id=triple.id, reason=SupersedeReason.REFINED)
             kg.supersede_links.append(link)
             edge.valid_to = plot_index
-            triple.supersedes = edge.id
             log.refined.append(link)
 
 
@@ -479,7 +477,6 @@ def save_kg(kg: TemporalKG, path: Path | str) -> Path:
                     "record": "edge",
                     **triple_fields(edge),
                     "plot_index": edge.plot_index,
-                    "supersedes": edge.supersedes,
                     "character": character,
                 }
             )

@@ -68,8 +68,7 @@ _PRONOUN_RE = re.compile(r"\b(?:%s)\b" % "|".join(PRONOUN_TOKENS), re.IGNORECASE
 
 
 class MentalStateTriple:
-    __slots__ = ("id", "subject", "predicate_raw", "dimension", "target", "object", "plot_index",
-                 "valid_to", "supersedes")
+    __slots__ = ("id", "subject", "predicate_raw", "dimension", "target", "object", "plot_index", "valid_to")
 
     def __init__(
         self,
@@ -80,7 +79,6 @@ class MentalStateTriple:
         target: str | None,
         object: str,
         plot_index: int,
-        supersedes: str | None = None,
     ) -> None:
         self.id = id
         self.subject = subject
@@ -92,7 +90,6 @@ class MentalStateTriple:
         # First plot at which a later batch superseded or retired this edge; the
         # edge holds over [plot_index, valid_to). None while it is still active.
         self.valid_to: int | None = None
-        self.supersedes = supersedes
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -332,9 +329,7 @@ def parse_triple_response(
 
 class ViolationKind(Enum):
     PRONOUN_IN_OBJECT = "pronoun_in_object"
-    SUBJECT_MISMATCH = "subject_mismatch"
     UNKNOWN_TARGET = "unknown_target"
-    DIMENSION_MISMATCH = "dimension_mismatch"
 
 
 class Violation:
@@ -347,23 +342,20 @@ class Violation:
 
 def validate_triple(
     triple: MentalStateTriple,
-    character: str,
     visible_cast: set[str] | list[str],
     known_names: set[str] | None = None,
 ) -> list[Violation]:
-    """Perspective and well-formedness checks; returns all violations found."""
+    """Perspective checks on an object and a target; returns all violations found.
+
+    The subject and the dimension need no check: `parse_triple_response`
+    rejects a subject other than the batch's character, and `make_triple`
+    takes the dimension from the predicate.
+    """
     violations: list[Violation] = []
     pronouns = sorted({m.group(0).casefold() for m in _PRONOUN_RE.finditer(triple.object)})
     if pronouns:
         violations.append(
             Violation(ViolationKind.PRONOUN_IN_OBJECT, f"object uses pronoun(s) {pronouns}")
-        )
-    if normalize_name(triple.subject) != normalize_name(character):
-        violations.append(
-            Violation(
-                ViolationKind.SUBJECT_MISMATCH,
-                f"subject {triple.subject!r} is not {character!r}",
-            )
         )
     if triple.target is not None:
         allowed = {normalize_name(n) for n in visible_cast}
@@ -373,19 +365,6 @@ def validate_triple(
             violations.append(
                 Violation(ViolationKind.UNKNOWN_TARGET, f"target {triple.target!r} not in cast")
             )
-    try:
-        expected = classify_dimension(triple.predicate_raw)
-        if expected is not triple.dimension:
-            violations.append(
-                Violation(
-                    ViolationKind.DIMENSION_MISMATCH,
-                    f"predicate classifies as {expected.label}, triple says {triple.dimension.label}",
-                )
-            )
-    except UnknownPredicate:
-        violations.append(
-            Violation(ViolationKind.DIMENSION_MISMATCH, "predicate matches no dimension stem")
-        )
     return violations
 
 
@@ -509,7 +488,7 @@ def triple_to_record(book_id: str, character: str, triple: MentalStateTriple) ->
 
 
 def triple_from_record(rec: dict) -> MentalStateTriple:
-    """A triple from a triple record or a graph edge record (which adds `supersedes`)."""
+    """A triple from a triple record or a graph edge record; keys it does not name are ignored."""
     return MentalStateTriple(
         id=rec["id"],
         subject=rec["subject"],
@@ -518,7 +497,6 @@ def triple_from_record(rec: dict) -> MentalStateTriple:
         target=rec.get("target"),
         object=rec["object"],
         plot_index=rec["plot_index"],
-        supersedes=rec.get("supersedes"),
     )
 
 
@@ -529,12 +507,14 @@ def _reject_record(book_id: str, character: str, plot_index: int, raw: str, reas
 class Extraction:
     """Extraction output records, in character -> plot order."""
 
-    __slots__ = ("triples", "rejects", "rejected")
+    __slots__ = ("triples", "rejects", "rejected", "log")
 
     def __init__(self) -> None:
         self.triples: list[dict] = []
         self.rejects: list[dict] = []
         self.rejected = 0  # entries rejected from parsed responses; unparseable responses are not counted
+        # One chain's diagnostics as (logger method, arguments), emitted on the calling thread in input order.
+        self.log: list[tuple[Callable, tuple]] = []
 
     def extend(self, other: "Extraction") -> None:
         self.triples += other.triples
@@ -566,25 +546,21 @@ def _extract_chain(
         try:
             batch = parse_triple_response(response.text, character, plot.index, book_id=book.id)
         except UnparseableResponse as exc:
-            logger.warning("%s/%s/p%d: %s", book.id, character, plot.index, exc)
+            out.log.append((logger.warning, ("%s/%s/p%d: %s", book.id, character, plot.index, exc)))
             out.rejects.append(_reject_record(book.id, character, plot.index, response.text, str(exc)))
             continue
         visible_cast = sorted({name for conv in convs for name in conv.cast})
         kept: list[MentalStateTriple] = []
         for triple in batch.triples:
-            violations = validate_triple(triple, character, visible_cast, known_names)
+            violations = validate_triple(triple, visible_cast, known_names)
             if violations and strict:
                 reason = "; ".join(v.detail for v in violations)
                 batch.rejects.append(RejectedEntry(raw=render_triple(triple), reason=reason))
                 continue
             if violations:
-                logger.info(
-                    "%s/%s/p%d: kept triple with violations: %s",
-                    book.id,
-                    character,
-                    plot.index,
-                    [v.kind.value for v in violations],
-                )
+                kinds = [v.kind.value for v in violations]
+                out.log.append((logger.info, ("%s/%s/p%d: kept triple with violations: %s",
+                                              book.id, character, plot.index, kinds)))
             kept.append(triple)
         out.triples += [triple_to_record(book.id, character, t) for t in kept]
         out.rejects += [_reject_record(book.id, character, plot.index, r.raw, r.reason) for r in batch.rejects]
@@ -605,7 +581,8 @@ def extract_triples(
     """Extract every speaker's triples through every book, keyed by book id.
 
     Each (book, character) chain is sequential; chains run concurrently on
-    the gateway's runner and are merged back in book -> character order.
+    the gateway's runner and are merged back, and their diagnostics logged,
+    in book -> character order.
     """
     chains = [(book, character) for book in books for character in book.speakers()]
 
@@ -625,6 +602,8 @@ def extract_triples(
 
     results = {book.id: Extraction() for book in books}
     for (book, _), extraction in zip(chains, gateway.run(run_chain, chains)):
+        for emit, args in extraction.log:
+            emit(*args)
         results[book.id].extend(extraction)
     return results
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import CONFIG, DATA, http_backend, run_cli, send_reply, tree_bytes
+from conftest import CONFIG, DATA, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
 from test_llmgate import _refused_url
 from tomtrace import cli, llmgate
 from tomtrace.llmgate import ChatRequest, ReplayScript
@@ -27,13 +27,16 @@ from tomtrace.llmgate import ChatRequest, ReplayScript
 STAGES = ("ingest", "extract", "build-kg", "genqa", "verify", "eval", "report")
 
 
-def _write_config(tmp_path: Path, endpoint: str = "") -> Path:
+def _write_config(tmp_path: Path, endpoint: str = "", **sections: dict) -> Path:
+    """The live-path fixture config, with each of `sections` updated, written under `tmp_path`."""
     raw = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
     raw["corpus"]["input"] = str(DATA / "books")
     raw["corpus"]["alias_tables"] = {"king-lear": str(DATA / "king-lear-aliases.txt")}
     raw["replay"] = {}
     raw["backend"]["endpoint"] = endpoint
     raw["backend"]["retry_base_backoff_s"] = 0.0
+    for name, values in sections.items():
+        raw[name].update(values)
     path = tmp_path / "config" / "live.yaml"  # apart from the out trees, so manifests name inputs alike
     path.parent.mkdir()
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
@@ -183,3 +186,63 @@ def test_eval_rerun_sends_only_the_unanswered_requests(pipeline_out, tmp_path, m
     whole_bytes, resumed_bytes = tree_bytes(whole), tree_bytes(resumed)
     assert whole_bytes.keys() == resumed_bytes.keys()
     assert [name for name in whole_bytes if whole_bytes[name] != resumed_bytes[name]] == []
+
+
+# The entry point with a live transport that answers after a random 0-5 ms delay: every
+# verification fails, the Fool's extractions cannot be parsed, and the rest comes from the
+# replay script named by the first argument. So diagnostics arise on chains that finish out of order.
+DELAYED_ENTRY_POINT = """\
+import random, sys, threading, time
+from tomtrace import llmgate
+from tomtrace.cli import main
+
+script = llmgate.ReplayScript.load(sys.argv.pop(1))
+rng, lock = random.Random(4), threading.Lock()
+
+
+def transport(url, payload, headers):
+    with lock:
+        delay = rng.uniform(0.0, 0.005)
+    time.sleep(delay)
+    messages = tuple((m["role"], m["content"]) for m in payload["messages"])
+    prompt = messages[-1][1]
+    if prompt.startswith("You are reviewing"):
+        text = '{"verdict": "fail", "notes": "ambiguous"}'
+    elif "# Target Character: Fool\\n" in prompt:
+        text = "no triples"
+    else:
+        text = script.lookup(llmgate.ChatRequest(model_id=payload["model"], messages=messages))
+    return 200, {"choices": [{"message": {"content": text}}]}, {}
+
+
+llmgate._http_transport = transport
+sys.exit(main())
+"""
+
+
+def test_diagnostics_are_logged_in_input_order_at_any_max_in_flight(tmp_path, monkeypatch):
+    """extract's and verify's records come out on the calling thread, so their stderr does not depend on timing."""
+    monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
+    stderr = {}
+    for in_flight in (1, 4):
+        (tmp_path / str(in_flight)).mkdir()
+        config = _write_config(
+            tmp_path / str(in_flight), backend={"max_in_flight": in_flight}, verification={"max_attempts": 1}
+        )
+
+        def stage(*args: str) -> str:
+            result = run_entry_point(
+                str(DATA / "replay.jsonl"), "-c", str(config), "--out", str(tmp_path / str(in_flight) / "out"),
+                *args, code=DELAYED_ENTRY_POINT,
+            )
+            assert result.returncode == 0, result.stderr
+            return result.stderr
+
+        stage("ingest")
+        stderr[in_flight] = stage("--verbose", "extract"), stage("build-kg"), stage("genqa"), stage("verify")
+        assert stage("verify") == ""  # every question was verified before, so none is warned of again
+    assert stderr[4] == stderr[1]
+    extract, verify = stderr[1][0].splitlines(), stderr[1][3].splitlines()
+    assert sum("kept triple with violations" in line for line in extract) > 1
+    assert sum("no triple entries found" in line for line in extract) == 1
+    assert len(verify) == 20 and all(line.endswith(": attempts exhausted, left rejected") for line in verify)

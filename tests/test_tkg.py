@@ -93,7 +93,6 @@ def test_refinement_links_old_to_new():
     log = insert_batch(kg, batch_for("Kent", 2, ("Desires", "to serve the king in disguise")))
     [link] = log.refined
     assert link.reason is SupersedeReason.REFINED
-    assert kg.edges[link.new_id].supersedes == link.old_id
     assert state_at(kg, "Kent", 1)[0].id == link.old_id
     assert state_at(kg, "Kent", 2)[0].id == link.new_id
 
@@ -410,7 +409,7 @@ def test_load_rejects_empty_and_headerless(tmp_path):
 
 def test_load_keeps_every_edge_field(tmp_path):
     kg = _sample_graph()
-    assert any(edge.supersedes for edge in kg.edges.values())
+    assert any(edge.valid_to is not None for edge in kg.edges.values())
     assert load_kg(save_kg(kg, tmp_path / "g.kg.jsonl")).edges == kg.edges
 
 

@@ -7,7 +7,6 @@ import pytest
 from tomtrace.errors import CharacterAbsent, ForeignSubject, UnknownPredicate, UnparseableResponse
 from tomtrace.triples import (
     Dimension,
-    MentalStateTriple,
     TripleBatch,
     ViolationKind,
     build_extraction_prompt,
@@ -207,46 +206,30 @@ def test_validate_clean_triple():
         "King Lear", "FeelsTowardsCordelia",
         "wounded and betrayed by Cordelia's refusal to flatter King Lear", 1,
     )
-    assert validate_triple(triple, "King Lear", CAST) == []
+    assert validate_triple(triple, CAST) == []
 
 
 def test_validate_pronoun_in_object():
     triple = make_triple("King Lear", "Believes", "his daughters adore him", 1)
-    kinds = [v.kind for v in validate_triple(triple, "King Lear", CAST)]
+    kinds = [v.kind for v in validate_triple(triple, CAST)]
     assert kinds == [ViolationKind.PRONOUN_IN_OBJECT]
 
 
 def test_pronoun_matches_whole_words_only():
     # "them" inside "theme" or "she" inside "shelter" must not trip the check.
     triple = make_triple("Kent", "Believes", "the theme of shelter recurs", 1)
-    assert validate_triple(triple, "Kent", {"Kent"}) == []
-
-
-def test_validate_subject_mismatch():
-    triple = make_triple("Goneril", "Desires", "the largest share", 1)
-    kinds = [v.kind for v in validate_triple(triple, "King Lear", CAST)]
-    assert ViolationKind.SUBJECT_MISMATCH in kinds
+    assert validate_triple(triple, {"Kent"}) == []
 
 
 def test_validate_unknown_target():
     triple = make_triple("King Lear", "FeelsTowardsFrance", "suspicion of the suitor", 1)
-    kinds = [v.kind for v in validate_triple(triple, "King Lear", CAST)]
+    kinds = [v.kind for v in validate_triple(triple, CAST)]
     assert kinds == [ViolationKind.UNKNOWN_TARGET]
 
 
 def test_known_names_waive_unknown_target():
     triple = make_triple("King Lear", "FeelsTowardsFrance", "suspicion of the suitor", 1)
-    assert validate_triple(triple, "King Lear", CAST, known_names={"France"}) == []
-
-
-def test_validate_dimension_mismatch():
-    triple = MentalStateTriple(
-        id="x", subject="Kent", predicate_raw="Believes",
-        dimension=Dimension.EMOTION, target=None,
-        object="the storm will pass", plot_index=1,
-    )
-    kinds = [v.kind for v in validate_triple(triple, "Kent", {"Kent"})]
-    assert kinds == [ViolationKind.DIMENSION_MISMATCH]
+    assert validate_triple(triple, CAST, known_names={"France"}) == []
 
 
 # --- prompt building ----------------------------------------------------------------
