@@ -339,5 +339,8 @@ def _validate(config: PipelineConfig) -> None:
     for i, pair in enumerate(config.merge.antonym_pairs):
         if len(pair) != 2:
             raise ConfigInvalid(f"merge.antonym_pairs[{i}] must have two items, got {pair!r}")
+    for i, model in enumerate(config.eval.models):
+        if not model:
+            raise ConfigInvalid(f"eval.models[{i}] must be non-empty")
     if config.needs_seed() and config.seed is None:
         raise ConfigInvalid("seed is required when sampling or shuffling is enabled")

@@ -15,6 +15,7 @@ from typing import Callable
 
 from .errors import (
     AmbiguousAlias,
+    DuplicateBookId,
     DuplicatePlotIndex,
     MalformedRecord,
     NoSpeaker,
@@ -309,6 +310,7 @@ def ingest_corpus(
 
     books: list[Book] = []
     registries: dict[str, CharacterRegistry] = {}
+    sources: dict[str, Path] = {}  # book id -> the file that gave it
     for file in files:
         if format == "coser":
             book = _parse_coser_book(read(file))
@@ -316,6 +318,9 @@ def ingest_corpus(
             book = _parse_normalized_book(read(file))
         else:
             raise UnreadableSource(f"unknown corpus format: {format!r}")
+        first = sources.setdefault(book.id, file)
+        if first != file:
+            raise DuplicateBookId(f"{first} and {file} both give book id {book.id!r}")
         registry = CharacterRegistry()
         if alias_tables and book.id in alias_tables:
             registry = load_alias_table(read(alias_tables[book.id]))

@@ -30,6 +30,10 @@ class DuplicatePlotIndex(TomtraceError):
     """Two plots in one book claim the same index."""
 
 
+class DuplicateBookId(TomtraceError):
+    """Two book files give the same book id."""
+
+
 class NoSpeaker(TomtraceError):
     """Dialogue line carries no 'Name:' prefix."""
 
@@ -68,10 +72,6 @@ class UnparseableResponse(TomtraceError):
 
 class UnknownPredicate(TomtraceError):
     """Predicate matches none of the dimension stems."""
-
-
-class CharacterAbsent(TomtraceError):
-    """Target character speaks in no conversation of the plot."""
 
 
 # --- temporal graph -------------------------------------------------------

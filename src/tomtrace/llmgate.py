@@ -5,10 +5,10 @@ which holds the config's `backend:` settings (`config.BackendSection`).
 `Gateway.complete` answers from a replay script when one is loaded, else from
 a read-through response cache in front of `Gateway._request`, which sends the
 request with retries, backoff and the rate limiter. Every request has a
-stable content digest, which keys both the replay script and the cache. Auth
-material is read from the environment at call time and never serialized into
-logs or cache entries. An empty completion is a backend failure and is never
-cached.
+stable content digest, which keys the replay script, the cache and the
+in-flight table. Auth material is read from the environment at call time and
+never serialized into logs or cache entries. An empty completion is a backend
+failure and is never cached.
 """
 
 from __future__ import annotations
@@ -47,79 +47,43 @@ logger = LazyLogger(__name__)
 T = TypeVar("T")
 R = TypeVar("R")
 
-_ROLES = ("system", "user", "assistant")
-
-
 def estimate_tokens(text: str) -> int:
     """Character-count heuristic: one token per four characters, rounded up."""
     return math.ceil(len(text) / 4)
 
 
 class ChatRequest:
-    """A model request. Immutable and hashable by value: it keys the gateway's in-flight table."""
+    """One user message to `model_id`, sent at temperature 0 with no seed."""
 
-    __slots__ = ("model_id", "messages", "temperature", "max_output_tokens", "seed")
+    __slots__ = ("model_id", "messages", "max_output_tokens")
 
-    def __init__(
-        self,
-        model_id: str,
-        messages: tuple[tuple[str, str], ...],
-        temperature: float = 0.0,
-        max_output_tokens: int = 2048,
-        seed: int | None = None,
-    ) -> None:
+    def __init__(self, model_id: str, text: str, max_output_tokens: int = 2048) -> None:
         if not model_id:
             raise ValueError("model_id must be non-empty")
-        if not messages:
-            raise ValueError("at least one message required")
-        for role, _ in messages:
-            if role not in _ROLES:
-                raise ValueError(f"unknown role {role!r}")
-        if not any(role == "user" for role, _ in messages):
-            raise ValueError("at least one user message required")
-        if not 0.0 <= temperature <= 2.0:
-            raise ValueError("temperature out of range [0, 2]")
         if max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
-        for name, value in zip(self.__slots__, (model_id, messages, temperature, max_output_tokens, seed)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return self.model_id, self.messages, self.temperature, self.max_output_tokens, self.seed
-
-    def __eq__(self, other) -> bool:
-        return self._fields() == other._fields() if type(other) is ChatRequest else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "ChatRequest(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+        self.model_id = model_id
+        self.messages = (("user", text),)
+        self.max_output_tokens = max_output_tokens
 
     @property
     def digest(self) -> str:
         payload = {
             "model_id": self.model_id,
             "messages": [[role, text] for role, text in self.messages],
-            "temperature": self.temperature,
+            "temperature": 0.0,
             "max_output_tokens": self.max_output_tokens,
-            "seed": self.seed,
+            "seed": None,
         }
         return sha256_text(canonical_json(payload))
 
     def prompt_text(self) -> str:
-        return "\n\n".join(text for _, text in self.messages)
+        return self.messages[0][1]
 
 
-def user_request(model_id: str, text: str, **kwargs) -> ChatRequest:
-    """A single-user-message request, the form every pipeline stage sends."""
-    return ChatRequest(model_id=model_id, messages=(("user", text),), **kwargs)
+def user_request(model_id: str, text: str, max_output_tokens: int = 2048) -> ChatRequest:
+    """The request every pipeline stage sends: `text` as one user message."""
+    return ChatRequest(model_id, text, max_output_tokens)
 
 
 class ChatResponse:
@@ -653,7 +617,7 @@ class Gateway:
         self._transport = transport
         self._sleep = sleep_fn
         self._limiter = RateLimiter(backend.requests_per_minute, time_fn, sleep_fn)
-        self._in_flight: dict[ChatRequest, threading.Lock] = {}
+        self._in_flight: dict[str, threading.Lock] = {}  # by request digest
         self._in_flight_guard = threading.Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -671,11 +635,11 @@ class Gateway:
             return self._request(request)
         # Single flight: a call for a request already in flight waits for its
         # cache entry instead of sending it again.
+        digest = request.digest  # once per call: it hashes the whole prompt
         with self._in_flight_guard:
-            lock = self._in_flight.setdefault(request, threading.Lock())
+            lock = self._in_flight.setdefault(digest, threading.Lock())
         with lock:
             try:
-                digest = request.digest  # once per call: it hashes the whole prompt
                 response = self.cache.get(request, self.backend, digest)
                 if response is None:
                     response = self._request(request)
@@ -683,8 +647,8 @@ class Gateway:
                 return response
             finally:
                 with self._in_flight_guard:
-                    if self._in_flight.get(request) is lock:
-                        del self._in_flight[request]
+                    if self._in_flight.get(digest) is lock:
+                        del self._in_flight[digest]
 
     def _request(self, request: ChatRequest) -> ChatResponse:
         """Send `request`; 429s, 5xx and lost connections are retried with exponential backoff.
@@ -700,11 +664,9 @@ class Gateway:
         payload = {
             "model": request.model_id,
             "messages": [{"role": role, "content": text} for role, text in request.messages],
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_output_tokens,
         }
-        if request.seed is not None:
-            payload["seed"] = request.seed
         headers = {"Authorization": f"Bearer {token}"}
 
         last_failure = ""

@@ -38,7 +38,6 @@ from pathlib import Path
 
 from .errors import (
     CorruptGraphFile,
-    ForeignSubject,
     NonMonotoneInsert,
     UnknownCharacter,
 )
@@ -212,11 +211,6 @@ def insert_batch(
 ) -> ChangeLog:
     """Insert one extraction batch; mutates the graph, returns the diff."""
     rules = rules or ContradictionRules()
-    for triple in batch.triples:
-        if normalize_name(triple.subject) != normalize_name(batch.character):
-            raise ForeignSubject(
-                f"triple subject {triple.subject!r} in a {batch.character!r} batch"
-            )
     node = kg.nodes.get(batch.character)
     if node is None:
         node = CharacterNode(canonical_name=batch.character)

@@ -19,7 +19,6 @@ from typing import Callable
 
 from .corpus import Book, CharacterRegistry, Conversation, Plot, render_turn
 from .errors import (
-    CharacterAbsent,
     ConfigInvalid,
     ForeignSubject,
     MissingUpstreamArtifact,
@@ -193,10 +192,6 @@ class TripleBatch:
                 raise ForeignSubject(
                     f"triple subject {triple.subject!r} in a {self.character!r} batch"
                 )
-            if triple.plot_index != self.plot_index:
-                raise ValueError(
-                    f"triple plot {triple.plot_index} in a plot-{self.plot_index} batch"
-                )
 
 
 # --- response parsing --------------------------------------------------------
@@ -272,8 +267,8 @@ def _json_entries(body: str) -> list[str] | None:
 
 def parse_triple_response(
     text: str,
-    character: str | None = None,
-    plot_index: int = 1,
+    character: str,
+    plot_index: int,
     *,
     book_id: str = "",
 ) -> TripleBatch:
@@ -295,16 +290,14 @@ def parse_triple_response(
 
     triples: list[MentalStateTriple] = []
     rejects: list[RejectedEntry] = []
-    batch_character = character
+    wanted = normalize_name(character)
     for ordinal, entry in enumerate(entries):
         parts = _split_triple_entry(entry)
         if parts is None:
             rejects.append(RejectedEntry(entry, "malformed triple: need (subject, predicate, object)"))
             continue
         subject, predicate, obj = parts
-        if batch_character is None:
-            batch_character = subject
-        if normalize_name(subject) != normalize_name(batch_character):
+        if normalize_name(subject) != wanted:
             rejects.append(RejectedEntry(entry, f"foreign subject {subject!r}"))
             continue
         try:
@@ -315,10 +308,8 @@ def parse_triple_response(
             rejects.append(RejectedEntry(entry, str(exc)))
             continue
         triples.append(triple)
-    if batch_character is None:
-        raise UnparseableResponse("no well-formed triple entries in response")
     return TripleBatch(
-        character=batch_character,
+        character=character,
         plot_index=plot_index,
         triples=triples,
         rejects=rejects,
@@ -400,15 +391,6 @@ def render_template(name: str, override: TemplateOverride | None = None, **field
         raise ConfigInvalid(f"template {label}: {exc}") from exc
 
 
-def character_speaks(character: str, conversations: list[Conversation]) -> bool:
-    wanted = normalize_name(character)
-    return any(
-        normalize_name(turn.speaker) == wanted
-        for conv in conversations
-        for turn in conv.turns
-    )
-
-
 def render_dialogues(conversations: list[Conversation]) -> str:
     blocks = []
     for conv in conversations:
@@ -432,8 +414,6 @@ def plot_prompt(
     max_output_tokens: int,
 ) -> ChatRequest:
     """Instantiate a per-character plot template: extraction and question generation share it."""
-    if not character_speaks(character, conversations):
-        raise CharacterAbsent(f"{character!r} speaks in no conversation of plot {plot.index}")
     ordered = sorted(previous_triples, key=lambda t: t.plot_index)
     prompt = render_template(
         template_name,

@@ -104,14 +104,12 @@ def replay_script(*records: dict) -> ReplayScript:
 
 
 def as_dict(obj) -> dict:
-    """The fields of a config section or a ChatRequest by name, each nested section a dict too."""
-    names = getattr(type(obj), "__slots__", None) or vars(obj)
-    values = {name: getattr(obj, name) for name in names}
-    return {name: as_dict(v) if isinstance(v, Section) else v for name, v in values.items()}
+    """The fields of a config section by name, each nested section a dict too."""
+    return {name: as_dict(v) if isinstance(v, Section) else v for name, v in vars(obj).items()}
 
 
 def replace(obj, **changes):
-    """A copy of a config section or a ChatRequest with `changes` made to its fields."""
+    """A copy of a config section with `changes` made to its fields."""
     return type(obj)(**{**as_dict(obj), **changes})
 
 

@@ -475,6 +475,30 @@ def test_replay_miss_after_a_full_run_exits_two(tmp_path):
     assert not (out / "cache").exists()
 
 
+def test_an_empty_eval_model_exits_one_without_a_traceback(tmp_path):
+    config = derived_config(tmp_path, eval={"models": [""]})
+    result = run_entry_point("-c", str(config), "--out", str(tmp_path / "out"), "eval")
+    assert result.returncode == 1
+    assert result.stderr == "error: eval.models[0] must be non-empty\n"
+
+
+def test_two_books_with_one_id_exit_one_before_writing(tmp_path):
+    """Both titles slugify to king-lear: ingesting both would keep one book and drop the other."""
+    fixture = json.loads((CONFIG.parent / "books" / "king-lear.json").read_text(encoding="utf-8"))
+    books = tmp_path / "books"
+    books.mkdir()
+    first, second = books / "a.json", books / "b.json"
+    first.write_text(json.dumps({"title": "King Lear", "plots": fixture["plots"][:2]}), encoding="utf-8")
+    second.write_text(json.dumps({"title": "King  LEAR!", "plots": fixture["plots"][:1]}), encoding="utf-8")
+    config = derived_config(tmp_path, corpus={"input": str(books)})
+    out = tmp_path / "out"
+    result = run_entry_point("-c", str(config), "--out", str(out), "ingest")
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == f"error: {first} and {second} both give book id 'king-lear'"
+    assert "Traceback" not in result.stderr
+    assert not (out / "corpus").exists()
+
+
 @pytest.mark.parametrize("lines, line_number", [
     (['{"prompt_pattern": "x", "respo'], 1),
     (['{"prompt_pattern": "x", "response_text": "ok"}', '{"prompt_pattern": "x"}'], 2),
@@ -589,8 +613,8 @@ def test_a_template_override_reaches_every_prompt_of_its_stage(tmp_path, monkeyp
     assert manifest["inputs"]["override.txt"] == hashlib.sha256(template.read_bytes()).hexdigest()
 
 
-def test_each_kind_of_request_keeps_its_temperature_and_output_budget(tmp_path, monkeypatch):
-    """Both parameters enter the request digest, so a changed value orphans every cached answer."""
+def test_each_kind_of_request_keeps_its_output_budget(tmp_path, monkeypatch):
+    """The budget enters the request digest, so a changed value orphans every cached answer."""
     sent = []
     real_complete = Gateway.complete
     monkeypatch.setattr(Gateway, "complete", lambda self, request: sent.append(request) or real_complete(self, request))
@@ -601,13 +625,13 @@ def test_each_kind_of_request_keeps_its_temperature_and_output_budget(tmp_path, 
         run_cli(out, command)
         for request in sent:
             kind = "regenerate" if "was rejected during review" in request.prompt_text() else command
-            seen.setdefault(kind, set()).add((request.temperature, request.max_output_tokens))
+            seen.setdefault(kind, set()).add(request.max_output_tokens)
     assert seen == {
-        "extract": {(0.0, 2048)},
-        "genqa": {(0.0, 3072)},
-        "verify": {(0.0, 512)},
-        "regenerate": {(0.0, 1024)},
-        "eval": {(0.0, 2048)},
+        "extract": {2048},
+        "genqa": {3072},
+        "verify": {512},
+        "regenerate": {1024},
+        "eval": {2048},
     }
 
 

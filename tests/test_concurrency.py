@@ -22,7 +22,7 @@ import yaml
 from conftest import CONFIG, DATA, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
 from test_llmgate import _refused_url
 from tomtrace import cli, llmgate
-from tomtrace.llmgate import ChatRequest, ReplayScript
+from tomtrace.llmgate import ReplayScript, user_request
 
 STAGES = ("ingest", "extract", "build-kg", "genqa", "verify", "eval", "report")
 
@@ -49,10 +49,8 @@ def live_config(tmp_path) -> Path:
 
 
 def _scripted_answer(script: ReplayScript, payload: dict) -> dict:
-    request = ChatRequest(
-        model_id=payload["model"],
-        messages=tuple((m["role"], m["content"]) for m in payload["messages"]),
-    )
+    [message] = payload["messages"]
+    request = user_request(payload["model"], message["content"], max_output_tokens=payload["max_tokens"])
     return {"choices": [{"message": {"content": script.lookup(request)}}]}
 
 
@@ -204,14 +202,14 @@ def transport(url, payload, headers):
     with lock:
         delay = rng.uniform(0.0, 0.005)
     time.sleep(delay)
-    messages = tuple((m["role"], m["content"]) for m in payload["messages"])
-    prompt = messages[-1][1]
+    [message] = payload["messages"]
+    prompt = message["content"]
     if prompt.startswith("You are reviewing"):
         text = '{"verdict": "fail", "notes": "ambiguous"}'
     elif "# Target Character: Fool\\n" in prompt:
         text = "no triples"
     else:
-        text = script.lookup(llmgate.ChatRequest(model_id=payload["model"], messages=messages))
+        text = script.lookup(llmgate.user_request(payload["model"], prompt, max_output_tokens=payload["max_tokens"]))
     return 200, {"choices": [{"message": {"content": text}}]}, {}
 
 

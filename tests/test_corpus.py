@@ -25,6 +25,7 @@ from tomtrace.corpus import (
 )
 from tomtrace.errors import (
     AmbiguousAlias,
+    DuplicateBookId,
     DuplicatePlotIndex,
     MalformedRecord,
     NoSpeaker,
@@ -239,6 +240,16 @@ def test_duplicate_indices_rejected(tmp_path):
         fh.write(json.dumps({**rec, "index": 1}) + "\n")
     with pytest.raises(DuplicatePlotIndex):
         ingest_corpus(target, format="jsonl")
+
+
+def test_two_normalized_books_with_one_id_rejected(tmp_path):
+    rec = {"book_id": "dup", "title": "Dup", "summary": "s", "index": 1, "conversations": [
+        {"environment": "", "cast": [], "turns": [
+            {"speaker": "A", "segments": [{"kind": "speech", "text": "hi"}]}]}]}
+    for name in ("a.jsonl", "b.jsonl"):
+        (tmp_path / name).write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(DuplicateBookId, match="a.jsonl and .*b.jsonl both give book id 'dup'"):
+        ingest_corpus(tmp_path, format="jsonl")
 
 
 @pytest.mark.parametrize("change, reason", [

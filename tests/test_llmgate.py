@@ -53,19 +53,25 @@ def test_request_digest_stable_and_sensitive():
     c = user_request("m", "hello!")
     assert a.digest == b.digest
     assert a.digest != c.digest
-    assert a.digest != replace(a, temperature=0.5).digest
+    assert a.digest != user_request("m", "hello", max_output_tokens=7).digest
+
+
+# Digests computed by earlier releases: a change to them orphans every cached answer.
+@pytest.mark.parametrize("budget, digest", [
+    (2048, "d6e7ad7e83ae5cffdfc6d3e34f6bd97c94418a9b8e335dd0afa929afe6d2175e"),  # extraction and eval
+    (3072, "c4c8bb48f802d84814a8306a080d278b6689b09b94f2e5046ded048170932974"),  # question generation
+    (512, "39973e0332fa4160d9b8eff8ab3d2c3e117ddf353234d624e7528e86b2b8e166"),  # verification
+    (1024, "33aa8c8013ea4ebf4ffbf21675ab1dfb8c5994e982dd68672b11b3611f52c7b1"),  # regeneration
+])
+def test_request_digest_is_pinned(budget, digest):
+    assert user_request("replay-gpt", "hello", max_output_tokens=budget).digest == digest
 
 
 def test_request_is_frozen_and_validated():
-    req = user_request("m", "hi")
-    with pytest.raises(AttributeError):
-        req.model_id = "other"
     with pytest.raises(ValueError):
-        ChatRequest(model_id="", messages=(("user", "x"),))
+        ChatRequest(model_id="", text="x")
     with pytest.raises(ValueError):
-        ChatRequest(model_id="m", messages=())
-    with pytest.raises(ValueError):
-        user_request("m", "x", temperature=3.0)
+        user_request("m", "x", max_output_tokens=0)
 
 
 # --- replay ----------------------------------------------------------------------
@@ -785,7 +791,7 @@ def _replies(*replies):
 
 def test_http_request_carries_headers_and_payload(monkeypatch, no_resource_warnings):
     monkeypatch.setenv("TT_TOKEN", "tok-http")
-    request = ChatRequest(model_id="m", messages=(("system", "be brief"), ("user", "héllo")), seed=5)
+    request = user_request("m", "héllo")
     with http_backend(_replies((200, ANSWER))) as server:
         response = _call(server.url, request)
     assert (response.text, response.prompt_tokens, response.output_tokens) == ("live answer", 7, 3)
@@ -794,10 +800,9 @@ def test_http_request_carries_headers_and_payload(monkeypatch, no_resource_warni
     assert headers["Content-Type"] == "application/json"
     assert payload == {
         "model": "m",
-        "messages": [{"role": "system", "content": "be brief"}, {"role": "user", "content": "héllo"}],
+        "messages": [{"role": "user", "content": "héllo"}],
         "temperature": 0.0,
         "max_tokens": 2048,
-        "seed": 5,
     }
 
 

@@ -12,7 +12,6 @@ from tomtrace.errors import (
     AmbiguousCorrect,
     AttemptsExhausted,
     BadOptionCount,
-    CharacterAbsent,
     InvalidState,
     MissingDimension,
     UnparseableResponse,
@@ -384,12 +383,6 @@ def test_regenerate_attempt_budget():
     q = make_question(state=QuestionState.REJECTED, attempt=3)
     with pytest.raises(AttemptsExhausted):
         regenerate(q, gw, max_attempts=3, model_id="m")
-
-
-def test_question_prompt_requires_speaker(fixture_corpus):
-    plot = fixture_corpus.books[0].plots[0]
-    with pytest.raises(CharacterAbsent):
-        build_question_prompt(plot, plot.conversations, "Oswald", [], model_id="m")
 
 
 def test_question_prompt_fills_placeholders(fixture_corpus):

@@ -10,7 +10,6 @@ from tomtrace.config import load_config
 
 from tomtrace.errors import (
     CorruptGraphFile,
-    ForeignSubject,
     NonMonotoneInsert,
     UnknownCharacter,
 )
@@ -250,14 +249,6 @@ def test_monotonicity_is_per_character():
     kg = fresh_kg()
     insert_batch(kg, batch_for("Kent", 3, ("Desires", "rest")))
     insert_batch(kg, batch_for("Cordelia", 1, ("Desires", "honesty")))  # fine
-
-
-def test_foreign_subject_rejected_at_insert():
-    kg = fresh_kg()
-    batch = batch_for("Kent", 1, ("Desires", "rest"))
-    batch.triples[0].subject = "Oswald"
-    with pytest.raises(ForeignSubject):
-        insert_batch(kg, batch)
 
 
 def test_state_at_bounds():

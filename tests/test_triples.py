@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from tomtrace.errors import CharacterAbsent, ForeignSubject, UnknownPredicate, UnparseableResponse
+from tomtrace.errors import ForeignSubject, UnknownPredicate, UnparseableResponse
 from tomtrace.triples import (
     Dimension,
     TripleBatch,
@@ -150,11 +150,6 @@ def test_foreign_subject_quarantined():
     assert "Oswald" in batch.rejects[0].reason
 
 
-def test_batch_character_inferred_from_first_subject():
-    batch = parse_triple_response("(Kent, Desires, rest)", None, 1)
-    assert batch.character == "Kent"
-
-
 def test_unparseable_responses():
     with pytest.raises(UnparseableResponse):
         parse_triple_response("", "Kent", 1)
@@ -182,12 +177,6 @@ def test_render_round_trip():
 def test_batch_rejects_foreign_subject():
     triple = make_triple("Oswald", "Desires", "favor", 1)
     with pytest.raises(ForeignSubject):
-        TripleBatch(character="Kent", plot_index=1, triples=[triple])
-
-
-def test_batch_rejects_plot_mismatch():
-    triple = make_triple("Kent", "Desires", "rest", 2)
-    with pytest.raises(ValueError):
         TripleBatch(character="Kent", plot_index=1, triples=[triple])
 
 
@@ -248,13 +237,6 @@ def test_extraction_prompt_fills_placeholders(fixture_corpus):
     assert "(King Lear, Desires, professions of love)" in prompt
     assert "Nothing will come of nothing." in prompt
     assert "$" not in prompt  # every placeholder substituted
-
-
-def test_extraction_prompt_requires_speaking_character(fixture_corpus):
-    book = fixture_corpus.books[0]
-    plot = book.plots[0]
-    with pytest.raises(CharacterAbsent):
-        build_extraction_prompt(plot, plot.conversations, "Oswald", [], model_id="m")
 
 
 def test_extraction_prompt_orders_previous_triples(fixture_corpus):
