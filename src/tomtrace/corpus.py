@@ -312,12 +312,7 @@ def ingest_corpus(
     registries: dict[str, CharacterRegistry] = {}
     sources: dict[str, Path] = {}  # book id -> the file that gave it
     for file in files:
-        if format == "coser":
-            book = _parse_coser_book(read(file))
-        elif format == "jsonl":
-            book = _parse_normalized_book(read(file))
-        else:
-            raise UnreadableSource(f"unknown corpus format: {format!r}")
+        book = _parse_normalized_book(read(file)) if format == "jsonl" else _parse_coser_book(read(file))
         first = sources.setdefault(book.id, file)
         if first != file:
             raise DuplicateBookId(f"{first} and {file} both give book id {book.id!r}")

@@ -134,10 +134,6 @@ class MissingKg(TomtraceError):
 
 # --- fine-tune emission ---------------------------------------------------
 
-class UnverifiedQuestion(TomtraceError):
-    """Question is not human-verified and verification was not waived."""
-
-
 class UnknownBook(TomtraceError):
     """Split names a book that is not in the corpus."""
 

@@ -20,7 +20,7 @@ from .corpus import Corpus
 from .errors import ConfigInvalid, MissingKg, MissingPlot, UnknownQuestionId
 from .llmgate import ChatRequest, estimate_tokens, user_request
 from .qagen import TomQuestion
-from .tkg import TemporalKG, state_at_or_empty
+from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, TemplateOverride, render_template, render_triple
 from .util import LazyLogger, format_half_up, read_jsonl, write_jsonl
 
@@ -61,8 +61,6 @@ def conditions(context: str, triples: str) -> list[EvalCondition]:
     return [EvalCondition(m, t) for m in modes for t in flags]
 
 
-ANSWER_STYLES = ("triples_then_answer", "answer_only")
-
 _INSTRUCTIONS_TRIPLES_FIRST = (
     "First, identify the relevant mental state triples (beliefs, emotions, intentions, "
     "or desires) that explain {character}'s psychology in this scenario.\n"
@@ -88,7 +86,7 @@ def render_triple_block(question: TomQuestion, kg: TemporalKG | None) -> str:
     (none for a character with no node in the graph)."""
     if kg is None:
         raise MissingKg(f"condition needs triples but no graph given for {question.book_id}")
-    triples = state_at_or_empty(kg, question.character, question.plot_index)
+    triples = state_at(kg, question.character, question.plot_index)
     return "\n".join([TRIPLE_BLOCK_HEADER, *map(render_triple, triples)])
 
 
@@ -110,8 +108,6 @@ def assemble_context(
     template_override: TemplateOverride | None = None,
 ) -> EvalPrompt:
     """Build the standardized question prompt for one condition."""
-    if answer_style not in ANSWER_STYLES:
-        raise ValueError(f"unknown answer style {answer_style!r}")
     book = corpus.book(question.book_id)
     if book is None:
         raise MissingPlot(f"book {question.book_id!r} not in corpus")

@@ -11,7 +11,7 @@ from enum import Enum
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import UnknownBook, UnverifiedQuestion
+from .errors import UnknownBook
 from .evalharness import ContextMode, EvalCondition, assemble_context, render_triple_block
 from .qagen import QuestionState, TomQuestion
 from .tkg import TemporalKG
@@ -45,11 +45,8 @@ def emit_example(
     with_triples: bool,
     *,
     corpus: Corpus,
-    waive_verification: bool = False,
 ) -> TrainingExample:
-    """One supervised example for a human-verified question."""
-    if question.state is not QuestionState.HUMAN_VERIFIED and not waive_verification:
-        raise UnverifiedQuestion(f"{question.id} is {question.state.value}, not human_verified")
+    """One supervised example; `emit_training_files` decides which questions get one."""
     condition = EvalCondition(ContextMode.CURRENT_PLOT, triples_enabled=False)
     prompt = assemble_context(question, corpus, kg, condition)
     output = "Answer:\n{answer: %s}" % question.correct
@@ -102,8 +99,9 @@ def emit_training_files(
 ) -> list[tuple[Path, int]]:
     """Write one file per split and triple variant ("on", "off" or "both").
 
-    Without the waiver only human-verified questions are emitted. Returns
-    (path, example count) in write order.
+    This is the human-verification gate: without the waiver only
+    human-verified questions are emitted. Returns (path, example count) in
+    write order.
     """
     if not waive_verification:
         questions = [q for q in questions if q.state is QuestionState.HUMAN_VERIFIED]
@@ -112,10 +110,7 @@ def emit_training_files(
     written = []
     for split, bucket in ((Split.TRAIN, result.train), (Split.OOD_TEST, result.ood)):
         for triples in variants:
-            examples = [
-                emit_example(q, kgs.get(q.book_id), triples, corpus=corpus, waive_verification=waive_verification)
-                for q in bucket
-            ]
+            examples = [emit_example(q, kgs.get(q.book_id), triples, corpus=corpus) for q in bucket]
             target = out_dir / f"{split.value}_{'with' if triples else 'without'}_triples.jsonl"
             written.append((target, write_training_file(examples, target)))
     return written

@@ -87,18 +87,15 @@ def user_request(model_id: str, text: str, max_output_tokens: int = 2048) -> Cha
 
 
 class ChatResponse:
-    __slots__ = ("text", "prompt_tokens", "output_tokens", "backend_id", "cached")
+    __slots__ = ("text", "prompt_tokens", "output_tokens", "backend_id")
 
-    def __init__(
-        self, text: str, prompt_tokens: int, output_tokens: int, backend_id: str, cached: bool = False
-    ) -> None:
+    def __init__(self, text: str, prompt_tokens: int, output_tokens: int, backend_id: str) -> None:
         if not text:
             raise ValueError("empty response text")
         self.text = text
         self.prompt_tokens = prompt_tokens
         self.output_tokens = output_tokens
         self.backend_id = backend_id
-        self.cached = cached
 
 
 # --- replay -----------------------------------------------------------------
@@ -112,8 +109,6 @@ class ReplayScript:
     """
 
     def __init__(self, default_policy: str = "error", default_text: str = "") -> None:
-        if default_policy not in ("error", "fixed"):
-            raise ValueError(f"unknown replay policy {default_policy!r}")
         self.default_policy = default_policy
         self.default_text = default_text
         self._by_digest: dict[str, str] = {}
@@ -171,11 +166,13 @@ class ResponseCache:
 
     Each line is `<key> <entry JSON>`. The key covers the request digest and
     the backend name, so the same prompt against two backends never collides.
-    `put` appends a line; `get` reads the line that an index of key -> byte
-    offset names (built by one scan on first use; the last line for a key
-    wins). `seal` rewrites the log sorted by key, one line per key, so its
-    bytes do not depend on the order of the puts. Corrupt lines, such as the
-    torn last line of a killed writer, are misses with a warning.
+    Callers pass the digest they already computed: `put(request, backend,
+    response, request.digest)` appends a line, and `get(request.digest,
+    backend)` reads the line that an index of key -> byte offset names (built
+    by one scan on first use; the last line for a key wins). `seal` rewrites
+    the log sorted by key, one line per key, so its bytes do not depend on the
+    order of the puts. Corrupt lines, such as the torn last line of a killed
+    writer, are misses with a warning.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -186,15 +183,12 @@ class ResponseCache:
         self._unsealed = False
 
     @staticmethod
-    def key_for(request: ChatRequest, backend: BackendSection, digest: str | None = None) -> str:
-        """The entry key; pass `digest` when the caller already has `request.digest`."""
-        return sha256_text(f"{digest or request.digest}:{backend.name}")
+    def key_for(digest: str, backend: BackendSection) -> str:
+        """The entry key of the request whose `ChatRequest.digest` is `digest`."""
+        return sha256_text(f"{digest}:{backend.name}")
 
-    def get(
-        self, request: ChatRequest, backend: BackendSection, digest: str | None = None
-    ) -> ChatResponse | None:
-        digest = digest or request.digest
-        key = self.key_for(request, backend, digest)
+    def get(self, digest: str, backend: BackendSection) -> ChatResponse | None:
+        key = self.key_for(digest, backend)
         try:
             with self._lock:
                 entry = self._entry(key, digest)
@@ -208,7 +202,6 @@ class ResponseCache:
                 prompt_tokens=body["prompt_tokens"],
                 output_tokens=body["output_tokens"],
                 backend_id=body["backend_id"],
-                cached=True,
             )
         except (OSError, ValueError, KeyError, TypeError) as exc:
             logger.warning("corrupt cache entry %s in %s treated as miss: %s", key, self.path, exc)
@@ -257,15 +250,9 @@ class ResponseCache:
             offset += len(line)
         return index
 
-    def put(
-        self,
-        request: ChatRequest,
-        backend: BackendSection,
-        response: ChatResponse,
-        digest: str | None = None,
-    ) -> None:
-        digest = digest or request.digest
-        key = self.key_for(request, backend, digest)
+    def put(self, request: ChatRequest, backend: BackendSection, response: ChatResponse, digest: str) -> None:
+        """Log `response` for `request`, whose `ChatRequest.digest` is `digest`."""
+        key = self.key_for(digest, backend)
         body = {
             "text": response.text,
             "prompt_tokens": response.prompt_tokens,
@@ -608,7 +595,6 @@ class Gateway:
         replay: ReplayScript | None = None,
         cache: ResponseCache | None = None,
         transport: Callable | None = None,
-        time_fn: Callable[[], float] = time.monotonic,
         sleep_fn: Callable[[float], None] = time.sleep,
     ) -> None:
         self.backend = backend
@@ -616,7 +602,7 @@ class Gateway:
         self.cache = cache
         self._transport = transport
         self._sleep = sleep_fn
-        self._limiter = RateLimiter(backend.requests_per_minute, time_fn, sleep_fn)
+        self._limiter = RateLimiter(backend.requests_per_minute, sleep_fn=sleep_fn)
         self._in_flight: dict[str, threading.Lock] = {}  # by request digest
         self._in_flight_guard = threading.Lock()
 
@@ -640,7 +626,7 @@ class Gateway:
             lock = self._in_flight.setdefault(digest, threading.Lock())
         with lock:
             try:
-                response = self.cache.get(request, self.backend, digest)
+                response = self.cache.get(digest, self.backend)
                 if response is None:
                     response = self._request(request)
                     self.cache.put(request, self.backend, response, digest)

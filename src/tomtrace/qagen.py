@@ -32,7 +32,7 @@ from .errors import (
     UnreadableSource,
 )
 from .llmgate import ChatRequest, Gateway, user_request
-from .tkg import TemporalKG, state_at_or_empty
+from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, MentalStateTriple, TemplateOverride, plot_prompt, render_template
 from .util import (
     LazyLogger, format_half_up, load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv,
@@ -382,6 +382,12 @@ def regenerate(
 
 # --- the generation and verification stages -------------------------------------------
 
+# What parsing a generation or regeneration reply raises when the model's text
+# cannot be used. It is not a backend failure, and a cached reply raises it on
+# every rerun, so the stages skip the item and warn instead.
+_UNUSABLE_REPLY = (UnparseableResponse, MissingDimension, BadOptionCount, AmbiguousCorrect)
+
+
 def generate_questions(
     corpus: Corpus,
     kgs: dict[str, TemporalKG],
@@ -396,6 +402,8 @@ def generate_questions(
 
     Prompts, with their graph lookups, are built on the calling thread as the
     gateway's runner draws them; the requests run on the runner's workers.
+    A (book, plot, character) whose reply is unusable gets no questions and
+    one warning, logged on the calling thread in input order.
     """
 
     def jobs() -> Iterator[tuple[str, int, str, ChatRequest]]:
@@ -405,7 +413,7 @@ def generate_questions(
                 for character in plot.speakers():
                     previous: list[MentalStateTriple] = []
                     if kg is not None and plot.index > 1:
-                        previous = state_at_or_empty(kg, character, plot.index - 1)
+                        previous = state_at(kg, character, plot.index - 1)
                     request = build_question_prompt(
                         plot,
                         plot.conversations_of(character),
@@ -416,17 +424,24 @@ def generate_questions(
                     )
                     yield book.id, plot.index, character, request
 
-    def ask(job: tuple[str, int, str, ChatRequest]) -> list[TomQuestion]:
+    def ask(job: tuple[str, int, str, ChatRequest]) -> tuple[list[TomQuestion], str]:
         book_id, plot_index, character, request = job
         response = gateway.complete(request)
-        four = parse_question_response(
-            response.text, book_id=book_id, plot_index=plot_index, character=character
-        )
+        try:
+            four = parse_question_response(
+                response.text, book_id=book_id, plot_index=plot_index, character=character
+            )
+        except _UNUSABLE_REPLY as exc:
+            return [], f"{book_id}/{character}/p{plot_index}: {exc}; skipped"
         if shuffle:
             four = [shuffle_options(q, random.Random(f"{seed}:{q.id}")) for q in four]
-        return four
+        return four, ""
 
-    return [q for four in gateway.run(ask, jobs()) for q in four]
+    results = gateway.run(ask, jobs())
+    for _, problem in results:  # on the calling thread, so in input order
+        if problem:
+            logger.warning("%s", problem)
+    return [q for four, _ in results for q in four]
 
 
 def verify_questions(
@@ -443,13 +458,14 @@ def verify_questions(
 
     Each question is one verify -> regenerate -> verify chain; chains run on
     the gateway's runner. Returns the final questions and every verdict, both
-    in question order; a question this run left rejected is logged, in the
-    same order.
+    in question order. A question this run left rejected, because its attempts
+    ran out or a regeneration reply was unusable, is logged once, in the same
+    order.
     """
 
-    def chain(question: TomQuestion) -> tuple[TomQuestion, list[VerificationVerdict]]:
+    def chain(question: TomQuestion) -> tuple[TomQuestion, list[VerificationVerdict], str]:
         if question.state is not QuestionState.GENERATED:
-            return question, []
+            return question, [], ""
         verdicts = []
         current = question
         while True:
@@ -458,24 +474,23 @@ def verify_questions(
             )
             verdicts.append(verdict)
             if current.state is QuestionState.LLM_VERIFIED:
-                break
+                return current, verdicts, ""
             try:
                 current = regenerate(
                     current, gateway, max_attempts, model_id=model_id, notes=verdict.notes
                 )
-                if shuffle:
-                    current = shuffle_options(
-                        current, random.Random(f"{seed}:{current.id}:{current.attempt}")
-                    )
             except AttemptsExhausted:
-                break
-        return current, verdicts
+                return current, verdicts, "attempts exhausted"
+            except _UNUSABLE_REPLY as exc:
+                return current, verdicts, f"regeneration reply unusable: {exc}"
+            if shuffle:
+                current = shuffle_options(current, random.Random(f"{seed}:{current.id}:{current.attempt}"))
 
     results = gateway.run(chain, questions)
-    for question, verdicts in results:  # on the calling thread, so in question order
-        if verdicts and question.state is QuestionState.REJECTED:
-            logger.warning("%s: attempts exhausted, left rejected", question.id)
-    return [q for q, _ in results], [v for _, verdicts in results for v in verdicts]
+    for question, _, problem in results:  # on the calling thread, so in question order
+        if problem:
+            logger.warning("%s: %s, left rejected", question.id, problem)
+    return [q for q, _, _ in results], [v for _, verdicts, _ in results for v in verdicts]
 
 
 # --- human review round-trip ---------------------------------------------------------

@@ -234,10 +234,8 @@ def insert_batch(
     log = ChangeLog(character=node.canonical_name, plot_index=batch.plot_index)
     if mode is MergeMode.TRUST_LLM_DIFF:
         _insert_trust_llm_diff(kg, node, batch.plot_index, incoming, rules, log)
-    elif mode is MergeMode.DETERMINISTIC_MERGE:
-        _insert_deterministic(kg, node, batch.plot_index, incoming, jaccard_threshold, log)
     else:
-        raise ValueError(f"unknown merge mode {mode!r}")
+        _insert_deterministic(kg, node, batch.plot_index, incoming, jaccard_threshold, log)
     node.last_insert_plot = batch.plot_index
     return log
 
@@ -340,8 +338,15 @@ def _insert_deterministic(
 # --- queries -------------------------------------------------------------------
 
 def state_at(kg: TemporalKG, character: str, plot_t: int) -> list[MentalStateTriple]:
-    """Triples believed active at plot_t, ordered by (plot, insertion)."""
-    node = kg.node_for(character)
+    """Triples believed active at plot_t, ordered by (plot, insertion).
+
+    A character with no node has none: one whose every extraction was
+    rejected or unparseable never entered the graph.
+    """
+    try:
+        node = kg.node_for(character)
+    except UnknownCharacter:
+        return []
     if plot_t < 1:
         raise ValueError(f"plot_t must be >= 1, got {plot_t}")
     if kg.plot_count is not None and plot_t > kg.plot_count:
@@ -349,15 +354,6 @@ def state_at(kg: TemporalKG, character: str, plot_t: int) -> list[MentalStateTri
     edges = (kg.edges[i] for i in kg.index.get(node.canonical_name, []))
     chosen = [e for e in edges if e.plot_index <= plot_t and (e.valid_to is None or plot_t < e.valid_to)]
     return sorted(chosen, key=lambda t: t.plot_index)  # stable: keeps insertion order
-
-
-def state_at_or_empty(kg: TemporalKG, character: str, plot_t: int) -> list[MentalStateTriple]:
-    """`state_at`, but no triples for a character with no node: one whose every
-    extraction was rejected or unparseable never entered the graph."""
-    try:
-        return state_at(kg, character, plot_t)
-    except UnknownCharacter:
-        return []
 
 
 class TimelineEntry:

@@ -10,6 +10,7 @@ a rerun sends only what the failed run left unanswered.
 
 from __future__ import annotations
 
+import logging
 import random
 import shutil
 import threading
@@ -23,6 +24,7 @@ from conftest import CONFIG, DATA, http_backend, run_cli, run_entry_point, send_
 from test_llmgate import _refused_url
 from tomtrace import cli, llmgate
 from tomtrace.llmgate import ReplayScript, user_request
+from tomtrace.qagen import QuestionState, load_questions
 
 STAGES = ("ingest", "extract", "build-kg", "genqa", "verify", "eval", "report")
 
@@ -128,6 +130,57 @@ def test_pipeline_over_http_matches_in_memory_and_resumes_after_an_abort(monkeyp
     assert [name for name in http if http[name] != memory[name]] == []
     assert [name for name in http if http[name] != resumed[name]] == []
     assert http_requests == in_memory_requests
+
+
+def test_an_unusable_question_reply_is_skipped_with_one_warning_on_every_run(
+    monkeypatch, tmp_path, caplog, live_config
+):
+    """Goneril's generation reply and the one regeneration reply cannot be parsed: genqa skips
+    Goneril at plot 1, verify leaves the Fool's desire question rejected, and each warns once and
+    exits 0. Those replies are cached, so a rerun sends no request, warns the same and writes the
+    same bytes."""
+    script = ReplayScript.load(DATA / "replay.jsonl")
+    sent = []
+
+    def transport(url, payload, headers):
+        [message] = payload["messages"]
+        prompt = message["content"]
+        sent.append(prompt)
+        if "was rejected during review" in prompt or (
+            "generate one multiple choice question" in prompt and "Target Character: Goneril" in prompt
+        ):
+            return 200, {"choices": [{"message": {"content": "Sorry, I cannot help with that."}}]}, {}
+        return 200, _scripted_answer(script, payload), {}
+
+    monkeypatch.setattr(llmgate, "_http_transport", transport)
+    monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
+    runs = []
+    for out in (tmp_path / "first", tmp_path / "rerun"):
+        if runs:
+            shutil.copytree(tmp_path / "first" / "cache", out / "cache")
+        run_cli(out, "ingest", "extract", "build-kg", config=live_config)
+        sent.clear()
+        warnings = {}
+        for stage in ("genqa", "verify"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="tomtrace.qagen"):
+                run_cli(out, stage, config=live_config)
+            warnings[stage] = [r.getMessage() for r in caplog.records if r.name == "tomtrace.qagen"]
+        runs.append((len(sent), warnings))
+        run_cli(out, "eval", "report", config=live_config)
+    (first_sent, warnings), (rerun_sent, rerun_warnings) = runs
+    assert warnings == rerun_warnings
+    [genqa_warning], [verify_warning] = warnings["genqa"], warnings["verify"]
+    assert genqa_warning == "king-lear/Goneril/p1: generation response is not JSON; skipped"
+    assert verify_warning.endswith(": regeneration reply unusable: generation response is not JSON, left rejected")
+    assert first_sent > 0 and rerun_sent == 0
+    questions = load_questions(tmp_path / "first" / "questions.jsonl")
+    assert len(questions) == 16 and "Goneril" not in {q.character for q in questions}
+    [rejected] = [q for q in questions if q.state is QuestionState.REJECTED]
+    assert verify_warning.startswith(f"{rejected.id}: ") and rejected.character == "Fool"
+    first, rerun = tree_bytes(tmp_path / "first"), tree_bytes(tmp_path / "rerun")
+    assert first.keys() == rerun.keys()
+    assert [name for name in first if first[name] != rerun[name]] == []
 
 
 def _ready_for_eval(pipeline_out: Path, out: Path) -> Path:

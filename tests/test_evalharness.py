@@ -150,8 +150,6 @@ def test_answer_only_style(fixture_corpus):
                               answer_style="answer_only")
     assert "First, identify" not in prompt.text
     assert "{answer: X}" in prompt.text
-    with pytest.raises(ValueError):
-        assemble_context(question_at(), fixture_corpus, None, CURRENT, answer_style="essay")
 
 
 def test_token_estimate_matches_text(fixture_corpus):

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from tomtrace.errors import IoError, MissingKg, UnknownBook, UnverifiedQuestion
+from tomtrace.errors import IoError, MissingKg, UnknownBook
 from tomtrace.evalharness import TRIPLE_BLOCK_HEADER
 from tomtrace.ftemit import (
     Split,
     SplitSpec,
     emit_example,
+    emit_training_files,
     split_ood,
     write_split_manifest,
     write_training_file,
@@ -87,12 +88,16 @@ def test_both_variants_share_the_same_input(fixture_corpus):
     assert with_triples.input == without.input
 
 
-def test_unverified_question_rejected_unless_waived(fixture_corpus):
-    q = verified_question(state=QuestionState.LLM_VERIFIED)
-    with pytest.raises(UnverifiedQuestion):
-        emit_example(q, None, False, corpus=fixture_corpus)
-    example = emit_example(q, None, False, corpus=fixture_corpus, waive_verification=True)
-    assert example.output.endswith("{answer: B}")
+def test_unverified_question_rejected_unless_waived(fixture_corpus, tmp_path):
+    """The human-verification gate is `emit_training_files`'s filter."""
+    questions = [verified_question(), verified_question(dimension=Dimension.DESIRE, state=QuestionState.LLM_VERIFIED)]
+    spec = SplitSpec(frozenset())
+    gated = emit_training_files(fixture_corpus, {}, questions, spec, "off", tmp_path / "gated")
+    waived = emit_training_files(fixture_corpus, {}, questions, spec, "off", tmp_path / "waived",
+                                 waive_verification=True)
+    assert [count for _, count in gated] == [1, 0] and [count for _, count in waived] == [2, 0]
+    [record] = [json.loads(line) for line in gated[0][0].read_text().splitlines()]
+    assert record["output"] == emit_example(questions[0], None, False, corpus=fixture_corpus).output
 
 
 def test_missing_kg_for_triple_variant(fixture_corpus):

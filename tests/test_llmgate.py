@@ -67,6 +67,12 @@ def test_request_digest_is_pinned(budget, digest):
     assert user_request("replay-gpt", "hello", max_output_tokens=budget).digest == digest
 
 
+def test_cache_key_is_pinned():
+    """Computed by earlier releases: a changed key turns every existing cache into misses."""
+    digest = user_request("replay-gpt", "hello").digest
+    assert ResponseCache.key_for(digest, BACKEND) == "d77493328d06a57ee4064fed471496ceb5e51ef033a3e0d6fc1f6d84be9f5367"
+
+
 def test_request_is_frozen_and_validated():
     with pytest.raises(ValueError):
         ChatRequest(model_id="", text="x")
@@ -133,9 +139,9 @@ def test_cache_round_trip_and_no_token_leak(tmp_path, monkeypatch):
                      "usage": {"prompt_tokens": 3, "completion_tokens": 2}}, {}
 
     first = Gateway(BACKEND, transport=transport).complete(req)
-    cache.put(req, BACKEND, first)
-    hit = cache.get(req, BACKEND)
-    assert hit is not None and hit.text == "live answer" and hit.cached
+    cache.put(req, BACKEND, first, req.digest)
+    hit = cache.get(req.digest, BACKEND)
+    assert hit is not None and hit.text == "live answer"
     # the stored entry must never contain the auth token
     log = tmp_path / "responses.jsonl"
     assert log.is_file() and "secret-token-value" not in log.read_text()
@@ -151,11 +157,12 @@ def test_cache_entry_with_the_former_error_field_is_still_a_hit(tmp_path):
         "response": body,
         "integrity": llmgate.sha256_text(llmgate.canonical_json(body)),
     }
-    (tmp_path / "responses.jsonl").write_text(f"{cache.key_for(req, BACKEND)} {json.dumps(entry)}\n", encoding="utf-8")
-    hit = cache.get(req, BACKEND)
-    assert hit is not None and hit.text == "kept" and hit.cached
+    key = cache.key_for(req.digest, BACKEND)
+    (tmp_path / "responses.jsonl").write_text(f"{key} {json.dumps(entry)}\n", encoding="utf-8")
+    hit = cache.get(req.digest, BACKEND)
+    assert hit is not None and hit.text == "kept"
     fresh = user_request("m", "new entry")
-    cache.put(fresh, BACKEND, ChatResponse(text="new", prompt_tokens=1, output_tokens=1, backend_id=BACKEND.name))
+    cache.put(fresh, BACKEND, _answer("new"), fresh.digest)
     last = (tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()[-1]
     assert "error" not in json.loads(last.split(" ", 1)[1])["response"]
 
@@ -164,10 +171,10 @@ def test_cache_corrupt_entry_is_miss(tmp_path, caplog):
     cache = ResponseCache(tmp_path)
     req = user_request("m", "x")
 
-    key = cache.key_for(req, BACKEND)
+    key = cache.key_for(req.digest, BACKEND)
     (tmp_path / "responses.jsonl").write_text(f"{key} {{not json\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
-        assert cache.get(req, BACKEND) is None
+        assert cache.get(req.digest, BACKEND) is None
     assert any("corrupt" in r.message for r in caplog.records)
 
 
@@ -176,13 +183,13 @@ def test_cache_integrity_check(tmp_path):
     req = user_request("m", "x")
     script = ReplayScript.load(_write_script(tmp_path / "s.jsonl", [{"prompt_pattern": ".", "response_text": "ok"}]))
     resp = Gateway(BACKEND, replay=script).complete(req)
-    cache.put(req, BACKEND, resp)
+    cache.put(req, BACKEND, resp, req.digest)
     log = tmp_path / "responses.jsonl"
     key, raw = log.read_text().rstrip("\n").split(" ", 1)
     entry = json.loads(raw)
     entry["response"]["text"] = "tampered"
     log.write_text(f"{key} {json.dumps(entry)}\n")
-    assert cache.get(req, BACKEND) is None
+    assert cache.get(req.digest, BACKEND) is None
 
 
 # --- rate limiting ------------------------------------------------------------------
@@ -599,7 +606,6 @@ def test_gateway_cache_single_flight_per_key(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert calls["n"] == 20
     assert [r.text for r in responses] == ["shared"] * 200
-    assert sum(not r.cached for r in responses) == 20
     assert gw._in_flight == {}
 
 
@@ -614,10 +620,10 @@ def test_gateway_computes_the_request_digest_once_per_call(tmp_path, monkeypatch
     with monkeypatch.context() as patch:
         patch.setattr(ChatRequest, "digest", counted)
         fresh = gw.complete(req)  # miss: cache read, request, cache write
-        assert gw.complete(req).cached and not fresh.cached
+        assert gw.complete(req).text == fresh.text  # hit: cache read only
     assert len(evaluations) == 2 and calls["n"] == 1
-    # The entry has the layout and bytes a put without a known digest writes.
-    ResponseCache(tmp_path / "plain").put(req, BACKEND, fresh)
+    # The entry has the layout and bytes of a direct put.
+    ResponseCache(tmp_path / "plain").put(req, BACKEND, fresh, req.digest)
     assert [p.name for p in (tmp_path / "gateway").iterdir()] == ["responses.jsonl"]
     assert (tmp_path / "gateway" / "responses.jsonl").read_bytes() == (tmp_path / "plain" / "responses.jsonl").read_bytes()
 
@@ -628,7 +634,7 @@ def test_replay_neither_reads_nor_writes_the_cache(tmp_path):
     )
     cache = ResponseCache(tmp_path / "cache")
     req = user_request("m", "a prompt")
-    cache.put(req, BACKEND, ChatResponse(text="stale", prompt_tokens=1, output_tokens=1, backend_id="x"))
+    cache.put(req, BACKEND, _answer("stale"), req.digest)
     before = sorted(p.name for p in (tmp_path / "cache").rglob("*"))
     gw = Gateway(BACKEND, replay=script, cache=cache)
     assert gw.complete(req).text == "scripted"
@@ -650,11 +656,11 @@ def test_cache_put_never_leaves_a_partial_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(llmgate, "open", lambda path, mode: Killed(path, mode), raising=False)
     with pytest.raises(KeyboardInterrupt):
-        cache.put(req, BACKEND, resp)
+        cache.put(req, BACKEND, resp, req.digest)
     monkeypatch.undo()
-    assert cache.get(req, BACKEND) is None
-    cache.put(req, BACKEND, resp)
-    assert cache.get(req, BACKEND).text == "answer"
+    assert cache.get(req.digest, BACKEND) is None
+    cache.put(req, BACKEND, resp, req.digest)
+    assert cache.get(req.digest, BACKEND).text == "answer"
     cache.seal()
     assert [p.name for p in tmp_path.iterdir()] == ["responses.jsonl"]
     assert len((tmp_path / "responses.jsonl").read_bytes().splitlines()) == 1
@@ -666,19 +672,19 @@ def _answer(text: str) -> ChatResponse:
 
 def test_cache_torn_last_line_is_a_miss_and_the_next_put_starts_a_line(tmp_path, caplog):
     before, torn, after = (user_request("m", name) for name in ("before", "torn", "after"))
-    ResponseCache(tmp_path / "other").put(torn, BACKEND, _answer("lost"))
+    ResponseCache(tmp_path / "other").put(torn, BACKEND, _answer("lost"), torn.digest)
     torn_line = (tmp_path / "other" / "responses.jsonl").read_bytes()
     cache = ResponseCache(tmp_path / "cache")
-    cache.put(before, BACKEND, _answer("kept"))
+    cache.put(before, BACKEND, _answer("kept"), before.digest)
     with open(cache.path, "ab") as log:  # a writer killed mid-append
         log.write(torn_line[: len(torn_line) // 2])
-    cache.put(after, BACKEND, _answer("appended"))
+    cache.put(after, BACKEND, _answer("appended"), after.digest)
 
     fresh = ResponseCache(tmp_path / "cache")
-    assert fresh.get(before, BACKEND).text == "kept"
-    assert fresh.get(after, BACKEND).text == "appended"
+    assert fresh.get(before.digest, BACKEND).text == "kept"
+    assert fresh.get(after.digest, BACKEND).text == "appended"
     with caplog.at_level(logging.WARNING):
-        assert fresh.get(torn, BACKEND) is None
+        assert fresh.get(torn.digest, BACKEND) is None
     assert any("corrupt" in r.message for r in caplog.records)
 
 
@@ -687,39 +693,39 @@ def test_cache_never_answers_for_another_key(tmp_path):
     requests = [user_request("m", f"prompt {n}") for n in range(8)]
     writer = ResponseCache(tmp_path)
     for n, req in enumerate(requests):
-        writer.put(req, BACKEND, _answer(f"answer {n}"))
+        writer.put(req, BACKEND, _answer(f"answer {n}"), req.digest)
     reader = ResponseCache(tmp_path)
-    assert reader.get(requests[0], BACKEND).text == "answer 0"  # builds the reader's index
+    assert reader.get(requests[0].digest, BACKEND).text == "answer 0"  # builds the reader's index
     unsealed = writer.path.read_bytes()
     writer.seal()
     assert writer.path.read_bytes() != unsealed  # the lines moved
     for n, req in enumerate(requests):
-        assert reader.get(req, BACKEND).text == f"answer {n}"
+        assert reader.get(req.digest, BACKEND).text == f"answer {n}"
 
     # A line under the right key whose entry answers another request is a miss.
-    key = ResponseCache.key_for(requests[0], BACKEND)
+    key = ResponseCache.key_for(requests[0].digest, BACKEND)
     other = next(line for line in writer.path.read_text().splitlines() if not line.startswith(key))
     forged = ResponseCache(tmp_path / "forged")
     forged.root.mkdir()
     forged.path.write_text(f"{key} {other.split(' ', 1)[1]}\n")
-    assert forged.get(requests[0], BACKEND) is None
+    assert forged.get(requests[0].digest, BACKEND) is None
 
 
 def test_sealed_cache_bytes_do_not_depend_on_put_order_or_repeats(tmp_path):
     one, two, three = (user_request("m", name) for name in ("one", "two", "three"))
     in_order = ResponseCache(tmp_path / "in-order")
     for req, text in ((one, "new"), (two, "2"), (three, "3")):
-        in_order.put(req, BACKEND, _answer(text))
+        in_order.put(req, BACKEND, _answer(text), req.digest)
     shuffled = ResponseCache(tmp_path / "shuffled")
     for req, text in ((three, "3"), (one, "old"), (two, "2"), (one, "new")):
-        shuffled.put(req, BACKEND, _answer(text))
+        shuffled.put(req, BACKEND, _answer(text), req.digest)
     in_order.seal()
     shuffled.seal()
     assert shuffled.path.read_bytes() == in_order.path.read_bytes()
     keys = [line.split(b" ", 1)[0] for line in shuffled.path.read_bytes().splitlines()]
     assert keys == sorted(set(keys)) and len(keys) == 3
-    assert shuffled.get(one, BACKEND).text == "new"  # the last line for a key wins
-    assert ResponseCache(tmp_path / "shuffled").get(one, BACKEND).text == "new"
+    assert shuffled.get(one.digest, BACKEND).text == "new"  # the last line for a key wins
+    assert ResponseCache(tmp_path / "shuffled").get(one.digest, BACKEND).text == "new"
 
 
 def test_gateway_run_seals_the_cache_when_an_item_raises(tmp_path, monkeypatch):
@@ -728,7 +734,7 @@ def test_gateway_run_seals_the_cache_when_an_item_raises(tmp_path, monkeypatch):
     cache = ResponseCache(tmp_path)
     gw = Gateway(replace(BACKEND, max_in_flight=1), cache=cache, transport=transport)
     prompts = sorted((user_request("m", f"prompt {n}") for n in range(6)),
-                     key=lambda req: cache.key_for(req, BACKEND), reverse=True)
+                     key=lambda req: cache.key_for(req.digest, BACKEND), reverse=True)
 
     def ask(req):
         if req is prompts[-1]:
@@ -738,7 +744,7 @@ def test_gateway_run_seals_the_cache_when_an_item_raises(tmp_path, monkeypatch):
     with pytest.raises(TransportError):
         gw.run(ask, prompts)
     keys = [line.split(b" ", 1)[0].decode() for line in cache.path.read_bytes().splitlines()]
-    assert keys == sorted(cache.key_for(req, BACKEND) for req in prompts[:-1])
+    assert keys == sorted(cache.key_for(req.digest, BACKEND) for req in prompts[:-1])
     assert [p.name for p in tmp_path.iterdir()] == ["responses.jsonl"]
 
 

@@ -340,3 +340,21 @@ def test_every_public_name_of_the_package_is_named_elsewhere():
         definitions.update(_public_definitions(ast.parse(path.read_text(encoding="utf-8"))))
     unreferenced = sorted(name for name, count in definitions.items() if words[name] <= count)
     assert unreferenced == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    """An import that its module never names is a leftover of deleted code.
+
+    A name counts as used where the module's code (annotations included) refers
+    to it; a mention in a docstring or comment does not count.
+    """
+    unused = []
+    for path in sorted(Path(tomtrace.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported: dict[str, int] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -26,7 +26,6 @@ from tomtrace.tkg import (
     load_kg,
     save_kg,
     state_at,
-    state_at_or_empty,
     timeline,
 )
 from tomtrace.triples import Dimension, TripleBatch, make_triple
@@ -261,21 +260,12 @@ def test_state_at_bounds():
 
 
 def test_unknown_character():
-    kg = fresh_kg()
-    insert_batch(kg, batch_for("Kent", 1, ("Desires", "rest")))
-    with pytest.raises(UnknownCharacter):
-        state_at(kg, "Oswald", 1)
-    with pytest.raises(UnknownCharacter):
-        timeline(kg, "Oswald")
-
-
-def test_state_at_or_empty_is_empty_only_for_a_character_with_no_node():
+    """A character with no node has no triples at any plot; its timeline is an error."""
     kg = fresh_kg(plot_count=2)
     insert_batch(kg, batch_for("Kent", 1, ("Desires", "rest")))
-    assert state_at_or_empty(kg, "Oswald", 1) == []
-    assert state_at_or_empty(kg, "Kent", 2) == state_at(kg, "Kent", 2) != []
-    with pytest.raises(ValueError):
-        state_at_or_empty(kg, "Kent", 3)
+    assert state_at(kg, "Oswald", 1) == state_at(kg, "Oswald", 3) == []
+    with pytest.raises(UnknownCharacter):
+        timeline(kg, "Oswald")
 
 
 def test_character_lookup_is_normalized():
