@@ -293,7 +293,7 @@ def extract(ctx: RunContext):
 
     corpus = ctx.load_corpus()
     extractions = extract_triples(
-        sorted(corpus.books, key=lambda b: b.id),
+        corpus.books,
         corpus.registries,
         ctx.gateway(),
         model_id=ctx.model_id(),
@@ -321,14 +321,14 @@ def build_kg(ctx: RunContext):
         antonym_pairs=[tuple(p) for p in merge.antonym_pairs], negation_cues=tuple(merge.negation_cues)
     )
     outputs: list[Path] = []
-    for book in sorted(corpus.books, key=lambda b: b.id):
+    for book in corpus.books:
         triples_path = ctx.triples_dir / f"{book.id}.jsonl"
         if not triples_path.is_file():
             raise MissingUpstreamArtifact(f"{triples_path} missing; run extract")
         kg, changelog = build_graph(
             book.id,
             len(book.plots),
-            read_jsonl(ctx.read(triples_path), checked_triple_record),
+            read_jsonl(ctx.read(triples_path), lambda rec: checked_triple_record(rec, len(book.plots))),
             MergeMode(merge.mode),
             rules=rules,
             jaccard_threshold=merge.jaccard_threshold,
@@ -481,18 +481,18 @@ def report(ctx: RunContext, layout: str):
 @main.command("emit-ft")
 def emit_ft(ctx: RunContext):
     """Emit supervised fine-tune JSONL files with the book-level OOD split."""
-    from .ftemit import SplitSpec, emit_training_files, write_split_manifest
+    from .ftemit import book_splits, emit_training_files
 
     corpus = ctx.load_corpus()
     kgs = ctx.load_kgs()
     questions = ctx.load_question_file()
-    spec = SplitSpec(ood_book_titles=frozenset(ctx.config.ft.ood_books))
+    splits = book_splits(corpus, ctx.config.ft.ood_books)
     ft_dir = ctx.out_dir / "ft"
     written = emit_training_files(
         corpus,
         kgs,
         questions,
-        spec,
+        splits,
         ctx.config.ft.with_triples,
         ft_dir,
         waive_verification=not ctx.config.ft.require_human_verified,
@@ -500,7 +500,7 @@ def emit_ft(ctx: RunContext):
     for target, count in written:
         _echo(f"{target}: {count} example(s)")
     outputs = [target for target, _ in written]
-    outputs.append(write_split_manifest(corpus, spec, ft_dir / "split_manifest.json"))
+    outputs.append(write_json(ft_dir / "split_manifest.json", splits))
     ctx.write_manifest("emit-ft", outputs)
 
 

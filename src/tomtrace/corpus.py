@@ -100,6 +100,8 @@ class Book:
 
 
 class Corpus:
+    """Books and each book's character registry. `ingest_corpus` gives the books in book id order."""
+
     __slots__ = ("books", "registries")
 
     def __init__(self, books: list[Book], registries: dict[str, CharacterRegistry] | None = None) -> None:
@@ -290,7 +292,7 @@ def ingest_corpus(
     alias_tables: dict[str, Path | str] | None = None,
     read: Callable[[Path], Path] = Path,
 ) -> Corpus:
-    """Load one book file or a directory of book files.
+    """Load one book file or a directory of book files, and give the books in book id order.
 
     `format` is either "coser" (nested per-book JSON) or "jsonl" (the
     normalized plot-per-line layout this package writes). Each book file and
@@ -322,6 +324,7 @@ def ingest_corpus(
         _canonicalize_book(book, registry)
         books.append(book)
         registries[book.id] = registry
+    books.sort(key=lambda b: b.id)
     return Corpus(books=books, registries=registries)
 
 

@@ -7,7 +7,6 @@ the answer object, or answers directly.
 
 from __future__ import annotations
 
-from enum import Enum
 from pathlib import Path
 
 from .corpus import Corpus
@@ -15,12 +14,11 @@ from .errors import UnknownBook
 from .evalharness import ContextMode, EvalCondition, assemble_context, render_triple_block
 from .qagen import QuestionState, TomQuestion
 from .tkg import TemporalKG
-from .util import normalize_name, write_json, write_jsonl
+from .util import normalize_name, write_jsonl
 
 
-class Split(Enum):
-    TRAIN = "train"
-    OOD_TEST = "ood_test"
+# A book's split, as `split_manifest.json` and the training file names spell it.
+_TRAIN, _OOD_TEST = "train", "ood_test"
 
 
 class TrainingExample:
@@ -30,13 +28,6 @@ class TrainingExample:
         self.input = input
         self.output = output
         self.question_id = question_id
-
-
-class SplitSpec:
-    __slots__ = ("ood_book_titles",)
-
-    def __init__(self, ood_book_titles: frozenset[str]) -> None:
-        self.ood_book_titles = ood_book_titles
 
 
 def emit_example(
@@ -55,29 +46,17 @@ def emit_example(
     return TrainingExample(input=prompt.text, output=output, question_id=question.id)
 
 
-class SplitResult:
-    __slots__ = ("train", "ood")
+def book_splits(corpus: Corpus, ood_titles: list[str]) -> dict[str, str]:
+    """Each book id's split, "ood_test" for a book titled in `ood_titles` and "train" for the rest.
 
-    def __init__(self) -> None:
-        self.train: list[TomQuestion] = []
-        self.ood: list[TomQuestion] = []
-
-
-def split_ood(corpus: Corpus, questions: list[TomQuestion], spec: SplitSpec) -> SplitResult:
-    """Partition questions by book membership; splits are disjoint by construction."""
-    titles_by_id = {book.id: normalize_name(book.title) for book in corpus.books}
-    known_titles = set(titles_by_id.values())
-    ood_titles = {normalize_name(t) for t in spec.ood_book_titles}
-    missing = ood_titles - known_titles
+    Titles match after `normalize_name`; a title no book has raises UnknownBook.
+    """
+    wanted = {normalize_name(t) for t in ood_titles}
+    titles = {book.id: normalize_name(book.title) for book in corpus.books}
+    missing = wanted - set(titles.values())
     if missing:
         raise UnknownBook(f"split names books not in corpus: {sorted(missing)}")
-    result = SplitResult()
-    for question in questions:
-        title = titles_by_id.get(question.book_id)
-        if title is None:
-            raise UnknownBook(f"question {question.id} references unknown book {question.book_id!r}")
-        (result.ood if title in ood_titles else result.train).append(question)
-    return result
+    return {book_id: _OOD_TEST if title in wanted else _TRAIN for book_id, title in titles.items()}
 
 
 def write_training_file(examples: list[TrainingExample], path: Path | str) -> int:
@@ -91,7 +70,7 @@ def emit_training_files(
     corpus: Corpus,
     kgs: dict[str, TemporalKG],
     questions: list[TomQuestion],
-    spec: SplitSpec,
+    splits: dict[str, str],
     with_triples: str,
     out_dir: Path,
     *,
@@ -99,28 +78,23 @@ def emit_training_files(
 ) -> list[tuple[Path, int]]:
     """Write one file per split and triple variant ("on", "off" or "both").
 
-    This is the human-verification gate: without the waiver only
+    `splits` is `book_splits`' table; a question of a book it lacks raises
+    UnknownBook. This is the human-verification gate: without the waiver only
     human-verified questions are emitted. Returns (path, example count) in
     write order.
     """
     if not waive_verification:
         questions = [q for q in questions if q.state is QuestionState.HUMAN_VERIFIED]
-    result = split_ood(corpus, questions, spec)
+    buckets: dict[str, list[TomQuestion]] = {_TRAIN: [], _OOD_TEST: []}
+    for question in questions:
+        if question.book_id not in splits:
+            raise UnknownBook(f"question {question.id} references unknown book {question.book_id!r}")
+        buckets[splits[question.book_id]].append(question)
     variants = {"on": [True], "off": [False], "both": [True, False]}[with_triples]
     written = []
-    for split, bucket in ((Split.TRAIN, result.train), (Split.OOD_TEST, result.ood)):
+    for split, bucket in buckets.items():
         for triples in variants:
             examples = [emit_example(q, kgs.get(q.book_id), triples, corpus=corpus) for q in bucket]
-            target = out_dir / f"{split.value}_{'with' if triples else 'without'}_triples.jsonl"
+            target = out_dir / f"{split}_{'with' if triples else 'without'}_triples.jsonl"
             written.append((target, write_training_file(examples, target)))
     return written
-
-
-def write_split_manifest(corpus: Corpus, spec: SplitSpec, path: Path | str) -> Path:
-    """Record which books feed which split."""
-    ood_titles = {normalize_name(t) for t in spec.ood_book_titles}
-    manifest = {
-        book.id: ("ood_test" if normalize_name(book.title) in ood_titles else "train")
-        for book in sorted(corpus.books, key=lambda b: b.id)
-    }
-    return write_json(path, manifest)

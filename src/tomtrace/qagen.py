@@ -211,11 +211,30 @@ def _question_from_block(
     )
 
 
-def _load_response_json(text: str) -> object:
+def _question_blocks(text: str) -> dict[Dimension, dict]:
+    """Each dimension's question block in a generation or regeneration reply.
+
+    Blocks are read from the reply object's top level, then from the list (or
+    object) under "Target Character" or, without that key, under a lone
+    wrapper key; a later block of a dimension replaces an earlier one.
+    """
     try:
-        return load_json_reply(strip_code_fences(text).strip())
+        data = load_json_reply(strip_code_fences(text).strip())
     except json.JSONDecodeError:
         raise UnparseableResponse("generation response is not JSON") from None
+    if not isinstance(data, dict):
+        raise UnparseableResponse("generation response is not an object")
+    nested = next((value for key, value in data.items() if key.casefold() == "target character"), None)
+    if nested is None and len(data) == 1:
+        nested = next(iter(data.values()))
+    blocks: dict[Dimension, dict] = {}
+    for item in [data, *(nested if isinstance(nested, list) else [nested])]:
+        if isinstance(item, dict):
+            for key, block in item.items():
+                m = _DIM_KEY_RE.match(key.strip())
+                if m and isinstance(block, dict):
+                    blocks[Dimension(m.group(1).casefold())] = block
+    return blocks
 
 
 def parse_question_response(
@@ -226,38 +245,15 @@ def parse_question_response(
     character: str,
 ) -> list[TomQuestion]:
     """Parse a four-dimension generation response, in report-column order."""
-    data = _load_response_json(text)
-    if not isinstance(data, dict):
-        raise UnparseableResponse("generation response is not an object")
-    blocks_raw = None
-    for key, value in data.items():
-        if key.casefold() == "target character":
-            blocks_raw = value
-            break
-    if blocks_raw is None:
-        # tolerate dimension blocks at top level, or a single unnamed wrapper
-        blocks_raw = data if len(data) > 1 else next(iter(data.values()), data)
-    if isinstance(blocks_raw, dict):
-        blocks_raw = [blocks_raw]
-    if not isinstance(blocks_raw, list):
-        raise UnparseableResponse("no question list under 'Target Character'")
-
-    by_dimension: dict[Dimension, dict] = {}
-    for item in blocks_raw:
-        if not isinstance(item, dict):
-            continue
-        for key, block in item.items():
-            m = _DIM_KEY_RE.match(key.strip())
-            if m and isinstance(block, dict):
-                by_dimension[Dimension(m.group(1).casefold())] = block
+    blocks = _question_blocks(text)
     questions = []
     for dimension in DIMENSIONS:
-        if dimension not in by_dimension:
+        if dimension not in blocks:
             raise MissingDimension(f"no {dimension.label} question block in response")
         questions.append(
             _question_from_block(
                 dimension,
-                by_dimension[dimension],
+                blocks[dimension],
                 book_id=book_id,
                 plot_index=plot_index,
                 character=character,
@@ -319,8 +315,6 @@ def build_verification_prompt(
 
 def llm_verify(question, gateway, *, model_id: str, template_override: TemplateOverride | None = None):
     """Run model verification on a Generated question and apply the verdict."""
-    if question.state is not QuestionState.GENERATED:
-        raise InvalidState(f"{question.id}: llm_verify needs state generated, not {question.state.value}")
     request = build_verification_prompt(
         question, model_id=model_id, template_override=template_override
     )
@@ -344,9 +338,11 @@ def regenerate(
     model_id: str,
     notes: str = "",
 ) -> TomQuestion:
-    """Produce a replacement for a rejected question (state Generated, attempt+1)."""
-    if question.state is not QuestionState.REJECTED:
-        raise InvalidState(f"{question.id}: regenerate needs state rejected")
+    """Produce a replacement for a rejected question (state Generated, attempt+1).
+
+    The reply must hold a block for the question's own dimension; without one
+    it raises UnparseableResponse.
+    """
     if question.attempt >= max_attempts:
         raise AttemptsExhausted(f"{question.id}: attempt {question.attempt} hit budget {max_attempts}")
     prompt = render_template(
@@ -360,16 +356,9 @@ def regenerate(
         notes=notes or "(none)",
     )
     response = gateway.complete(user_request(model_id, prompt, max_output_tokens=1024))
-    data = _load_response_json(response.text)
-    if not isinstance(data, dict):
-        raise UnparseableResponse("regeneration response is not an object")
-    block = None
-    for key, value in data.items():
-        if _DIM_KEY_RE.match(key.strip()) and isinstance(value, dict):
-            block = value
-            break
+    block = _question_blocks(response.text).get(question.dimension)
     if block is None:
-        raise UnparseableResponse("regeneration response has no question block")
+        raise UnparseableResponse(f"regeneration response has no {question.dimension.label} question block")
     return _question_from_block(
         question.dimension,
         block,
@@ -407,7 +396,7 @@ def generate_questions(
     """
 
     def jobs() -> Iterator[tuple[str, int, str, ChatRequest]]:
-        for book in sorted(corpus.books, key=lambda b: b.id):
+        for book in corpus.books:
             kg = kgs.get(book.id)
             for plot in book.plots:
                 for character in plot.speakers():
@@ -513,12 +502,7 @@ REVIEW_COLUMNS = (
 
 
 def export_review(questions: list[TomQuestion], path: Path | str) -> int:
-    """Write a review CSV with blank verdict columns; LlmVerified input only."""
-    for question in questions:
-        if question.state is not QuestionState.LLM_VERIFIED:
-            raise InvalidState(
-                f"{question.id}: only llm_verified questions are exportable, got {question.state.value}"
-            )
+    """Write a review CSV with blank verdict columns; the caller passes LlmVerified questions."""
     rows = [
         [
             q.id,

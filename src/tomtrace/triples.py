@@ -604,11 +604,17 @@ TRIPLE_REVIEW_COLUMNS = (
 )
 
 
-def checked_triple_record(rec: dict) -> dict:
-    """A kept-triple record as is, once it decodes as a triple and names its book and character."""
+def checked_triple_record(rec: dict, plot_count: int | None = None) -> dict:
+    """A kept-triple record as is, once it decodes as a triple, names its book and character,
+    and places the triple at an integer plot, within 1..`plot_count` when that is given."""
     triple_from_record(rec)
     if not all(isinstance(rec[key], str) for key in ("book_id", "character")):
         raise TypeError("book_id and character must be strings")
+    plot_index = rec["plot_index"]
+    if type(plot_index) is not int:
+        raise TypeError(f"plot_index {plot_index!r} is not an integer")
+    if plot_count is not None and not 1 <= plot_index <= plot_count:
+        raise ValueError(f"plot_index {plot_index} is not a plot of the book (1..{plot_count})")
     return rec
 
 

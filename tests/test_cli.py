@@ -34,7 +34,7 @@ from tomtrace.cli import REPORT_SUFFIXES, RunContext, main
 from tomtrace.config import load_config
 from tomtrace.evalharness import TRIPLE_BLOCK_HEADER, ReportLayout
 from tomtrace.llmgate import MAX_BACKOFF_S, Gateway
-from tomtrace.qagen import REVIEW_COLUMNS, QuestionState, load_questions
+from tomtrace.qagen import REVIEW_COLUMNS, QuestionState, load_questions, save_questions
 from tomtrace.tkg import check_invariants, load_kg
 
 HEX64 = set("0123456789abcdef")
@@ -705,6 +705,24 @@ def test_config_backend_keys_reach_the_gateway(tmp_path, monkeypatch):
     assert [headers["Authorization"] for headers, _ in server.requests] == ["Bearer storm-secret"] * 2
 
 
+def test_review_export_writes_only_llm_verified_questions(pipeline_out, tmp_path):
+    """review-export samples from the llm_verified questions alone; human-verified, rejected
+    and generated ones are not offered for review."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    questions = load_questions(out / "questions.jsonl")
+    assert all(q.state is QuestionState.LLM_VERIFIED for q in questions)
+    others = [QuestionState.HUMAN_VERIFIED, QuestionState.REJECTED, QuestionState.GENERATED]
+    for question, state in zip(questions, others):
+        question.state = state
+    save_questions(questions, out / "questions.jsonl")
+    [result] = run_cli(out, "review-export")
+    assert result.stdout == f"exported {len(questions) - 3} question(s) to {out / 'review.csv'}\n"
+    with open(out / "review.csv", encoding="utf-8", newline="") as fh:
+        exported = [row["question_id"] for row in csv.DictReader(fh)]
+    assert sorted(exported) == sorted(q.id for q in questions[3:])
+
+
 def test_truncated_question_file_exits_one_without_a_traceback(pipeline_out, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(pipeline_out, out)
@@ -758,6 +776,29 @@ def test_bad_first_record_exits_one_naming_file_and_line(pipeline_out, tmp_path,
     [result] = run_cli(out, command, expect=1)
     assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
     assert result.stderr.startswith(f"error: {target}:1: {reason}")
+
+
+@pytest.mark.parametrize("line, plot_index, reason", [
+    (1, "2", "plot_index '2' is not an integer"),
+    (1, None, "plot_index None is not an integer"),
+    (17, 99, "plot_index 99 is not a plot of the book (1..2)"),  # the last record
+    (10, 99, "plot_index 99 is not a plot of the book (1..2)"),  # King Lear's plot-1 batch, before his plot-2 one
+    (4, 0, "plot_index 0 is not a plot of the book (1..2)"),
+], ids=["string", "null", "past-the-end-last", "past-the-end-before-a-later-batch", "zero"])
+def test_a_triple_outside_the_book_exits_one_naming_file_and_line(pipeline_out, tmp_path, line, plot_index, reason):
+    """build-kg reads each record's plot as an integer plot of the book, before it builds the graph."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    target = out / "triples" / "king-lear.jsonl"
+    lines = target.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 17
+    record = json.loads(lines[line - 1])
+    record["plot_index"] = plot_index
+    lines[line - 1] = json.dumps(record, ensure_ascii=False)
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    [result] = run_cli(out, "build-kg", expect=1)
+    assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
+    assert result.stderr == f"error: {target}:{line}: {reason}\n"
 
 
 @pytest.mark.parametrize("target, command", [

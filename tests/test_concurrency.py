@@ -10,6 +10,7 @@ a rerun sends only what the failed run left unanswered.
 
 from __future__ import annotations
 
+import json
 import logging
 import random
 import shutil
@@ -178,6 +179,54 @@ def test_an_unusable_question_reply_is_skipped_with_one_warning_on_every_run(
     assert len(questions) == 16 and "Goneril" not in {q.character for q in questions}
     [rejected] = [q for q in questions if q.state is QuestionState.REJECTED]
     assert verify_warning.startswith(f"{rejected.id}: ") and rejected.character == "Fool"
+    first, rerun = tree_bytes(tmp_path / "first"), tree_bytes(tmp_path / "rerun")
+    assert first.keys() == rerun.keys()
+    assert [name for name in first if first[name] != rerun[name]] == []
+
+
+def test_a_regeneration_reply_without_the_rejected_dimension_leaves_the_question_rejected(
+    monkeypatch, tmp_path, caplog, live_config
+):
+    """The fixture's one regeneration replaces the Fool's rejected desire question. A reply that holds
+    only a Belief block cannot replace it: verify leaves the question rejected with its verdict, warns
+    once and exits 0. The reply is cached, so a rerun sends no request, warns the same and writes the
+    same bytes."""
+    script = ReplayScript.load(DATA / "replay.jsonl")
+    sent = []
+
+    def transport(url, payload, headers):
+        [message] = payload["messages"]
+        sent.append(message["content"])
+        answer = _scripted_answer(script, payload)
+        if "was rejected during review" in message["content"]:
+            [choice] = answer["choices"]
+            text = choice["message"]["content"]
+            assert "Desire Multiple Choice Question" in text
+            choice["message"]["content"] = text.replace("Desire Multiple", "Belief Multiple")
+        return 200, answer, {}
+
+    monkeypatch.setattr(llmgate, "_http_transport", transport)
+    monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
+    runs = []
+    for out in (tmp_path / "first", tmp_path / "rerun"):
+        if runs:
+            shutil.copytree(tmp_path / "first" / "cache", out / "cache")
+        run_cli(out, "ingest", "extract", "build-kg", "genqa", config=live_config)
+        sent.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tomtrace.qagen"):
+            run_cli(out, "verify", config=live_config)
+        runs.append((len(sent), [r.getMessage() for r in caplog.records if r.name == "tomtrace.qagen"]))
+    (first_sent, warnings), (rerun_sent, rerun_warnings) = runs
+    assert first_sent > 0 and rerun_sent == 0
+    [rejected] = [q for q in load_questions(tmp_path / "first" / "questions.jsonl") if q.state is QuestionState.REJECTED]
+    assert (rejected.character, rejected.dimension.label, rejected.attempt) == ("Fool", "Desire", 1)
+    assert warnings == rerun_warnings == [
+        f"{rejected.id}: regeneration reply unusable: regeneration response has no Desire question block, "
+        "left rejected"
+    ]
+    verdicts = [json.loads(line) for line in (tmp_path / "first" / "verdicts.jsonl").read_text().splitlines()]
+    assert [v["passed"] for v in verdicts if v["question_id"] == rejected.id] == [False]
     first, rerun = tree_bytes(tmp_path / "first"), tree_bytes(tmp_path / "rerun")
     assert first.keys() == rerun.keys()
     assert [name for name in first if first[name] != rerun[name]] == []

@@ -6,15 +6,7 @@ import pytest
 
 from tomtrace.errors import IoError, MissingKg, UnknownBook
 from tomtrace.evalharness import TRIPLE_BLOCK_HEADER
-from tomtrace.ftemit import (
-    Split,
-    SplitSpec,
-    emit_example,
-    emit_training_files,
-    split_ood,
-    write_split_manifest,
-    write_training_file,
-)
+from tomtrace.ftemit import book_splits, emit_example, emit_training_files, write_training_file
 from tomtrace.qagen import QuestionState, TomQuestion, question_id
 from tomtrace.tkg import TemporalKG, insert_batch
 from tomtrace.triples import Dimension, TripleBatch, make_triple
@@ -91,9 +83,9 @@ def test_both_variants_share_the_same_input(fixture_corpus):
 def test_unverified_question_rejected_unless_waived(fixture_corpus, tmp_path):
     """The human-verification gate is `emit_training_files`'s filter."""
     questions = [verified_question(), verified_question(dimension=Dimension.DESIRE, state=QuestionState.LLM_VERIFIED)]
-    spec = SplitSpec(frozenset())
-    gated = emit_training_files(fixture_corpus, {}, questions, spec, "off", tmp_path / "gated")
-    waived = emit_training_files(fixture_corpus, {}, questions, spec, "off", tmp_path / "waived",
+    splits = book_splits(fixture_corpus, [])
+    gated = emit_training_files(fixture_corpus, {}, questions, splits, "off", tmp_path / "gated")
+    waived = emit_training_files(fixture_corpus, {}, questions, splits, "off", tmp_path / "waived",
                                  waive_verification=True)
     assert [count for _, count in gated] == [1, 0] and [count for _, count in waived] == [2, 0]
     [record] = [json.loads(line) for line in gated[0][0].read_text().splitlines()]
@@ -107,30 +99,32 @@ def test_missing_kg_for_triple_variant(fixture_corpus):
 
 # --- splits ---------------------------------------------------------------------------
 
-def test_split_ood_partitions_by_title(fixture_corpus):
-    questions = [verified_question(), verified_question(dimension=Dimension.DESIRE)]
-    result = split_ood(fixture_corpus, questions, SplitSpec(frozenset({"King Lear"})))
-    assert not result.train and [q.dimension for q in result.ood] == [Dimension.BELIEF, Dimension.DESIRE]
+def _split_files(corpus, questions, ood_titles, out_dir):
+    """Each training file's question count, keyed by its split, with questions bucketed by `book_splits`."""
+    written = emit_training_files(corpus, {}, questions, book_splits(corpus, ood_titles), "off", out_dir)
+    return {path.name.split("_without")[0]: count for path, count in written}
 
-    result = split_ood(fixture_corpus, questions, SplitSpec(frozenset()))
-    assert [q.dimension for q in result.train] == [Dimension.BELIEF, Dimension.DESIRE] and not result.ood
+
+def test_split_ood_partitions_by_title(fixture_corpus, tmp_path):
+    questions = [verified_question(), verified_question(dimension=Dimension.DESIRE)]
+    assert _split_files(fixture_corpus, questions, ["King Lear"], tmp_path / "ood") == {"train": 0, "ood_test": 2}
+    assert _split_files(fixture_corpus, questions, [], tmp_path / "train") == {"train": 2, "ood_test": 0}
 
 
 def test_split_title_match_is_normalized(fixture_corpus):
-    result = split_ood(fixture_corpus, [verified_question()], SplitSpec(frozenset({"  king   LEAR "})))
-    assert len(result.ood) == 1
+    assert book_splits(fixture_corpus, ["  king   LEAR "]) == {"king-lear": "ood_test"}
 
 
 def test_split_rejects_unknown_book_title(fixture_corpus):
-    with pytest.raises(UnknownBook):
-        split_ood(fixture_corpus, [], SplitSpec(frozenset({"Hamlet"})))
+    with pytest.raises(UnknownBook, match="hamlet"):
+        book_splits(fixture_corpus, ["Hamlet"])
 
 
-def test_split_rejects_question_with_unknown_book(fixture_corpus):
+def test_split_rejects_question_with_unknown_book(fixture_corpus, tmp_path):
     stray = verified_question()
     stray.book_id = "hamlet"
-    with pytest.raises(UnknownBook):
-        split_ood(fixture_corpus, [stray], SplitSpec(frozenset()))
+    with pytest.raises(UnknownBook, match="unknown book 'hamlet'"):
+        emit_training_files(fixture_corpus, {}, [stray], book_splits(fixture_corpus, []), "off", tmp_path)
 
 
 # --- file output ------------------------------------------------------------------------
@@ -156,12 +150,7 @@ def test_training_file_write_failure(fixture_corpus, tmp_path):
         write_training_file([], target / "train.jsonl")
 
 
-def test_split_manifest(fixture_corpus, tmp_path):
-    path = write_split_manifest(fixture_corpus, SplitSpec(frozenset({"King Lear"})), tmp_path / "m.json")
-    assert json.loads(path.read_text()) == {"king-lear": "ood_test"}
-    path = write_split_manifest(fixture_corpus, SplitSpec(frozenset()), tmp_path / "m2.json")
-    assert json.loads(path.read_text()) == {"king-lear": "train"}
-
-
-def test_split_enum_values():
-    assert Split.TRAIN.value == "train" and Split.OOD_TEST.value == "ood_test"
+def test_split_manifest(fixture_corpus):
+    """`split_manifest.json` is this table; the emit-ft walkthrough in test_cli checks the file."""
+    assert book_splits(fixture_corpus, ["King Lear"]) == {"king-lear": "ood_test"}
+    assert book_splits(fixture_corpus, []) == {"king-lear": "train"}

@@ -237,7 +237,7 @@ def test_write_atomic_is_the_only_code_that_writes_a_file():
 
 
 class _CallSites(ast.NodeVisitor):
-    """The enclosing qualified name of each call whose function node `match` accepts."""
+    """The enclosing qualified name of each call node that `match` accepts."""
 
     def __init__(self, match) -> None:
         self.match = match
@@ -252,7 +252,7 @@ class _CallSites(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self.match(node.func):
+        if self.match(node):
             self.found.append(".".join(self.scope))
         self.generic_visit(node)
 
@@ -269,7 +269,8 @@ def _call_sites(match) -> list[tuple[str, str]]:
 
 def test_read_jsonl_is_the_only_code_that_decodes_record_lines():
     """Record files go through util.read_jsonl; the graph file and the cache log keep their own loops."""
-    def json_parse(func) -> bool:
+    def json_parse(call) -> bool:
+        func = call.func
         return isinstance(func, ast.Attribute) and func.attr in {"load", "loads"} and getattr(func.value, "id", "") == "json"
 
     assert _call_sites(json_parse) == [
@@ -288,13 +289,27 @@ def test_read_jsonl_is_the_only_code_that_decodes_record_lines():
 
 def test_run_context_is_the_only_code_that_hashes_files():
     """Manifest inputs are hashed as the stage reads them, never from a list a command keeps."""
-    def hashing(func) -> bool:
-        return getattr(func, "attr", getattr(func, "id", "")) == "sha256_file"
+    def hashing(call) -> bool:
+        return getattr(call.func, "attr", getattr(call.func, "id", "")) == "sha256_file"
 
     assert _call_sites(hashing) == [
         ("cli.py", "RunContext.read"),  # an input, as the stage opens it
         ("cli.py", "RunContext.write_manifest"),  # the outputs; the config's digest is of the bytes parsed
     ]
+
+
+def test_ingest_corpus_is_the_only_code_that_sorts_books():
+    """A corpus's books come in book id order from `ingest_corpus`; no stage sorts them again."""
+    def named_books(node) -> bool:
+        return getattr(node, "attr", getattr(node, "id", "")) == "books"
+
+    def sorts_books(call) -> bool:
+        func = call.func
+        if getattr(func, "id", "") == "sorted":
+            return bool(call.args) and named_books(call.args[0])
+        return getattr(func, "attr", "") == "sort" and named_books(func.value)
+
+    assert _call_sites(sorts_books) == [("corpus.py", "ingest_corpus")]
 
 
 # Public names that no other file of src/ or perfbench/ names, each kept for a reason.

@@ -157,6 +157,13 @@ def test_parse_flat_response():
     assert len(questions) == 4
 
 
+def test_a_target_character_block_replaces_a_top_level_block_of_its_dimension():
+    reply = json.loads(full_response())
+    reply["Belief Multiple Choice Question"] = block("top?")
+    questions = parse_question_response(json.dumps(reply), book_id="b", plot_index=1, character="c")
+    assert [q.stem for q in questions] == ["b?", "d?", "e?", "i?"]
+
+
 def test_parse_strips_option_letter_prefixes():
     [q, *_] = parse_question_response(
         full_response(), book_id="b", plot_index=1, character="c"
@@ -372,10 +379,23 @@ def test_regenerate_bumps_attempt_same_id():
     assert replacement.correct == "C"
 
 
-def test_regenerate_requires_rejected_state():
+@pytest.mark.parametrize("reply", [
+    {"Belief Multiple Choice Question": block("b?"), "Desire Multiple Choice Question": block("d?")},
+    {"Target Character": [{"Belief Multiple Choice Question": block("b?")},
+                          {"Desire Multiple Choice Question": block("d?")}]},
+], ids=["top-level", "target-character"])
+def test_regenerate_takes_the_block_of_the_rejected_dimension(reply):
+    gw = gateway_with({"prompt_pattern": ".", "response_text": json.dumps(reply)})
+    q = make_question(dimension=Dimension.DESIRE, state=QuestionState.REJECTED)
+    replacement = regenerate(q, gw, max_attempts=3, model_id="m")
+    assert (replacement.dimension, replacement.stem) == (Dimension.DESIRE, "d?")
+
+
+def test_regenerate_rejects_a_reply_without_the_rejected_dimension():
     gw = gateway_with({"prompt_pattern": ".", "response_text": REGEN_BLOCK})
-    with pytest.raises(InvalidState):
-        regenerate(make_question(), gw, max_attempts=3, model_id="m")
+    q = make_question(dimension=Dimension.DESIRE, state=QuestionState.REJECTED)
+    with pytest.raises(UnparseableResponse, match="no Desire question block"):
+        regenerate(q, gw, max_attempts=3, model_id="m")
 
 
 def test_regenerate_attempt_budget():
@@ -402,11 +422,6 @@ def verified_set():
         q = make_question(dimension=dimension, state=QuestionState.LLM_VERIFIED)
         questions.append(q)
     return questions
-
-
-def test_export_review_requires_llm_verified(tmp_path):
-    with pytest.raises(InvalidState):
-        export_review([make_question()], tmp_path / "review.csv")
 
 
 def test_review_round_trip(tmp_path):
