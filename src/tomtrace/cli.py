@@ -379,8 +379,7 @@ def verify(ctx: RunContext):
     )
     save_questions(final, ctx.questions_path)
     save_verdicts(verdicts, ctx.verdicts_path)
-    attempts = {q.id: q.attempt for q in final}
-    report = first_pass_stats(verdicts, attempts)
+    report = first_pass_stats(verdicts)
     verified = sum(1 for q in final if q.state is QuestionState.LLM_VERIFIED)
     _echo(
         f"verified {verified}/{len(final)} questions; first-pass rate {report.rate} "

@@ -20,6 +20,7 @@ import re
 import threading
 import time
 from collections import deque
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, TypeVar
 from urllib.parse import unquote, urlsplit
@@ -171,8 +172,14 @@ class ResponseCache:
     backend)` reads the line that an index of key -> byte offset names (built
     by one scan on first use; the last line for a key wins). `seal` rewrites
     the log sorted by key, one line per key, so its bytes do not depend on the
-    order of the puts. Corrupt lines, such as the torn last line of a killed
-    writer, are misses with a warning.
+    order of the puts, nor on where a killed run stopped: a log that the scan
+    finds unsealed is rewritten too. Corrupt lines, such as the torn last line
+    of a killed writer, are misses with a warning.
+
+    The log stays open between calls: `put` keeps one append handle from its
+    first call, which is when it ends a torn last line with a newline, and
+    `get` keeps one read handle. `seal` closes both; a caller that never
+    seals closes them with `close`.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -181,6 +188,8 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._index: dict[str, int] | None = None
         self._unsealed = False
+        self._log: BinaryIO | None = None  # the append handle
+        self._reader: BinaryIO | None = None
 
     @staticmethod
     def key_for(digest: str, backend: BackendSection) -> str:
@@ -212,43 +221,53 @@ class ResponseCache:
 
         When the line at the indexed offset belongs to another request,
         another process has sealed the log since the index was built: the
-        log is scanned once more, and a second mismatch is a miss.
+        log is opened and scanned once more, and a second mismatch is a miss.
         """
         prefix = f"{key} ".encode()
         for rescan in (False, True):
             if rescan or self._index is None:
-                self._index = self._scan()
+                if self._reader is not None:
+                    self._reader.close()
+                    self._reader = None
+                reader = self._read_handle()
+                self._index, sealed = ({}, True) if reader is None else self._offsets(reader)
+                self._unsealed = self._unsealed or not sealed  # a killed run's log is sealed by the next
             offset = self._index.get(key)
             if offset is None:
                 return None
-            try:
-                with open(self.path, "rb") as fh:
-                    fh.seek(offset)
-                    line = fh.readline()
-            except FileNotFoundError:
-                line = b""
+            reader = self._read_handle()
+            line = b""
+            if reader is not None:
+                reader.seek(offset)
+                line = reader.readline()
             if line.startswith(prefix):
                 entry = json.loads(line[len(prefix):])
                 if entry["request"]["digest"] == digest:
                     return entry
         return None
 
-    def _scan(self) -> dict[str, int]:
-        try:
-            with open(self.path, "rb") as log:
-                return self._offsets(log)
-        except FileNotFoundError:
-            return {}
+    def _read_handle(self) -> BinaryIO | None:
+        """The kept read handle, opened at its first use; None while there is no log."""
+        if self._reader is None:
+            try:
+                self._reader = open(self.path, "rb")
+            except FileNotFoundError:
+                return None
+        return self._reader
 
     @staticmethod
-    def _offsets(log: BinaryIO) -> dict[str, int]:
-        """Key -> byte offset of its last line in `log`; offsets only, never the lines."""
+    def _offsets(log: BinaryIO) -> tuple[dict[str, int], bool]:
+        """Key -> byte offset of its last line in `log` (offsets only, never the lines), and
+        whether `log` is sealed: one whole line per key, sorted by key."""
         index: dict[str, int] = {}
         offset = 0
+        key, sealed, line = "", True, b"\n"
         for line in log:
-            index[line.split(b" ", 1)[0].decode("ascii", "replace")] = offset
+            previous, key = key, line.split(b" ", 1)[0].decode("ascii", "replace")
+            sealed = sealed and key > previous
+            index[key] = offset
             offset += len(line)
-        return index
+        return index, sealed and line.endswith(b"\n")
 
     def put(self, request: ChatRequest, backend: BackendSection, response: ChatResponse, digest: str) -> None:
         """Log `response` for `request`, whose `ChatRequest.digest` is `digest`."""
@@ -266,36 +285,58 @@ class ResponseCache:
         }
         line = f"{key} {json.dumps(entry, ensure_ascii=False, separators=(',', ':'))}\n".encode("utf-8")
         with self._lock:
+            log = self._log
             try:
-                log = open(self.path, "a+b")
-            except FileNotFoundError:
-                self.root.mkdir(parents=True, exist_ok=True)
-                log = open(self.path, "a+b")
-            with log:
-                end = log.seek(0, os.SEEK_END)
-                if end:
-                    log.seek(end - 1)
-                    if log.read(1) != b"\n":
-                        log.write(b"\n")  # a killed writer's torn line stays a line of its own
+                if log is None:
+                    try:
+                        log = open(self.path, "a+b")
+                    except FileNotFoundError:
+                        self.root.mkdir(parents=True, exist_ok=True)
+                        log = open(self.path, "a+b")
+                    self._log = log
+                    end = log.seek(0, os.SEEK_END)
+                    if end:
+                        log.seek(end - 1)
+                        if log.read(1) != b"\n":
+                            log.write(b"\n")  # a killed writer's torn line stays a line of its own
                 log.write(line)
                 log.flush()
-                offset = log.tell() - len(line)
+            except BaseException:
+                if log is not None:  # the next put opens the log again and checks its last line
+                    self._log = None
+                    log.close()
+                raise
+            offset = log.tell() - len(line)
             if self._index is not None:
                 self._index[key] = offset
             self._unsealed = True
 
+    def close(self) -> None:
+        """Close the handles `get` and `put` keep; a later call opens them again."""
+        with self._lock:
+            self._close_handles()
+
+    def _close_handles(self) -> None:
+        for handle in (self._log, self._reader):
+            if handle is not None:
+                handle.close()
+        self._log = self._reader = None
+
     def seal(self) -> None:
         """Rewrite the log sorted by key, one line per key; the last line for a key wins.
 
-        Runs only if this cache appended since its last seal. The rewrite goes
-        through `write_atomic`, so a reader sees the old log or the new one.
+        Closes the kept handles first. The rewrite runs only if this cache
+        appended since its last seal or its scan found the log unsealed, and
+        goes through `write_atomic`, so a reader sees the old log or the new
+        one.
         """
         with self._lock:
+            self._close_handles()
             if not self._unsealed:
                 return
             self._index = None  # the old offsets die here, so one index is alive at a time
             with open(self.path, "rb") as log:
-                index = self._offsets(log)
+                index, _ = self._offsets(log)
                 write_atomic(self.path, self._sorted_lines(log, index))
             self._index = index
             self._unsealed = False
@@ -354,26 +395,36 @@ MAX_BACKOFF_S = 60.0
 
 
 def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object, dict[str, str]]:
-    """POST `payload` as JSON over HTTP/1.1; returns (status, parsed JSON body or its text, headers).
+    """POST `payload` to `url` on a route resolved for this call alone; see `_Route.send`."""
+    return _Route(url).send(payload, headers)
 
-    An HTTP error status, a redirect included, is returned like a success, so
-    retries stay in Gateway._request; a redirect is never followed. Header
-    names are lower-cased. A request that gets no whole response (refused,
-    timed out, cut short, malformed status line, header or chunk size,
-    malformed endpoint) raises ConnectionError. HTTP_TIMEOUT_S bounds the
-    connect and each read. Each call opens one connection and closes it.
-    Proxies come from the environment's `*_proxy` variables
-    (HTTP(S)_PROXY/NO_PROXY, matched as urllib matches them), and TLS is
-    verified against the system store (SSL_CERT_FILE/SSL_CERT_DIR) with a
-    context built once per process for each setting of those variables.
+
+class _Route:
+    """How requests to one endpoint URL travel, resolved on the first send and reused by every later one.
+
+    Resolving parses the endpoint, picks the proxy from the environment's
+    `*_proxy` variables (HTTP(S)_PROXY/NO_PROXY, matched as urllib matches
+    them), takes the TLS context and encodes the fixed fields of the request
+    head; a failure is raised and nothing is kept, so the next send tries
+    again. The host's `getaddrinfo` address list is kept too and tried in
+    order, as `socket.create_connection` tries it; a send that connects to
+    none of the addresses drops the list, so the next send looks the host up
+    again. A `Gateway` keeps one route, so it reads the proxy settings when it
+    first sends.
     """
-    import socket  # only here: replayed and cache-served runs send no request
 
-    try:
-        endpoint = urlsplit(url)
+    def __init__(self, url: str) -> None:
+        self.url = url
+        self._lock = threading.Lock()
+        self._head: tuple[bytes, bytes, bytes] | None = None  # the request head around its per-call fields
+        self._addresses: list | None = None
+
+    def _resolve(self) -> None:
+        """Fix everything a request to the endpoint repeats. Call with the lock held."""
+        endpoint = urlsplit(self.url)
         scheme, host = endpoint.scheme, endpoint.hostname
         if scheme not in ("http", "https") or not host:
-            raise ValueError(f"malformed endpoint {url!r}")
+            raise ValueError(f"malformed endpoint {self.url!r}")
         port = endpoint.port or (443 if scheme == "https" else 80)
         host_port = endpoint.netloc.rpartition("@")[2]
         target = (endpoint.path or "/") + (f"?{endpoint.query}" if endpoint.query else "")
@@ -382,41 +433,88 @@ def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object
         tunnel = proxy is not None and scheme == "https"
         if proxy is not None and not tunnel:
             target = f"http://{host_port}{target}"  # a forwarding proxy takes the absolute URL
-        data = json.dumps(payload).encode("utf-8")
-        head = _request_head(
-            f"POST {target} HTTP/1.1",
-            {
-                "Host": host_port,
-                "Content-Type": "application/json",
-                "Content-Length": str(len(data)),
-                "Accept-Encoding": "identity",
-                "Connection": "close",
-                "User-Agent": f"tomtrace/{__version__}",
-                **headers,
-                **({} if tunnel else proxy_headers),
-            },
+        authority = host_port if endpoint.port else f"{host_port}:{port}"
+        self._connect_head = (
+            _request_line(f"CONNECT {authority} HTTP/1.1") + _header_lines({"Host": authority, **proxy_headers}) + b"\r\n"
+            if tunnel
+            else None
         )
-        sock = socket.create_connection(address, timeout=HTTP_TIMEOUT_S)
+        self._tls = _tls_context() if scheme == "https" else None
+        self._host, self._address = host, address
+        self._head = (
+            _request_line(f"POST {target} HTTP/1.1") + _header_lines({"Host": host_port, "Content-Type": "application/json"}),
+            _header_lines(
+                {"Accept-Encoding": "identity", "Connection": "close", "User-Agent": f"tomtrace/{__version__}"}
+            ),
+            _header_lines({} if tunnel else proxy_headers) + b"\r\n",
+        )
+
+    def send(self, payload: dict, headers: dict) -> tuple[int, object, dict[str, str]]:
+        """POST `payload` as JSON over HTTP/1.1; returns (status, parsed JSON body or its text, headers).
+
+        `headers` join the route's fixed fields and must not repeat one. An
+        HTTP error status, a redirect included, is returned like a success, so
+        retries stay in Gateway._request; a redirect is never followed. Header
+        names are lower-cased. A request that gets no whole response (refused,
+        timed out, cut short, malformed status line, header or chunk size,
+        malformed endpoint) raises ConnectionError. HTTP_TIMEOUT_S bounds the
+        connect and each read. Each call opens one connection and closes it.
+        TLS is verified against the system store (SSL_CERT_FILE/SSL_CERT_DIR)
+        with a context built once per process for each setting of those
+        variables.
+        """
+        import socket  # only here: replayed and cache-served runs send no request
+
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if tunnel:
-                _tunnel(sock, host_port if endpoint.port else f"{host_port}:{port}", proxy_headers)
-            if scheme == "https":
-                sock = _tls_context().wrap_socket(sock, server_hostname=host)
-            sock.sendall(head + data)
-            with sock.makefile("rb") as reply:
-                status, reply_headers = _read_head(reply)
-                while 100 <= status < 200:  # interim replies precede the final one
+            with self._lock:
+                if self._head is None:
+                    self._resolve()
+                addresses = self._addresses
+                if addresses is None:
+                    addresses = self._addresses = socket.getaddrinfo(*self._address, 0, socket.SOCK_STREAM)
+            start, middle, end = self._head
+            data = json.dumps(payload).encode("utf-8")
+            head = b"%sContent-Length: %d\r\n%s%s%s" % (start, len(data), middle, _header_lines(headers), end)
+            sock = self._connect(addresses)
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                if self._connect_head is not None:
+                    _tunnel(sock, self._connect_head)
+                if self._tls is not None:
+                    sock = self._tls.wrap_socket(sock, server_hostname=self._host)
+                sock.sendall(head + data)
+                with sock.makefile("rb") as reply:
                     status, reply_headers = _read_head(reply)
-                raw = _read_body(reply, status, reply_headers)
-        finally:
-            sock.close()
-    except (OSError, ValueError) as exc:
-        raise ConnectionError(str(exc)) from exc
-    try:
-        return status, json.loads(raw), reply_headers
-    except ValueError:
-        return status, raw.decode("utf-8", errors="replace"), reply_headers
+                    while 100 <= status < 200:  # interim replies precede the final one
+                        status, reply_headers = _read_head(reply)
+                    raw = _read_body(reply, status, reply_headers)
+            finally:
+                sock.close()
+        except (OSError, ValueError) as exc:
+            raise ConnectionError(str(exc)) from exc
+        try:
+            return status, json.loads(raw), reply_headers
+        except ValueError:
+            return status, raw.decode("utf-8", errors="replace"), reply_headers
+
+    def _connect(self, addresses: list) -> socket.socket:
+        """A socket connected to the first of `addresses` that accepts; if none does, the list is dropped."""
+        import socket
+
+        error: OSError = OSError("getaddrinfo returns an empty list")
+        for family, kind, proto, _, address in addresses:
+            sock = socket.socket(family, kind, proto)
+            try:
+                sock.settimeout(HTTP_TIMEOUT_S)
+                sock.connect(address)
+                return sock
+            except OSError as exc:
+                sock.close()
+                error = exc
+        with self._lock:
+            if self._addresses is addresses:
+                self._addresses = None
+        raise error
 
 
 # Verifying TLS contexts by (SSL_CERT_FILE, SSL_CERT_DIR): building one loads the CA store.
@@ -470,17 +568,24 @@ def _proxy_for(scheme: str, host_port: str) -> tuple[tuple[str, int], dict[str, 
     return (proxy.hostname, proxy.port or 80), headers
 
 
-def _request_head(request_line: str, fields: Mapping[str, str]) -> bytes:
-    """A request's line and header fields, up to and including the blank line."""
-    lines = [request_line, *(f"{name}: {value}" for name, value in fields.items())]
-    if request_line.count(" ") != 2 or any(_CONTROL.search(line) for line in lines):
-        raise ValueError(f"space or control character in the request head: {request_line[:80]!r}")
-    return "\r\n".join([*lines, "", ""]).encode("latin-1")
+def _request_line(line: str) -> bytes:
+    """A request line and its CRLF (RFC 9112 §3); a space in the target or a control character raises."""
+    if line.count(" ") != 2 or _CONTROL.search(line):
+        raise ValueError(f"space or control character in the request line: {line[:80]!r}")
+    return f"{line}\r\n".encode("latin-1")
 
 
-def _tunnel(sock: socket.socket, authority: str, proxy_headers: Mapping[str, str]) -> None:
-    """Ask the proxy on `sock` for a tunnel to `authority` (host:port); a non-2xx reply raises."""
-    sock.sendall(_request_head(f"CONNECT {authority} HTTP/1.1", {"Host": authority, **proxy_headers}))
+def _header_lines(fields: Mapping[str, str]) -> bytes:
+    """Header field lines, each ended by CRLF; a control character raises without echoing the value."""
+    for name, value in fields.items():
+        if _CONTROL.search(name) or _CONTROL.search(value):
+            raise ValueError(f"control character in the request header field {name[:80]!r}")
+    return "".join(f"{name}: {value}\r\n" for name, value in fields.items()).encode("latin-1")
+
+
+def _tunnel(sock: socket.socket, connect_head: bytes) -> None:
+    """Send the proxy on `sock` a CONNECT request's head; a non-2xx reply raises."""
+    sock.sendall(connect_head)
     # Unbuffered: a buffered reader could swallow the first bytes of the tunnel.
     with sock.makefile("rb", buffering=0) as reply:
         status, _ = _read_head(reply)
@@ -601,6 +706,7 @@ class Gateway:
         self.replay = replay
         self.cache = cache
         self._transport = transport
+        self._route = _Route(backend.endpoint)  # resolved on the first live request
         self._sleep = sleep_fn
         self._limiter = RateLimiter(backend.requests_per_minute, sleep_fn=sleep_fn)
         self._in_flight: dict[str, threading.Lock] = {}  # by request digest
@@ -646,7 +752,7 @@ class Gateway:
         token = os.environ.get(backend.auth_env_var, "")
         if not token:
             raise AuthMissing(f"environment variable {backend.auth_env_var} not set")
-        transport = self._transport or _http_transport  # read per call, so tests can patch it
+        send = self._route.send if self._transport is None else partial(self._transport, backend.endpoint)
         payload = {
             "model": request.model_id,
             "messages": [{"role": role, "content": text} for role, text in request.messages],
@@ -666,7 +772,7 @@ class Gateway:
                 retry_after = 0.0
             self._limiter.acquire()
             try:
-                status, body, reply_headers = transport(backend.endpoint, payload, headers)
+                status, body, reply_headers = send(payload, headers)
             except ConnectionError as exc:
                 last_failure = f"transport: {exc}"
                 continue

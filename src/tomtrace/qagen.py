@@ -631,18 +631,14 @@ class FirstPassReport:
         self.rate = rate  # 2-decimal fraction string, half-up
 
 
-def first_pass_stats(verdicts: list[VerificationVerdict], attempts: dict[str, int]) -> FirstPassReport:
-    """Share of questions whose first model verdict passed on attempt 1."""
+def first_pass_stats(verdicts: list[VerificationVerdict]) -> FirstPassReport:
+    """Share of model-verified questions whose first model verdict passed."""
     first_seen: dict[str, VerificationVerdict] = {}
     for verdict in verdicts:
         if verdict.stage is VerificationStage.LLM and verdict.question_id not in first_seen:
             first_seen[verdict.question_id] = verdict
     total = len(first_seen)
-    passes = sum(
-        1
-        for qid, verdict in first_seen.items()
-        if verdict.passed and attempts.get(qid, 1) == 1
-    )
+    passes = sum(1 for verdict in first_seen.values() if verdict.passed)
     rate = "0.00" if total == 0 else format_half_up(passes, total)
     return FirstPassReport(verified_questions=total, first_attempt_passes=passes, rate=rate)
 

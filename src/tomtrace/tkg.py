@@ -36,6 +36,7 @@ import re
 from enum import Enum
 from pathlib import Path
 
+from .config import MergeSection
 from .errors import (
     CorruptGraphFile,
     NonMonotoneInsert,
@@ -80,10 +81,11 @@ class CharacterNode:
         self.last_insert_plot = last_insert_plot
 
 
-# Default negation cues for the contradiction heuristic. Antonym pairs are
-# configuration, not defaults: with no configured pairs a same-key update is
-# labeled Refined unless a negation cue flips.
-NEGATION_CUES = ("not", "never", "no longer")
+# Default negation cues for the contradiction heuristic: the config's
+# `merge.negation_cues` default. Antonym pairs are configuration, not defaults:
+# with no configured pairs a same-key update is labeled Refined unless a
+# negation cue flips.
+NEGATION_CUES = tuple(MergeSection().negation_cues)
 
 
 class ContradictionRules:

@@ -1,9 +1,11 @@
 """A stage killed with SIGKILL leaves a state that a rerun resumes from.
 
 Each stage runs as a child process that is killed at a fixed point: inside
-the rewrite of `questions.jsonl` (review-import), or while a local HTTP
-backend stalls after a few answers (extract). A killed writer may leave its
-`.NAME.PID.TID.tmp` file behind; trees are compared without those.
+the rewrite of `questions.jsonl` (review-import), while a local HTTP backend
+stalls after a few answers (extract), right after the first, a middle or the
+last response-cache put (extract), or halfway through writing a cache line
+(extract). A killed writer may leave its `.NAME.PID.TID.tmp` file behind;
+trees are compared without those.
 """
 
 from __future__ import annotations
@@ -42,6 +44,54 @@ def dying(question):
     return real(question)
 
 qagen.question_to_record = dying
+main(sys.argv[1:], prog_name="tomtrace")
+"""
+
+# A stage that kills itself right after its N-th response-cache put (N is the first argument):
+# that put's line is whole on disk, and the log is not sealed.
+DIE_AFTER_NTH_PUT = """
+import os, signal, sys
+from tomtrace import llmgate
+from tomtrace.cli import main
+
+real, puts, kill_at = llmgate.ResponseCache.put, [], int(sys.argv.pop(1))
+
+def dying(self, *args):
+    real(self, *args)
+    puts.append(1)
+    if len(puts) == kill_at:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+llmgate.ResponseCache.put = dying
+main(sys.argv[1:], prog_name="tomtrace")
+"""
+
+# A stage that kills itself halfway through the third write to the cache log's append handle.
+DIE_MID_LINE = """
+import builtins, os, signal, sys
+from tomtrace import llmgate
+from tomtrace.cli import main
+
+class Dying:
+    def __init__(self, log):
+        self.log, self.writes = log, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            self.log.write(data[: len(data) // 2])
+            self.log.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return self.log.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.log, name)
+
+def opening(path, mode="r"):
+    log = builtins.open(path, mode)
+    return Dying(log) if mode == "a+b" else log
+
+llmgate.open = opening
 main(sys.argv[1:], prog_name="tomtrace")
 """
 
@@ -137,4 +187,74 @@ def test_extract_killed_while_the_backend_stalls_resumes_to_the_same_bytes(tmp_p
         run_cli(out, "extract", config=config)
         assert len(server.requests) == uninterrupted - answered
 
+    assert _tree_bytes(out) == _tree_bytes(reference)
+
+
+@pytest.fixture()
+def live_extract(tmp_path, monkeypatch):
+    """A scripted local backend, its config at one request in flight, and an uninterrupted ingest and extract.
+
+    Yields (server, config, reference out tree, requests the uninterrupted extract sent).
+    """
+    script = ReplayScript.load(DATA / "replay.jsonl")
+    monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
+    with http_backend(lambda handler, n, payload: send_reply(handler, 200, _scripted_answer(script, payload))) as server:
+        config = _write_config(tmp_path, endpoint=server.url, backend={"max_in_flight": 1})
+        reference = tmp_path / "reference"
+        run_cli(reference, "ingest", "extract", config=config)
+        sent = len(server.requests)
+        del server.requests[:]
+        yield server, config, reference, sent
+
+
+def _killed_extract(code: str, config: Path, out: Path, *args: str) -> subprocess.CompletedProcess:
+    child = subprocess.run(
+        [sys.executable, "-c", code, *args, "-c", str(config), "--out", str(out), "extract"],
+        env=_child_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    assert not (out / "triples").exists()
+    return child
+
+
+@pytest.mark.parametrize("point", ["first", "middle", "last"])
+def test_extract_killed_after_a_cache_put_resumes_to_the_same_bytes(point, live_extract, tmp_path):
+    server, config, reference, sent = live_extract
+    kill_at = {"first": 1, "middle": sent // 2, "last": sent}[point]
+    out = tmp_path / "resumed"
+    run_cli(out, "ingest", config=config)
+    _killed_extract(DIE_AFTER_NTH_PUT, config, out, str(kill_at))
+    assert len(server.requests) == kill_at
+    assert len((out / "cache" / "responses.jsonl").read_bytes().splitlines()) == kill_at
+
+    del server.requests[:]
+    run_cli(out, "extract", config=config)
+    assert len(server.requests) == sent - kill_at
+    assert _tree_bytes(out) == _tree_bytes(reference)  # the sealed cache included
+
+
+def test_a_cache_line_torn_by_a_kill_is_a_miss_and_the_next_process_ends_it(live_extract, tmp_path):
+    server, config, reference, sent = live_extract
+    out = tmp_path / "resumed"
+    run_cli(out, "ingest", config=config)
+    _killed_extract(DIE_MID_LINE, config, out)
+    log = out / "cache" / "responses.jsonl"
+    torn = log.read_bytes()
+    assert len(torn.splitlines()) == 3 and not torn.endswith(b"\n")
+
+    # The next process reads the two whole lines as hits and the torn one as a miss, whose
+    # request it sends again; its first put ends the torn line with a newline.
+    del server.requests[:]
+    child = _killed_extract(DIE_AFTER_NTH_PUT, config, out, "1")
+    assert len(server.requests) == 1
+    assert b"treated as miss" in child.stderr
+    resumed = log.read_bytes()
+    assert resumed.startswith(torn + b"\n")
+    assert resumed[len(torn) + 1 :].count(b"\n") == 1 and resumed.endswith(b"\n")
+
+    del server.requests[:]
+    run_cli(out, "extract", config=config)
+    assert len(server.requests) == sent - 3
     assert _tree_bytes(out) == _tree_bytes(reference)

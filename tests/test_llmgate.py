@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,9 @@ import socket
 import threading
 import time
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -141,6 +144,7 @@ def test_cache_round_trip_and_no_token_leak(tmp_path, monkeypatch):
     first = Gateway(BACKEND, transport=transport).complete(req)
     cache.put(req, BACKEND, first, req.digest)
     hit = cache.get(req.digest, BACKEND)
+    cache.close()
     assert hit is not None and hit.text == "live answer"
     # the stored entry must never contain the auth token
     log = tmp_path / "responses.jsonl"
@@ -163,6 +167,7 @@ def test_cache_entry_with_the_former_error_field_is_still_a_hit(tmp_path):
     assert hit is not None and hit.text == "kept"
     fresh = user_request("m", "new entry")
     cache.put(fresh, BACKEND, _answer("new"), fresh.digest)
+    cache.close()
     last = (tmp_path / "responses.jsonl").read_text(encoding="utf-8").splitlines()[-1]
     assert "error" not in json.loads(last.split(" ", 1)[1])["response"]
 
@@ -175,6 +180,7 @@ def test_cache_corrupt_entry_is_miss(tmp_path, caplog):
     (tmp_path / "responses.jsonl").write_text(f"{key} {{not json\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         assert cache.get(req.digest, BACKEND) is None
+    cache.close()
     assert any("corrupt" in r.message for r in caplog.records)
 
 
@@ -190,6 +196,7 @@ def test_cache_integrity_check(tmp_path):
     entry["response"]["text"] = "tampered"
     log.write_text(f"{key} {json.dumps(entry)}\n")
     assert cache.get(req.digest, BACKEND) is None
+    cache.close()
 
 
 # --- rate limiting ------------------------------------------------------------------
@@ -621,9 +628,12 @@ def test_gateway_computes_the_request_digest_once_per_call(tmp_path, monkeypatch
         patch.setattr(ChatRequest, "digest", counted)
         fresh = gw.complete(req)  # miss: cache read, request, cache write
         assert gw.complete(req).text == fresh.text  # hit: cache read only
+    gw.cache.close()
     assert len(evaluations) == 2 and calls["n"] == 1
     # The entry has the layout and bytes of a direct put.
-    ResponseCache(tmp_path / "plain").put(req, BACKEND, fresh, req.digest)
+    plain = ResponseCache(tmp_path / "plain")
+    plain.put(req, BACKEND, fresh, req.digest)
+    plain.close()
     assert [p.name for p in (tmp_path / "gateway").iterdir()] == ["responses.jsonl"]
     assert (tmp_path / "gateway" / "responses.jsonl").read_bytes() == (tmp_path / "plain" / "responses.jsonl").read_bytes()
 
@@ -639,6 +649,7 @@ def test_replay_neither_reads_nor_writes_the_cache(tmp_path):
     gw = Gateway(BACKEND, replay=script, cache=cache)
     assert gw.complete(req).text == "scripted"
     assert gw.complete(user_request("m", "another prompt")).text == "scripted"
+    cache.close()
     assert sorted(p.name for p in (tmp_path / "cache").rglob("*")) == before
 
 
@@ -671,21 +682,46 @@ def _answer(text: str) -> ChatResponse:
 
 
 def test_cache_torn_last_line_is_a_miss_and_the_next_put_starts_a_line(tmp_path, caplog):
+    """The torn line of a writer killed mid-append is ended when a cache next opens the log to append."""
     before, torn, after = (user_request("m", name) for name in ("before", "torn", "after"))
-    ResponseCache(tmp_path / "other").put(torn, BACKEND, _answer("lost"), torn.digest)
-    torn_line = (tmp_path / "other" / "responses.jsonl").read_bytes()
+    other = ResponseCache(tmp_path / "other")
+    other.put(torn, BACKEND, _answer("lost"), torn.digest)
+    other.close()
+    torn_line = other.path.read_bytes()
     cache = ResponseCache(tmp_path / "cache")
     cache.put(before, BACKEND, _answer("kept"), before.digest)
+    cache.close()
     with open(cache.path, "ab") as log:  # a writer killed mid-append
         log.write(torn_line[: len(torn_line) // 2])
+    torn_log = cache.path.read_bytes()
     cache.put(after, BACKEND, _answer("appended"), after.digest)
+    cache.close()
+    assert cache.path.read_bytes().startswith(torn_log + b"\n")
 
     fresh = ResponseCache(tmp_path / "cache")
     assert fresh.get(before.digest, BACKEND).text == "kept"
     assert fresh.get(after.digest, BACKEND).text == "appended"
     with caplog.at_level(logging.WARNING):
         assert fresh.get(torn.digest, BACKEND) is None
+    fresh.close()
     assert any("corrupt" in r.message for r in caplog.records)
+
+
+def test_cache_keeps_one_append_handle_and_one_read_handle_until_sealed(tmp_path, monkeypatch):
+    opened = []
+    real_open = open
+    monkeypatch.setattr(llmgate, "open", lambda path, mode: opened.append(mode) or real_open(path, mode), raising=False)
+    cache = ResponseCache(tmp_path)
+    requests = [user_request("m", f"prompt {n}") for n in range(5)]
+    for n, req in enumerate(requests):
+        cache.put(req, BACKEND, _answer(f"answer {n}"), req.digest)
+        assert cache.get(req.digest, BACKEND).text == f"answer {n}"
+    assert opened == ["a+b", "rb"]
+    cache.seal()  # closes both, then reads the log once to rewrite it
+    assert opened == ["a+b", "rb", "rb"]
+    assert [cache.get(req.digest, BACKEND).text for req in requests] == [f"answer {n}" for n in range(5)]
+    assert opened == ["a+b", "rb", "rb", "rb"]
+    cache.close()
 
 
 def test_cache_never_answers_for_another_key(tmp_path):
@@ -701,6 +737,13 @@ def test_cache_never_answers_for_another_key(tmp_path):
     assert writer.path.read_bytes() != unsealed  # the lines moved
     for n, req in enumerate(requests):
         assert reader.get(req.digest, BACKEND).text == f"answer {n}"
+    # The reader's own put lands in the sealed log, at an offset its read handle on the old log
+    # does not hold: the get rescans the log once and finds it.
+    late = user_request("m", "late")
+    reader.put(late, BACKEND, _answer("late answer"), late.digest)
+    assert reader.get(late.digest, BACKEND).text == "late answer"
+    reader.close()
+    assert ResponseCache.key_for(late.digest, BACKEND).encode() in writer.path.read_bytes()
 
     # A line under the right key whose entry answers another request is a miss.
     key = ResponseCache.key_for(requests[0].digest, BACKEND)
@@ -709,6 +752,7 @@ def test_cache_never_answers_for_another_key(tmp_path):
     forged.root.mkdir()
     forged.path.write_text(f"{key} {other.split(' ', 1)[1]}\n")
     assert forged.get(requests[0].digest, BACKEND) is None
+    forged.close()
 
 
 def test_sealed_cache_bytes_do_not_depend_on_put_order_or_repeats(tmp_path):
@@ -725,7 +769,10 @@ def test_sealed_cache_bytes_do_not_depend_on_put_order_or_repeats(tmp_path):
     keys = [line.split(b" ", 1)[0] for line in shuffled.path.read_bytes().splitlines()]
     assert keys == sorted(set(keys)) and len(keys) == 3
     assert shuffled.get(one.digest, BACKEND).text == "new"  # the last line for a key wins
-    assert ResponseCache(tmp_path / "shuffled").get(one.digest, BACKEND).text == "new"
+    shuffled.close()
+    fresh = ResponseCache(tmp_path / "shuffled")
+    assert fresh.get(one.digest, BACKEND).text == "new"
+    fresh.close()
 
 
 def test_gateway_run_seals_the_cache_when_an_item_raises(tmp_path, monkeypatch):
@@ -1148,3 +1195,158 @@ def test_https_proxy_tunnels_with_connect(proxy_env, no_resource_warnings):
     assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
     [(headers, _)] = server.requests
     assert "Proxy-Authorization" not in headers and headers["Authorization"] == "Bearer t"
+
+
+# --- a Gateway's route ----------------------------------------------------------------------
+
+def test_a_gateway_resolves_its_route_once_for_all_its_requests(proxy_env, no_resource_warnings):
+    """Four workers, twelve requests: one host lookup and one proxy check, on the first request."""
+    lookups, proxy_checks = [], []
+    getaddrinfo, proxy_for = socket.getaddrinfo, llmgate._proxy_for
+    proxy_env.setattr(socket, "getaddrinfo", lambda *args: lookups.append(args[:2]) or getaddrinfo(*args))
+    proxy_env.setattr(llmgate, "_proxy_for", lambda *args: proxy_checks.append(args) or proxy_for(*args))
+    with http_backend(_replies((200, ANSWER))) as server:
+        gateway = Gateway(replace(_live(server.url), max_in_flight=4), sleep_fn=lambda s: None)
+        requests = [user_request("m", f"prompt {n}") for n in range(12)]
+        assert [r.text for r in gateway.run(gateway.complete, requests)] == ["live answer"] * 12
+    port = server.server_address[1]
+    assert len(server.requests) == 12
+    assert lookups == [("127.0.0.1", port)]
+    assert proxy_checks == [("http", f"127.0.0.1:{port}")]
+
+
+def test_a_refused_connect_makes_the_next_attempt_look_the_host_up_again(proxy_env, no_resource_warnings):
+    refused_port = urlsplit(_refused_url()).port
+    lookups = []
+    getaddrinfo = socket.getaddrinfo
+
+    def lookup(host, port, *rest):
+        lookups.append(port)
+        return getaddrinfo(host, refused_port if len(lookups) == 1 else port, *rest)  # the first answer is stale
+
+    proxy_env.setattr(socket, "getaddrinfo", lookup)
+    with http_backend(_replies((200, ANSWER))) as server:
+        gateway = Gateway(_live(server.url), sleep_fn=lambda s: None)
+        assert gateway.complete(user_request("m", "one")).text == "live answer"
+        assert gateway.complete(user_request("m", "two")).text == "live answer"
+    port = server.server_address[1]
+    assert lookups == [port, port]  # the refused attempt's, then the one both requests used
+    assert len(server.requests) == 2
+
+
+def test_a_gateway_reads_the_proxy_settings_when_it_first_sends(proxy_env, no_resource_warnings):
+    with http_backend(_replies((200, ANSWER))) as server, http_proxy() as proxy:
+
+        def send(gateway: Gateway) -> None:
+            assert gateway.complete(user_request("m", "hello")).text == "live answer"
+
+        direct = Gateway(_live(server.url), sleep_fn=lambda s: None)
+        send(direct)
+        proxy_env.setenv("HTTP_PROXY", proxy.url)
+        send(direct)
+        assert proxy.requests == []
+        proxied = Gateway(_live(server.url), sleep_fn=lambda s: None)
+        send(proxied)
+        proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        send(proxied)
+        assert len(proxy.requests) == 2
+        send(Gateway(_live(server.url), sleep_fn=lambda s: None))
+        assert len(proxy.requests) == 2
+    assert len(server.requests) == 5
+
+
+@contextmanager
+def _raw_server(reply: bytes):
+    """A server on 127.0.0.1 that keeps the bytes of each request (head and Content-Length body), answers `reply` and closes.
+
+    Yields (port, requests).
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    requests, stop = [], threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(10)
+                requests.append(_read_request(conn))
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], requests
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+        assert not thread.is_alive()
+
+
+def _read_request(conn: socket.socket) -> bytes:
+    """One request's bytes: its head, then as many body bytes as its Content-Length names."""
+    data = b""
+    while True:
+        head, blank, body = data.partition(b"\r\n\r\n")
+        if blank:
+            length = re.search(rb"\r\ncontent-length: *(\d+)", head, re.IGNORECASE)
+            if len(body) >= (int(length[1]) if length else 0):
+                return data
+        chunk = conn.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+
+
+BODY_BYTES = (
+    b'{"model": "m", "messages": [{"role": "user", "content": "h\\u00e9llo"}], "temperature": 0.0, "max_tokens": 2048}'
+)
+
+
+def test_the_request_bytes_on_the_wire_are_pinned(proxy_env, no_resource_warnings):
+    """A direct POST, a POST through a forwarding proxy, and the CONNECT of a tunnel, byte for byte."""
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(BODY), BODY)
+    with _raw_server(reply) as (port, requests):
+        assert _call(f"http://127.0.0.1:{port}/v1/chat?x=1", user_request("m", "héllo")).text == "live answer"
+    assert requests == [
+        b"POST /v1/chat?x=1 HTTP/1.1\r\n"
+        b"Host: 127.0.0.1:%d\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: 111\r\n"
+        b"Accept-Encoding: identity\r\n"
+        b"Connection: close\r\n"
+        b"User-Agent: tomtrace/0.1.0\r\n"
+        b"Authorization: Bearer t\r\n"
+        b"\r\n" % port + BODY_BYTES
+    ]
+
+    with _raw_server(reply) as (port, requests):
+        proxy_env.setenv("HTTP_PROXY", f"http://user:pw@127.0.0.1:{port}")
+        assert _call("http://backend.invalid:8080/v1/chat", user_request("m", "héllo")).text == "live answer"
+    assert requests == [
+        b"POST http://backend.invalid:8080/v1/chat HTTP/1.1\r\n"
+        b"Host: backend.invalid:8080\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: 111\r\n"
+        b"Accept-Encoding: identity\r\n"
+        b"Connection: close\r\n"
+        b"User-Agent: tomtrace/0.1.0\r\n"
+        b"Authorization: Bearer t\r\n"
+        b"Proxy-Authorization: Basic dXNlcjpwdw==\r\n"
+        b"\r\n" + BODY_BYTES
+    ]
+
+    with _raw_server(b"HTTP/1.1 403 Forbidden\r\nContent-Length: 0\r\n\r\n") as (port, requests):
+        proxy_env.setenv("HTTPS_PROXY", f"http://user:pw@127.0.0.1:{port}")
+        with pytest.raises(TransportError, match="CONNECT with HTTP 403"):
+            _call("https://backend.invalid/v1/chat", attempts=1)
+    assert requests == [
+        b"CONNECT backend.invalid:443 HTTP/1.1\r\n"
+        b"Host: backend.invalid:443\r\n"
+        b"Proxy-Authorization: Basic dXNlcjpwdw==\r\n"
+        b"\r\n"
+    ]

@@ -278,7 +278,7 @@ def test_read_jsonl_is_the_only_code_that_decodes_record_lines():
         ("config.py", "_memoize"),  # ... and the check that JSON holds it unchanged
         ("corpus.py", "_parse_coser_book"),  # one whole JSON document per source book
         ("llmgate.py", "ResponseCache._entry"),  # one cache log line, read at an indexed byte offset
-        ("llmgate.py", "_http_transport"),  # a backend's response body
+        ("llmgate.py", "_Route.send"),  # a backend's response body
         ("tkg.py", "load_kg"),  # the graph file's integrity-hashed header ...
         ("tkg.py", "load_kg"),  # ... and the records it covers
         ("util.py", "read_jsonl"),

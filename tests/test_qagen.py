@@ -539,14 +539,14 @@ def test_first_pass_stats():
         VerificationVerdict("q3", VerificationStage.LLM, True),
         VerificationVerdict("q3", VerificationStage.HUMAN, True),  # human stage ignored
     ]
-    report = first_pass_stats(verdicts, attempts={"q1": 1, "q2": 2, "q3": 1})
+    report = first_pass_stats(verdicts)
     assert report.verified_questions == 3
     assert report.first_attempt_passes == 2
     assert report.rate == "0.67"
 
 
 def test_first_pass_stats_empty():
-    assert first_pass_stats([], attempts={}).rate == "0.00"
+    assert first_pass_stats([]).rate == "0.00"
 
 
 # --- persistence -------------------------------------------------------------------------
