@@ -377,8 +377,10 @@ def verify(ctx: RunContext):
         shuffle=ctx.config.qagen.shuffle_options,
         seed=ctx.config.seed,
     )
-    save_questions(final, ctx.questions_path)
+    # Verdicts first: a rerun verifies only questions still in the generated
+    # state, so questions.jsonl is replaced last.
     save_verdicts(verdicts, ctx.verdicts_path)
+    save_questions(final, ctx.questions_path)
     report = first_pass_stats(verdicts)
     verified = sum(1 for q in final if q.state is QuestionState.LLM_VERIFIED)
     _echo(

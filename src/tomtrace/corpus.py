@@ -19,6 +19,7 @@ from .errors import (
     DuplicatePlotIndex,
     MalformedRecord,
     NoSpeaker,
+    UnknownBook,
     UnreadableSource,
 )
 from .util import LazyLogger, clean_name, format_half_up, normalize_name, read_jsonl, slugify, write_jsonl
@@ -297,9 +298,11 @@ def ingest_corpus(
     `format` is either "coser" (nested per-book JSON) or "jsonl" (the
     normalized plot-per-line layout this package writes). Each book file and
     alias table goes through `read` before it is opened; the CLI passes one
-    that records the file as an input of the stage.
+    that records the file as an input of the stage. An alias table keyed by
+    no book's id raises UnknownBook.
     """
     path = Path(path)
+    alias_tables = alias_tables or {}
     if not path.exists():
         raise UnreadableSource(f"no such path: {path}")
     if path.is_dir():
@@ -319,11 +322,14 @@ def ingest_corpus(
         if first != file:
             raise DuplicateBookId(f"{first} and {file} both give book id {book.id!r}")
         registry = CharacterRegistry()
-        if alias_tables and book.id in alias_tables:
+        if book.id in alias_tables:
             registry = load_alias_table(read(alias_tables[book.id]))
         _canonicalize_book(book, registry)
         books.append(book)
         registries[book.id] = registry
+    unknown = sorted(alias_tables.keys() - sources.keys())
+    if unknown:
+        raise UnknownBook(f"alias tables name books not in corpus: {unknown}")
     books.sort(key=lambda b: b.id)
     return Corpus(books=books, registries=registries)
 

@@ -135,7 +135,7 @@ class MissingKg(TomtraceError):
 # --- fine-tune emission ---------------------------------------------------
 
 class UnknownBook(TomtraceError):
-    """Split names a book that is not in the corpus."""
+    """A split or an alias table names a book that is not in the corpus."""
 
 
 class IoError(TomtraceError):

@@ -20,7 +20,6 @@ import re
 import threading
 import time
 from collections import deque
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, TypeVar
 from urllib.parse import unquote, urlsplit
@@ -394,11 +393,6 @@ HTTP_TIMEOUT_S = 120
 MAX_BACKOFF_S = 60.0
 
 
-def _http_transport(url: str, payload: dict, headers: dict) -> tuple[int, object, dict[str, str]]:
-    """POST `payload` to `url` on a route resolved for this call alone; see `_Route.send`."""
-    return _Route(url).send(payload, headers)
-
-
 class _Route:
     """How requests to one endpoint URL travel, resolved on the first send and reused by every later one.
 
@@ -699,13 +693,11 @@ class Gateway:
         *,
         replay: ReplayScript | None = None,
         cache: ResponseCache | None = None,
-        transport: Callable | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
     ) -> None:
         self.backend = backend
         self.replay = replay
         self.cache = cache
-        self._transport = transport
         self._route = _Route(backend.endpoint)  # resolved on the first live request
         self._sleep = sleep_fn
         self._limiter = RateLimiter(backend.requests_per_minute, sleep_fn=sleep_fn)
@@ -752,7 +744,6 @@ class Gateway:
         token = os.environ.get(backend.auth_env_var, "")
         if not token:
             raise AuthMissing(f"environment variable {backend.auth_env_var} not set")
-        send = self._route.send if self._transport is None else partial(self._transport, backend.endpoint)
         payload = {
             "model": request.model_id,
             "messages": [{"role": role, "content": text} for role, text in request.messages],
@@ -772,7 +763,7 @@ class Gateway:
                 retry_after = 0.0
             self._limiter.acquire()
             try:
-                status, body, reply_headers = send(payload, headers)
+                status, body, reply_headers = self._route.send(payload, headers)
             except ConnectionError as exc:
                 last_failure = f"transport: {exc}"
                 continue

@@ -73,14 +73,6 @@ class RetireRecord:
         self.plot_index = plot_index
 
 
-class CharacterNode:
-    __slots__ = ("canonical_name", "last_insert_plot")
-
-    def __init__(self, canonical_name: str, last_insert_plot: int = 0) -> None:
-        self.canonical_name = canonical_name
-        self.last_insert_plot = last_insert_plot
-
-
 # Default negation cues for the contradiction heuristic: the config's
 # `merge.negation_cues` default. Antonym pairs are configuration, not defaults:
 # with no configured pairs a same-key update is labeled Refined unless a
@@ -165,18 +157,20 @@ class TemporalKG:
     def __init__(self, book_id: str, plot_count: int | None = None) -> None:
         self.book_id = book_id
         self.plot_count = plot_count
-        self.nodes: dict[str, CharacterNode] = {}
+        # character -> the last plot inserted for it
+        self.nodes: dict[str, int] = {}
         self.edges: dict[str, MentalStateTriple] = {}
         self.supersede_links: list[SupersedeLink] = []
         self.retirements: list[RetireRecord] = []
         # character -> edge ids in insertion order
         self.index: dict[str, list[str]] = {}
 
-    def node_for(self, character: str) -> CharacterNode:
+    def name_for(self, character: str) -> str:
+        """The node name that `character` matches after `normalize_name`."""
         wanted = normalize_name(character)
-        for name, node in self.nodes.items():
+        for name in self.nodes:
             if normalize_name(name) == wanted:
-                return node
+                return name
         raise UnknownCharacter(f"{character!r} has no node in graph for {self.book_id!r}")
 
 
@@ -193,13 +187,13 @@ def _active_edges(kg: TemporalKG, character: str) -> list[MentalStateTriple]:
     return [kg.edges[i] for i in kg.index.get(character, []) if kg.edges[i].valid_to is None]
 
 
-def _register_edge(kg: TemporalKG, node: CharacterNode, triple: MentalStateTriple) -> str:
+def _register_edge(kg: TemporalKG, character: str, triple: MentalStateTriple) -> str:
     edge_id = triple.id
     while edge_id in kg.edges:  # same-content reinsert after retirement
         edge_id = f"{edge_id}+"
     triple.id = edge_id
     kg.edges[edge_id] = triple
-    kg.index.setdefault(node.canonical_name, []).append(edge_id)
+    kg.index.setdefault(character, []).append(edge_id)
     return edge_id
 
 
@@ -213,14 +207,11 @@ def insert_batch(
 ) -> ChangeLog:
     """Insert one extraction batch; mutates the graph, returns the diff."""
     rules = rules or ContradictionRules()
-    node = kg.nodes.get(batch.character)
-    if node is None:
-        node = CharacterNode(canonical_name=batch.character)
-        kg.nodes[batch.character] = node
-    if batch.plot_index < node.last_insert_plot:
+    character = batch.character
+    last_plot = kg.nodes.setdefault(character, 0)
+    if batch.plot_index < last_plot:
         raise NonMonotoneInsert(
-            f"{batch.character!r}: batch plot {batch.plot_index} precedes "
-            f"already inserted plot {node.last_insert_plot}"
+            f"{character!r}: batch plot {batch.plot_index} precedes already inserted plot {last_plot}"
         )
 
     # Dedupe within the batch on normalized content, keeping first occurrences.
@@ -233,24 +224,24 @@ def insert_batch(
         seen_content.add(key)
         incoming.append(triple)
 
-    log = ChangeLog(character=node.canonical_name, plot_index=batch.plot_index)
+    log = ChangeLog(character=character, plot_index=batch.plot_index)
     if mode is MergeMode.TRUST_LLM_DIFF:
-        _insert_trust_llm_diff(kg, node, batch.plot_index, incoming, rules, log)
+        _insert_trust_llm_diff(kg, character, batch.plot_index, incoming, rules, log)
     else:
-        _insert_deterministic(kg, node, batch.plot_index, incoming, jaccard_threshold, log)
-    node.last_insert_plot = batch.plot_index
+        _insert_deterministic(kg, character, batch.plot_index, incoming, jaccard_threshold, log)
+    kg.nodes[character] = batch.plot_index
     return log
 
 
 def _insert_trust_llm_diff(
     kg: TemporalKG,
-    node: CharacterNode,
+    character: str,
     plot_index: int,
     incoming: list[MentalStateTriple],
     rules: ContradictionRules,
     log: ChangeLog,
 ) -> None:
-    active = _active_edges(kg, node.canonical_name)
+    active = _active_edges(kg, character)
     old_by_content: dict[tuple[str, str], MentalStateTriple] = {}
     for edge in active:
         old_by_content.setdefault(_content_key(edge.predicate_raw, edge.object), edge)
@@ -272,7 +263,7 @@ def _insert_trust_llm_diff(
     # Insert surviving batch triples first so links can point at real edges.
     for triple in remaining_new:
         triple.plot_index = plot_index
-        _register_edge(kg, node, triple)
+        _register_edge(kg, character, triple)
         log.added.append(triple.id)
 
     for edge in active:
@@ -300,14 +291,14 @@ def _insert_trust_llm_diff(
 
 def _insert_deterministic(
     kg: TemporalKG,
-    node: CharacterNode,
+    character: str,
     plot_index: int,
     incoming: list[MentalStateTriple],
     threshold: float,
     log: ChangeLog,
 ) -> None:
     for triple in incoming:
-        active = _active_edges(kg, node.canonical_name)
+        active = _active_edges(kg, character)
         exact = next(
             (
                 e
@@ -328,7 +319,7 @@ def _insert_deterministic(
             and jaccard(e.object, triple.object) >= threshold
         ]
         triple.plot_index = plot_index
-        _register_edge(kg, node, triple)
+        _register_edge(kg, character, triple)
         log.added.append(triple.id)
         for edge in to_supersede:
             link = SupersedeLink(old_id=edge.id, new_id=triple.id, reason=SupersedeReason.REFINED)
@@ -346,14 +337,14 @@ def state_at(kg: TemporalKG, character: str, plot_t: int) -> list[MentalStateTri
     rejected or unparseable never entered the graph.
     """
     try:
-        node = kg.node_for(character)
+        name = kg.name_for(character)
     except UnknownCharacter:
         return []
     if plot_t < 1:
         raise ValueError(f"plot_t must be >= 1, got {plot_t}")
     if kg.plot_count is not None and plot_t > kg.plot_count:
         raise ValueError(f"plot_t {plot_t} beyond book plot count {kg.plot_count}")
-    edges = (kg.edges[i] for i in kg.index.get(node.canonical_name, []))
+    edges = (kg.edges[i] for i in kg.index.get(name, []))
     chosen = [e for e in edges if e.plot_index <= plot_t and (e.valid_to is None or plot_t < e.valid_to)]
     return sorted(chosen, key=lambda t: t.plot_index)  # stable: keeps insertion order
 
@@ -380,10 +371,10 @@ def timeline(
     dimension: Dimension | None = None,
 ) -> list[TimelineEntry]:
     """Chronological list of a character's edges with supersede annotations."""
-    node = kg.node_for(character)
+    name = kg.name_for(character)
     by_new_id = {link.new_id: link for link in kg.supersede_links}
     entries = []
-    for edge_id in kg.index.get(node.canonical_name, []):
+    for edge_id in kg.index.get(name, []):
         edge = kg.edges[edge_id]
         if dimension is not None and edge.dimension is not dimension:
             continue
@@ -458,8 +449,8 @@ def build_graph(
 def save_kg(kg: TemporalKG, path: Path | str) -> Path:
     """Write the graph as JSONL with an integrity-hashed header."""
     records = [
-        {"record": "node", "name": name, "last_insert_plot": node.last_insert_plot}
-        for name, node in kg.nodes.items()
+        {"record": "node", "name": name, "last_insert_plot": last_plot}
+        for name, last_plot in kg.nodes.items()
     ]
     for character, ids in kg.index.items():
         for edge_id in ids:
@@ -527,9 +518,8 @@ def load_kg(path: Path | str) -> TemporalKG:
         kind = rec.get("record")
         try:
             if kind == "node":
-                kg.nodes[rec["name"]] = CharacterNode(
-                    canonical_name=rec["name"], last_insert_plot=rec["last_insert_plot"]
-                )
+                name = rec["name"]  # read before the plot, so a record lacking both names "name"
+                kg.nodes[name] = rec["last_insert_plot"]
             elif kind == "edge":
                 triple = triple_from_record(rec)
                 kg.edges[triple.id] = triple

@@ -23,7 +23,7 @@ import tomtrace
 from tomtrace.cli import main
 from tomtrace.config import BackendSection, Section
 from tomtrace.corpus import ingest_corpus
-from tomtrace.llmgate import Gateway, ReplayScript
+from tomtrace.llmgate import Gateway, ReplayScript, _Route
 
 DATA = Path(__file__).parent / "data"
 CONFIG = DATA / "pipeline.yaml"
@@ -188,6 +188,16 @@ def send_reply(handler: BaseHTTPRequestHandler, status: int, body, *, length: in
     handler.send_header("Content-Length", str(len(data) if length is None else length))
     handler.end_headers()
     handler.wfile.write(data)
+
+
+def fake_backend(monkeypatch, transport) -> None:
+    """Answer every live request with `transport(url, payload, headers)` -> (status, body, headers).
+
+    It stands in for `llmgate._Route.send`, the one call a `Gateway` makes per
+    attempt, so retries, the rate limiter and the cache run as in production.
+    `http_backend` serves the real wire instead.
+    """
+    monkeypatch.setattr(_Route, "send", lambda route, payload, headers: transport(route.url, payload, headers))
 
 
 @contextmanager

@@ -1048,3 +1048,15 @@ def test_an_unbounded_retry_backoff_through_the_entry_point_sleeps_at_most_the_c
     assert label == "sleeps"
     sleeps = [float(s) for s in sleeps]
     assert sleeps and all(s == MAX_BACKOFF_S for s in sleeps)
+
+
+def test_a_misspelled_alias_table_book_exits_one_before_writing(tmp_path):
+    """Ignoring `king-lare` would split King Lear/Lear and Fool/The Fool into separate characters."""
+    table = str(CONFIG.parent / "king-lear-aliases.txt")
+    config = derived_config(tmp_path, corpus={"alias_tables": {"king-lare": table}})
+    out = tmp_path / "out"
+    result = run_entry_point("-c", str(config), "--out", str(out), "ingest")
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == "error: alias tables name books not in corpus: ['king-lare']"
+    assert "Traceback" not in result.stderr
+    assert not (out / "corpus").exists()

@@ -21,9 +21,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import CONFIG, DATA, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
+from conftest import CONFIG, DATA, fake_backend, http_backend, run_cli, run_entry_point, send_reply, tree_bytes
 from test_llmgate import _refused_url
-from tomtrace import cli, llmgate
+from tomtrace import cli
 from tomtrace.llmgate import ReplayScript, user_request
 from tomtrace.qagen import QuestionState, load_questions
 
@@ -78,7 +78,7 @@ def _run_pipeline(monkeypatch, config: Path, out: Path, max_in_flight: int | Non
         config.backend.max_in_flight = max_in_flight
         return config
 
-    monkeypatch.setattr(llmgate._Route, "send", lambda route, payload, headers: transport(route.url, payload, headers))
+    fake_backend(monkeypatch, transport)
     if max_in_flight is not None:
         monkeypatch.setattr(cli, "load_config", sized_config)
     monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
@@ -153,7 +153,7 @@ def test_an_unusable_question_reply_is_skipped_with_one_warning_on_every_run(
             return 200, {"choices": [{"message": {"content": "Sorry, I cannot help with that."}}]}, {}
         return 200, _scripted_answer(script, payload), {}
 
-    monkeypatch.setattr(llmgate._Route, "send", lambda route, payload, headers: transport(route.url, payload, headers))
+    fake_backend(monkeypatch, transport)
     monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
     runs = []
     for out in (tmp_path / "first", tmp_path / "rerun"):
@@ -205,7 +205,7 @@ def test_a_regeneration_reply_without_the_rejected_dimension_leaves_the_question
             choice["message"]["content"] = text.replace("Desire Multiple", "Belief Multiple")
         return 200, answer, {}
 
-    monkeypatch.setattr(llmgate._Route, "send", lambda route, payload, headers: transport(route.url, payload, headers))
+    fake_backend(monkeypatch, transport)
     monkeypatch.setenv("TOMTRACE_API_TOKEN", "test-token")
     runs = []
     for out in (tmp_path / "first", tmp_path / "rerun"):

@@ -1,7 +1,8 @@
 """A stage killed with SIGKILL leaves a state that a rerun resumes from.
 
 Each stage runs as a child process that is killed at a fixed point: inside
-the rewrite of `questions.jsonl` (review-import), while a local HTTP backend
+the rewrite of `questions.jsonl` (review-import), between the two output
+files (verify), while a local HTTP backend
 stalls after a few answers (extract), right after the first, a middle or the
 last response-cache put (extract), or halfway through writing a cache line
 (extract). A killed writer may leave its `.NAME.PID.TID.tmp` file behind;
@@ -44,6 +45,21 @@ def dying(question):
     return real(question)
 
 qagen.question_to_record = dying
+main(sys.argv[1:], prog_name="tomtrace")
+"""
+
+# A stage that kills itself right after the first file it replaces whole, before the second.
+DIE_AFTER_FIRST_REPLACE = """
+import os, signal, sys
+from tomtrace.cli import main
+
+real = os.replace
+
+def dying(*args, **kwargs):
+    real(*args, **kwargs)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+os.replace = dying
 main(sys.argv[1:], prog_name="tomtrace")
 """
 
@@ -135,6 +151,22 @@ def test_review_import_killed_mid_write_keeps_the_old_questions(pipeline_out, tm
     _mark_all_pass(reference / "review.csv")
     run_cli(reference, f"review-import {reference / 'review.csv'}")
     run_cli(out, f"review-import {review}")
+    assert _tree_bytes(out) == _tree_bytes(reference)
+
+
+def test_verify_killed_between_its_two_writes_resumes_to_the_same_bytes(tmp_path):
+    reference = tmp_path / "reference"
+    run_cli(reference, "ingest", "extract", "build-kg", "genqa")
+    out = tmp_path / "out"
+    shutil.copytree(reference, out)
+    run_cli(reference, "verify")
+
+    args = ["-c", str(CONFIG), "--out", str(out), "verify"]
+    child = subprocess.run(
+        [sys.executable, "-c", DIE_AFTER_FIRST_REPLACE, *args], env=_child_env(), capture_output=True, timeout=120
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    run_cli(out, "verify")
     assert _tree_bytes(out) == _tree_bytes(reference)
 
 

@@ -20,7 +20,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from conftest import TLS_CERT, http_backend, http_proxy, replace, send_reply
+from conftest import TLS_CERT, fake_backend, http_backend, http_proxy, replace, send_reply
 import tomtrace
 from tomtrace import llmgate
 from tomtrace.config import BackendSection
@@ -141,7 +141,8 @@ def test_cache_round_trip_and_no_token_leak(tmp_path, monkeypatch):
         return 200, {"choices": [{"message": {"content": "live answer"}}],
                      "usage": {"prompt_tokens": 3, "completion_tokens": 2}}, {}
 
-    first = Gateway(BACKEND, transport=transport).complete(req)
+    fake_backend(monkeypatch, transport)
+    first = Gateway(BACKEND).complete(req)
     cache.put(req, BACKEND, first, req.digest)
     hit = cache.get(req.digest, BACKEND)
     cache.close()
@@ -239,7 +240,8 @@ def test_retry_then_success(monkeypatch):
     transport, calls = _flaky_transport(2)
     sleeps = []
     backend = replace(BACKEND, retry_max_attempts=3, retry_base_backoff_s=0.5)
-    resp = Gateway(backend, transport=transport, sleep_fn=sleeps.append).complete(user_request("m", "x"))
+    fake_backend(monkeypatch, transport)
+    resp = Gateway(backend, sleep_fn=sleeps.append).complete(user_request("m", "x"))
     assert resp.text == "ok" and calls["n"] == 3
     assert sleeps == [0.5, 1.0]  # exponential backoff
 
@@ -248,16 +250,18 @@ def test_rate_limit_exhaustion(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, _ = _flaky_transport(99, status=429)
     backend = replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0)
+    fake_backend(monkeypatch, transport)
     with pytest.raises(RateLimitedExhausted):
-        Gateway(backend, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
+        Gateway(backend, sleep_fn=lambda s: None).complete(user_request("m", "x"))
 
 
 def test_server_error_exhaustion_is_transport_error(monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, _ = _flaky_transport(99, status=503)
     backend = replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0)
+    fake_backend(monkeypatch, transport)
     with pytest.raises(TransportError):
-        Gateway(backend, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
+        Gateway(backend, sleep_fn=lambda s: None).complete(user_request("m", "x"))
 
 
 def _replying(*replies):
@@ -287,7 +291,8 @@ def test_retry_after_lengthens_the_backoff_up_to_the_cap(monkeypatch, status, re
     sleeps = []
     backend = replace(BACKEND, retry_max_attempts=2, retry_base_backoff_s=0.5)
     transport = _replying((status, {}, {"retry-after": retry_after}), OK)
-    assert Gateway(backend, transport=transport, sleep_fn=sleeps.append).complete(user_request("m", "x")).text == "ok"
+    fake_backend(monkeypatch, transport)
+    assert Gateway(backend, sleep_fn=sleeps.append).complete(user_request("m", "x")).text == "ok"
     assert sleeps == [slept]
 
 
@@ -296,7 +301,8 @@ def test_retry_after_holds_for_one_retry_and_only_after_429_or_503(monkeypatch):
     sleeps = []
     backend = replace(BACKEND, retry_max_attempts=4, retry_base_backoff_s=0.5)
     transport = _replying((429, {}, {"retry-after": "9"}), (500, {}, {"retry-after": "9"}), (503, {}, {}), OK)
-    assert Gateway(backend, transport=transport, sleep_fn=sleeps.append).complete(user_request("m", "x")).text == "ok"
+    fake_backend(monkeypatch, transport)
+    assert Gateway(backend, sleep_fn=sleeps.append).complete(user_request("m", "x")).text == "ok"
     assert sleeps == [9.0, 1.0, 2.0]
 
 
@@ -308,8 +314,9 @@ def test_client_error_fails_fast(monkeypatch):
         calls["n"] += 1
         return 400, {"error": "bad request"}, {}
 
+    fake_backend(monkeypatch, transport)
     with pytest.raises(TransportError):
-        Gateway(BACKEND, transport=transport, sleep_fn=lambda s: None).complete(user_request("m", "x"))
+        Gateway(BACKEND, sleep_fn=lambda s: None).complete(user_request("m", "x"))
     assert calls["n"] == 1
 
 
@@ -320,7 +327,8 @@ def test_empty_or_non_text_completion_is_a_transport_error_and_not_cached(tmp_pa
     def transport(url, payload, headers):
         return 200, {"choices": [{"message": {"content": content}}]}, {}
 
-    gw = Gateway(BACKEND, cache=ResponseCache(tmp_path), transport=transport)
+    fake_backend(monkeypatch, transport)
+    gw = Gateway(BACKEND, cache=ResponseCache(tmp_path))
     with pytest.raises(TransportError, match="empty or not text"):
         gw.complete(user_request("m", "x"))
     with pytest.raises(TransportError, match="empty or not text"):
@@ -343,7 +351,8 @@ def test_auth_read_at_call_time(monkeypatch):
         seen["auth"] = headers["Authorization"]
         return 200, {"choices": [{"message": {"content": "ok"}}]}, {}
 
-    Gateway(BACKEND, transport=transport).complete(user_request("m", "x"))
+    fake_backend(monkeypatch, transport)
+    Gateway(BACKEND).complete(user_request("m", "x"))
     assert seen["auth"] == "Bearer tok-123"
 
 
@@ -472,7 +481,8 @@ def test_gateway_run_draws_no_item_after_one_has_failed_and_seals_the_cache(tmp_
     seals = []
     real_seal = cache.seal
     monkeypatch.setattr(cache, "seal", lambda: seals.append(real_seal()))
-    gw = Gateway(replace(BACKEND, max_in_flight=1), cache=cache, transport=transport)
+    fake_backend(monkeypatch, transport)
+    gw = Gateway(replace(BACKEND, max_in_flight=1), cache=cache)
     drawn, raised = [], threading.Event()
 
     def ask(n):
@@ -546,7 +556,8 @@ def test_gateway_run_raises_what_the_items_raise_once_the_drawn_items_finish(tmp
     seals = []
     real_seal = cache.seal
     monkeypatch.setattr(cache, "seal", lambda: seals.append(real_seal()))
-    gw = Gateway(replace(BACKEND, max_in_flight=4), cache=cache, transport=transport)
+    fake_backend(monkeypatch, transport)
+    gw = Gateway(replace(BACKEND, max_in_flight=4), cache=cache)
     finished = []
 
     def ask(n):
@@ -599,11 +610,8 @@ def test_gateway_cache_single_flight_per_key(tmp_path, monkeypatch):
     """Stress: 16 workers, 20 prompts asked 10 times each, one backend call per prompt."""
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, calls = _live_transport("shared", delay_s=0.001)
-    gw = Gateway(
-        replace(BACKEND, max_in_flight=16),
-        cache=ResponseCache(tmp_path),
-        transport=transport,
-    )
+    fake_backend(monkeypatch, transport)
+    gw = Gateway(replace(BACKEND, max_in_flight=16), cache=ResponseCache(tmp_path))
     prompts = [user_request("m", f"prompt {n % 20}") for n in range(200)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -619,7 +627,8 @@ def test_gateway_cache_single_flight_per_key(tmp_path, monkeypatch):
 def test_gateway_computes_the_request_digest_once_per_call(tmp_path, monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, calls = _live_transport("answer")
-    gw = Gateway(BACKEND, cache=ResponseCache(tmp_path / "gateway"), transport=transport)
+    fake_backend(monkeypatch, transport)
+    gw = Gateway(BACKEND, cache=ResponseCache(tmp_path / "gateway"))
     req = user_request("m", "digest me")
     digest = ChatRequest.digest
     evaluations = []
@@ -779,7 +788,8 @@ def test_gateway_run_seals_the_cache_when_an_item_raises(tmp_path, monkeypatch):
     monkeypatch.setenv("TT_TOKEN", "t")
     transport, _ = _live_transport("answer")
     cache = ResponseCache(tmp_path)
-    gw = Gateway(replace(BACKEND, max_in_flight=1), cache=cache, transport=transport)
+    fake_backend(monkeypatch, transport)
+    gw = Gateway(replace(BACKEND, max_in_flight=1), cache=cache)
     prompts = sorted((user_request("m", f"prompt {n}") for n in range(6)),
                      key=lambda req: cache.key_for(req.digest, BACKEND), reverse=True)
 
@@ -892,7 +902,7 @@ def test_http_non_json_answer_cannot_be_extracted(monkeypatch, no_resource_warni
 
 def test_http_transport_returns_error_status_and_text_body(no_resource_warnings):
     with http_backend(_replies((400, b"bad request"))) as server:
-        assert llmgate._http_transport(server.url, {"x": 1}, {})[:2] == (400, "bad request")
+        assert llmgate._Route(server.url).send({"x": 1}, {})[:2] == (400, "bad request")
 
 
 def test_http_client_error_fails_fast(monkeypatch, no_resource_warnings):
@@ -1012,13 +1022,13 @@ BODY = json.dumps(ANSWER).encode("utf-8")
 )
 def test_http_transport_frames_the_reply(reply, no_resource_warnings):
     with http_backend(_raw(*reply)) as server:
-        status, body, headers = llmgate._http_transport(server.url, {"x": 1}, {})
+        status, body, headers = llmgate._Route(server.url).send({"x": 1}, {})
     assert (status, body, headers["x-extra"]) == (200, ANSWER, "a, b")
 
 
 def test_http_transport_sends_one_http11_request(no_resource_warnings):
     with http_backend(_replies((204, b""))) as server:
-        assert llmgate._http_transport(server.url, {"x": "é"}, {"Authorization": "Bearer t"})[:2] == (204, "")
+        assert llmgate._Route(server.url).send({"x": "é"}, {"Authorization": "Bearer t"})[:2] == (204, "")
     [(headers, payload)] = server.requests
     assert payload == {"x": "é"}
     assert headers["Host"] == server.url.split("/")[2]
@@ -1048,7 +1058,7 @@ def test_http_transport_sends_one_http11_request(no_resource_warnings):
 def test_http_transport_raises_connection_error_for_a_malformed_or_short_reply(reply, message, no_resource_warnings):
     with http_backend(_raw(*reply)) as server:
         with pytest.raises(ConnectionError, match=message):
-            llmgate._http_transport(server.url, {"x": 1}, {})
+            llmgate._Route(server.url).send({"x": 1}, {})
 
 
 @pytest.mark.parametrize(
@@ -1056,13 +1066,13 @@ def test_http_transport_raises_connection_error_for_a_malformed_or_short_reply(r
 )
 def test_http_transport_rejects_a_malformed_endpoint(url, no_resource_warnings):
     with pytest.raises(ConnectionError):
-        llmgate._http_transport(url, {}, {})
+        llmgate._Route(url).send({}, {})
 
 
 def test_http_transport_rejects_a_header_that_would_split_the_request(no_resource_warnings):
     with http_backend(_replies((200, ANSWER))) as server:
         with pytest.raises(ConnectionError, match="control character"):
-            llmgate._http_transport(server.url, {}, {"Authorization": "Bearer t\r\nX-Injected: 1"})
+            llmgate._Route(server.url).send({}, {"Authorization": "Bearer t\r\nX-Injected: 1"})
     assert server.requests == []
 
 
@@ -1070,7 +1080,7 @@ def test_posting_loads_no_urllib_http_client_email_or_ssl(no_resource_warnings):
     """A stage process that posts to a plain-HTTP backend without a proxy loads none of them."""
     code = (
         "import sys, tomtrace.cli; from tomtrace import llmgate; "
-        "status, body, headers = llmgate._http_transport(sys.argv[1], {'x': 1}, {}); "
+        "status, body, headers = llmgate._Route(sys.argv[1]).send({'x': 1}, {}); "
         "print(status, body, sorted({'urllib.request', 'http.client', 'email', 'ssl'} & set(sys.modules)))"
     )
     env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
