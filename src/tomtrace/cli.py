@@ -310,16 +310,12 @@ def extract(ctx: RunContext):
 @main.command("build-kg")
 def build_kg(ctx: RunContext):
     """Fold extracted triple batches into per-book temporal graphs."""
-    from .tkg import ContradictionRules, MergeMode, build_graph, save_kg
+    from .tkg import build_graph, save_kg
     from .triples import checked_triple_record
 
     corpus = ctx.load_corpus()
     if not ctx.triples_dir.is_dir():
         raise MissingUpstreamArtifact(f"no triples under {ctx.triples_dir}; run extract")
-    merge = ctx.config.merge
-    rules = ContradictionRules(
-        antonym_pairs=[tuple(p) for p in merge.antonym_pairs], negation_cues=tuple(merge.negation_cues)
-    )
     outputs: list[Path] = []
     for book in corpus.books:
         triples_path = ctx.triples_dir / f"{book.id}.jsonl"
@@ -329,9 +325,7 @@ def build_kg(ctx: RunContext):
             book.id,
             len(book.plots),
             read_jsonl(ctx.read(triples_path), lambda rec: checked_triple_record(rec, len(book.plots))),
-            MergeMode(merge.mode),
-            rules=rules,
-            jaccard_threshold=merge.jaccard_threshold,
+            ctx.config.merge,
         )
         outputs += [
             save_kg(kg, ctx.kg_dir / f"{book.id}.kg.jsonl"),
@@ -366,10 +360,15 @@ def genqa(ctx: RunContext):
 @main.command()
 def verify(ctx: RunContext):
     """Model-verify generated questions, regenerating rejects up to the budget."""
-    from .qagen import QuestionState, first_pass_stats, save_questions, save_verdicts, verify_questions
+    from .qagen import (
+        QuestionState, carry_verdicts, first_pass_stats, load_verdicts, save_questions, save_verdicts,
+        verify_questions,
+    )
 
+    questions = ctx.load_question_file()
+    redone = {q.id for q in questions if q.state is QuestionState.GENERATED}
     final, verdicts = verify_questions(
-        ctx.load_question_file(),
+        questions,
         ctx.gateway(),
         model_id=ctx.model_id(),
         max_attempts=ctx.config.verification.max_attempts,
@@ -377,6 +376,9 @@ def verify(ctx: RunContext):
         shuffle=ctx.config.qagen.shuffle_options,
         seed=ctx.config.seed,
     )
+    if len(redone) < len(final):
+        earlier = load_verdicts(ctx.read(ctx.verdicts_path)) if ctx.verdicts_path.is_file() else []
+        verdicts = carry_verdicts(final, redone, verdicts, earlier)
     # Verdicts first: a rerun verifies only questions still in the generated
     # state, so questions.jsonl is replaced last.
     save_verdicts(verdicts, ctx.verdicts_path)
@@ -489,15 +491,7 @@ def emit_ft(ctx: RunContext):
     questions = ctx.load_question_file()
     splits = book_splits(corpus, ctx.config.ft.ood_books)
     ft_dir = ctx.out_dir / "ft"
-    written = emit_training_files(
-        corpus,
-        kgs,
-        questions,
-        splits,
-        ctx.config.ft.with_triples,
-        ft_dir,
-        waive_verification=not ctx.config.ft.require_human_verified,
-    )
+    written = emit_training_files(corpus, kgs, questions, splits, ctx.config.ft, ft_dir)
     for target, count in written:
         _echo(f"{target}: {count} example(s)")
     outputs = [target for target, _ in written]

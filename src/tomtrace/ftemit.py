@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .config import FtSection
 from .corpus import Corpus
 from .errors import UnknownBook
 from .evalharness import ContextMode, EvalCondition, assemble_context, render_triple_block
@@ -71,26 +72,24 @@ def emit_training_files(
     kgs: dict[str, TemporalKG],
     questions: list[TomQuestion],
     splits: dict[str, str],
-    with_triples: str,
+    ft: FtSection,
     out_dir: Path,
-    *,
-    waive_verification: bool = False,
 ) -> list[tuple[Path, int]]:
-    """Write one file per split and triple variant ("on", "off" or "both").
+    """Write one file per split and per triple variant that `ft.with_triples` names.
 
     `splits` is `book_splits`' table; a question of a book it lacks raises
-    UnknownBook. This is the human-verification gate: without the waiver only
-    human-verified questions are emitted. Returns (path, example count) in
-    write order.
+    UnknownBook. This is the human-verification gate: with
+    `ft.require_human_verified` only human-verified questions are emitted.
+    Returns (path, example count) in write order.
     """
-    if not waive_verification:
+    if ft.require_human_verified:
         questions = [q for q in questions if q.state is QuestionState.HUMAN_VERIFIED]
     buckets: dict[str, list[TomQuestion]] = {_TRAIN: [], _OOD_TEST: []}
     for question in questions:
         if question.book_id not in splits:
             raise UnknownBook(f"question {question.id} references unknown book {question.book_id!r}")
         buckets[splits[question.book_id]].append(question)
-    variants = {"on": [True], "off": [False], "both": [True, False]}[with_triples]
+    variants = {"on": [True], "off": [False], "both": [True, False]}[ft.with_triples]
     written = []
     for split, bucket in buckets.items():
         for triples in variants:

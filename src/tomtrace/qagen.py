@@ -35,8 +35,8 @@ from .llmgate import ChatRequest, Gateway, user_request
 from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, MentalStateTriple, TemplateOverride, plot_prompt, render_template
 from .util import (
-    LazyLogger, format_half_up, load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv,
-    write_jsonl,
+    LazyLogger, format_half_up, load_json_reply, normalize_name, read_jsonl, reply_payload, stable_hash,
+    strip_code_fences, write_csv, write_jsonl,
 )
 
 logger = LazyLogger(__name__)
@@ -215,8 +215,8 @@ def _question_blocks(text: str) -> dict[Dimension, dict]:
     """Each dimension's question block in a generation or regeneration reply.
 
     Blocks are read from the reply object's top level, then from the list (or
-    object) under "Target Character" or, without that key, under a lone
-    wrapper key; a later block of a dimension replaces an earlier one.
+    object) it wraps (`reply_payload`); a later block of a dimension replaces
+    an earlier one.
     """
     try:
         data = load_json_reply(strip_code_fences(text).strip())
@@ -224,9 +224,7 @@ def _question_blocks(text: str) -> dict[Dimension, dict]:
         raise UnparseableResponse("generation response is not JSON") from None
     if not isinstance(data, dict):
         raise UnparseableResponse("generation response is not an object")
-    nested = next((value for key, value in data.items() if key.casefold() == "target character"), None)
-    if nested is None and len(data) == 1:
-        nested = next(iter(data.values()))
+    nested = reply_payload(data)
     blocks: dict[Dimension, dict] = {}
     for item in [data, *(nested if isinstance(nested, list) else [nested])]:
         if isinstance(item, dict):
@@ -384,8 +382,8 @@ def generate_questions(
     *,
     model_id: str,
     template_override: TemplateOverride | None = None,
-    shuffle: bool = False,
-    seed: int | None = None,
+    shuffle: bool,
+    seed: int | None,
 ) -> list[TomQuestion]:
     """Four questions for every speaking character of every plot, in book -> plot -> speaker order.
 
@@ -440,8 +438,8 @@ def verify_questions(
     model_id: str,
     max_attempts: int,
     template_override: TemplateOverride | None = None,
-    shuffle: bool = False,
-    seed: int | None = None,
+    shuffle: bool,
+    seed: int | None,
 ) -> tuple[list[TomQuestion], list[VerificationVerdict]]:
     """Model-verify Generated questions, regenerating rejects up to the budget.
 
@@ -480,6 +478,20 @@ def verify_questions(
         if problem:
             logger.warning("%s: %s, left rejected", question.id, problem)
     return [q for q, _, _ in results], [v for _, verdicts, _ in results for v in verdicts]
+
+
+def carry_verdicts(
+    questions: list[TomQuestion],
+    redone: set[str],
+    verdicts: list[VerificationVerdict],
+    earlier: list[VerificationVerdict],
+) -> list[VerificationVerdict]:
+    """In question order, `verdicts` for each question whose id is in `redone` and
+    `earlier`'s for every other one: a rerun keeps the verdicts of what it did not verify."""
+    by_id: dict[str, list[VerificationVerdict]] = {}
+    for verdict in verdicts + [v for v in earlier if v.question_id not in redone]:
+        by_id.setdefault(verdict.question_id, []).append(verdict)
+    return [v for q in questions for v in by_id.pop(q.id, [])]
 
 
 # --- human review round-trip ---------------------------------------------------------
@@ -685,14 +697,25 @@ def save_questions(questions: list[TomQuestion], path: Path | str) -> Path:
     return write_jsonl(path, (question_to_record(q) for q in questions))
 
 
-def save_verdicts(verdicts: list[VerificationVerdict], path: Path | str) -> Path:
-    return write_jsonl(
-        path,
-        (
-            {"question_id": v.question_id, "stage": v.stage.value, "passed": v.passed, "notes": v.notes}
-            for v in verdicts
-        ),
+def verdict_to_record(v: VerificationVerdict) -> dict:
+    return {"question_id": v.question_id, "stage": v.stage.value, "passed": v.passed, "notes": v.notes}
+
+
+def verdict_from_record(rec: dict) -> VerificationVerdict:
+    return VerificationVerdict(
+        question_id=rec["question_id"],
+        stage=VerificationStage(rec["stage"]),
+        passed=rec["passed"],
+        notes=rec["notes"],
     )
+
+
+def save_verdicts(verdicts: list[VerificationVerdict], path: Path | str) -> Path:
+    return write_jsonl(path, (verdict_to_record(v) for v in verdicts))
+
+
+def load_verdicts(path: Path | str) -> list[VerificationVerdict]:
+    return read_jsonl(path, verdict_from_record)
 
 
 def load_questions(path: Path | str) -> list[TomQuestion]:

@@ -10,9 +10,11 @@ written to disk. Supersede links always run from an earlier plot to a
 strictly later one and never form cycles. Batches for one character must
 arrive in non-decreasing plot order.
 
-Merge semantics, pinned here because they drive every historical query:
+The config's `merge` section (`config.MergeSection`), taken as is, picks
+the merge mode and holds the threshold and the contradiction rules. The
+modes' semantics, pinned here because they drive every historical query:
 
-TRUST_LLM_DIFF - the batch (produced by a model that already saw the
+trust_llm_diff - the batch (produced by a model that already saw the
 previous triples) becomes the character's new active set. Diffing against
 the prior active set records: unchanged (exact normalized predicate+object
 match; the old edge is kept), refined/contradicted (same dimension and
@@ -22,11 +24,11 @@ batch plot, no link). A link is only legal when the old edge's plot index is
 strictly lower than the new one's; a same-plot replacement is recorded as a
 retirement plus an addition.
 
-DETERMINISTIC_MERGE - exact duplicates are skipped; a batch triple with the
+deterministic_merge - exact duplicates are skipped; a batch triple with the
 same dimension and target as an active edge supersedes it (Refined) when
-the Jaccard overlap of the lowercased object tokens reaches the threshold
-and the old edge is strictly earlier; otherwise both stay active. Nothing
-is ever retired in this mode.
+the Jaccard overlap of the lowercased object tokens reaches
+`jaccard_threshold` and the old edge is strictly earlier; otherwise both
+stay active. Nothing is ever retired in this mode.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ from .errors import (
 )
 from .triples import Dimension, MentalStateTriple, TripleBatch, triple_fields, triple_from_record
 from .util import normalize_name, sha256_text, write_atomic
-
-
-class MergeMode(Enum):
-    TRUST_LLM_DIFF = "trust_llm_diff"
-    DETERMINISTIC_MERGE = "deterministic_merge"
 
 
 class SupersedeReason(Enum):
@@ -73,23 +70,6 @@ class RetireRecord:
         self.plot_index = plot_index
 
 
-# Default negation cues for the contradiction heuristic: the config's
-# `merge.negation_cues` default. Antonym pairs are configuration, not defaults:
-# with no configured pairs a same-key update is labeled Refined unless a
-# negation cue flips.
-NEGATION_CUES = tuple(MergeSection().negation_cues)
-
-
-class ContradictionRules:
-    __slots__ = ("antonym_pairs", "negation_cues")
-
-    def __init__(
-        self, antonym_pairs: list[tuple[str, str]] | None = None, negation_cues: tuple[str, ...] = NEGATION_CUES
-    ) -> None:
-        self.antonym_pairs = [] if antonym_pairs is None else antonym_pairs
-        self.negation_cues = negation_cues
-
-
 _TOKEN_RE = re.compile(r"[a-z']+")
 
 
@@ -105,7 +85,7 @@ def jaccard(a: str, b: str) -> float:
     return len(ta & tb) / len(union)
 
 
-def _has_negation(text: str, cues: tuple[str, ...]) -> bool:
+def _has_negation(text: str, cues: list[str]) -> bool:
     lowered = " " + " ".join(_TOKEN_RE.findall(text.casefold())) + " "
     for cue in cues:
         if f" {cue} " in lowered:
@@ -113,12 +93,15 @@ def _has_negation(text: str, cues: tuple[str, ...]) -> bool:
     return "n't" in text.casefold()
 
 
-def is_contradiction(old_obj: str, new_obj: str, rules: ContradictionRules) -> bool:
-    """Polarity flip or configured antonym pair between two objects."""
-    if _has_negation(old_obj, rules.negation_cues) != _has_negation(new_obj, rules.negation_cues):
+def is_contradiction(old_obj: str, new_obj: str, merge: MergeSection) -> bool:
+    """Polarity flip (by `merge.negation_cues`) or one of `merge.antonym_pairs` between two objects.
+
+    With no antonym pairs a same-key update is a contradiction only when a negation cue flips.
+    """
+    if _has_negation(old_obj, merge.negation_cues) != _has_negation(new_obj, merge.negation_cues):
         return True
     old_tokens, new_tokens = _tokens(old_obj), _tokens(new_obj)
-    for a, b in rules.antonym_pairs:
+    for a, b in merge.antonym_pairs:
         a, b = a.casefold(), b.casefold()
         if (a in old_tokens and b in new_tokens) or (b in old_tokens and a in new_tokens):
             return True
@@ -197,16 +180,10 @@ def _register_edge(kg: TemporalKG, character: str, triple: MentalStateTriple) ->
     return edge_id
 
 
-def insert_batch(
-    kg: TemporalKG,
-    batch: TripleBatch,
-    mode: MergeMode = MergeMode.TRUST_LLM_DIFF,
-    *,
-    rules: ContradictionRules | None = None,
-    jaccard_threshold: float = 0.5,
-) -> ChangeLog:
-    """Insert one extraction batch; mutates the graph, returns the diff."""
-    rules = rules or ContradictionRules()
+def insert_batch(kg: TemporalKG, batch: TripleBatch, merge: MergeSection | None = None) -> ChangeLog:
+    """Insert one extraction batch under `merge` (None: the section's defaults); mutates the graph, returns the diff."""
+    if merge is None:
+        merge = MergeSection()
     character = batch.character
     last_plot = kg.nodes.setdefault(character, 0)
     if batch.plot_index < last_plot:
@@ -225,10 +202,10 @@ def insert_batch(
         incoming.append(triple)
 
     log = ChangeLog(character=character, plot_index=batch.plot_index)
-    if mode is MergeMode.TRUST_LLM_DIFF:
-        _insert_trust_llm_diff(kg, character, batch.plot_index, incoming, rules, log)
+    if merge.mode == "trust_llm_diff":
+        _insert_trust_llm_diff(kg, character, batch.plot_index, incoming, merge, log)
     else:
-        _insert_deterministic(kg, character, batch.plot_index, incoming, jaccard_threshold, log)
+        _insert_deterministic(kg, character, batch.plot_index, incoming, merge.jaccard_threshold, log)
     kg.nodes[character] = batch.plot_index
     return log
 
@@ -238,7 +215,7 @@ def _insert_trust_llm_diff(
     character: str,
     plot_index: int,
     incoming: list[MentalStateTriple],
-    rules: ContradictionRules,
+    merge: MergeSection,
     log: ChangeLog,
 ) -> None:
     active = _active_edges(kg, character)
@@ -275,7 +252,7 @@ def _insert_trust_llm_diff(
             successor = linkable[0]
             reason = (
                 SupersedeReason.CONTRADICTED
-                if is_contradiction(edge.object, successor.object, rules)
+                if is_contradiction(edge.object, successor.object, merge)
                 else SupersedeReason.REFINED
             )
             link = SupersedeLink(old_id=edge.id, new_id=successor.id, reason=reason)
@@ -414,12 +391,9 @@ def build_graph(
     book_id: str,
     plot_count: int,
     records: list[dict],
-    mode: MergeMode,
-    *,
-    rules: ContradictionRules | None = None,
-    jaccard_threshold: float = 0.5,
+    merge: MergeSection,
 ) -> tuple[TemporalKG, list[dict]]:
-    """Fold a book's triple records into a graph, one batch per (character, plot).
+    """Fold a book's triple records into a graph under `merge`, one batch per (character, plot).
 
     Batches are inserted in the order their first record appears. Returns the
     checked graph and one changelog record per batch.
@@ -430,13 +404,7 @@ def build_graph(
     kg = TemporalKG(book_id=book_id, plot_count=plot_count)
     changelog = [
         changelog_to_record(
-            insert_batch(
-                kg,
-                TripleBatch(character=character, plot_index=plot_index, triples=triples),
-                mode,
-                rules=rules,
-                jaccard_threshold=jaccard_threshold,
-            )
+            insert_batch(kg, TripleBatch(character=character, plot_index=plot_index, triples=triples), merge)
         )
         for (character, plot_index), triples in batches.items()
     ]

@@ -27,7 +27,8 @@ from .errors import (
 )
 from .llmgate import ChatRequest, Gateway, user_request
 from .util import (
-    LazyLogger, load_json_reply, normalize_name, read_jsonl, stable_hash, strip_code_fences, write_csv, write_jsonl,
+    LazyLogger, load_json_reply, normalize_name, read_jsonl, reply_payload, stable_hash, strip_code_fences, write_csv,
+    write_jsonl,
 )
 
 logger = LazyLogger(__name__)
@@ -252,17 +253,8 @@ def _json_entries(body: str) -> list[str] | None:
     except json.JSONDecodeError:
         return None
     if isinstance(data, dict):
-        for key, value in data.items():
-            if key.casefold() == "target character" and isinstance(value, list):
-                return [str(v) for v in value]
-        # Single-key object with a list payload counts too.
-        if len(data) == 1:
-            value = next(iter(data.values()))
-            if isinstance(value, list):
-                return [str(v) for v in value]
-    if isinstance(data, list):
-        return [str(v) for v in data]
-    return None
+        data = reply_payload(data)
+    return [str(v) for v in data] if isinstance(data, list) else None
 
 
 def parse_triple_response(
@@ -555,7 +547,7 @@ def extract_triples(
     gateway: Gateway,
     *,
     model_id: str,
-    strict: bool = False,
+    strict: bool,
     template_override: TemplateOverride | None = None,
 ) -> dict[str, Extraction]:
     """Extract every speaker's triples through every book, keyed by book id.

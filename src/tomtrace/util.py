@@ -227,3 +227,12 @@ def load_json_reply(body: str) -> object:
         return json.loads(body)
     except json.JSONDecodeError:
         return json.loads(body.replace("{{", "{").replace("}}", "}"))
+
+
+def reply_payload(reply: dict) -> object:
+    """What a reply object wraps: the value under its first key that casefolds to
+    "target character", else the value under its only key; None without either."""
+    payload = next((value for key, value in reply.items() if key.casefold() == "target character"), None)
+    if payload is None and len(reply) == 1:
+        payload = next(iter(reply.values()))
+    return payload

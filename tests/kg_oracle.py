@@ -11,9 +11,8 @@ from __future__ import annotations
 import random
 import re
 
+from tomtrace.config import MergeSection
 from tomtrace.tkg import (
-    ContradictionRules,
-    MergeMode,
     TemporalKG,
     check_invariants,
     insert_batch,
@@ -250,10 +249,10 @@ def run_random_case(case_id: int) -> TemporalKG:
     """One randomized scenario; asserts real graph == oracle at every step."""
     rng = random.Random(91200 + case_id)
     plot_count = rng.randint(2, 10)
-    mode = rng.choice([MergeMode.TRUST_LLM_DIFF, MergeMode.DETERMINISTIC_MERGE])
-    mode_name = "trust" if mode is MergeMode.TRUST_LLM_DIFF else "det"
+    mode = rng.choice(["trust_llm_diff", "deterministic_merge"])
+    mode_name = "trust" if mode == "trust_llm_diff" else "det"
     threshold = rng.choice([0.3, 0.5, 0.8])
-    rules = ContradictionRules(antonym_pairs=list(ANTONYMS))
+    merge = MergeSection(mode=mode, jaccard_threshold=threshold, antonym_pairs=[list(p) for p in ANTONYMS])
 
     kg = TemporalKG(book_id=f"case-{case_id}", plot_count=plot_count)
     oracle = OracleState()
@@ -279,7 +278,7 @@ def run_random_case(case_id: int) -> TemporalKG:
             for i, (predicate, obj) in enumerate(items)
         ]
         batch = TripleBatch(character=character, plot_index=plot, triples=triples)
-        log = insert_batch(kg, batch, mode, rules=rules, jaccard_threshold=threshold)
+        log = insert_batch(kg, batch, merge)
         expected = oracle.insert(character, plot, items, mode_name, threshold)
         got = {
             "unchanged": len(log.unchanged),

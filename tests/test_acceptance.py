@@ -20,6 +20,7 @@ import pytest
 
 from conftest import run_cli, tree_bytes
 from kg_oracle import run_random_case
+from tomtrace.config import MergeSection
 from tomtrace.corpus import Book, Corpus, SegmentKind, StatsReport, corpus_stats, ingest_corpus, parse_turn
 from tomtrace.evalharness import (
     ContextMode,
@@ -45,7 +46,6 @@ from tomtrace.qagen import (
 )
 from tomtrace.errors import InvalidState
 from tomtrace.tkg import (
-    ContradictionRules,
     SupersedeReason,
     TemporalKG,
     check_invariants,
@@ -152,18 +152,18 @@ def _assert_links_time_increasing_and_acyclic(kg: TemporalKG) -> None:
 
 def test_criterion_04_supersession_links_ordered_and_acyclic():
     with criterion(4, "supersession links time-increasing and acyclic"):
-        rules = ContradictionRules(antonym_pairs=[("warm", "cold")])
+        merge = MergeSection(antonym_pairs=[["warm", "cold"]])
         kg = TemporalKG(book_id="fixture", plot_count=3)
         first = [
             make_triple("Kent", "FeelsTowardsLear", "warm affection for the king", 1),
             make_triple("Kent", "BelievesAboutLear", "the king trusts him", 1, ordinal=1),
         ]
-        insert_batch(kg, TripleBatch(character="Kent", plot_index=1, triples=first), rules=rules)
+        insert_batch(kg, TripleBatch(character="Kent", plot_index=1, triples=first), merge)
         second = [
             make_triple("Kent", "FeelsTowardsLear", "cold affection for the king", 2),
             make_triple("Kent", "BelievesAboutLear", "the king trusts him completely", 2, ordinal=1),
         ]
-        log = insert_batch(kg, TripleBatch(character="Kent", plot_index=2, triples=second), rules=rules)
+        log = insert_batch(kg, TripleBatch(character="Kent", plot_index=2, triples=second), merge)
         assert [l.reason for l in log.contradicted] == [SupersedeReason.CONTRADICTED]
         assert [l.reason for l in log.refined] == [SupersedeReason.REFINED]
         _assert_links_time_increasing_and_acyclic(kg)

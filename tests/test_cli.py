@@ -1060,3 +1060,40 @@ def test_a_misspelled_alias_table_book_exits_one_before_writing(tmp_path):
     assert result.stderr.splitlines()[-1] == "error: alias tables name books not in corpus: ['king-lare']"
     assert "Traceback" not in result.stderr
     assert not (out / "corpus").exists()
+
+
+def test_verify_rerun_keeps_the_verdicts_it_does_not_redo(tmp_path):
+    """A second verify writes the verdicts of the questions it skips as the first run wrote them."""
+    out = tmp_path / "out"
+    first = run_cli(out, *PIPELINE[:PIPELINE.index("verify") + 1])[-1]
+    verdicts = (out / "verdicts.jsonl").read_bytes()
+    [again] = run_cli(out, "verify")
+    assert (again.stdout, (out / "verdicts.jsonl").read_bytes()) == (first.stdout, verdicts)
+    # One question back in the generated state is verified again, in its place among the kept ones.
+    questions = load_questions(out / "questions.jsonl")
+    counts = Counter(v["question_id"] for v in _jsonl(out / "verdicts.jsonl"))
+    redo = next(q for q in questions[1:] if counts[q.id] == 1)
+    redo.state = QuestionState.GENERATED
+    save_questions(questions, out / "questions.jsonl")
+    [partial] = run_cli(out, "verify")
+    assert (partial.stdout, (out / "verdicts.jsonl").read_bytes()) == (first.stdout, verdicts)
+
+
+@pytest.mark.parametrize(
+    ("merge", "stdout", "lear_plot_2"),
+    [
+        ({}, "king-lear: 16 edges, 2 supersede links, 1 retirements\n", (0, 2)),
+        ({"antonym_pairs": []}, "king-lear: 16 edges, 2 supersede links, 1 retirements\n", (1, 1)),
+        ({"mode": "deterministic_merge"}, "king-lear: 16 edges, 0 supersede links, 0 retirements\n", (0, 0)),
+    ],
+    ids=["fixture", "no-antonyms", "deterministic"],
+)
+def test_build_kg_follows_the_merge_section(pipeline_out, tmp_path, merge, stdout, lear_plot_2):
+    out = tmp_path / "out"
+    for stage_dir in ("corpus", "triples"):
+        shutil.copytree(pipeline_out / stage_dir, out / stage_dir)
+    [result] = run_cli(out, "build-kg", config=derived_config(tmp_path, merge=merge))
+    assert result.stdout == stdout
+    [entry] = [e for e in _jsonl(out / "kg" / "king-lear.changelog.jsonl")
+               if (e["character"], e["plot_index"]) == ("King Lear", 2)]
+    assert (len(entry["refined"]), len(entry["contradicted"])) == lear_plot_2

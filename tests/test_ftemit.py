@@ -4,12 +4,17 @@ import json
 
 import pytest
 
+from tomtrace.config import FtSection
 from tomtrace.errors import IoError, MissingKg, UnknownBook
 from tomtrace.evalharness import TRIPLE_BLOCK_HEADER
 from tomtrace.ftemit import book_splits, emit_example, emit_training_files, write_training_file
 from tomtrace.qagen import QuestionState, TomQuestion, question_id
 from tomtrace.tkg import TemporalKG, insert_batch
 from tomtrace.triples import Dimension, TripleBatch, make_triple
+
+
+# The fine-tune settings of a run that writes only the variant without triples.
+OFF = FtSection(with_triples="off")
 
 
 def verified_question(plot_index=1, character="Cordelia", dimension=Dimension.BELIEF,
@@ -84,9 +89,9 @@ def test_unverified_question_rejected_unless_waived(fixture_corpus, tmp_path):
     """The human-verification gate is `emit_training_files`'s filter."""
     questions = [verified_question(), verified_question(dimension=Dimension.DESIRE, state=QuestionState.LLM_VERIFIED)]
     splits = book_splits(fixture_corpus, [])
-    gated = emit_training_files(fixture_corpus, {}, questions, splits, "off", tmp_path / "gated")
-    waived = emit_training_files(fixture_corpus, {}, questions, splits, "off", tmp_path / "waived",
-                                 waive_verification=True)
+    gated = emit_training_files(fixture_corpus, {}, questions, splits, OFF, tmp_path / "gated")
+    waived = emit_training_files(fixture_corpus, {}, questions, splits,
+                                 FtSection(with_triples="off", require_human_verified=False), tmp_path / "waived")
     assert [count for _, count in gated] == [1, 0] and [count for _, count in waived] == [2, 0]
     [record] = [json.loads(line) for line in gated[0][0].read_text().splitlines()]
     assert record["output"] == emit_example(questions[0], None, False, corpus=fixture_corpus).output
@@ -101,7 +106,7 @@ def test_missing_kg_for_triple_variant(fixture_corpus):
 
 def _split_files(corpus, questions, ood_titles, out_dir):
     """Each training file's question count, keyed by its split, with questions bucketed by `book_splits`."""
-    written = emit_training_files(corpus, {}, questions, book_splits(corpus, ood_titles), "off", out_dir)
+    written = emit_training_files(corpus, {}, questions, book_splits(corpus, ood_titles), OFF, out_dir)
     return {path.name.split("_without")[0]: count for path, count in written}
 
 
@@ -124,7 +129,7 @@ def test_split_rejects_question_with_unknown_book(fixture_corpus, tmp_path):
     stray = verified_question()
     stray.book_id = "hamlet"
     with pytest.raises(UnknownBook, match="unknown book 'hamlet'"):
-        emit_training_files(fixture_corpus, {}, [stray], book_splits(fixture_corpus, []), "off", tmp_path)
+        emit_training_files(fixture_corpus, {}, [stray], book_splits(fixture_corpus, []), OFF, tmp_path)
 
 
 # --- file output ------------------------------------------------------------------------

@@ -144,6 +144,11 @@ def test_parse_wrapped_response_in_dimension_order():
     assert [q.dimension for q in questions] == list(DIMENSIONS)
     assert [q.stem for q in questions] == ["b?", "d?", "e?", "i?"]
     assert all(q.state is QuestionState.GENERATED for q in questions)
+    # Of two keys that casefold to "target character", the first is read.
+    reply = json.loads(full_response())
+    reply["TARGET CHARACTER"] = [{"Belief Multiple Choice Question": block("other?")}]
+    questions = parse_question_response(json.dumps(reply), book_id="b", plot_index=1, character="c")
+    assert [q.stem for q in questions] == ["b?", "d?", "e?", "i?"]
 
 
 def test_parse_flat_response():

@@ -6,7 +6,7 @@ import pytest
 from conftest import CONFIG
 from kg_oracle import run_random_case
 
-from tomtrace.config import load_config
+from tomtrace.config import MergeSection, load_config
 
 from tomtrace.errors import (
     CorruptGraphFile,
@@ -14,8 +14,6 @@ from tomtrace.errors import (
     UnknownCharacter,
 )
 from tomtrace.tkg import (
-    ContradictionRules,
-    MergeMode,
     SupersedeReason,
     TemporalKG,
     build_graph,
@@ -44,6 +42,9 @@ def fresh_kg(plot_count=5):
     return TemporalKG(book_id="test-book", plot_count=plot_count)
 
 
+DETERMINISTIC = MergeSection(mode="deterministic_merge")
+
+
 # --- similarity and contradiction heuristics -----------------------------------
 
 def test_jaccard_goldens():
@@ -55,21 +56,21 @@ def test_jaccard_goldens():
 
 
 def test_contradiction_negation_xor():
-    rules = ContradictionRules()
-    assert is_contradiction("trusts the king", "does not trust the king", rules)
-    assert is_contradiction("never yields", "yields", rules)
-    assert is_contradiction("trusts the king", "doesn't trust the king", rules)
-    assert not is_contradiction("does not trust", "never trusts", rules)  # both negated
-    assert not is_contradiction("trusts the king", "fears the king", rules)
+    merge = MergeSection()
+    assert is_contradiction("trusts the king", "does not trust the king", merge)
+    assert is_contradiction("never yields", "yields", merge)
+    assert is_contradiction("trusts the king", "doesn't trust the king", merge)
+    assert not is_contradiction("does not trust", "never trusts", merge)  # both negated
+    assert not is_contradiction("trusts the king", "fears the king", merge)
     # cue must match a whole word: "knot" is not "not"
-    assert not is_contradiction("ties a knot", "ties a rope", rules)
+    assert not is_contradiction("ties a knot", "ties a rope", merge)
 
 
 def test_contradiction_antonym_pairs_both_directions():
-    rules = ContradictionRules(antonym_pairs=[("warm", "cold")])
-    assert is_contradiction("a warm welcome", "a cold shoulder", rules)
-    assert is_contradiction("a cold shoulder", "a warm welcome", rules)
-    assert not is_contradiction("a warm welcome", "a warm bed", rules)
+    merge = MergeSection(antonym_pairs=[["warm", "cold"]])
+    assert is_contradiction("a warm welcome", "a cold shoulder", merge)
+    assert is_contradiction("a cold shoulder", "a warm welcome", merge)
+    assert not is_contradiction("a warm welcome", "a warm bed", merge)
 
 
 # --- trust-the-model merge -------------------------------------------------------
@@ -104,12 +105,12 @@ def test_contradiction_via_negation():
 
 
 def test_contradiction_via_antonym_rules():
-    rules = ContradictionRules(antonym_pairs=[("pleased", "betrayed")])
+    merge = MergeSection(antonym_pairs=[["pleased", "betrayed"]])
     kg = fresh_kg()
-    insert_batch(kg, batch_for("King Lear", 1, ("FeelsTowardsGoneril", "pleased by her devotion")), rules=rules)
+    insert_batch(kg, batch_for("King Lear", 1, ("FeelsTowardsGoneril", "pleased by her devotion")), merge)
     log = insert_batch(
         kg, batch_for("King Lear", 2, ("FeelsTowardsGoneril", "betrayed by her ingratitude")),
-        rules=rules,
+        merge,
     )
     assert len(log.contradicted) == 1
 
@@ -178,8 +179,8 @@ def test_reinserting_retired_content_gets_fresh_id():
 
 def test_deterministic_exact_duplicate_skipped():
     kg = fresh_kg()
-    insert_batch(kg, batch_for("Kent", 1, ("Desires", "rest")), MergeMode.DETERMINISTIC_MERGE)
-    log = insert_batch(kg, batch_for("Kent", 2, ("Desires", "rest")), MergeMode.DETERMINISTIC_MERGE)
+    insert_batch(kg, batch_for("Kent", 1, ("Desires", "rest")), DETERMINISTIC)
+    log = insert_batch(kg, batch_for("Kent", 2, ("Desires", "rest")), DETERMINISTIC)
     assert len(log.unchanged) == 1 and not log.added
     assert len(kg.edges) == 1
 
@@ -188,11 +189,11 @@ def test_deterministic_supersedes_above_threshold():
     kg = fresh_kg()
     insert_batch(
         kg, batch_for("Kent", 1, ("Desires", "seeks shelter from the storm")),
-        MergeMode.DETERMINISTIC_MERGE,
+        DETERMINISTIC,
     )
     log = insert_batch(
         kg, batch_for("Kent", 2, ("Desires", "seeks shelter from storm")),
-        MergeMode.DETERMINISTIC_MERGE, jaccard_threshold=0.5,
+        MergeSection(mode="deterministic_merge", jaccard_threshold=0.5),
     )
     [link] = log.refined
     assert link.reason is SupersedeReason.REFINED
@@ -201,10 +202,10 @@ def test_deterministic_supersedes_above_threshold():
 
 def test_deterministic_keeps_both_below_threshold():
     kg = fresh_kg()
-    insert_batch(kg, batch_for("Kent", 1, ("Desires", "rest")), MergeMode.DETERMINISTIC_MERGE)
+    insert_batch(kg, batch_for("Kent", 1, ("Desires", "rest")), DETERMINISTIC)
     log = insert_batch(
         kg, batch_for("Kent", 2, ("Desires", "a fast horse")),
-        MergeMode.DETERMINISTIC_MERGE, jaccard_threshold=0.5,
+        MergeSection(mode="deterministic_merge", jaccard_threshold=0.5),
     )
     assert log.added and not log.refined
     assert len(state_at(kg, "Kent", 2)) == 2
@@ -212,8 +213,8 @@ def test_deterministic_keeps_both_below_threshold():
 
 def test_deterministic_never_retires():
     kg = fresh_kg()
-    insert_batch(kg, batch_for("Kent", 1, ("Desires", "rest")), MergeMode.DETERMINISTIC_MERGE)
-    log = insert_batch(kg, batch_for("Kent", 3), MergeMode.DETERMINISTIC_MERGE)
+    insert_batch(kg, batch_for("Kent", 1, ("Desires", "rest")), DETERMINISTIC)
+    log = insert_batch(kg, batch_for("Kent", 3), DETERMINISTIC)
     assert not log.retired and not kg.retirements
     assert len(state_at(kg, "Kent", 3)) == 1
 
@@ -224,11 +225,11 @@ def test_deterministic_supersedes_all_matching_actives():
         kg,
         batch_for("Kent", 1, ("Desires", "seeks shelter from the storm"),
                   ("Desires", "seeks shelter from storm")),
-        MergeMode.DETERMINISTIC_MERGE, jaccard_threshold=0.9,
+        MergeSection(mode="deterministic_merge", jaccard_threshold=0.9),
     )
     log = insert_batch(
         kg, batch_for("Kent", 2, ("Desires", "seeks shelter from the gathering storm")),
-        MergeMode.DETERMINISTIC_MERGE, jaccard_threshold=0.5,
+        MergeSection(mode="deterministic_merge", jaccard_threshold=0.5),
     )
     assert len(log.refined) == 2
     [survivor] = state_at(kg, "Kent", 2)
@@ -324,11 +325,11 @@ def test_invariants_reject_cycle():
 
 def _sample_graph():
     kg = fresh_kg()
-    rules = ContradictionRules(antonym_pairs=[("warm", "cold")])
-    insert_batch(kg, batch_for("Kent", 1, ("Believes", "the king is just"), ("Desires", "rest")), rules=rules)
-    insert_batch(kg, batch_for("Cordelia", 1, ("FeelsTowardsKent", "warm regard")), rules=rules)
-    insert_batch(kg, batch_for("Kent", 3, ("Believes", "the king is not just")), rules=rules)
-    insert_batch(kg, batch_for("Cordelia", 4, ("FeelsTowardsKent", "cold distance")), rules=rules)
+    merge = MergeSection(antonym_pairs=[["warm", "cold"]])
+    insert_batch(kg, batch_for("Kent", 1, ("Believes", "the king is just"), ("Desires", "rest")), merge)
+    insert_batch(kg, batch_for("Cordelia", 1, ("FeelsTowardsKent", "warm regard")), merge)
+    insert_batch(kg, batch_for("Kent", 3, ("Believes", "the king is not just")), merge)
+    insert_batch(kg, batch_for("Cordelia", 4, ("FeelsTowardsKent", "cold distance")), merge)
     insert_batch(kg, batch_for("Kent", 5))
     return kg
 
@@ -437,15 +438,9 @@ def test_oracle_cases_round_trip_through_disk(tmp_path):
 def test_build_graph_writes_the_same_bytes_as_the_build_kg_command(pipeline_out, fixture_corpus, tmp_path):
     (book,) = fixture_corpus.books
     merge = load_config(CONFIG).merge
-    rules = ContradictionRules(
-        antonym_pairs=[tuple(p) for p in merge.antonym_pairs], negation_cues=tuple(merge.negation_cues)
-    )
 
     def build(records):
-        return build_graph(
-            book.id, len(book.plots), records, MergeMode(merge.mode), rules=rules,
-            jaccard_threshold=merge.jaccard_threshold,
-        )
+        return build_graph(book.id, len(book.plots), records, merge)
 
     records = read_jsonl(pipeline_out / "triples" / f"{book.id}.jsonl")
     kg, changelog = build(records)

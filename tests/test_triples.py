@@ -112,6 +112,9 @@ def test_parse_strict_json():
 def test_parse_json_key_case_insensitive():
     text = '{"target character": ["(Kent, Desires, to serve the king)"]}'
     assert len(parse_triple_response(text, "Kent", 1).triples) == 1
+    # Of two keys that casefold to "target character", the first is read.
+    text = '{"Target Character": ["(Kent, Desires, rest)"], "TARGET CHARACTER": ["(Kent, Feels, a), (Kent, Feels, b)"]}'
+    assert [t.object for t in parse_triple_response(text, "Kent", 1).triples] == ["rest"]
 
 
 def test_parse_single_key_fallback():
