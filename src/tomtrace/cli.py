@@ -30,7 +30,7 @@ from . import __version__
 from .config import PipelineConfig, load_config
 from .errors import ConfigInvalid, GatewayError, MissingUpstreamArtifact, TomtraceError
 from .util import (
-    INFO, WARNING, decode_text, defer_basic_config, read_jsonl, sample, sha256_file, write_atomic, write_json,
+    INFO, WARNING, decode_text, defer_basic_config, encode_record, sample, sha256_file, write_atomic, write_json,
     write_jsonl,
 )
 
@@ -311,7 +311,7 @@ def extract(ctx: RunContext):
 def build_kg(ctx: RunContext):
     """Fold extracted triple batches into per-book temporal graphs."""
     from .tkg import build_graph, save_kg
-    from .triples import checked_triple_record
+    from .triples import load_triples
 
     corpus = ctx.load_corpus()
     if not ctx.triples_dir.is_dir():
@@ -324,7 +324,7 @@ def build_kg(ctx: RunContext):
         kg, changelog = build_graph(
             book.id,
             len(book.plots),
-            read_jsonl(ctx.read(triples_path), lambda rec: checked_triple_record(rec, len(book.plots))),
+            load_triples(ctx.read(triples_path), len(book.plots)),
             ctx.config.merge,
         )
         outputs += [
@@ -502,19 +502,19 @@ def emit_ft(ctx: RunContext):
 @main.command()
 def stats(ctx: RunContext):
     """Corpus and question-set statistics."""
-    from .corpus import corpus_stats, corpus_stats_to_record
+    from .corpus import StatsReport, corpus_stats
 
     report = corpus_stats(ctx.load_corpus())
-    payload = {"corpus": corpus_stats_to_record(report)}
+    payload = {"corpus": encode_record(report, StatsReport.FIELDS)}
     _echo(f"{'book':30} {'plots':>6} {'convs':>6} {'avg speakers':>13}")
-    for b in report.per_book:
-        _echo(f"{b.title[:30]:30} {b.plot_count:>6} {b.conversation_count:>6} {b.avg_speakers:>13}")
+    for b in report.books:
+        _echo(f"{b.title[:30]:30} {b.plots:>6} {b.conversations:>6} {b.avg_speakers:>13}")
     _echo(f"{'TOTAL':30} {report.total_plots:>6} {report.total_conversations:>6} {report.avg_speakers:>13}")
     if ctx.questions_path.is_file():
-        from .qagen import dataset_stats, dataset_stats_to_record
+        from .qagen import QuestionSetStats, dataset_stats
 
         qstats = dataset_stats(ctx.load_question_file())
-        payload["questions"] = dataset_stats_to_record(qstats)
+        payload["questions"] = encode_record(qstats, QuestionSetStats.FIELDS)
         _echo(
             f"questions: {qstats.questions} (correct {qstats.correct_answers}, "
             f"distractors {qstats.distractors})"

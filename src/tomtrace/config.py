@@ -22,7 +22,7 @@ import types
 from pathlib import Path
 
 from .errors import ConfigInvalid, IoError
-from .util import decode_text, write_atomic
+from .util import decode_json, decode_text, write_atomic
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -312,7 +312,7 @@ def _memo_path(digest: str) -> Path | None:
 def _recall(memo: Path) -> dict | None:
     """The tree memoized at `memo`; None for a miss: no file, or not one JSON object."""
     try:
-        tree = json.loads(memo.read_bytes())
+        tree = decode_json(memo.read_bytes())
     except (OSError, ValueError):
         return None
     return tree if isinstance(tree, dict) else None

@@ -8,7 +8,6 @@ reconstructed modulo surrounding whitespace.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -22,7 +21,10 @@ from .errors import (
     UnknownBook,
     UnreadableSource,
 )
-from .util import LazyLogger, clean_name, format_half_up, normalize_name, read_jsonl, slugify, write_jsonl
+from .util import (
+    LazyLogger, clean_name, decode_json, encode_record, format_half_up, normalize_name, read_jsonl, slugify,
+    write_jsonl,
+)
 
 logger = LazyLogger(__name__)
 
@@ -38,8 +40,10 @@ class SegmentKind(Enum):
 
 # The record types are plain classes with slots: a dataclass compiles its
 # methods when its module is imported, which every stage process pays again.
+# A class with FIELDS is also a record, nested in a plot record (see util.encode_record).
 class UtteranceSegment:
     __slots__ = ("kind", "text")
+    FIELDS = (("kind", SegmentKind), ("text", str))
 
     def __init__(self, kind: SegmentKind, text: str) -> None:
         self.kind = kind
@@ -48,6 +52,7 @@ class UtteranceSegment:
 
 class Turn:
     __slots__ = ("speaker", "segments")
+    FIELDS = (("speaker", str), ("segments", list[UtteranceSegment]))
 
     def __init__(self, speaker: str, segments: list[UtteranceSegment]) -> None:
         self.speaker = speaker
@@ -56,8 +61,11 @@ class Turn:
 
 class Conversation:
     __slots__ = ("environment", "cast", "turns")
+    FIELDS = (("environment", str, ""), ("cast", list[str], []), ("turns", list[Turn], []))
 
     def __init__(self, environment: str, cast: list[str], turns: list[Turn]) -> None:
+        if not turns:
+            raise ValueError("conversation has no turns")
         self.environment = environment
         self.cast = cast
         self.turns = turns
@@ -350,8 +358,8 @@ def _canonicalize_book(book: Book, registry: CharacterRegistry) -> None:
 
 def _parse_coser_book(file: Path) -> Book:
     try:
-        data = json.loads(file.read_text(encoding="utf-8"))
-    except (OSError, UnicodeError, json.JSONDecodeError) as exc:
+        data = decode_json(file.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise MalformedRecord(str(file), f"unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedRecord(str(file), "top-level value is not an object")
@@ -440,7 +448,7 @@ def _parse_dialogue_entry(line, record_id: str) -> Turn | None:
 
 
 def _parse_normalized_book(file: Path) -> Book:
-    records = read_jsonl(file, plot_from_record)
+    records = read_jsonl(file, PLOT_RECORD, lambda title, **fields: (Plot(**fields), title))
     if not records:
         raise UnreadableSource(f"no records in {file}")
     plots = [plot for plot, _ in records]
@@ -466,56 +474,18 @@ def _validate_plot_indices(book_id: str, plots: list[Plot]) -> None:
 
 # --- serialization -----------------------------------------------------------
 
-def plot_to_record(plot: Plot, title: str) -> dict:
-    return {
-        "book_id": plot.book_id,
-        "title": title,
-        "index": plot.index,
-        "summary": plot.summary,
-        "scenario": plot.scenario,
-        "conversations": [
-            {
-                "environment": c.environment,
-                "cast": list(c.cast),
-                "turns": [
-                    {
-                        "speaker": t.speaker,
-                        "segments": [{"kind": s.kind.value, "text": s.text} for s in t.segments],
-                    }
-                    for t in c.turns
-                ],
-            }
-            for c in plot.conversations
-        ],
-    }
-
-
-def plot_from_record(rec: dict) -> tuple[Plot, str]:
-    """The inverse of `plot_to_record`: the plot and the book title it carries."""
-    book_id, index = rec["book_id"], int(rec["index"])
-    conversations = []
-    for n, conv in enumerate(rec.get("conversations", []), start=1):
-        turns = [
-            Turn(
-                speaker=t["speaker"],
-                segments=[UtteranceSegment(SegmentKind(s["kind"]), s["text"]) for s in t["segments"]],
-            )
-            for t in conv.get("turns", [])
-        ]
-        if not turns:
-            raise ValueError(f"conversation {n} has no turns")
-        conversations.append(
-            Conversation(conv.get("environment", ""), list(conv.get("cast", [])), turns)
-        )
-    plot = Plot(book_id, index, rec["summary"], rec.get("scenario", ""), conversations)
-    return plot, rec.get("title", book_id)
+# One line of corpus/<book>.jsonl: a plot, and the title of its book.
+PLOT_RECORD = (
+    ("book_id", str), ("title", str), ("index", int), ("summary", str), ("scenario", str, ""),
+    ("conversations", list[Conversation], []),
+)
 
 
 def serialize_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:
     """Write one JSONL file per book, one plot per line."""
     out_dir = Path(out_dir)
     return [
-        write_jsonl(out_dir / f"{book.id}.jsonl", (plot_to_record(plot, book.title) for plot in book.plots))
+        write_jsonl(out_dir / f"{book.id}.jsonl", (encode_record(p, PLOT_RECORD, title=book.title) for p in book.plots))
         for book in corpus.books
     ]
 
@@ -523,34 +493,38 @@ def serialize_corpus(corpus: Corpus, out_dir: Path | str) -> list[Path]:
 # --- statistics --------------------------------------------------------------
 
 class BookStats:
-    __slots__ = ("book_id", "title", "plot_count", "conversation_count", "avg_speakers")
+    __slots__ = ("book_id", "title", "plots", "conversations", "avg_speakers")
+    # An item of the "books" list in stats.json (see util.encode_record).
+    FIELDS = (("book_id", str), ("title", str), ("plots", int), ("conversations", int), ("avg_speakers", str))
 
     def __init__(
         self,
         book_id: str,
         title: str,
-        plot_count: int,
-        conversation_count: int,
+        plots: int,
+        conversations: int,
         avg_speakers: str,
     ) -> None:
         self.book_id = book_id
         self.title = title
-        self.plot_count = plot_count
-        self.conversation_count = conversation_count
+        self.plots = plots
+        self.conversations = conversations
         self.avg_speakers = avg_speakers  # 2-decimal string, half-up
 
 
 class StatsReport:
-    __slots__ = ("per_book", "total_plots", "total_conversations", "avg_speakers")
+    __slots__ = ("books", "total_plots", "total_conversations", "avg_speakers")
+    # The "corpus" object of stats.json.
+    FIELDS = (("books", list[BookStats]), ("total_plots", int), ("total_conversations", int), ("avg_speakers", str))
 
     def __init__(
         self,
-        per_book: list[BookStats],
+        books: list[BookStats],
         total_plots: int,
         total_conversations: int,
         avg_speakers: str,
     ) -> None:
-        self.per_book = per_book
+        self.books = books
         self.total_plots = total_plots
         self.total_conversations = total_conversations
         self.avg_speakers = avg_speakers
@@ -562,7 +536,7 @@ def _distinct_speakers(conversation: Conversation) -> int:
 
 def corpus_stats(corpus: Corpus) -> StatsReport:
     """Plot/conversation counts and mean distinct speakers per conversation."""
-    per_book: list[BookStats] = []
+    books: list[BookStats] = []
     total_plots = 0
     total_convs = 0
     total_speakers = 0
@@ -578,37 +552,19 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
         total_convs += convs
         total_speakers += speakers
         avg = format_half_up(speakers, convs) if convs else "0.00"
-        per_book.append(
+        books.append(
             BookStats(
                 book_id=book.id,
                 title=book.title,
-                plot_count=plots,
-                conversation_count=convs,
+                plots=plots,
+                conversations=convs,
                 avg_speakers=avg,
             )
         )
     avg_total = format_half_up(total_speakers, total_convs) if total_convs else "0.00"
     return StatsReport(
-        per_book=per_book,
+        books=books,
         total_plots=total_plots,
         total_conversations=total_convs,
         avg_speakers=avg_total,
     )
-
-
-def corpus_stats_to_record(report: StatsReport) -> dict:
-    return {
-        "books": [
-            {
-                "book_id": b.book_id,
-                "title": b.title,
-                "plots": b.plot_count,
-                "conversations": b.conversation_count,
-                "avg_speakers": b.avg_speakers,
-            }
-            for b in report.per_book
-        ],
-        "total_plots": report.total_plots,
-        "total_conversations": report.total_conversations,
-        "avg_speakers": report.avg_speakers,
-    }

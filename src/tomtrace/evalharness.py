@@ -19,10 +19,10 @@ from typing import Iterator
 from .corpus import Corpus
 from .errors import ConfigInvalid, MissingKg, MissingPlot, UnknownQuestionId
 from .llmgate import ChatRequest, estimate_tokens, user_request
-from .qagen import TomQuestion
+from .qagen import LETTERS, TomQuestion
 from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, TemplateOverride, render_template, render_triple
-from .util import LazyLogger, format_half_up, read_jsonl, write_jsonl
+from .util import LazyLogger, encode_record, format_half_up, read_jsonl, write_jsonl
 
 logger = LazyLogger(__name__)
 
@@ -163,25 +163,37 @@ def parse_answer(text: str) -> str | None:
 
 
 class Prediction:
-    __slots__ = ("question_id", "model_id", "condition", "letter", "raw_text", "prompt_tokens_est", "error")
+    """One answer: a record of predictions.jsonl (see util.encode_record)."""
+
+    __slots__ = ("question_id", "model", "context", "triples", "raw_text", "letter", "prompt_tokens_est", "error")
+    FIELDS = (
+        ("question_id", str), ("model", str), ("context", ContextMode), ("triples", bool), ("raw_text", str, ""),
+        ("letter", LETTERS, None), ("prompt_tokens_est", int, 0), ("error", str, None),
+    )
 
     def __init__(
         self,
         question_id: str,
-        model_id: str,
-        condition: EvalCondition,
+        model: str,
+        context: ContextMode,
+        triples: bool,
         letter: str | None,
         raw_text: str,
         prompt_tokens_est: int = 0,
         error: str | None = None,
     ) -> None:
         self.question_id = question_id
-        self.model_id = model_id
-        self.condition = condition
+        self.model = model
+        self.context = context
+        self.triples = triples
         self.letter = letter
         self.raw_text = raw_text
         self.prompt_tokens_est = prompt_tokens_est
         self.error = error
+
+    @property
+    def condition(self) -> EvalCondition:
+        return EvalCondition(self.context, self.triples)
 
 
 # --- scoring -----------------------------------------------------------------------
@@ -220,7 +232,7 @@ def score(predictions: list[Prediction], questions: dict[str, TomQuestion]) -> S
         question = questions.get(pred.question_id)
         if question is None:
             raise UnknownQuestionId(f"prediction references unknown question {pred.question_id!r}")
-        row = table.row(pred.model_id, pred.condition)
+        row = table.row(pred.model, pred.condition)
         dim = question.dimension
         row.total[dim] = row.total.get(dim, 0) + 1
         if pred.letter is not None and pred.letter == question.correct:
@@ -288,34 +300,6 @@ def render_report(table: ScoreTable, layout: ReportLayout = ReportLayout.PLAIN) 
 
 # --- full evaluation loop ----------------------------------------------------------------
 
-def prediction_to_record(pred: Prediction) -> dict:
-    return {
-        "question_id": pred.question_id,
-        "model": pred.model_id,
-        "context": pred.condition.context_mode.value,
-        "triples": pred.condition.triples_enabled,
-        "raw_text": pred.raw_text,
-        "letter": pred.letter,
-        "prompt_tokens_est": pred.prompt_tokens_est,
-        "error": pred.error,
-    }
-
-
-def prediction_from_record(rec: dict) -> Prediction:
-    model, triples = rec["model"], rec["triples"]
-    if not isinstance(model, str) or not isinstance(triples, bool):
-        raise TypeError(f"model must be a string and triples true or false, not {model!r} and {triples!r}")
-    return Prediction(
-        question_id=rec["question_id"],
-        model_id=model,
-        condition=EvalCondition(ContextMode(rec["context"]), triples),
-        letter=rec.get("letter"),
-        raw_text=rec.get("raw_text", ""),
-        prompt_tokens_est=rec.get("prompt_tokens_est", 0),
-        error=rec.get("error"),
-    )
-
-
 def run_eval(
     corpus: Corpus,
     kgs: dict[str, TemporalKG],
@@ -342,7 +326,9 @@ def run_eval(
 
     def items() -> Iterator[tuple[Prediction, ChatRequest | None]]:
         for question, model, condition in product(ordered_questions, models, conditions):
-            prediction = Prediction(question.id, model, condition, letter=None, raw_text="")
+            prediction = Prediction(
+                question.id, model, condition.context_mode, condition.triples_enabled, letter=None, raw_text=""
+            )
             try:
                 prompt = assemble_context(
                     question,
@@ -373,10 +359,10 @@ def run_eval(
         if prediction.error is None:
             prediction.letter = parse_answer(prediction.raw_text)
 
-    predictions_path = write_jsonl(predictions_path, (prediction_to_record(p) for p in predictions))
+    predictions_path = write_jsonl(predictions_path, (encode_record(p, Prediction.FIELDS) for p in predictions))
     table = score(predictions, {q.id: q for q in questions})
     return table, predictions_path
 
 
 def load_predictions(path: Path | str) -> list[Prediction]:
-    return read_jsonl(path, prediction_from_record)
+    return read_jsonl(path, Prediction.FIELDS, Prediction)

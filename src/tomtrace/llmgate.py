@@ -34,7 +34,7 @@ from .errors import (
     TransportError,
     UnreadableSource,
 )
-from .util import LazyLogger, canonical_json, read_jsonl, sha256_text, write_atomic
+from .util import LazyLogger, canonical_json, decode_json, read_jsonl, sha256_text, write_atomic
 
 if TYPE_CHECKING:  # annotations only: no gateway user needs these modules loaded
     import socket
@@ -108,24 +108,26 @@ class ReplayScript:
     does: "error" raises ScriptMiss, "fixed" returns `default_text`.
     """
 
+    # A line of a replay script (see util.encode_record): a response and the digest or the pattern it answers.
+    ENTRY = (("response_text", str), ("digest", str, None), ("prompt_pattern", str, None))
+
     def __init__(self, default_policy: str = "error", default_text: str = "") -> None:
         self.default_policy = default_policy
         self.default_text = default_text
         self._by_digest: dict[str, str] = {}
         self._patterns: list[tuple[re.Pattern, str]] = []
 
-    def _add(self, rec: Mapping) -> None:
-        """Add one entry from its record (`response_text` and a `digest` or a `prompt_pattern`)."""
-        text, digest, pattern = rec["response_text"], rec.get("digest"), rec.get("prompt_pattern")
-        if not isinstance(text, str) or not text:
-            raise ValueError("response_text must be a non-empty string")
+    def _add(self, response_text: str, digest: str | None = None, prompt_pattern: str | None = None) -> None:
+        """Add one entry, the fields of its `ENTRY` record."""
+        if not response_text:
+            raise ValueError("response_text must be non-empty")
         if digest:
             if digest in self._by_digest:
                 raise ValueError(f"duplicate digest in replay script: {digest}")
-            self._by_digest[digest] = text
-        elif pattern:
+            self._by_digest[digest] = response_text
+        elif prompt_pattern:
             try:
-                self._patterns.append((re.compile(pattern), text))
+                self._patterns.append((re.compile(prompt_pattern), response_text))
             except re.error as exc:
                 raise ValueError(f"bad prompt_pattern: {exc}") from exc
         else:
@@ -141,7 +143,7 @@ class ReplayScript:
         """Read a JSONL script; a malformed one raises ConfigInvalid naming the file and line."""
         script = cls(default_policy=default_policy, default_text=default_text)
         try:
-            read_jsonl(path, script._add)
+            read_jsonl(path, cls.ENTRY, script._add)
         except (MalformedRecord, UnreadableSource) as exc:
             raise ConfigInvalid(f"replay script {exc}") from exc
         return script
@@ -240,7 +242,7 @@ class ResponseCache:
                 reader.seek(offset)
                 line = reader.readline()
             if line.startswith(prefix):
-                entry = json.loads(line[len(prefix):])
+                entry = decode_json(line[len(prefix):])
                 if entry["request"]["digest"] == digest:
                     return entry
         return None
@@ -487,7 +489,7 @@ class _Route:
         except (OSError, ValueError) as exc:
             raise ConnectionError(str(exc)) from exc
         try:
-            return status, json.loads(raw), reply_headers
+            return status, decode_json(raw), reply_headers
         except ValueError:
             return status, raw.decode("utf-8", errors="replace"), reply_headers
 

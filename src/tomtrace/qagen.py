@@ -12,7 +12,6 @@ Human verdicts only ever apply to LlmVerified questions.
 from __future__ import annotations
 
 import csv
-import json
 import random
 import re
 from enum import Enum
@@ -35,8 +34,8 @@ from .llmgate import ChatRequest, Gateway, user_request
 from .tkg import TemporalKG, state_at
 from .triples import DIMENSIONS, Dimension, MentalStateTriple, TemplateOverride, plot_prompt, render_template
 from .util import (
-    LazyLogger, format_half_up, load_json_reply, normalize_name, read_jsonl, reply_payload, stable_hash,
-    strip_code_fences, write_csv, write_jsonl,
+    LazyLogger, encode_record, format_half_up, load_json_reply, normalize_name, read_jsonl, reply_payload,
+    stable_hash, strip_code_fences, write_csv, write_jsonl,
 )
 
 logger = LazyLogger(__name__)
@@ -59,6 +58,12 @@ class VerificationStage(Enum):
 class TomQuestion:
     __slots__ = ("id", "book_id", "plot_index", "character", "dimension", "scenario", "reasoning", "stem",
                  "options", "correct", "state", "attempt", "permutation")
+    # A record of questions.jsonl (see util.encode_record); the constructor checks the options and the letter.
+    FIELDS = (
+        ("id", str), ("book_id", str), ("plot_index", int), ("character", str), ("dimension", Dimension),
+        ("scenario", str, ""), ("reasoning", str, ""), ("stem", str), ("options", list[str]), ("correct", str),
+        ("state", QuestionState, QuestionState.GENERATED), ("attempt", int, 1), ("permutation", list[int], None),
+    )
 
     def __init__(
         self,
@@ -105,6 +110,7 @@ class TomQuestion:
 
 class VerificationVerdict:
     __slots__ = ("question_id", "stage", "passed", "notes")
+    FIELDS = (("question_id", str), ("stage", VerificationStage), ("passed", bool), ("notes", str))
 
     def __init__(self, question_id: str, stage: VerificationStage, passed: bool, notes: str = "") -> None:
         self.question_id = question_id
@@ -220,7 +226,7 @@ def _question_blocks(text: str) -> dict[Dimension, dict]:
     """
     try:
         data = load_json_reply(strip_code_fences(text).strip())
-    except json.JSONDecodeError:
+    except ValueError:
         raise UnparseableResponse("generation response is not JSON") from None
     if not isinstance(data, dict):
         raise UnparseableResponse("generation response is not an object")
@@ -592,6 +598,9 @@ def import_review(path: Path | str, questions: dict[str, TomQuestion]) -> Review
 
 class QuestionSetStats:
     __slots__ = ("questions", "correct_answers", "distractors", "per_dimension", "per_book")
+    # The question set's entry in stats.json (see util.encode_record).
+    FIELDS = (("questions", int), ("correct_answers", int), ("distractors", int), ("per_dimension", dict),
+              ("per_book", dict))
 
     def __init__(
         self,
@@ -624,16 +633,6 @@ def dataset_stats(questions: list[TomQuestion]) -> QuestionSetStats:
     )
 
 
-def dataset_stats_to_record(stats: QuestionSetStats) -> dict:
-    return {
-        "questions": stats.questions,
-        "correct_answers": stats.correct_answers,
-        "distractors": stats.distractors,
-        "per_dimension": stats.per_dimension,
-        "per_book": stats.per_book,
-    }
-
-
 class FirstPassReport:
     __slots__ = ("verified_questions", "first_attempt_passes", "rate")
 
@@ -657,66 +656,17 @@ def first_pass_stats(verdicts: list[VerificationVerdict]) -> FirstPassReport:
 
 # --- question persistence --------------------------------------------------------------
 
-def question_to_record(q: TomQuestion) -> dict:
-    return {
-        "id": q.id,
-        "book_id": q.book_id,
-        "plot_index": q.plot_index,
-        "character": q.character,
-        "dimension": q.dimension.value,
-        "scenario": q.scenario,
-        "reasoning": q.reasoning,
-        "stem": q.stem,
-        "options": list(q.options),
-        "correct": q.correct,
-        "state": q.state.value,
-        "attempt": q.attempt,
-        "permutation": q.permutation,
-    }
-
-
-def question_from_record(rec: dict) -> TomQuestion:
-    return TomQuestion(
-        id=rec["id"],
-        book_id=rec["book_id"],
-        plot_index=rec["plot_index"],
-        character=rec["character"],
-        dimension=Dimension(rec["dimension"]),
-        scenario=rec.get("scenario", ""),
-        reasoning=rec.get("reasoning", ""),
-        stem=rec["stem"],
-        options=list(rec["options"]),
-        correct=rec["correct"],
-        state=QuestionState(rec.get("state", "generated")),
-        attempt=rec.get("attempt", 1),
-        permutation=rec.get("permutation"),
-    )
-
-
 def save_questions(questions: list[TomQuestion], path: Path | str) -> Path:
-    return write_jsonl(path, (question_to_record(q) for q in questions))
-
-
-def verdict_to_record(v: VerificationVerdict) -> dict:
-    return {"question_id": v.question_id, "stage": v.stage.value, "passed": v.passed, "notes": v.notes}
-
-
-def verdict_from_record(rec: dict) -> VerificationVerdict:
-    return VerificationVerdict(
-        question_id=rec["question_id"],
-        stage=VerificationStage(rec["stage"]),
-        passed=rec["passed"],
-        notes=rec["notes"],
-    )
-
-
-def save_verdicts(verdicts: list[VerificationVerdict], path: Path | str) -> Path:
-    return write_jsonl(path, (verdict_to_record(v) for v in verdicts))
-
-
-def load_verdicts(path: Path | str) -> list[VerificationVerdict]:
-    return read_jsonl(path, verdict_from_record)
+    return write_jsonl(path, (encode_record(q, TomQuestion.FIELDS) for q in questions))
 
 
 def load_questions(path: Path | str) -> list[TomQuestion]:
-    return read_jsonl(path, question_from_record)
+    return read_jsonl(path, TomQuestion.FIELDS, TomQuestion)
+
+
+def save_verdicts(verdicts: list[VerificationVerdict], path: Path | str) -> Path:
+    return write_jsonl(path, (encode_record(v, VerificationVerdict.FIELDS) for v in verdicts))
+
+
+def load_verdicts(path: Path | str) -> list[VerificationVerdict]:
+    return read_jsonl(path, VerificationVerdict.FIELDS, VerificationVerdict)

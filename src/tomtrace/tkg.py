@@ -44,8 +44,8 @@ from .errors import (
     NonMonotoneInsert,
     UnknownCharacter,
 )
-from .triples import Dimension, MentalStateTriple, TripleBatch, triple_fields, triple_from_record
-from .util import normalize_name, sha256_text, write_atomic
+from .triples import TRIPLE_FIELDS, Dimension, MentalStateTriple, TripleBatch
+from .util import decode_json, decode_record, encode_record, normalize_name, sha256_text, write_atomic
 
 
 class SupersedeReason(Enum):
@@ -195,7 +195,7 @@ def insert_batch(kg: TemporalKG, batch: TripleBatch, merge: MergeSection | None 
     incoming: list[MentalStateTriple] = []
     seen_content: set[tuple[str, str]] = set()
     for triple in batch.triples:
-        key = _content_key(triple.predicate_raw, triple.object)
+        key = _content_key(triple.predicate, triple.object)
         if key in seen_content:
             continue
         seen_content.add(key)
@@ -221,12 +221,12 @@ def _insert_trust_llm_diff(
     active = _active_edges(kg, character)
     old_by_content: dict[tuple[str, str], MentalStateTriple] = {}
     for edge in active:
-        old_by_content.setdefault(_content_key(edge.predicate_raw, edge.object), edge)
+        old_by_content.setdefault(_content_key(edge.predicate, edge.object), edge)
 
     remaining_new: list[MentalStateTriple] = []
     matched_old_ids: set[str] = set()
     for triple in incoming:
-        hit = old_by_content.get(_content_key(triple.predicate_raw, triple.object))
+        hit = old_by_content.get(_content_key(triple.predicate, triple.object))
         if hit is not None and hit.id not in matched_old_ids:
             matched_old_ids.add(hit.id)
             log.unchanged.append(hit.id)
@@ -280,8 +280,8 @@ def _insert_deterministic(
             (
                 e
                 for e in active
-                if _content_key(e.predicate_raw, e.object)
-                == _content_key(triple.predicate_raw, triple.object)
+                if _content_key(e.predicate, e.object)
+                == _content_key(triple.predicate, triple.object)
             ),
             None,
         )
@@ -393,14 +393,16 @@ def build_graph(
     records: list[dict],
     merge: MergeSection,
 ) -> tuple[TemporalKG, list[dict]]:
-    """Fold a book's triple records into a graph under `merge`, one batch per (character, plot).
+    """Fold a book's triple records, as `triples.load_triples` gives them, into a graph under `merge`,
+    one batch per (character, plot).
 
     Batches are inserted in the order their first record appears. Returns the
     checked graph and one changelog record per batch.
     """
     batches: dict[tuple[str, int], list[MentalStateTriple]] = {}
     for rec in records:
-        batches.setdefault((rec["character"], rec["plot_index"]), []).append(triple_from_record(rec))
+        triple = MentalStateTriple(**{key: rec[key] for key in _TRIPLE_KEYS})
+        batches.setdefault((rec["character"], rec["plot_index"]), []).append(triple)
     kg = TemporalKG(book_id=book_id, plot_count=plot_count)
     changelog = [
         changelog_to_record(
@@ -414,39 +416,36 @@ def build_graph(
 
 # --- persistence ------------------------------------------------------------------
 
+# The graph file's first record, and the records after it by the value of their "record"
+# key (see util.encode_record).
+_HEADER = (
+    ("record", ("header",)), ("book_id", str), ("plot_count", int, None), ("edge_count", int), ("integrity", str),
+)
+GRAPH_RECORDS = {
+    "node": (("record", str), ("name", str), ("last_insert_plot", int)),
+    "edge": (("record", str), *TRIPLE_FIELDS, ("plot_index", int), ("character", str)),
+    "link": (("record", str), ("old_id", str), ("new_id", str), ("reason", SupersedeReason)),
+    "retire": (("record", str), ("triple_id", str), ("plot_index", int)),
+}
+_TRIPLE_KEYS = [*(key for key, *_ in TRIPLE_FIELDS), "plot_index"]  # MentalStateTriple's parameters
+
+
 def save_kg(kg: TemporalKG, path: Path | str) -> Path:
     """Write the graph as JSONL with an integrity-hashed header."""
     records = [
-        {"record": "node", "name": name, "last_insert_plot": last_plot}
+        encode_record(None, GRAPH_RECORDS["node"], record="node", name=name, last_insert_plot=last_plot)
         for name, last_plot in kg.nodes.items()
     ]
-    for character, ids in kg.index.items():
-        for edge_id in ids:
-            edge = kg.edges[edge_id]
-            records.append(
-                {
-                    "record": "edge",
-                    **triple_fields(edge),
-                    "plot_index": edge.plot_index,
-                    "character": character,
-                }
-            )
     records += [
-        {"record": "link", "old_id": link.old_id, "new_id": link.new_id, "reason": link.reason.value}
-        for link in kg.supersede_links
+        encode_record(kg.edges[edge_id], GRAPH_RECORDS["edge"], record="edge", character=character)
+        for character, ids in kg.index.items()
+        for edge_id in ids
     ]
-    records += [
-        {"record": "retire", "triple_id": retire.triple_id, "plot_index": retire.plot_index}
-        for retire in kg.retirements
-    ]
+    records += [encode_record(link, GRAPH_RECORDS["link"], record="link") for link in kg.supersede_links]
+    records += [encode_record(retire, GRAPH_RECORDS["retire"], record="retire") for retire in kg.retirements]
     body = [json.dumps(rec, ensure_ascii=False) for rec in records]
-    header = {
-        "record": "header",
-        "book_id": kg.book_id,
-        "plot_count": kg.plot_count,
-        "edge_count": len(kg.edges),
-        "integrity": sha256_text("\n".join(body)),
-    }
+    integrity = sha256_text("\n".join(body))
+    header = encode_record(kg, _HEADER, record="header", edge_count=len(kg.edges), integrity=integrity)
     lines = [json.dumps(header, ensure_ascii=False), *body]
     return write_atomic(path, ((line + "\n").encode("utf-8") for line in lines))
 
@@ -462,55 +461,45 @@ def load_kg(path: Path | str) -> TemporalKG:
     if not lines:
         raise CorruptGraphFile(f"{path} is empty")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = decode_json(lines[0])
+        if not isinstance(header, dict):
+            raise ValueError("first record is not a header")
+        header = decode_record(header, _HEADER)
+    except ValueError as exc:
         raise CorruptGraphFile(f"{path}: bad header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("record") != "header":
-        raise CorruptGraphFile(f"{path}: first record is not a header")
-    book_id, plot_count = header.get("book_id"), header.get("plot_count")
-    if not isinstance(book_id, str):
-        raise CorruptGraphFile(f"{path}: header book_id {book_id!r} is not a string")
-    if plot_count is not None and type(plot_count) is not int:
-        raise CorruptGraphFile(f"{path}: header plot_count {plot_count!r} is not an integer or null")
     body_lines = lines[1:]
-    if sha256_text("\n".join(body_lines)) != header.get("integrity"):
+    if sha256_text("\n".join(body_lines)) != header["integrity"]:
         raise CorruptGraphFile(f"{path}: integrity hash mismatch")
-    kg = TemporalKG(book_id=book_id, plot_count=plot_count)
+    kg = TemporalKG(book_id=header["book_id"], plot_count=header["plot_count"])
     for n, line in enumerate(body_lines, start=2):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            rec = decode_json(line)
+        except ValueError as exc:
             raise CorruptGraphFile(f"{path}:{n}: bad record: {exc}") from exc
         if not isinstance(rec, dict):
             raise CorruptGraphFile(f"{path}:{n}: record is not a JSON object")
         kind = rec.get("record")
+        if not isinstance(kind, str) or kind not in GRAPH_RECORDS:
+            raise CorruptGraphFile(f"{path}:{n}: unknown record kind {kind!r}")
         try:
-            if kind == "node":
-                name = rec["name"]  # read before the plot, so a record lacking both names "name"
-                kg.nodes[name] = rec["last_insert_plot"]
-            elif kind == "edge":
-                triple = triple_from_record(rec)
-                kg.edges[triple.id] = triple
-                kg.index.setdefault(rec["character"], []).append(triple.id)
-            elif kind == "link":
-                kg.supersede_links.append(
-                    SupersedeLink(
-                        old_id=rec["old_id"],
-                        new_id=rec["new_id"],
-                        reason=SupersedeReason(rec["reason"]),
-                    )
-                )
-            elif kind == "retire":
-                kg.retirements.append(RetireRecord(triple_id=rec["triple_id"], plot_index=rec["plot_index"]))
-            else:
-                raise CorruptGraphFile(f"{path}:{n}: unknown record kind {kind!r}")
-        except KeyError as exc:
-            raise CorruptGraphFile(f"{path}:{n}: {kind} record lacks field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+            values = decode_record(rec, GRAPH_RECORDS[kind])
+        except ValueError as exc:
             raise CorruptGraphFile(f"{path}:{n}: bad {kind} record: {exc}") from exc
-    if len(kg.edges) != header.get("edge_count"):
+        del values["record"]
+        if kind == "node":
+            kg.nodes[values["name"]] = values["last_insert_plot"]
+        elif kind == "edge":
+            character = values.pop("character")
+            triple = MentalStateTriple(**values)
+            kg.edges[triple.id] = triple
+            kg.index.setdefault(character, []).append(triple.id)
+        elif kind == "link":
+            kg.supersede_links.append(SupersedeLink(**values))
+        else:
+            kg.retirements.append(RetireRecord(**values))
+    if len(kg.edges) != header["edge_count"]:
         raise CorruptGraphFile(
-            f"{path}: edge count {len(kg.edges)} does not match header {header.get('edge_count')}"
+            f"{path}: edge count {len(kg.edges)} does not match header {header['edge_count']}"
         )
     try:
         for link in kg.supersede_links:
@@ -520,4 +509,3 @@ def load_kg(path: Path | str) -> TemporalKG:
     except KeyError as exc:
         raise CorruptGraphFile(f"{path}: link or retirement names unknown edge {exc}") from exc
     return kg
-

@@ -9,7 +9,6 @@ BelievesAboutCordelia. Objects carry the mental-state content as free text.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from enum import Enum
 from importlib import resources
@@ -27,8 +26,8 @@ from .errors import (
 )
 from .llmgate import ChatRequest, Gateway, user_request
 from .util import (
-    LazyLogger, load_json_reply, normalize_name, read_jsonl, reply_payload, stable_hash, strip_code_fences, write_csv,
-    write_jsonl,
+    LazyLogger, encode_record, load_json_reply, normalize_name, read_jsonl, reply_payload, stable_hash,
+    strip_code_fences, write_csv, write_jsonl,
 )
 
 logger = LazyLogger(__name__)
@@ -68,13 +67,13 @@ _PRONOUN_RE = re.compile(r"\b(?:%s)\b" % "|".join(PRONOUN_TOKENS), re.IGNORECASE
 
 
 class MentalStateTriple:
-    __slots__ = ("id", "subject", "predicate_raw", "dimension", "target", "object", "plot_index", "valid_to")
+    __slots__ = ("id", "subject", "predicate", "dimension", "target", "object", "plot_index", "valid_to")
 
     def __init__(
         self,
         id: str,
         subject: str,
-        predicate_raw: str,
+        predicate: str,
         dimension: Dimension,
         target: str | None,
         object: str,
@@ -82,7 +81,7 @@ class MentalStateTriple:
     ) -> None:
         self.id = id
         self.subject = subject
-        self.predicate_raw = predicate_raw
+        self.predicate = predicate  # as the model wrote it
         self.dimension = dimension
         self.target = target
         self.object = object
@@ -152,7 +151,7 @@ def make_triple(
     return MentalStateTriple(
         id=stable_hash(book_id, subject, predicate_raw, obj, plot_index, ordinal),
         subject=subject,
-        predicate_raw=predicate_raw,
+        predicate=predicate_raw,
         dimension=dimension,
         target=extract_target(predicate_raw),
         object=obj,
@@ -161,7 +160,7 @@ def make_triple(
 
 
 def render_triple(triple: MentalStateTriple) -> str:
-    return f"({triple.subject}, {triple.predicate_raw}, {triple.object})"
+    return f"({triple.subject}, {triple.predicate}, {triple.object})"
 
 
 class RejectedEntry:
@@ -250,7 +249,7 @@ def _tuple_entries_from_text(text: str) -> list[str]:
 def _json_entries(body: str) -> list[str] | None:
     try:
         data = load_json_reply(body)
-    except json.JSONDecodeError:
+    except ValueError:
         return None
     if isinstance(data, dict):
         data = reply_payload(data)
@@ -443,33 +442,12 @@ def build_extraction_prompt(
 
 # --- records and the extraction stage ----------------------------------------------
 
-def triple_fields(triple: MentalStateTriple) -> dict:
-    """The fields a triple record and a graph edge record share, in file order."""
-    return {
-        "id": triple.id,
-        "subject": triple.subject,
-        "predicate": triple.predicate_raw,
-        "dimension": triple.dimension.value,
-        "target": triple.target,
-        "object": triple.object,
-    }
-
-
-def triple_to_record(book_id: str, character: str, triple: MentalStateTriple) -> dict:
-    return {"book_id": book_id, "character": character, "plot_index": triple.plot_index, **triple_fields(triple)}
-
-
-def triple_from_record(rec: dict) -> MentalStateTriple:
-    """A triple from a triple record or a graph edge record; keys it does not name are ignored."""
-    return MentalStateTriple(
-        id=rec["id"],
-        subject=rec["subject"],
-        predicate_raw=rec["predicate"],
-        dimension=Dimension(rec["dimension"]),
-        target=rec.get("target"),
-        object=rec["object"],
-        plot_index=rec["plot_index"],
-    )
+# A triple's fields in the order its record and a graph edge record give them (see util.encode_record).
+TRIPLE_FIELDS = (
+    ("id", str), ("subject", str), ("predicate", str), ("dimension", Dimension), ("target", str, None), ("object", str),
+)
+# A kept triple, one line of triples/<book>.jsonl.
+TRIPLE_RECORD = (("book_id", str), ("character", str), ("plot_index", int), *TRIPLE_FIELDS)
 
 
 def _reject_record(book_id: str, character: str, plot_index: int, raw: str, reason: str) -> dict:
@@ -534,7 +512,7 @@ def _extract_chain(
                 out.log.append((logger.info, ("%s/%s/p%d: kept triple with violations: %s",
                                               book.id, character, plot.index, kinds)))
             kept.append(triple)
-        out.triples += [triple_to_record(book.id, character, t) for t in kept]
+        out.triples += [encode_record(t, TRIPLE_RECORD, book_id=book.id, character=character) for t in kept]
         out.rejects += [_reject_record(book.id, character, plot.index, r.raw, r.reason) for r in batch.rejects]
         out.rejected += len(batch.rejects)
         rolling = kept
@@ -596,18 +574,15 @@ TRIPLE_REVIEW_COLUMNS = (
 )
 
 
-def checked_triple_record(rec: dict, plot_count: int | None = None) -> dict:
-    """A kept-triple record as is, once it decodes as a triple, names its book and character,
-    and places the triple at an integer plot, within 1..`plot_count` when that is given."""
-    triple_from_record(rec)
-    if not all(isinstance(rec[key], str) for key in ("book_id", "character")):
-        raise TypeError("book_id and character must be strings")
-    plot_index = rec["plot_index"]
-    if type(plot_index) is not int:
-        raise TypeError(f"plot_index {plot_index!r} is not an integer")
-    if plot_count is not None and not 1 <= plot_index <= plot_count:
-        raise ValueError(f"plot_index {plot_index} is not a plot of the book (1..{plot_count})")
-    return rec
+def load_triples(path: Path, plot_count: int | None = None) -> list[dict]:
+    """One book's kept triple records, each at a plot within 1..`plot_count` when that is given."""
+
+    def placed(**record) -> dict:
+        if not 1 <= record["plot_index"] <= plot_count:
+            raise ValueError(f"plot_index {record['plot_index']} is not a plot of the book (1..{plot_count})")
+        return record
+
+    return read_jsonl(path, TRIPLE_RECORD, None if plot_count is None else placed)
 
 
 def load_kept_triples(triples_dir: Path, read: Callable[[Path], Path] = Path) -> list[dict]:
@@ -618,7 +593,7 @@ def load_kept_triples(triples_dir: Path, read: Callable[[Path], Path] = Path) ->
         rec
         for path in sorted(triples_dir.glob("*.jsonl"))
         if not path.name.endswith(".rejects.jsonl")
-        for rec in read_jsonl(read(path), checked_triple_record)
+        for rec in load_triples(read(path))
     ]
 
 

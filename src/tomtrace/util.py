@@ -1,8 +1,9 @@
-"""Small shared helpers: hashing, rounding, name normalization, record files, logging."""
+"""Small shared helpers: hashing, rounding, name normalization, record files and their codec, logging."""
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -11,7 +12,9 @@ import random
 import re
 import sys
 import threading
+from enum import Enum, EnumMeta
 from pathlib import Path
+from types import GenericAlias
 from typing import Callable, Iterable, TypeVar
 
 from .errors import IoError, MalformedRecord, TomtraceError, UnreadableSource
@@ -148,13 +151,129 @@ def write_jsonl(path: Path | str, records: Iterable[dict]) -> Path:
     return write_atomic(path, ((json.dumps(r, ensure_ascii=False) + "\n").encode("utf-8") for r in records))
 
 
-def read_jsonl(path: Path | str, decode: Callable[[dict], T] = dict) -> list[T]:
-    """`decode` of each record of a file written by `write_jsonl`; blank lines are skipped.
+def decode_json(text: str | bytes) -> object:
+    """`text` as JSON: the one decoder of JSON that comes from outside the package.
 
-    Lines end at b"\\n" only, so a record keeps a raw U+2028 and the like. A line
-    that is not UTF-8, not one JSON object, or that `decode` rejects (`KeyError`,
-    `TypeError`, `ValueError`, `AttributeError` or a `TomtraceError`) raises
-    `MalformedRecord` naming `file:line`; a file that cannot be read raises `UnreadableSource`.
+    Whatever cannot be decoded raises ValueError: invalid JSON, an integer past
+    the interpreter's digit limit, and nesting too deep for its stack.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+# A record type is declared once, as a tuple of fields in file order: (key, type) for
+# a required field, (key, type, default) for one a record may leave out; a field whose
+# default is None may also be null. A type is str, int, bool or dict; an Enum of strings;
+# a tuple of the strings allowed; list[T]; or a class with FIELDS of its own, nested. A
+# class whose records are its instances declares FIELDS with its `__init__` parameters
+# and attributes as keys.
+_KINDS = {str: "a string", int: "an integer", bool: "true or false", list: "a list", dict: "an object"}
+_PLAIN = {str, int, bool, dict, type(None)}
+_ABSENT = object()  # the value of a key a record does not have
+
+
+def encode_record(obj: object, fields: tuple, **given: object) -> dict:
+    """`obj` as a record of `fields`: each key's value from `given`, else `obj`'s attribute of that name."""
+    record = {}
+    for field in fields:
+        key = field[0]
+        value = given[key] if key in given else getattr(obj, key)
+        record[key] = value if type(value) in _PLAIN else _encode(value)
+    return record
+
+
+def _encode(value: object) -> object:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, list):
+        return [v if type(v) in _PLAIN else _encode(v) for v in value]
+    return encode_record(value, value.FIELDS)
+
+
+class _Invalid(ValueError):
+    """A field that `decode_record` rejects: `problem` of its name, whose steps (keys and
+    indices) each enclosing record and list puts at the front of `path`."""
+
+    def __init__(self, problem: Callable[[str], str], *path: str | int) -> None:
+        self.problem, self.path = problem, list(path)
+
+    def __str__(self) -> str:
+        return self.problem("".join(f"[{s}]" if type(s) is int else f".{s}" for s in self.path)[1:])
+
+
+def decode_record(record: dict, fields: tuple) -> dict:
+    """Each of `fields`' values in `record`, by key, checked and decoded; keys it does not declare are ignored.
+
+    A missing required field, a value of the wrong type or one outside its enum
+    raises ValueError naming the field, a nested one by its path.
+    """
+    values = {}
+    for field in fields:
+        value = record.get(field[0], _ABSENT)
+        values[field[0]] = value if type(value) is field[1] else _field(value, field)
+    return values
+
+
+def _field(value: object, field: tuple) -> object:
+    """The value of `field` when `value`, what the record holds under its key (or _ABSENT), is not of its type."""
+    if value is _ABSENT or (value is None and len(field) == 3 and field[2] is None):
+        if len(field) == 2:
+            raise _Invalid(lambda name: f"missing field {name!r}", field[0])
+        return list(field[2]) if type(field[2]) is list else field[2]
+    try:
+        return _decode(value, field[1])
+    except _Invalid as exc:
+        exc.path.insert(0, field[0])
+        raise
+
+
+def _decode(value: object, kind: object) -> object:
+    if type(kind) is EnumMeta:
+        members = _members(kind)
+        if type(value) is str and value in members:
+            return members[value]
+        expected = "one of " + ", ".join(members)
+    elif type(kind) is GenericAlias:  # list[T]
+        if type(value) is list:
+            [item] = kind.__args__
+            decoded = []
+            for i, v in enumerate(value):
+                try:
+                    decoded.append(v if type(v) is item else _decode(v, item))
+                except _Invalid as exc:
+                    exc.path.insert(0, i)
+                    raise
+            return decoded
+        expected = _KINDS[list]
+    elif isinstance(kind, tuple):
+        if type(value) is str and value in kind:
+            return value
+        expected = "one of " + ", ".join(kind)
+    elif hasattr(kind, "FIELDS"):
+        if type(value) is dict:
+            return kind(**decode_record(value, kind.FIELDS))
+        expected = _KINDS[dict]
+    else:
+        expected = _KINDS[kind]
+    raise _Invalid(lambda name: f"{name} {value!r} is not {expected}")
+
+
+@functools.cache
+def _members(kind: type[Enum]) -> dict[str, Enum]:
+    return {member.value: member for member in kind}
+
+
+def read_jsonl(path: Path | str, fields: tuple | None = None, make: Callable[..., T] | None = None) -> list[T]:
+    """Each record of a file written by `write_jsonl`; blank lines are skipped.
+
+    With `fields`, a record is the dict of `decode_record`'s values, or `make`
+    called with them as keywords; without, the JSON object as is. Lines
+    end at b"\\n" only, so a record keeps a raw U+2028 and the like. A line that
+    is not UTF-8 or not one JSON object, a field `decode_record` rejects, or a
+    ValueError or TomtraceError from `make` raises `MalformedRecord` naming
+    `file:line`; a file that cannot be read raises `UnreadableSource`.
     """
     records = []
     try:
@@ -163,16 +282,21 @@ def read_jsonl(path: Path | str, decode: Callable[[dict], T] = dict) -> list[T]:
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line.decode("utf-8"))
-                    if not isinstance(record, dict):
-                        raise TypeError("not a JSON object")
-                    records.append(decode(record))
-                except KeyError as exc:
-                    raise MalformedRecord(f"{path}:{n}", f"missing field {exc}") from exc
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(f"{path}:{n}", f"invalid JSON: {exc}") from exc
-                except (TypeError, ValueError, AttributeError, TomtraceError) as exc:
+                    record = decode_json(line.decode("utf-8"))
+                except UnicodeError as exc:
                     raise MalformedRecord(f"{path}:{n}", str(exc)) from exc
+                except ValueError as exc:
+                    raise MalformedRecord(f"{path}:{n}", f"invalid JSON: {exc}") from exc
+                if type(record) is not dict:
+                    raise MalformedRecord(f"{path}:{n}", "not a JSON object")
+                if fields is not None:
+                    try:
+                        record = decode_record(record, fields)
+                        if make is not None:
+                            record = make(**record)
+                    except (ValueError, TomtraceError) as exc:
+                        raise MalformedRecord(f"{path}:{n}", str(exc)) from exc
+                records.append(record)
     except OSError as exc:
         raise UnreadableSource(f"cannot read {path}: {exc}") from exc
     return records
@@ -220,13 +344,13 @@ def strip_code_fences(text: str) -> str:
 def load_json_reply(body: str) -> object:
     """A model reply as JSON, or else the reply with `{{`/`}}` collapsed (a template's braces echoed back).
 
-    Raises `json.JSONDecodeError` when neither parses. Collapsing a `}}` outside
+    Raises ValueError when neither decodes (`decode_json`). Collapsing a `}}` outside
     a string unbalances valid JSON, so the two readings never parse to different shapes.
     """
     try:
-        return json.loads(body)
-    except json.JSONDecodeError:
-        return json.loads(body.replace("{{", "{").replace("}}", "}"))
+        return decode_json(body)
+    except ValueError:
+        return decode_json(body.replace("{{", "{").replace("}}", "}"))
 
 
 def reply_payload(reply: dict) -> object:

@@ -99,7 +99,7 @@ def replay_script(*records: dict) -> ReplayScript:
     """A replay script of `records`, each added as a line of a script file is."""
     script = ReplayScript()
     for record in records:
-        script._add(record)
+        script._add(**record)
     return script
 
 

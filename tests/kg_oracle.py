@@ -228,7 +228,7 @@ class OracleState:
 
 
 def real_state(kg: TemporalKG, character: str, plot_t: int) -> list[tuple]:
-    return [(t.plot_index, t.predicate_raw, t.object) for t in state_at(kg, character, plot_t)]
+    return [(t.plot_index, t.predicate, t.object) for t in state_at(kg, character, plot_t)]
 
 
 def real_timeline(kg: TemporalKG, character: str, dim: Dimension | None = None) -> list[tuple]:
@@ -237,10 +237,10 @@ def real_timeline(kg: TemporalKG, character: str, dim: Dimension | None = None) 
         old = kg.edges[entry.superseded_id] if entry.superseded_id else None
         out.append((
             entry.plot_index,
-            entry.triple.predicate_raw,
+            entry.triple.predicate,
             entry.triple.object,
             entry.supersede_reason.value if entry.supersede_reason else None,
-            (old.plot_index, old.predicate_raw, old.object) if old else None,
+            (old.plot_index, old.predicate, old.object) if old else None,
         ))
     return out
 

@@ -200,14 +200,14 @@ def test_criterion_05_score_cells_match_hand_recount():
             q = _scoring_question(f"b{i}", Dimension.BELIEF, "A")
             questions[q.id] = q
             predictions.append(
-                Prediction(q.id, "m", condition, letter, raw_text=letter or "no letter here")
+                Prediction(q.id, "m", condition.context_mode, False, letter, raw_text=letter or "no letter here")
             )
         desire_letters = ["C", None, "D"]
         for i, letter in enumerate(desire_letters):
             q = _scoring_question(f"d{i}", Dimension.DESIRE, "C")
             questions[q.id] = q
             predictions.append(
-                Prediction(q.id, "m", condition, letter, raw_text=letter or "garbled")
+                Prediction(q.id, "m", condition.context_mode, False, letter, raw_text=letter or "garbled")
             )
         # the unparseable belief answer names the right letter in prose
         unparseable = "I think the answer is A"

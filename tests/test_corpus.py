@@ -253,9 +253,10 @@ def test_two_normalized_books_with_one_id_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("change, reason", [
-    ({"segments": [{"kind": "speech"}]}, "missing field 'text'"),
-    ({"segments": [{"kind": "narration", "text": "hi"}]}, "'narration' is not a valid SegmentKind"),
-    ({"index": "second"}, "invalid literal for int"),
+    ({"segments": [{"kind": "speech"}]}, r"missing field 'conversations\[0\]\.turns\[0\]\.segments\[0\]\.text'"),
+    ({"segments": [{"kind": "narration", "text": "hi"}]},
+     r"conversations\[0\]\.turns\[0\]\.segments\[0\]\.kind 'narration' is not one of speech, action, thought"),
+    ({"index": "second"}, "index 'second' is not an integer"),
 ], ids=["segment-without-text", "unknown-segment-kind", "non-integer-index"])
 def test_normalized_reader_names_the_line_of_a_malformed_plot(tmp_path, change, reason):
     turn = {"speaker": "A", "segments": [{"kind": "speech", "text": "hi"}]}
@@ -280,7 +281,7 @@ def test_stats_golden(fixture_corpus):
     assert report.total_conversations == 2
     # conversation 1 has 3 distinct speakers, conversation 2 has 2
     assert report.avg_speakers == "2.50"
-    assert report.per_book[0].book_id == "king-lear"
+    assert report.books[0].book_id == "king-lear"
 
 
 def test_stats_of_a_sub_corpus_count_its_books_alone(fixture_corpus):
@@ -291,7 +292,7 @@ def test_stats_of_a_sub_corpus_count_its_books_alone(fixture_corpus):
         sub = Corpus(books=books, registries=fixture_corpus.registries)
         stats = corpus_stats(sub)
         assert (stats.total_plots, stats.total_conversations, stats.avg_speakers) == expected
-        assert [b.book_id for b in stats.per_book] == [b.id for b in books]
+        assert [b.book_id for b in stats.books] == [b.id for b in books]
         assert sub.registries is fixture_corpus.registries
 
 
@@ -302,5 +303,5 @@ def test_stats_empty_book_flagged():
     report = corpus_stats(Corpus(books=[book]))
     assert report.total_conversations == 0
     assert report.avg_speakers == "0.00"
-    assert report.per_book[0].conversation_count == 0
-    assert report.per_book[0].avg_speakers == "0.00"
+    assert report.books[0].conversations == 0
+    assert report.books[0].avg_speakers == "0.00"

@@ -22,14 +22,13 @@ from tomtrace.evalharness import (
     conditions,
     load_predictions,
     parse_answer,
-    prediction_from_record,
-    prediction_to_record,
     render_report,
     run_eval,
     score,
 )
 from tomtrace.llmgate import Gateway, estimate_tokens
 from tomtrace.qagen import QuestionState, TomQuestion, question_id
+from tomtrace.util import decode_record, encode_record
 from tomtrace.tkg import TemporalKG, insert_batch
 from tomtrace.triples import Dimension, TripleBatch, make_triple
 
@@ -192,14 +191,14 @@ def test_parse_answer(text, expected):
 
 def test_prediction_record_round_trip_has_no_timing_key():
     pred = Prediction(
-        question_id="q1", model_id="m", condition=CURRENT_T,
+        question_id="q1", model="m", context=CURRENT_T.context_mode, triples=CURRENT_T.triples_enabled,
         letter="A", raw_text="{answer: A}", prompt_tokens_est=42,
     )
-    rec = prediction_to_record(pred)
+    rec = encode_record(pred, Prediction.FIELDS)
     # Timings would differ between two runs of one config (criterion 6).
     timing = re.compile(r"latency|elapsed|duration|wall|timestamp|seconds|_ms$|_s$")
     assert [key for key in rec if timing.search(key)] == []
-    back = prediction_from_record(rec)
+    back = Prediction(**decode_record(json.loads(json.dumps(rec)), Prediction.FIELDS))
     assert back.letter == "A" and back.condition == CURRENT_T
     assert back.prompt_tokens_est == 42
 
@@ -216,7 +215,7 @@ def hand_fixture():
         q.id = f"q{i}"
         questions[q.id] = q
         predictions.append(Prediction(
-            question_id=q.id, model_id="m", condition=CURRENT,
+            question_id=q.id, model="m", context=CURRENT.context_mode, triples=CURRENT.triples_enabled,
             letter=letter, raw_text=letter or "no idea",
         ))
     return questions, predictions
@@ -240,7 +239,8 @@ def test_unparseable_prediction_counts_wrong():
 
 
 def test_score_rejects_unknown_question():
-    pred = Prediction(question_id="ghost", model_id="m", condition=CURRENT, letter="A", raw_text="A")
+    pred = Prediction(question_id="ghost", model="m", context=CURRENT.context_mode, triples=False, letter="A",
+                      raw_text="A")
     with pytest.raises(UnknownQuestionId):
         score([pred], {})
 
@@ -270,7 +270,7 @@ def test_plain_report_golden():
 def test_plain_report_context_headers_appear_with_two_modes():
     questions, predictions = hand_fixture()
     extended = [
-        Prediction(question_id=p.question_id, model_id="m", condition=EXTENDED,
+        Prediction(question_id=p.question_id, model="m", context=EXTENDED.context_mode, triples=False,
                    letter=p.letter, raw_text=p.raw_text)
         for p in predictions
     ]
@@ -282,7 +282,7 @@ def test_plain_report_context_headers_appear_with_two_modes():
 def test_plain_report_triples_row_label():
     questions, predictions = hand_fixture()
     with_triples = [
-        Prediction(question_id=p.question_id, model_id="m", condition=CURRENT_T,
+        Prediction(question_id=p.question_id, model="m", context=CURRENT_T.context_mode, triples=True,
                    letter="A", raw_text="{answer: A}")
         for p in predictions
     ]

@@ -53,7 +53,7 @@ def test_history_naming_an_unknown_edge_is_corrupt(tmp_path):
     "edit, complaint",
     [
         (lambda header: [1], "not a header"),
-        (lambda header: {k: v for k, v in header.items() if k != "book_id"}, "book_id None is not a string"),
+        (lambda header: {k: v for k, v in header.items() if k != "book_id"}, "missing field 'book_id'"),
         (lambda header: {**header, "book_id": 7}, "book_id 7 is not a string"),
         (lambda header: {**header, "plot_count": "2"}, "plot_count '2' is not an integer"),
         (lambda header: {**header, "plot_count": True}, "plot_count True is not an integer"),

@@ -30,21 +30,21 @@ from tomtrace.llmgate import ReplayScript
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
 
-# review-import that kills itself while serializing the third question record
+# review-import that kills itself while encoding the third question record
 DIE_ON_THIRD_RECORD = """
 import os, signal, sys
 from tomtrace import qagen
 from tomtrace.cli import main
 
-real, calls = qagen.question_to_record, []
+real, calls = qagen.encode_record, []
 
-def dying(question):
+def dying(question, fields, **given):
     calls.append(question)
     if len(calls) == 3:
         os.kill(os.getpid(), signal.SIGKILL)
-    return real(question)
+    return real(question, fields, **given)
 
-qagen.question_to_record = dying
+qagen.encode_record = dying
 main(sys.argv[1:], prog_name="tomtrace")
 """
 

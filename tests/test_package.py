@@ -268,14 +268,21 @@ def _call_sites(match) -> list[tuple[str, str]]:
 
 
 def test_read_jsonl_is_the_only_code_that_decodes_record_lines():
-    """Record files go through util.read_jsonl; the graph file and the cache log keep their own loops."""
+    """Record files go through util.read_jsonl, and all JSON from outside the package through
+    util.decode_json; the graph file and the cache log keep their own loops."""
     def json_parse(call) -> bool:
         func = call.func
         return isinstance(func, ast.Attribute) and func.attr in {"load", "loads"} and getattr(func.value, "id", "") == "json"
 
+    def decode_json(call) -> bool:
+        return getattr(call.func, "id", "") == "decode_json"
+
     assert _call_sites(json_parse) == [
-        ("config.py", "_recall"),  # a memoized config tree ...
-        ("config.py", "_memoize"),  # ... and the check that JSON holds it unchanged
+        ("config.py", "_memoize"),  # the check that JSON holds a tree the package wrote unchanged
+        ("util.py", "decode_json"),
+    ]
+    assert _call_sites(decode_json) == [
+        ("config.py", "_recall"),  # a memoized config tree
         ("corpus.py", "_parse_coser_book"),  # one whole JSON document per source book
         ("llmgate.py", "ResponseCache._entry"),  # one cache log line, read at an indexed byte offset
         ("llmgate.py", "_Route.send"),  # a backend's response body

@@ -36,12 +36,12 @@ from tomtrace.qagen import (
     parse_question_response,
     parse_verdict_response,
     question_id,
-    question_to_record,
     regenerate,
     save_questions,
     shuffle_options,
 )
 from tomtrace.triples import DIMENSIONS, Dimension
+from tomtrace.util import encode_record
 
 
 def make_question(dimension=Dimension.BELIEF, correct="B", state=QuestionState.GENERATED, attempt=1):
@@ -227,8 +227,8 @@ def test_shuffle_records_permutation_and_remaps_correct():
     q = make_question(correct="B", state=QuestionState.REJECTED, attempt=2)
     shuffled = shuffle_options(q, random.Random("fixed-seed"))
     moved = ("options", "correct", "permutation")
-    assert {k: v for k, v in question_to_record(shuffled).items() if k not in moved} == {
-        k: v for k, v in question_to_record(q).items() if k not in moved
+    assert {k: v for k, v in encode_record(shuffled, TomQuestion.FIELDS).items() if k not in moved} == {
+        k: v for k, v in encode_record(q, TomQuestion.FIELDS).items() if k not in moved
     }
     assert sorted(shuffled.options) == sorted(q.options)
     assert shuffled.permutation is not None

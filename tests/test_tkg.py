@@ -26,8 +26,8 @@ from tomtrace.tkg import (
     state_at,
     timeline,
 )
-from tomtrace.triples import Dimension, TripleBatch, make_triple
-from tomtrace.util import read_jsonl, sha256_text, write_jsonl
+from tomtrace.triples import Dimension, TripleBatch, load_triples, make_triple
+from tomtrace.util import sha256_text, write_jsonl
 
 
 def batch_for(character, plot, *pairs):
@@ -401,9 +401,9 @@ def _edge_dimension(line: str) -> str:
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_edge_dimension, "bad edge record: 'envy' is not a valid Dimension"),
+    (_edge_dimension, "bad edge record: dimension 'envy' is not one of belief, desire, emotion, intention"),
     (lambda line: "[1, 2]", "record is not a JSON object"),
-    (lambda line: json.dumps({**json.loads(line), "record": "link"}), "link record lacks field 'old_id'"),
+    (lambda line: json.dumps({**json.loads(line), "record": "link"}), "bad link record: missing field 'old_id'"),
 ], ids=["unknown-dimension", "not-an-object", "missing-field"])
 def test_load_rejects_a_malformed_record_naming_its_line(tmp_path, edit, message):
     path = save_kg(_sample_graph(), tmp_path / "g.kg.jsonl")
@@ -442,7 +442,7 @@ def test_build_graph_writes_the_same_bytes_as_the_build_kg_command(pipeline_out,
     def build(records):
         return build_graph(book.id, len(book.plots), records, merge)
 
-    records = read_jsonl(pipeline_out / "triples" / f"{book.id}.jsonl")
+    records = load_triples(pipeline_out / "triples" / f"{book.id}.jsonl")
     kg, changelog = build(records)
     kg_dir = pipeline_out / "kg"
     assert save_kg(kg, tmp_path / "g.kg.jsonl").read_bytes() == (kg_dir / f"{book.id}.kg.jsonl").read_bytes()

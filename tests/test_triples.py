@@ -105,7 +105,7 @@ def test_parse_strict_json():
     text = '{"Target Character": ["(Kent, Believes, the king wronged Cordelia)"]}'
     batch = parse_triple_response(text, "Kent", 2)
     assert len(batch.triples) == 1
-    assert batch.triples[0].predicate_raw == "Believes"
+    assert batch.triples[0].predicate == "Believes"
     assert batch.triples[0].plot_index == 2
 
 
@@ -139,7 +139,7 @@ def test_unknown_predicate_quarantined_not_dropped():
         '"(Kent, Wants, shelter)", "(Kent, Desires, rest)"]}'
     )
     batch = parse_triple_response(text, "Kent", 1)
-    assert [t.predicate_raw for t in batch.triples] == ["Desires"]
+    assert [t.predicate for t in batch.triples] == ["Desires"]
     assert len(batch.rejects) == 2
     reasons = "\n".join(r.reason for r in batch.rejects)
     assert "Wants" in reasons
@@ -170,7 +170,7 @@ def test_triple_ids_distinguish_duplicates():
 def test_render_round_trip():
     triple = make_triple("Kent", "FeelsTowardsOswald", "contempt for the steward", 3)
     reparsed = parse_triple_response(render_triple(triple), "Kent", 3).triples[0]
-    assert (reparsed.subject, reparsed.predicate_raw, reparsed.object) == (
+    assert (reparsed.subject, reparsed.predicate, reparsed.object) == (
         "Kent", "FeelsTowardsOswald", "contempt for the steward",
     )
 

@@ -10,8 +10,8 @@ from operator import methodcaller
 import pytest
 
 from tomtrace.errors import IoError, MalformedRecord
-from tomtrace.evalharness import prediction_from_record
-from tomtrace.qagen import question_from_record
+from tomtrace.evalharness import Prediction
+from tomtrace.qagen import TomQuestion
 from tomtrace.util import (
     canonical_json,
     clean_name,
@@ -105,20 +105,24 @@ _QUESTION = {"id": "q1", "book_id": "b", "plot_index": 1, "character": "Lear", "
 _PREDICTION = {"question_id": "q1", "model": "m", "context": "current", "triples": True, "letter": "A"}
 
 
+_AS_QUESTION = (TomQuestion.FIELDS, TomQuestion)
+_AS_PREDICTION = (Prediction.FIELDS, Prediction)
+
+
 @pytest.mark.parametrize("text, decode, line, reason", [
-    ('{"a": 1}\n{"a": \n', dict, 2, "invalid JSON"),
-    ('{"a": 1}\n\n[1, 2]\n', dict, 3, "not a JSON object"),
-    (json.dumps({**_QUESTION, "options": ["w", "x", "y"]}) + "\n", question_from_record, 1, "'q1': 3 options"),
-    (json.dumps(_QUESTION) + "\n" + json.dumps({**_QUESTION, "correct": "E"}) + "\n", question_from_record, 2,
+    ('{"a": 1}\n{"a": \n', (), 2, "invalid JSON"),
+    ('{"a": 1}\n\n[1, 2]\n', (), 3, "not a JSON object"),
+    (json.dumps({**_QUESTION, "options": ["w", "x", "y"]}) + "\n", _AS_QUESTION, 1, "'q1': 3 options"),
+    (json.dumps(_QUESTION) + "\n" + json.dumps({**_QUESTION, "correct": "E"}) + "\n", _AS_QUESTION, 2,
      "correct='E'"),
-    (json.dumps(_PREDICTION) + "\n" + json.dumps({**_PREDICTION, "triples": 1}) + "\n", prediction_from_record, 2,
-     "triples true or false"),
+    (json.dumps(_PREDICTION) + "\n" + json.dumps({**_PREDICTION, "triples": 1}) + "\n", _AS_PREDICTION, 2,
+     "triples 1 is not true or false"),
 ], ids=["truncated", "not-an-object", "three-options", "correct-e", "triples-one"])
 def test_read_jsonl_names_the_file_and_line_of_a_malformed_record(tmp_path, text, decode, line, reason):
     path = tmp_path / "questions.jsonl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedRecord) as caught:
-        read_jsonl(path, decode)
+        read_jsonl(path, *decode)
     assert caught.value.record_id == f"{path}:{line}"
     assert reason in caught.value.reason and str(path) not in caught.value.reason
 
