@@ -8,16 +8,19 @@ option only picks where output goes or which file is written. Exit codes: 0
 success, 1 user, usage or config error, 2 backend failure.
 
 Each stage runs in a process of its own, so start-up is paid per stage: the
-arguments are parsed by the standard library's argparse, a command imports
+command table reads a stage line (global options, a command and its options,
+each value a token of its own) itself, and leaves any other line to the
+standard library's argparse, which alone prints help, the version and usage
+errors, so only those load argparse, gettext and locale; a command imports
 the pipeline modules it runs inside its body, and at exit the collector's
 passes over objects that die with the process are skipped. No stage loads
-`dataclasses`, `inspect`, `decimal`, `fractions` or `concurrent.futures`,
-and `logging` is loaded only by a stage that emits a record.
+`dataclasses`, `inspect`, `decimal`, `fractions`, `concurrent.futures` or
+`csv` (but the ones that read or write a CSV file), and `logging` is loaded
+only by a stage that emits a record.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import hashlib
@@ -28,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .errors import ConfigInvalid, GatewayError, MissingUpstreamArtifact, TomtraceError
+from .errors import ConfigInvalid, CorruptGraphFile, GatewayError, MissingUpstreamArtifact, TomtraceError
 from .util import (
     INFO, WARNING, decode_text, defer_basic_config, encode_record, sample, sha256_file, write_atomic, write_json,
     write_jsonl,
@@ -120,13 +123,31 @@ class RunContext:
             raise MissingUpstreamArtifact(f"no normalized corpus under {self.corpus_dir}; run ingest")
         return ingest_corpus(self.corpus_dir, format="jsonl", alias_tables=self.alias_tables, read=self.read)
 
-    def load_kgs(self) -> dict[str, TemporalKG]:
+    def load_kgs(self, corpus: Corpus) -> dict[str, TemporalKG]:
+        """Every graph under kg/ by book id, each checked against the corpus book its file is named for.
+
+        A graph file's integrity hash covers its records, not its header: a
+        header whose book id is not its file's, or whose plot count is not its
+        corpus book's, raises CorruptGraphFile before any query reads the graph.
+        """
         from .tkg import load_kg
 
         paths = sorted(self.kg_dir.glob("*.kg.jsonl"))
         if not paths:
             raise MissingUpstreamArtifact(f"no graphs under {self.kg_dir}; run build-kg")
-        return {kg.book_id: kg for kg in (load_kg(self.read(p)) for p in paths)}
+        kgs = {}
+        for path in paths:
+            kg = load_kg(self.read(path))
+            book_id = path.name.removesuffix(".kg.jsonl")
+            if kg.book_id != book_id:
+                raise CorruptGraphFile(f"{path}: header gives book {kg.book_id!r}, not {book_id!r}")
+            book = corpus.book(book_id)
+            if book is not None and kg.plot_count != len(book.plots):
+                raise CorruptGraphFile(
+                    f"{path}: header gives {kg.plot_count} plot(s), but book {book_id!r} has {len(book.plots)}"
+                )
+            kgs[book_id] = kg
+        return kgs
 
     def load_question_file(self) -> list:
         from .qagen import load_questions
@@ -164,18 +185,6 @@ class RunContext:
         return write_json(self.out_dir / "manifests" / f"{command}.json", manifest)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that takes no abbreviated option, offers `--help`, and exits 1 on a usage error."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
-        self.add_argument("--help", action="help", help="Show this message and exit.")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 # An option's flags (none for a positional argument) and its other `add_argument` keywords.
 Option = tuple[tuple[str, ...], dict]
 
@@ -184,12 +193,65 @@ def _option(*flags: str, **keywords) -> Option:
     return flags, keywords
 
 
-def _add_options(parser: argparse.ArgumentParser, params: dict[str, Option]) -> None:
+def _add_options(parser, params: dict[str, Option]) -> None:
     for dest, (flags, keywords) in params.items():
         if flags:
             parser.add_argument(*flags, dest=dest, **keywords)
         else:
             parser.add_argument(dest, **keywords)
+
+
+def _read_options(args: list[str], start: int, params: dict[str, Option], options: dict) -> int | None:
+    """Read the options of `params` from `args[start:]` into `options`, as argparse would store them.
+
+    Each flag is a token of its own. A flag with `action="store_true"` sets
+    True, any other flag of an option without an action takes the next token
+    as its value, and each other token fills the next positional argument.
+    Options not given get their defaults. Returns the index of the first token
+    left over once every positional argument is filled, or None for a line
+    left to argparse: one with a token that starts with "-" and is not a flag
+    (`--help`, `--version`, `--flag=value`, `-cFILE`, `--`), a value that
+    starts with "-" or is not one of its option's choices, or a missing
+    value, required option or positional argument.
+    """
+    flags: dict[str, tuple[str, dict]] = {}
+    positionals: list[str] = []
+    required = set()
+    for dest, (names, keywords) in params.items():
+        action = keywords.get("action")
+        if not names:
+            positionals.append(dest)
+        elif action in (None, "store_true"):  # other actions, such as --version, exit in argparse
+            flags.update(dict.fromkeys(names, (dest, keywords)))
+            options[dest] = False if action else keywords.get("default")
+            if keywords.get("required"):
+                required.add(dest)
+    position = start
+    while position < len(args):
+        token = args[position]
+        if token in flags:
+            dest, keywords = flags[token]
+            required.discard(dest)
+            if keywords.get("action"):
+                options[dest] = True
+                position += 1
+                continue
+            if position + 1 == len(args):
+                return None
+            value = args[position + 1]
+            choices = keywords.get("choices")
+            if value.startswith("-") or (choices is not None and value not in choices):
+                return None
+            options[dest] = value
+            position += 2
+        elif token.startswith("-"):
+            return None
+        elif positionals:
+            options[positionals.pop(0)] = token
+            position += 1
+        else:
+            break
+    return None if required or positionals else position
 
 
 class Command:
@@ -222,8 +284,26 @@ class CommandTable:
 
         return register
 
-    def _parser(self, prog: str) -> _Parser:
-        """The parser of the global options and of every command."""
+    def _parser(self, prog: str):
+        """The argparse parser of the global options and of every command.
+
+        It is the one definition of help, `--version` and every usage message,
+        and the reference that `_quick_parse` is tested against. Only a line
+        the quick parse leaves to it loads argparse, and with it gettext.
+        """
+        import argparse
+
+        class _Parser(argparse.ArgumentParser):
+            """An argument parser that takes no abbreviated option, offers `--help`, and exits 1 on a usage error."""
+
+            def __init__(self, **kwargs):
+                super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+                self.add_argument("--help", action="help", help="Show this message and exit.")
+
+            def error(self, message):
+                self.print_usage(sys.stderr)
+                self.exit(1, f"{self.prog}: error: {message}\n")
+
         parser = _Parser(prog=prog, description="Mental-state pipeline over plot-segmented narrative corpora.")
         _add_options(parser, self.params)
         choices = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
@@ -232,8 +312,26 @@ class CommandTable:
             _add_options(choices.add_parser(name, help=summary, description=summary), command.params)
         return parser
 
+    def _quick_parse(self, args: list[str]) -> dict | None:
+        """What `_parser` makes of a plain stage line `args`, read without argparse; None for any other line.
+
+        A plain line is the global options, then a command, then the command's
+        own options and positional argument, each read by `_read_options`.
+        """
+        options: dict = {}
+        position = _read_options(args, 0, self.params, options)
+        if position is None or position == len(args) or args[position] not in self.commands:
+            return None
+        options["command"] = args[position]
+        if _read_options(args, position + 1, self.commands[args[position]].params, options) != len(args):
+            return None
+        return options
+
     def __call__(self, args: list[str] | None = None, prog_name: str | None = None):
-        options = vars(self._parser(prog_name or "tomtrace").parse_args(sys.argv[1:] if args is None else args))
+        args = sys.argv[1:] if args is None else args
+        options = self._quick_parse(args)
+        if options is None:
+            options = vars(self._parser(prog_name or "tomtrace").parse_args(args))
         command = self.commands[options.pop("command")]
         defer_basic_config(  # logging is loaded at the first record a stage emits, if any
             level=INFO if options.pop("verbose") else WARNING,
@@ -343,9 +441,10 @@ def genqa(ctx: RunContext):
     """Generate one question per dimension per speaking character per plot."""
     from .qagen import generate_questions, save_questions
 
+    corpus = ctx.load_corpus()
     questions = generate_questions(
-        ctx.load_corpus(),
-        ctx.load_kgs(),
+        corpus,
+        ctx.load_kgs(corpus),
         ctx.gateway(),
         model_id=ctx.model_id(),
         template_override=ctx.template(ctx.config.qagen.template),
@@ -445,7 +544,7 @@ def eval_cmd(ctx: RunContext):
     questions = ctx.load_question_file()
     settings = ctx.config.eval
     chosen = conditions(settings.context, settings.triples)
-    kgs = ctx.load_kgs() if any(c.triples_enabled for c in chosen) else {}
+    kgs = ctx.load_kgs(corpus) if any(c.triples_enabled for c in chosen) else {}
     table, predictions_path = run_eval(
         corpus,
         kgs,
@@ -487,7 +586,7 @@ def emit_ft(ctx: RunContext):
     from .ftemit import book_splits, emit_training_files
 
     corpus = ctx.load_corpus()
-    kgs = ctx.load_kgs()
+    kgs = ctx.load_kgs(corpus)
     questions = ctx.load_question_file()
     splits = book_splits(corpus, ctx.config.ft.ood_books)
     ft_dir = ctx.out_dir / "ft"

@@ -22,8 +22,8 @@ from .errors import (
     UnreadableSource,
 )
 from .util import (
-    LazyLogger, clean_name, decode_json, encode_record, format_half_up, normalize_name, read_jsonl, slugify,
-    write_jsonl,
+    LazyLogger, clean_name, decode_json, decode_record, encode_record, format_half_up, normalize_name, read_jsonl,
+    slugify, write_jsonl,
 )
 
 logger = LazyLogger(__name__)
@@ -287,11 +287,19 @@ DEFAULT_ADAPTER: dict[str, list[str]] = {
 }
 
 
-def _pick(record: dict, logical: str, default=None):
+def _pick(record: dict, logical: str, kind: object, where: str):
+    """The value under the first of `logical`'s source keys that `record` has, None if it has none or null there.
+
+    A value that is not of `kind` (as `decode_record` reads a kind) raises
+    MalformedRecord, the reason naming the key, the message starting with `where`.
+    """
     for key in DEFAULT_ADAPTER[logical]:
         if key in record:
-            return record[key]
-    return default
+            try:
+                return decode_record(record, ((key, kind, None),))[key]
+            except ValueError as exc:
+                raise MalformedRecord(where, str(exc)) from None
+    return None
 
 
 def ingest_corpus(
@@ -363,26 +371,27 @@ def _parse_coser_book(file: Path) -> Book:
         raise MalformedRecord(str(file), f"unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedRecord(str(file), "top-level value is not an object")
-    title = _pick(data, "title")
+    title = _pick(data, "title", str, str(file))
     if not title:
         raise MalformedRecord(str(file), "missing book title")
-    book_id = slugify(str(title))
-    raw_plots = _pick(data, "plots")
-    if not isinstance(raw_plots, list) or not raw_plots:
+    book_id = slugify(title)
+    raw_plots = _pick(data, "plots", list, str(file))
+    if not raw_plots:
         raise MalformedRecord(str(file), "book has no plots")
 
     plots: list[Plot] = []
     for pos, raw_plot in enumerate(raw_plots, start=1):
         record_id = f"{book_id}:plot[{pos}]"
+        where = f"{file}: {record_id}"
         if not isinstance(raw_plot, dict):
-            raise MalformedRecord(record_id, "plot record is not an object")
-        summary = str(_pick(raw_plot, "summary", "") or "").strip()
+            raise MalformedRecord(where, "plot record is not an object")
+        summary = (_pick(raw_plot, "summary", str, where) or "").strip()
         if not summary:
-            raise MalformedRecord(record_id, "empty plot summary")
-        scenario = str(_pick(raw_plot, "scenario", "") or "").strip()
-        raw_convs = _pick(raw_plot, "conversations", []) or []
+            raise MalformedRecord(where, "empty plot summary")
+        scenario = (_pick(raw_plot, "scenario", str, where) or "").strip()
+        raw_convs = _pick(raw_plot, "conversations", list, where) or []
         conversations = [
-            _parse_conversation(c, f"{record_id}:conv[{n}]")
+            _parse_conversation(c, f"{record_id}:conv[{n}]", file)
             for n, c in enumerate(raw_convs, start=1)
         ]
         if not scenario and conversations:
@@ -396,20 +405,20 @@ def _parse_coser_book(file: Path) -> Book:
                 conversations=conversations,
             )
         )
-    return Book(id=book_id, title=str(title), plots=plots)
+    return Book(id=book_id, title=title, plots=plots)
 
 
-def _parse_conversation(raw: dict, record_id: str) -> Conversation:
+def _parse_conversation(raw: dict, record_id: str, file: Path) -> Conversation:
+    where = f"{file}: {record_id}"
     if not isinstance(raw, dict):
-        raise MalformedRecord(record_id, "conversation record is not an object")
-    environment = str(_pick(raw, "environment", "") or "").strip()
-    cast_raw = _pick(raw, "cast", []) or []
-    cast = [clean_name(str(c)) for c in cast_raw if clean_name(str(c))]
-    lines = _pick(raw, "dialogues", []) or []
+        raise MalformedRecord(where, "conversation record is not an object")
+    environment = (_pick(raw, "environment", str, where) or "").strip()
+    cast = [name for name in map(clean_name, _pick(raw, "cast", list[str], where) or []) if name]
+    lines = _pick(raw, "dialogues", list, where) or []
     turns: list[Turn] = []
     env_extra: list[str] = []
     for line in lines:
-        turn = _parse_dialogue_entry(line, record_id)
+        turn = _parse_dialogue_entry(line, record_id, where)
         if turn is None:
             continue
         if normalize_name(turn.speaker) == ENVIRONMENT_SPEAKER:
@@ -419,24 +428,26 @@ def _parse_conversation(raw: dict, record_id: str) -> Conversation:
     if env_extra:
         environment = " ".join(filter(None, [environment] + env_extra))
     if not turns:
-        raise MalformedRecord(record_id, "conversation has no turns")
+        raise MalformedRecord(where, "conversation has no turns")
     return Conversation(environment=environment, cast=cast, turns=turns)
 
 
-def _parse_dialogue_entry(line, record_id: str) -> Turn | None:
+def _parse_dialogue_entry(line, record_id: str, where: str) -> Turn | None:
     if isinstance(line, dict):
-        speaker = _pick(line, "dialogue_speaker")
-        text = _pick(line, "dialogue_text")
+        speaker = _pick(line, "dialogue_speaker", str, where)
+        text = _pick(line, "dialogue_text", str, where)
         if speaker is None or text is None:
-            raise MalformedRecord(record_id, f"dialogue object missing speaker or text: {line!r}")
-        speaker = clean_name(str(speaker))
-        segments = segment_utterance(str(text), origin=speaker)
+            raise MalformedRecord(where, f"dialogue object missing speaker or text: {line!r}")
+        speaker = clean_name(speaker)
+        segments = segment_utterance(text, origin=speaker)
         if not speaker or not segments:
             logger.warning("%s: skipping empty dialogue entry", record_id)
             return None
         return Turn(speaker=speaker, segments=segments)
+    if not isinstance(line, str):
+        raise MalformedRecord(where, f"dialogue line {line!r} is neither a string nor an object")
     try:
-        return parse_turn(str(line))
+        return parse_turn(line)
     except NoSpeaker:
         # Narration lines without a speaker prefix are common in the wild;
         # dropping one keeps ingestion total.

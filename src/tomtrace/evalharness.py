@@ -8,7 +8,6 @@ rounded (half up, two decimals, in integer arithmetic) at display time.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 from enum import Enum
@@ -270,6 +269,8 @@ def render_report(table: ScoreTable, layout: ReportLayout = ReportLayout.PLAIN) 
         key=lambda r: (modes.index(r.condition.context_mode), models[r.model], r.condition.triples_enabled),
     )
     if layout is ReportLayout.CSV:
+        import csv  # only here: the plain and markdown layouts do not load it
+
         text = io.StringIO()
         writer = csv.writer(text, lineterminator="\n")
         writer.writerow(["model", "context", "condition", "belief", "desire", "emotion", "intention", "avg"])

@@ -11,7 +11,6 @@ Human verdicts only ever apply to LlmVerified questions.
 
 from __future__ import annotations
 
-import csv
 import random
 import re
 from enum import Enum
@@ -393,8 +392,9 @@ def generate_questions(
 ) -> list[TomQuestion]:
     """Four questions for every speaking character of every plot, in book -> plot -> speaker order.
 
-    Prompts, with their graph lookups, are built on the calling thread as the
-    gateway's runner draws them; the requests run on the runner's workers.
+    Prompts, with their graph lookups, are built on the gateway runner's
+    workers as each draws its next item, under the runner's lock, so one is
+    built at a time and in input order; the requests run on the same workers.
     A (book, plot, character) whose reply is unusable gets no questions and
     one warning, logged on the calling thread in input order.
     """
@@ -559,6 +559,8 @@ def import_review(path: Path | str, questions: dict[str, TomQuestion]) -> Review
     A file without a `question_id` or a `verdict` column raises
     UnreadableSource, since none of its rows could apply.
     """
+    import csv  # only here: the stages that read no review CSV do not load it
+
     report = ReviewImportReport()
     try:
         # utf-8-sig: spreadsheet tools save "CSV UTF-8" with a byte order mark.

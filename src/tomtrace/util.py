@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import io
@@ -309,6 +308,8 @@ def write_json(path: Path | str, obj: object) -> Path:
 
 def write_csv(path: Path | str, rows: Iterable[Iterable]) -> Path:
     """Write rows, the header first, in the `csv` module's default dialect (review exports)."""
+    import csv  # only here: a stage that reads or writes no CSV does not load it
+
     text = io.StringIO()
     csv.writer(text).writerows(rows)
     return write_atomic(path, [text.getvalue().encode("utf-8")])

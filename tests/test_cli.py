@@ -7,7 +7,9 @@ Error-path tests use their own scratch directories.
 
 from __future__ import annotations
 
+import ast
 import builtins
+import contextlib
 import csv
 import gc
 import hashlib
@@ -15,6 +17,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -23,6 +26,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import tomtrace
 from conftest import (
@@ -499,6 +504,36 @@ def test_two_books_with_one_id_exit_one_before_writing(tmp_path):
     assert not (out / "corpus").exists()
 
 
+def _first_conversation(book: dict) -> dict:
+    return book["plots"][0]["conversations"][0]
+
+
+@pytest.mark.parametrize("edit, where, reason", [
+    (lambda book: book.update(title=1984), "", "title 1984 is not a string"),
+    (lambda book: book["plots"][0].update(summary=5), "king-lear:plot[1]: ", "summary 5 is not a string"),
+    (lambda book: _first_conversation(book).update(key_characters="Lear"), "king-lear:plot[1]:conv[1]: ",
+     "key_characters 'Lear' is not a list"),
+    (lambda book: _first_conversation(book).update(key_characters=["Lear", 7]), "king-lear:plot[1]:conv[1]: ",
+     "key_characters[1] 7 is not a string"),
+    (lambda book: _first_conversation(book)["dialogues"][1].update(character=["Lear"]),
+     "king-lear:plot[1]:conv[1]: ", "character ['Lear'] is not a string"),
+    (lambda book: _first_conversation(book)["dialogues"].append(5), "king-lear:plot[1]:conv[1]: ",
+     "dialogue line 5 is neither a string nor an object"),
+], ids=["title", "summary", "cast-string", "cast-number", "speaker", "dialogue-line"])
+def test_a_wrong_typed_source_field_exits_one_naming_the_book_file_and_the_field(tmp_path, edit, where, reason):
+    """A source field is taken as it is typed, or refused: `str()` would turn a cast "Lear" into L, e, a, r."""
+    book = json.loads((CONFIG.parent / "books" / "king-lear.json").read_text(encoding="utf-8"))
+    edit(book)
+    path = tmp_path / "books" / "king-lear.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(book), encoding="utf-8")
+    config = derived_config(tmp_path, corpus={"input": str(path.parent)})
+    result = invoke_cli("-c", str(config), "--out", str(tmp_path / "out"), "ingest")
+    assert (result.exit_code, type(result.exception)) == (1, SystemExit), result.output
+    assert result.stderr.splitlines()[-1] == f"error: {path}: {where}{reason}"
+    assert not (tmp_path / "out" / "corpus").exists()
+
+
 @pytest.mark.parametrize("lines, line_number", [
     (['{"prompt_pattern": "x", "respo'], 1),
     (['{"prompt_pattern": "x", "response_text": "ok"}', '{"prompt_pattern": "x"}'], 2),
@@ -801,6 +836,26 @@ def test_a_triple_outside_the_book_exits_one_naming_file_and_line(pipeline_out, 
     assert result.stderr == f"error: {target}:{line}: {reason}\n"
 
 
+@pytest.mark.parametrize("header, reason", [
+    ({"plot_count": 1}, "header gives 1 plot(s), but book 'king-lear' has 2"),
+    ({"book_id": "queen-lear"}, "header gives book 'queen-lear', not 'king-lear'"),
+], ids=["plot-count", "book-id"])
+@pytest.mark.parametrize("command", ["genqa", "eval", "emit-ft"])
+def test_a_graph_header_that_disagrees_with_its_book_exits_one_naming_the_file(
+    pipeline_out, tmp_path, command, header, reason
+):
+    """The integrity hash covers a graph's records, not its header, so each stage that reads graphs checks it."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    target = out / "kg" / "king-lear.kg.jsonl"
+    first, rest = target.read_text(encoding="utf-8").split("\n", 1)
+    target.write_text(json.dumps({**json.loads(first), **header}) + "\n" + rest, encoding="utf-8")
+    config = derived_config(tmp_path, ft={"require_human_verified": False})
+    [result] = run_cli(out, command, expect=1, config=config)
+    assert isinstance(result.exception, SystemExit)  # an uncaught exception would be a traceback
+    assert result.stderr == f"error: {target}: {reason}\n"
+
+
 @pytest.mark.parametrize("target, command", [
     ("data/pipeline.yaml", "stats"),
     ("data/books/king-lear.json", "ingest"),
@@ -927,6 +982,141 @@ def test_help_lists_every_command(args):
 def test_parsing_for_the_named_command_alone_gives_the_full_parsers_options(args, options):
     """Every run parses with the one parser of every command; a value named like a command stays a value."""
     assert vars(main._parser("tomtrace").parse_args(args)) == options
+
+
+# --- the quick parse of a stage line, against argparse --------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+# Values a stage line may hold, and ones argparse reads otherwise or rejects.
+_VALUES = ["pipeline.yaml", "out", "r.csv", "", "a b", "ingest", "report", "csv", "triples", "html"]
+_ODD_VALUES = ["-x", "-1", "--", "-", "--out", "-c", "=x"]
+_STRAYS = ["--help", "--version", "--", "-", "-v", "-cv", "--verb", "--conf", "bogus", *_VALUES, *_ODD_VALUES]
+
+
+def _draw_options(draw, params) -> list[list[str]]:
+    """Options of `params` in any order, as their tokens: every positional and required one, and some others."""
+    pieces = []
+    for flags, keywords in params.values():
+        if keywords.get("action") not in (None, "store_true"):
+            continue  # --version
+        if flags and not keywords.get("required") and not draw(st.booleans()):
+            continue
+        value = draw(st.sampled_from([*keywords.get("choices", ()), *_VALUES]))
+        if not flags:
+            pieces.append([value])
+        else:
+            flag = draw(st.sampled_from(flags))
+            pieces.append([flag] if keywords.get("action") else [flag, value])
+    return draw(st.permutations(pieces))
+
+
+def _mutate(draw, pieces: list[list[str]]) -> None:
+    """Change one piece of a stage line into a form argparse reads otherwise or rejects, or move, repeat,
+    drop or add one."""
+    at = draw(st.integers(0, len(pieces) - 1))
+    piece = pieces[at]
+    mutation = draw(st.sampled_from(["odd value", "joined", "attached", "abbreviated", "value missing",
+                                     "repeated", "moved", "dropped", "added"]))
+    if mutation == "odd value":
+        piece[-1] = draw(st.sampled_from(_ODD_VALUES))
+    elif mutation == "joined" and len(piece) == 2:
+        pieces[at] = [f"{piece[0]}={piece[1]}"]
+    elif mutation == "attached" and len(piece) == 2:
+        pieces[at] = [piece[0] + piece[1]]
+    elif mutation == "abbreviated" and piece[0].startswith("--"):
+        piece[0] = piece[0][:-1]
+    elif mutation == "value missing" and len(piece) == 2:
+        del piece[1]
+    elif mutation == "repeated":
+        pieces.insert(draw(st.integers(0, len(pieces))), list(piece))
+    elif mutation == "moved":
+        del pieces[at]
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    elif mutation == "dropped":
+        del pieces[at]
+    elif mutation == "added":
+        pieces.insert(draw(st.integers(0, len(pieces))), [draw(st.sampled_from([*_STRAYS, *main.commands]))])
+
+
+@st.composite
+def _stage_lines(draw) -> list[str]:
+    """A stage line of global options, a command ("bogus" for none) and its options, changed at up to 3 places."""
+    name = draw(st.sampled_from([*main.commands, "bogus"]))
+    command = main.commands.get(name)
+    pieces = [*_draw_options(draw, main.params), [name], *_draw_options(draw, command.params if command else {})]
+    for _ in range(draw(st.integers(0, 3))):
+        if pieces:
+            _mutate(draw, pieces)
+    args = [token for piece in pieces for token in piece]
+    return draw(st.permutations(args)) if args and draw(st.integers(0, 9)) == 0 else args
+
+
+def _argparse_options(args: list[str]) -> dict | str:
+    """What the argparse parser makes of `args`: its options, or how it exits (help, version, usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(main._parser("tomtrace").parse_args(args))
+        except SystemExit as exc:
+            return f"exit {exc.code}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_stage_lines())
+def test_the_quick_parse_gives_argparses_options_or_leaves_the_line_to_argparse(args):
+    quick = main._quick_parse(args)
+    event("read without argparse" if quick is not None else "left to argparse")
+    if quick is not None:
+        assert quick == _argparse_options(args)
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "pipeline.yaml", "ingest"],
+    ["--verbose", "--config", "p.yaml", "--out", "o", "review-export", "--output", "t.csv", "--kind", "triples"],
+    ["-c", "report", "--out", "eval", "-v", "review-import", "stats"],
+    ["-c", "p.yaml", "report", "--layout", "plain", "--layout", "csv"],
+    ["-c", "", "--out", "", "review-import", ""],
+], ids=["stage", "every-option", "values-named-like-commands", "repeated-option", "empty-values"])
+def test_the_quick_parse_reads_each_plain_stage_line_as_argparse_does(args):
+    assert main._quick_parse(args) == _argparse_options(args)
+
+
+def _benchmark_stage_lines() -> list[list[str]]:
+    """perfbench/run.py's stage lines, each after the `-c pipeline.yaml` it is given."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    (pipeline,) = [node.value for node in tree.body
+                   if isinstance(node, ast.Assign) and [getattr(t, "id", "") for t in node.targets] == ["PIPELINE"]]
+    return [["-c", "pipeline.yaml", *stage] for stage in ast.literal_eval(pipeline)]
+
+
+def _ci_package_lines() -> list[list[str]]:
+    """The arguments of each `tomtrace` call in CI's package job, each `$stage` of its loop spelled out."""
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
+    lines = []
+    for step in workflow["jobs"]["package"]["steps"]:
+        script = step.get("run", "").replace("\\\n", " ")
+        loop = re.search(r"for stage in (.*?); do", script)
+        stages = [shlex.split(stage) for stage in shlex.split(loop.group(1))] if loop else []
+        for call in re.findall(r"(?:^|\s)tomtrace (-.*?)(?: [0-9]?>| \|\||$)", script, re.MULTILINE):
+            args = shlex.split(call)
+            if args[-1] == "$stage":
+                lines += [[*args[:-1], *stage] for stage in stages]
+            else:
+                lines.append(args)
+    return lines
+
+
+def test_the_quick_parse_reads_every_stage_line_of_the_benchmark_and_of_ci():
+    """Every stage the benchmark times, and every stage CI's package job runs, starts without argparse."""
+    benchmark = _benchmark_stage_lines()
+    ci = _ci_package_lines()
+    assert len(benchmark) == 10 and ["-c", "pipeline.yaml", "review-import", "out/review.csv"] in benchmark
+    # The job's calls for help, the version and an unknown command are meant for argparse.
+    meant_for_argparse = [args for args in ci if {"--help", "--version", "no-such-command"} & set(args)]
+    stages = [args for args in ci if args not in meant_for_argparse]
+    assert len(meant_for_argparse) == 4 and len(stages) >= 18, ci
+    for args in benchmark + stages:
+        options = main._quick_parse(args)
+        assert options is not None and options == _argparse_options(args), args
 
 
 def test_the_program_is_named_tomtrace_however_it_is_started():

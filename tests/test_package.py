@@ -56,14 +56,18 @@ PIPELINE_MODULES = {f"tomtrace.{m}" for m in ("llmgate", "triples", "tkg", "qage
 REQUEST_MODULES = {"concurrent.futures", "http.client", "urllib.request"}
 OFFLINE_COMMANDS = ("ingest", "build-kg", "report", "review-export", "review-import", "emit-ft", "stats")
 MODEL_COMMANDS = ("extract", "genqa", "verify", "eval")
+STAGE_COMMANDS = (*OFFLINE_COMMANDS, "report --layout csv", *MODEL_COMMANDS)
+USAGE_ERROR = "unknown command"
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 
 
 @pytest.fixture(scope="module")
 def stage_processes(tmp_path_factory) -> dict[str, tuple[set[str], list[str]]]:
     """Per command, the modules loaded when its process exits and the stderr lines before them.
 
-    `--version` and every command of the pipeline run on the fixture in a
-    fresh interpreter. emit-ft waives the human-verification gate, so every
+    `--version`, `--help`, a usage error and every command of the pipeline
+    (report in its plain and csv layouts) run on the fixture in a fresh
+    interpreter. emit-ft waives the human-verification gate, so every
     question goes through emit_example. Each config has been parsed once
     before any of them starts.
     """
@@ -73,19 +77,21 @@ def stage_processes(tmp_path_factory) -> dict[str, tuple[set[str], list[str]]]:
     for config in (CONFIG, unverified):
         load_config(config)
 
-    def run(name: str, *args: str) -> None:
+    def run(name: str, *args: str, returncode: int = 0) -> None:
         result = run_entry_point(*args, code=MODULES_AT_EXIT)
-        assert result.returncode == 0, result.stderr
+        assert result.returncode == returncode, result.stderr
         *stderr, last = result.stderr.splitlines()
         label, *modules = last.split()
         assert label == "modules:", result.stderr
         runs[name] = (set(modules), stderr)
 
     run("--version", "--version")
-    steps = ["ingest", "extract", "build-kg", "genqa", "verify", "eval", "report", "review-export",
-             f"review-import {out / 'review.csv'}", "emit-ft", "stats"]
+    run("--help", "--help")
+    run(USAGE_ERROR, "-c", str(CONFIG), "no-such-command", returncode=1)
+    steps = ["ingest", "extract", "build-kg", "genqa", "verify", "eval", "report", "report --layout csv",
+             "review-export", f"review-import {out / 'review.csv'}", "emit-ft", "stats"]
     for step in steps:
-        name = step.split()[0]
+        name = "review-import" if step.startswith("review-import") else step
         config = unverified if name == "emit-ft" else CONFIG
         run(name, "-c", str(config), "--out", str(out), *step.split())
     return runs
@@ -104,7 +110,7 @@ def test_version_and_ingest_load_no_module_of_the_later_stages(modules_at_exit):
 
 
 def test_no_offline_command_loads_a_thread_pool_or_an_http_client(modules_at_exit):
-    assert set(modules_at_exit) == {"--version", *OFFLINE_COMMANDS, *MODEL_COMMANDS}
+    assert set(modules_at_exit) == {"--version", "--help", USAGE_ERROR, *STAGE_COMMANDS}
     for command in OFFLINE_COMMANDS:
         assert modules_at_exit[command] & REQUEST_MODULES == set(), command
     assert {"tomtrace.evalharness", "tomtrace.qagen"} <= modules_at_exit["report"]
@@ -146,13 +152,26 @@ def test_verbose_extract_reports_a_triple_kept_with_violations(tmp_path):
     assert "kept triple with violations" not in quiet.stderr
 
 
+def test_no_stage_loads_argparse_gettext_or_locale(modules_at_exit):
+    """A stage line is read without argparse; help, the version and a usage error still go through it."""
+    for command in STAGE_COMMANDS:
+        assert modules_at_exit[command] & ARGPARSE_MODULES == set(), command
+    for command in ("--version", "--help", USAGE_ERROR):
+        assert ARGPARSE_MODULES <= modules_at_exit[command], command
+
+
+def test_only_the_commands_that_read_or_write_csv_load_it(modules_at_exit):
+    loading = {command for command, modules in modules_at_exit.items() if modules & {"csv", "_csv"}}
+    assert loading == {"report --layout csv", "review-export", "review-import"}
+
+
 def test_no_offline_command_loads_yaml_once_the_config_was_parsed(modules_at_exit):
     for command in ("--version", *OFFLINE_COMMANDS):
         assert not {m for m in modules_at_exit[command] if m == "yaml" or m.startswith("yaml.")}, command
 
 
 def test_no_command_loads_click(modules_at_exit):
-    """The CLI parses its arguments with the standard library's argparse."""
+    """The CLI parses a stage line itself, and any other line with the standard library's argparse."""
     for command, modules in modules_at_exit.items():
         assert not {m for m in modules if m == "click" or m.startswith("click.")}, command
 
